@@ -14,7 +14,6 @@ from .harness import (
     SyntheticSpec,
     builtin_system,
     collinearity,
-    error_metrics,
     generate_system,
     rrmse,
     run_experiment,
@@ -51,19 +50,11 @@ from .solver import (
     state_to_model,
 )
 from .tensor_ops import (
-    fold,
-    frontal_slice,
     fro_norm,
     khatri_rao,
-    kron,
-    load_array,
     lstsq,
-    save_array,
-    save_csv,
     stack_slices,
     unfold,
-    unvec,
-    unvec3,
     vec,
     vec3,
 )

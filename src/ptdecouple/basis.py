@@ -16,6 +16,10 @@ coefficient vectors:
   function evaluations equals ``Y_j @ c_j``.
 * ``build_per_slice_X`` / ``coeff_block_matrix``:  the per-sample block-
   diagonal factorization ``D = X_s @ C`` of a diagonal derivative matrix.
+
+The rows of ``build_X`` and ``build_Y`` come from ``model.power_rows`` and
+``model.derivative_rows``, so they are bit for bit the rows of the model's
+layer pass.  ``BasisSpec`` is defined with the model and re-exported here.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import BasisSpec, derivative_rows, power_rows
+from .tensor_ops import NonFiniteError
 
 __all__ = [
     "BasisSpec",
@@ -37,68 +44,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BasisSpec:
-    """Monomial basis {u, u**2, ..., u**degree} with a separate constant term."""
-
-    degree: int
-    kind: str = "monomial"
-
-    def __post_init__(self):
-        if self.kind != "monomial":
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-
-
-@dataclass(frozen=True)
 class ConstraintBlocks:
-    """Per-neuron structure matrices plus their block-diagonal stack."""
+    """Per-neuron structure matrices, each S x (d+1)."""
 
-    blocks: tuple = field(default_factory=tuple)  # r matrices, each S x (d+1)
-    stacked: np.ndarray = None  # (S*r) x (r*(d+1)) block diagonal
-
-    @property
-    def n_neurons(self):
-        return len(self.blocks)
+    blocks: tuple = field(default_factory=tuple)
 
 
-def _check_finite(u):
+def _check_inputs(u, ndim):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite values in basis inputs")
+        raise NonFiniteError("non-finite values in basis inputs")
+    if u.ndim != ndim:
+        raise ValueError(f"basis inputs must have ndim={ndim}, got ndim={u.ndim}")
     return u
-
-
-def _block_diag(blocks):
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
-def _derivative_rows(u, degree):
-    # rows (0, 1, 2u, ..., d*u**(d-1)) built by cumulative powers
-    out = np.zeros((u.shape[0], degree + 1))
-    p = np.ones_like(u)
-    for i in range(1, degree + 1):
-        out[:, i] = i * p
-        p = p * u
-    return out
-
-
-def _value_rows(u, degree):
-    # rows (1, u, u**2, ..., u**d)
-    out = np.ones((u.shape[0], degree + 1))
-    p = u.copy()
-    for i in range(1, degree + 1):
-        out[:, i] = p
-        p = p * u
-    return out
 
 
 def build_X(u_samples, basis):
@@ -114,22 +72,18 @@ def build_X(u_samples, basis):
     -------
     ConstraintBlocks
         ``blocks[j]`` has row s equal to ``(0, phi_1'(u), ..., phi_d'(u))``
-        at ``u = u_samples[s, j]``; ``stacked`` is their block diagonal.
+        at ``u = u_samples[s, j]``.
     """
-    u = _check_finite(u_samples)
-    if u.ndim != 2:
-        raise ValueError(f"u_samples must be S x r, got ndim={u.ndim}")
-    blocks = tuple(_derivative_rows(u[:, j], basis.degree) for j in range(u.shape[1]))
-    return ConstraintBlocks(blocks=blocks, stacked=_block_diag(blocks))
+    u = _check_inputs(u_samples, 2)
+    rows = derivative_rows(power_rows(u.T, basis.degree))
+    blocks = np.concatenate([np.zeros(rows.shape[:2] + (1,)), rows], axis=2)
+    return ConstraintBlocks(blocks=tuple(blocks))
 
 
 def build_Y(u_samples, basis):
     """Function-value structure blocks for the last layer; rows ``(1, u, ..., u**d)``."""
-    u = _check_finite(u_samples)
-    if u.ndim != 2:
-        raise ValueError(f"u_samples must be S x r, got ndim={u.ndim}")
-    blocks = tuple(_value_rows(u[:, j], basis.degree) for j in range(u.shape[1]))
-    return ConstraintBlocks(blocks=blocks, stacked=_block_diag(blocks))
+    u = _check_inputs(u_samples, 2)
+    return ConstraintBlocks(blocks=tuple(power_rows(u.T, basis.degree)))
 
 
 def build_per_slice_X(u_sample, basis):
@@ -138,9 +92,7 @@ def build_per_slice_X(u_sample, basis):
     Returns the ``r x r*(d+1)`` matrix ``X_s`` with
     ``X_s @ coeff_block_matrix(C) == diag(g'(u))`` exactly.
     """
-    u = _check_finite(u_sample)
-    if u.ndim != 1:
-        raise ValueError(f"u_sample must be a vector, got ndim={u.ndim}")
+    u = _check_inputs(u_sample, 1)
     r = u.shape[0]
     d = basis.degree
     out = np.zeros((r, r * (d + 1)))

@@ -27,19 +27,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisSpec, build_Y
 from .model import (
     DecoupledModel,
     build_f_matrix,
     build_jacobian_tensor,
     eval_batch,
-    internal_inputs_batch,
+    layer_pass,
     load_model,
-    true_pt_factors,
 )
 from .solver import SolverConfig, SolverDivergenceError, SolverState, fit, state_to_model
-from .tensor_ops import fro_norm
-from .tuner import StageResult, TunerConfig, TunerReport, tune, validation_metric
+from .tuner import StageResult, TunerConfig, TunerReport, rrmse, tune, validation_metric
 
 __all__ = [
     "SyntheticSpec",
@@ -47,20 +44,14 @@ __all__ = [
     "RunResult",
     "ResultTable",
     "builtin_system",
-    "builtin_names",
     "generate_system",
     "collinearity",
-    "error_metrics",
     "rrmse",
     "run_experiment",
     "write_results",
 ]
 
 BUILTINS = ("f1", "f2", "f3")
-
-
-def builtin_names():
-    return BUILTINS
 
 
 def builtin_system(name):
@@ -200,44 +191,6 @@ def generate_system(spec):
     return DecoupledModel(weights=tuple(weights), coeffs=tuple(coeffs))
 
 
-def error_metrics(j_true, j_hat, f_true, f_hat):
-    """Relative squared errors (||J - Jhat||^2/||J||^2, ||F - Fhat||^2/||F||^2)."""
-    j_true = np.asarray(j_true, dtype=float)
-    j_hat = np.asarray(j_hat, dtype=float)
-    f_true = np.asarray(f_true, dtype=float)
-    f_hat = np.asarray(f_hat, dtype=float)
-    if j_true.shape != j_hat.shape or f_true.shape != f_hat.shape:
-        raise ValueError("shape mismatch between true and estimated arrays")
-    den_j = fro_norm(j_true) ** 2
-    den_f = fro_norm(f_true) ** 2
-    if den_j == 0 or den_f == 0:
-        raise ValueError("zero norm in error denominator")
-    return (
-        fro_norm(j_true - j_hat) ** 2 / den_j,
-        fro_norm(f_true - f_hat) ** 2 / den_f,
-    )
-
-
-def rrmse(outputs_true, outputs_pred):
-    """Per-output relative root-mean-squared errors, in percent.
-
-    Both arguments are n x S with S >= 2; output i is normalized by the
-    spread of the true values around their mean.
-    """
-    t = np.asarray(outputs_true, dtype=float)
-    p = np.asarray(outputs_pred, dtype=float)
-    if t.shape != p.shape or t.ndim != 2:
-        raise ValueError("outputs must be matching n x S matrices")
-    if t.shape[1] < 2:
-        raise ValueError("need at least two sampling points")
-    centered = t - t.mean(axis=1, keepdims=True)
-    den = np.sum(centered * centered, axis=1)
-    if np.any(den == 0):
-        raise ValueError("zero variance in some output")
-    num = np.sum((t - p) ** 2, axis=1)
-    return np.sqrt(num / den) * 100.0
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for a batch of decoupling runs against one target.
@@ -333,6 +286,7 @@ class ResultTable:
     rows: list
     aggregates: dict
     config: ExperimentConfig
+    n_outputs: int
 
 
 def _rng(base_seed, run_id, stream):
@@ -349,12 +303,7 @@ def _perturbed_truth(target, cfg, points, seed):
     """Solver state at the target's exact factors, entrywise perturbed."""
     if tuple(target.ranks) != cfg.solver.ranks or tuple(target.degrees) != cfg.solver.degrees:
         raise ValueError("init_perturb requires solver ranks/degrees matching the target")
-    factors = true_pt_factors(target, points)
-    us = internal_inputs_batch(target.weights, target.coeffs, points)
-    yb = build_Y(us[-1], BasisSpec(target.degrees[-1]))
-    R = np.stack(
-        [yb.blocks[j] @ target.coeffs[-1][j] for j in range(len(yb.blocks))], axis=1
-    )
+    layers = layer_pass(target.weights, target.coeffs, points)[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(4,))))
     scale = cfg.init_perturb
 
@@ -362,9 +311,9 @@ def _perturbed_truth(target, cfg, points, seed):
         return a * (1.0 + scale * rng.uniform(-1.0, 1.0, size=a.shape))
 
     return SolverState(
-        weights=[wiggle(w) for w in factors.weights],
-        G=[wiggle(g) for g in factors.G],
-        R=wiggle(R),
+        weights=[wiggle(w) for w in target.weights],
+        G=[wiggle(t.dg) for t in layers],
+        R=wiggle(layers[-1].g),
         coeffs=[wiggle(c) for c in target.coeffs],
     )
 
@@ -376,8 +325,7 @@ def _perturbed_truth(target, cfg, points, seed):
 _RUN_FAILURES = (SolverDivergenceError, ArithmeticError, ValueError)
 
 
-def _single_run(cfg, run_id):
-    target = cfg.target_model()
+def _single_run(cfg, target, run_id):
     m = target.n_inputs
     solver_seed = _solver_seed(cfg.seed, run_id)
     row = RunResult(run_id=run_id, seed=solver_seed)
@@ -432,10 +380,6 @@ def _single_run(cfg, run_id):
     return row
 
 
-def _single_run_star(args):
-    return _single_run(*args)
-
-
 def _aggregate(values):
     a = np.asarray(values, dtype=float)
     return {
@@ -451,13 +395,14 @@ def run_experiment(cfg):
     Rows are ordered by run id regardless of completion order; aggregates
     cover the successful runs only and are recomputable from the rows.
     """
-    n_outputs = cfg.target_model().n_outputs
-    args = [(cfg, r) for r in range(cfg.runs)]
+    target = cfg.target_model()
+    n_outputs = target.n_outputs
+    runs = range(cfg.runs)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_single_run_star, args))
+            rows = list(pool.map(_single_run, [cfg] * cfg.runs, [target] * cfg.runs, runs))
     else:
-        rows = [_single_run(cfg, r) for r in range(cfg.runs)]
+        rows = [_single_run(cfg, target, r) for r in runs]
     rows.sort(key=lambda r: r.run_id)
 
     ok = [r for r in rows if not r.failed]
@@ -472,7 +417,7 @@ def run_experiment(cfg):
                 aggregates[f"test_e_{i + 1}"] = _aggregate(
                     [r.test_errors[i] for r in ok]
                 )
-    return ResultTable(rows=rows, aggregates=aggregates, config=cfg)
+    return ResultTable(rows=rows, aggregates=aggregates, config=cfg, n_outputs=n_outputs)
 
 
 def _fmt(x):
@@ -486,7 +431,7 @@ def write_results(table, csv_path, json_path):
     err_F, e_1..e_n, error.  Reruns of the same configuration produce
     byte-identical files.
     """
-    n_outputs = table.config.target_model().n_outputs
+    n_outputs = table.n_outputs
     header = ["run_id", "seed", "lambda_selected", "iters", "stop_reason", "err_J", "err_F"]
     header += [f"e_{i + 1}" for i in range(n_outputs)]
     header += ["error"]

@@ -19,6 +19,15 @@ with D_l(s) the diagonal matrix of derivative evaluations g_l'(u_l(s)).
 Collecting the diagonals row-wise yields the S x r_l factor matrices G_l of
 a ParaTuck decomposition of the tensor, which is what the solver estimates.
 
+All evaluation goes through two functions.  ``layer_pass`` evaluates every
+layer at a batch of points: the inputs u_l, their monomial power rows and
+g_l, g_l', g_l''.  ``right_chains`` (with ``left_chain``, its counterpart
+from the output end) forms the chain products above for every slice at
+once, so the Jacobians are ``right_chains(W, g'(u))``.  Model outputs,
+Jacobians, ParaTuck factors and reconstructions, the structure matrices of
+``basis`` and the solver's subproblems and residuals are all built from
+these two.
+
 Models and factor containers are immutable after construction and all
 operations are pure, so evaluation over many points may run concurrently
 without synchronization.
@@ -29,16 +38,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSpec, poly_der_coeffs, poly_val
 from .tensor_ops import stack_slices
 
 __all__ = [
+    "BasisSpec",
     "DecoupledModel",
     "PTFactors",
     "AmbiguityTransform",
+    "LayerTerms",
+    "power_rows",
+    "derivative_rows",
+    "layer_pass",
+    "left_chain",
+    "right_chains",
     "eval_model",
     "eval_batch",
     "internal_inputs",
@@ -64,6 +80,20 @@ def _freeze(a):
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+@dataclass(frozen=True)
+class BasisSpec:
+    """Monomial basis {u, u**2, ..., u**degree} with a separate constant term."""
+
+    degree: int
+    kind: str = "monomial"
+
+    def __post_init__(self):
+        if self.kind != "monomial":
+            raise ValueError(f"unsupported basis kind {self.kind!r}")
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
 
 
 def _check_weight_chain(weights):
@@ -192,12 +222,101 @@ class PTFactors:
         return tuple(g.shape[1] for g in self.G)
 
 
-def _apply_polys(coeffs, U):
-    """Apply one polynomial per row of U; coeffs (r, d+1), U (r, S)."""
-    out = np.empty_like(U)
-    for j in range(coeffs.shape[0]):
-        out[j] = poly_val(coeffs[j], U[j])
-    return out
+def power_rows(u, degree):
+    """Rows (1, u, u**2, ..., u**degree) along a new last axis.
+
+    The powers are cumulative products, never ``u ** k``, so the layer pass
+    and the structure matrices of ``basis`` see the same bits for the same u.
+    Each power is built as one contiguous plane; the rows are a view across
+    the planes.
+    """
+    planes = np.empty((degree + 1,) + u.shape)
+    planes[0] = 1.0
+    for i in range(1, degree + 1):
+        np.multiply(planes[i - 1], u, out=planes[i])
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
+
+
+def derivative_rows(powers):
+    """Rows (1, 2u, ..., d*u**(d-1)): the derivatives of u, ..., u**d from their power rows."""
+    return powers[..., :-1] * np.arange(1, powers.shape[-1])
+
+
+class LayerTerms(NamedTuple):
+    """One layer of r neurons with degree-d polynomials, evaluated at S points."""
+
+    u: np.ndarray  # S x r layer inputs
+    powers: np.ndarray  # S x r x (d+1) power rows of u
+    g: np.ndarray  # S x r values g(u)
+    dg: np.ndarray  # S x r derivatives g'(u): the rows of the ParaTuck factor G
+    ddg: np.ndarray  # S x r second derivatives g''(u)
+
+
+def _der(coeffs):
+    """Ascending coefficients of every row's derivative polynomial."""
+    return coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+
+
+def _apply(W, x):
+    """W @ x[s] for every row s of x (S x cols), reduced point by point."""
+    return np.einsum("ij,sj->si", W, x)
+
+
+def layer_pass(weights, coeffs, points):
+    """Every layer's terms at the points, in one batched pass.
+
+    Returns ``(layers, outputs)``: ``layers[l-1]`` holds u_l with its power
+    rows and g_l, g_l', g_l'' per neuron (:class:`LayerTerms`) and
+    ``outputs`` (S x n) holds W_L g_L(u_L).  Every product is reduced
+    per point over its own short axis (einsum, never a matrix product that
+    folds the points into its rows), so the values at a point do not
+    depend on the other points in the batch.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != weights[0].shape[1]:
+        raise ValueError(
+            f"points must be S x {weights[0].shape[1]}, got {x.shape}"
+        )
+    layers = []
+    u = _apply(weights[0], x)
+    for W, c in zip(weights[1:], coeffs):
+        powers = power_rows(u, c.shape[1] - 1)
+        dc = _der(c)
+        g = np.einsum("sji,ji->sj", powers, c)
+        dg = np.einsum("sji,ji->sj", powers[..., :-1], dc)
+        ddg = np.einsum("sji,ji->sj", powers[..., :-2], _der(dc))
+        layers.append(LayerTerms(u, powers, g, dg, ddg))
+        u = _apply(W, g)
+    return layers, u
+
+
+def left_chain(weights, G, l):
+    """W_L D_L ... D_{l+1} W_l for every slice: S x n x r_l (1 x n x r_L for l = L)."""
+    acc = weights[-1][None]
+    for k in range(len(G) - 1, l - 1, -1):
+        acc = (acc * G[k][:, None, :]) @ weights[k]
+    return acc
+
+
+def right_chains(weights, G, l):
+    """The chains V_1, ..., V_l with V_k = W_{k-1} D_{k-1} ... D_1 W_0 per slice.
+
+    V_1 is W_0 as a 1 x r_1 x m stack and V_{k+1} = W_k D_k(s) V_k(s), an
+    S x r_{k+1} x m stack.  Slice s of the tensor is
+    ``left_chain(.., k)[s] @ D_k(s) @ V_k[s]`` for every k, and V_{L+1}
+    itself; with G the derivatives g'(u) of the layer pass, V_{L+1} holds
+    the model's Jacobians.  Each product is a stacked matmul of one slice's
+    matrices, so a slice's bits do not depend on the slice count.
+    """
+    chain = [weights[0][None]]
+    for k in range(1, l):
+        chain.append((weights[k] * G[k - 1][:, None, :]) @ chain[-1])
+    return chain
+
+
+def _slices_last(stack):
+    """An S x n x m stack as the n x m x S tensor, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, 2))
 
 
 def internal_inputs_batch(weights, coeffs, points):
@@ -205,27 +324,19 @@ def internal_inputs_batch(weights, coeffs, points):
 
     Parameters
     ----------
-    weights, coeffs : sequences as in DecoupledModel (coeffs may omit the
-        last layer's entry; only layers below each u are ever used).
+    weights, coeffs : sequences as in DecoupledModel.
     points : ndarray, shape (S, m)
 
     Returns
     -------
     list of ndarray
         Entry l-1 has shape (S, r_l) holding u_l per point.
+
+    The inputs depend only on the layers below the last, so the pass runs
+    over those alone.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.shape[1] != weights[0].shape[1]:
-        raise ValueError(
-            f"points must be S x {weights[0].shape[1]}, got {X.shape}"
-        )
-    L = len(weights) - 1
-    U = weights[0] @ X.T
-    us = [U.T.copy()]
-    for i in range(1, L):
-        U = weights[i] @ _apply_polys(np.asarray(coeffs[i - 1]), U)
-        us.append(U.T.copy())
-    return us
+    layers, u_last = layer_pass(weights[:-1], coeffs[:-1], points)
+    return [t.u for t in layers] + [u_last]
 
 
 def internal_inputs(model, x):
@@ -236,9 +347,8 @@ def internal_inputs(model, x):
 
 def eval_batch(model, points):
     """Evaluate the model at S points; returns an (n, S) matrix."""
-    us = internal_inputs_batch(model.weights, model.coeffs, points)
-    G_last = _apply_polys(model.coeffs[-1], us[-1].T)
-    return model.weights[-1] @ G_last
+    outputs = layer_pass(model.weights, model.coeffs, points)[1]
+    return np.ascontiguousarray(outputs.T)
 
 
 def eval_model(model, x):
@@ -249,81 +359,63 @@ def eval_model(model, x):
     return eval_batch(model, x[None, :])[:, 0]
 
 
+def _jacobians(model, points):
+    """Analytic Jacobians at S points, slice-leading: S x n x m."""
+    layers = layer_pass(model.weights, model.coeffs, points)[0]
+    return right_chains(model.weights, [t.dg for t in layers], model.n_layers + 1)[-1]
+
+
 def jacobian(model, x):
     """Analytic Jacobian W_L D_L ... D_1 W_0 at one point.
 
-    Derivative coefficients are obtained symbolically from the monomial
-    basis, so the result is exact up to round-off.
+    The derivatives come from the monomial basis symbolically, so the
+    result is exact up to round-off, and bit for bit the slice that
+    :func:`build_jacobian_tensor` gives for the same point.
     """
-    us = internal_inputs(model, x)
-    acc = model.weights[0]
-    for i in range(model.n_layers):
-        d = np.array(
-            [
-                poly_val(poly_der_coeffs(model.coeffs[i][j]), us[i][j])
-                for j in range(model.coeffs[i].shape[0])
-            ]
-        )
-        acc = (model.weights[i + 1] * d[None, :]) @ acc
-    return acc
+    return _jacobians(model, np.atleast_2d(x))[0]
 
 
-def _resolve_jacobian_fn(model_or_fn):
-    if isinstance(model_or_fn, DecoupledModel):
-        return lambda x: jacobian(model_or_fn, x)
-    if callable(model_or_fn):
-        return model_or_fn
-    raise TypeError("expected a DecoupledModel or a callable Jacobian oracle")
+def _check_points(points):
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError("points must be a non-empty S x m array")
+    return points
 
 
-def _resolve_eval_fn(model_or_fn):
-    if isinstance(model_or_fn, DecoupledModel):
-        return lambda x: eval_model(model_or_fn, x)
-    if callable(model_or_fn):
-        return model_or_fn
-    raise TypeError("expected a DecoupledModel or a callable evaluation oracle")
+def _stack_oracle(fn, points, ndim, kind):
+    """Oracle evaluations at every point, stacked along a new last axis."""
+    if not callable(fn):
+        raise TypeError(f"expected a DecoupledModel or a callable {kind} oracle")
+    values = []
+    for x in points:
+        y = np.asarray(fn(x), dtype=float)
+        if y.ndim != ndim:
+            raise ValueError(f"{kind} oracle must return {ndim}-D arrays, got ndim={y.ndim}")
+        if values and y.shape != values[0].shape:
+            raise ValueError(f"inconsistent {kind} dims: {y.shape} != {values[0].shape}")
+        values.append(y)
+    return np.stack(values, axis=ndim)
 
 
 def build_jacobian_tensor(model_or_fn, points):
     """Stack Jacobian evaluations at the given points into an n x m x S tensor.
 
-    Accepts either a model (analytic Jacobians) or any callable mapping a
-    point to an n x m matrix, which supports decoupling black-box targets.
+    Accepts either a model (analytic Jacobians, all points at once) or any
+    callable mapping a point to an n x m matrix, which supports decoupling
+    black-box targets.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("points must be a non-empty S x m array")
-    fn = _resolve_jacobian_fn(model_or_fn)
-    slices = []
-    for s in range(points.shape[0]):
-        J = np.asarray(fn(points[s]), dtype=float)
-        if J.ndim != 2:
-            raise ValueError("Jacobian oracle must return matrices")
-        if slices and J.shape != slices[0].shape:
-            raise ValueError(
-                f"inconsistent Jacobian dims: {J.shape} != {slices[0].shape}"
-            )
-        slices.append(J)
-    return stack_slices(slices)
+    points = _check_points(points)
+    if isinstance(model_or_fn, DecoupledModel):
+        return _slices_last(_jacobians(model_or_fn, points))
+    return _stack_oracle(model_or_fn, points, 2, "Jacobian")
 
 
 def build_f_matrix(model_or_fn, points):
     """Stack function evaluations column-wise into an n x S matrix."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("points must be a non-empty S x m array")
+    points = _check_points(points)
     if isinstance(model_or_fn, DecoupledModel):
         return eval_batch(model_or_fn, points)
-    fn = _resolve_eval_fn(model_or_fn)
-    cols = []
-    for s in range(points.shape[0]):
-        y = np.asarray(fn(points[s]), dtype=float)
-        if y.ndim != 1:
-            raise ValueError("evaluation oracle must return vectors")
-        if cols and y.shape != cols[0].shape:
-            raise ValueError("inconsistent output dims across points")
-        cols.append(y)
-    return np.stack(cols, axis=1)
+    return _stack_oracle(model_or_fn, points, 1, "evaluation")
 
 
 def true_pt_factors(model, points):
@@ -332,26 +424,18 @@ def true_pt_factors(model, points):
     G_l[s, j] is the derivative of neuron j's polynomial at its layer input
     for point s; weight matrices are shared with the model.
     """
-    us = internal_inputs_batch(model.weights, model.coeffs, points)
-    G = []
-    for i in range(model.n_layers):
-        der = np.array([poly_der_coeffs(c) for c in model.coeffs[i]])
-        G.append(_apply_polys(der, us[i].T).T)
-    return PTFactors(weights=model.weights, G=tuple(G))
+    layers = layer_pass(model.weights, model.coeffs, points)[0]
+    return PTFactors(weights=model.weights, G=tuple(t.dg for t in layers))
 
 
 def pt_slices(weights, G, s):
     """One frontal slice W_L D_L(s) ... D_1(s) W_0 from raw factor lists."""
-    acc = weights[0]
-    for i in range(len(G)):
-        acc = (weights[i + 1] * G[i][s][None, :]) @ acc
-    return acc
+    return right_chains(weights, [g[s : s + 1] for g in G], len(G) + 1)[-1][0]
 
 
 def pt_reconstruct(factors):
     """Dense tensor whose frontal slices are the ParaTuck chain products."""
-    K = factors.n_slices
-    return stack_slices([pt_slices(factors.weights, factors.G, s) for s in range(K)])
+    return _slices_last(right_chains(factors.weights, factors.G, factors.n_layers + 1)[-1])
 
 
 def cpd_reconstruct(A, B, C):

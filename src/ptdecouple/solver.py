@@ -30,9 +30,14 @@ that need not be the global minimum.  ``start_search`` provides starts: a
 Levenberg-Marquardt descent of the same objective over the model
 parameters (weights and coefficients, with the analytic Jacobian through
 the layer inputs), run from several seeded random draws; the tuner starts
-every stage's sweeps from its best descent.  The subproblem matrices of all
-slices are built at once from batched chain products (``_left_chain``,
-``_right_chain``), never slice by slice.
+every stage's sweeps from its best descent.
+
+Everything the solver evaluates comes from the model's layer pass and chain
+kernel (``model.layer_pass``, ``model.left_chain``, ``model.right_chains``):
+the subproblem matrices of all slices at once, the objective, the states
+that a descent hands to the sweeps, and the descent's residual.  Its
+derivative arrays are carried forward from the same pass, one chunk of
+sampling points at a time.
 
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.
@@ -40,15 +45,22 @@ separate fits share no mutable state and may run concurrently.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, build_X, build_Y, poly_der_coeffs, poly_val
-from .model import DecoupledModel, PTFactors, internal_inputs_batch
-from .tensor_ops import fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
+from .basis import BasisSpec, build_X, build_Y
+from .model import (
+    DecoupledModel,
+    PTFactors,
+    derivative_rows,
+    internal_inputs_batch,
+    layer_pass,
+    left_chain,
+    right_chains,
+)
+from .tensor_ops import NonFiniteError, fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
 
 __all__ = [
     "SolverConfig",
@@ -241,31 +253,11 @@ def init_state(cfg, dims):
     return SolverState(weights=weights, G=G, R=R, coeffs=coeffs)
 
 
-def _left_chain(weights, G, l):
-    """W_L D_L ... D_{l+1} W_l for every slice: S x n x r_l (1 x n x r_L for l = L)."""
-    acc = weights[-1][None]
-    for k in range(len(G) - 1, l - 1, -1):
-        acc = (acc * G[k][:, None, :]) @ weights[k]
-    return acc
-
-
-def _right_chain(weights, G, l):
-    """W_{l-1} D_{l-1} ... D_1 W_0 for every slice: S x r_l x m (1 x r_1 x m for l = 1).
-
-    Slice s of the tensor is left[l] @ D_l(s) @ right[l] for every l, and
-    also right[L+1] itself.
-    """
-    acc = weights[0][None]
-    for k in range(2, l + 1):
-        acc = (weights[k - 1] * G[k - 2][:, None, :]) @ acc
-    return acc
-
-
 def _chains(weights, G, l):
     """(left, right) chains around layer l, both with the full slice count."""
     S = G[0].shape[0]
-    left = _left_chain(weights, G, l)
-    right = _right_chain(weights, G, l)
+    left = left_chain(weights, G, l)
+    right = right_chains(weights, G, l)[-1]
     return (
         np.broadcast_to(left, (S,) + left.shape[1:]),
         np.broadcast_to(right, (S,) + right.shape[1:]),
@@ -284,13 +276,13 @@ def build_MW(state, layer):
         raise ValueError(f"layer must be in 0..{L}, got {layer}")
     w, G = state.weights, state.G
     if layer == 0:
-        M = _left_chain(w, G, 1) * G[0][:, None, :]
+        M = left_chain(w, G, 1) * G[0][:, None, :]
         return M.reshape(-1, M.shape[2])
     if layer == L:
-        M = G[L - 1][:, :, None] * _right_chain(w, G, L)
+        M = G[L - 1][:, :, None] * right_chains(w, G, L)[-1]
         return M.transpose(1, 0, 2).reshape(M.shape[1], -1)
-    A = _left_chain(w, G, layer + 1) * G[layer][:, None, :]
-    B = G[layer - 1][:, :, None] * _right_chain(w, G, layer)
+    A = left_chain(w, G, layer + 1) * G[layer][:, None, :]
+    B = G[layer - 1][:, :, None] * right_chains(w, G, layer)[-1]
     # per slice kron(B.T, A): row (a, b), column (k, q) holds B[k, a] A[b, q]
     return np.einsum("ska,sbq->sabkq", B, A).reshape(-1, B.shape[1] * A.shape[2])
 
@@ -321,7 +313,7 @@ def _lstsq_batched(state, a, b, rtol=1e-12):
     rtol times the largest of their system are truncated and counted.
     """
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite entries in least-squares system")
+        raise NonFiniteError("non-finite entries in least-squares system")
     U, sv, Vt = np.linalg.svd(a, full_matrices=False)
     keep = sv > rtol * sv[:, :1]
     state.n_truncated += int(np.sum(~keep))
@@ -357,9 +349,11 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
 
 
 def _layer_inputs(state, points, layer):
-    """Fresh u values (S x r_layer) from the current weights and coefficients."""
-    us = internal_inputs_batch(state.weights, state.coeffs, points)
-    return us[layer - 1]
+    """Fresh u values (S x r_layer) from the current weights and coefficients.
+
+    Only the layers below ``layer`` enter, so the pass stops there.
+    """
+    return internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
 
 
 def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
@@ -500,9 +494,9 @@ def _normalize_inputs(state, points):
 
 def _j_term(state, j_tensor):
     """||J - PT(W, G)||^2, all slices at once."""
-    diff = np.transpose(j_tensor, (2, 0, 1)) - _right_chain(
+    diff = np.transpose(j_tensor, (2, 0, 1)) - right_chains(
         state.weights, state.G, state.n_layers + 1
-    )
+    )[-1]
     return float(np.sum(diff * diff))
 
 
@@ -550,6 +544,7 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
 
     best = state.copy()
     best_total = np.inf
+    best_terms = None
     stall = 0
     stop_reason = "max_iters"
     iterations = 0
@@ -563,9 +558,9 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
                 update_W(state, l, j_tensor, f_matrix, lam)
             update_c(state, L, j_tensor, f_matrix, points, lam)
             update_W(state, L, j_tensor, f_matrix, lam)
-        except ValueError as exc:
-            # inputs were validated upfront, so a ValueError here means the
-            # factors overflowed inside a subproblem
+        except (NonFiniteError, np.linalg.LinAlgError) as exc:
+            # inputs were validated upfront, so a non-finite subproblem means
+            # the factors overflowed; any other ValueError is a bug
             raise SolverDivergenceError(
                 f"factors became non-finite at iteration {it}: {exc}",
                 list(state.trace),
@@ -583,6 +578,7 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
             )
             best = state.copy()
             best_total = total
+            best_terms = j_term, f_term
         else:
             improved = False
         stall = 0 if improved else stall + 1
@@ -590,28 +586,16 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
             stop_reason = "patience"
             break
 
-    err_j = _relative_sq_error(j_tensor, best)
-    err_f = _relative_sq_error_f(f_matrix, best)
     best.trace = list(state.trace)
     return FitReport(
         state=best,
-        error_j=err_j,
-        error_f=err_f,
+        error_j=best_terms[0] / fro_norm(j_tensor) ** 2,
+        error_f=best_terms[1] / fro_norm(f_matrix) ** 2,
         iterations=iterations,
         stop_reason=stop_reason,
         config=cfg,
         n_truncated=state.n_truncated,
     )
-
-
-def _relative_sq_error(j_tensor, state):
-    return _j_term(state, j_tensor) / fro_norm(j_tensor) ** 2
-
-
-def _relative_sq_error_f(f_matrix, state):
-    diff = f_matrix - state.weights[-1] @ state.R.T
-    den = fro_norm(f_matrix) ** 2
-    return float(np.sum(diff * diff)) / den
 
 
 # Levenberg-Marquardt descent over the model parameters ---------------------
@@ -656,7 +640,7 @@ def lm_pack(weights, coeffs):
     Every block is flattened row-major; c_l drops its constant column for
     l < L (those constants are frozen), the last layer keeps all of its
     coefficients.  This is the order in which the blocks enter the model,
-    which ``_lm_forward`` relies on.
+    which ``_lm_derivatives`` relies on.
     """
     L = len(coeffs)
     parts = [np.ravel(weights[0])]
@@ -693,143 +677,99 @@ def lm_unpack(theta, weights, coeffs):
     return new_w, new_c
 
 
-def _lm_forward(weights, coeffs, points, jacobian=False):
-    """Model outputs (S x n) and Jacobians (S x n x m) at the points.
+def _lm_derivatives(weights, coeffs, layers, chain, points):
+    """Derivatives of the outputs (S x n x P) and Jacobians (S x n x m x P) at the points.
 
-    With ``jacobian=True`` also their derivatives with respect to the P
-    entries of ``lm_pack(weights, coeffs)``: S x n x P and S x n x m x P.
-    Both are carried forward through the layer inputs: u_1 = W_0 x and
-    V_1 = W_0, then u_{l+1} = W_l g_l(u_l) and V_{l+1} = W_l diag(g_l'(u_l)) V_l,
-    so that u_{L+1} is the output and V_{L+1} its Jacobian in x.  By the
-    chain rule T = du_l/dθ and Q = dV_l/dθ follow the same recursion plus
-    each layer's own coefficient and weight columns; since the parameters
-    come in model order, T and Q only ever grow by columns on the right.
+    The derivatives are taken with respect to the P entries of
+    ``lm_pack(weights, coeffs)``; ``layers`` and ``chain`` are the layer
+    pass and the right chains V_1..V_L at the same points (see
+    ``model.layer_pass`` and ``model.right_chains``).  Since
+    u_{l+1} = W_l g_l(u_l) and V_{l+1} = W_l diag(g_l'(u_l)) V_l, the chain
+    rule carries T = du_l/dθ and Q = dV_l/dθ forward through the same
+    recursion plus each layer's own coefficient and weight columns; since
+    the parameters come in model order, T and Q only ever grow by columns
+    on the right.
 
     Products go through einsum with preallocated outputs and arrays are
     dropped once used, which keeps the peak memory near twice the size of
     the final Q (broadcasting ufuncs allocate iteration buffers).
     """
     S = points.shape[0]
-    W = weights[0]
-    r, m = W.shape
-    u = points @ W.T
-    V = W
-    if jacobian:
-        T = np.einsum("ac,sb->sacb", np.eye(r), points).reshape(S, r, r * m)
-        Q = np.eye(r * m).reshape(r, m, r * m)
+    r, m = weights[0].shape
+    T = np.einsum("ac,sb->sacb", np.eye(r), points).reshape(S, r, r * m)
+    Q = np.eye(r * m).reshape(1, r, m, r * m)
     L = len(coeffs)
     for l in range(1, L + 1):
         c = coeffs[l - 1]
         W = weights[l]
         rn = W.shape[0]
-        pw, dpw, z, g1, g2 = _poly_terms(u, c, second=jacobian)
-        Vd = g1[:, :, None] * V
-        if jacobian:
-            p0 = T.shape[2]
-            i0 = 0 if l == L else 1
-            w = c.shape[1] - i0
-            pc = p0 + r * w
-            sv = "sjm" if V.ndim == 3 else "jm"
-            sq = "sjmp" if Q.ndim == 4 else "jmp"
-            own = np.arange(r)
-            # d g_l(u_l) and d g_l'(u_l): through u_l, then the layer's own
-            # coefficient columns (neuron j owns columns p0 + j*w ...)
-            dz = np.zeros((S, r, pc))
-            np.einsum("sj,sjp->sjp", g1, T, out=dz[:, :, :p0])
-            dz[:, :, p0:].reshape(S, r, r, w)[:, own, own, :] = pw[:, :, i0:]
-            dg = np.zeros((S, r, pc))
-            np.einsum("sj,sjp->sjp", g2, T, out=dg[:, :, :p0])
-            dg[:, :, p0:].reshape(S, r, r, w)[:, own, own, 1 - i0 :] = dpw
-            T = np.zeros((S, rn, pc + rn * r))
-            np.einsum("ab,sbp->sap", W, dz, out=T[:, :, :pc])
-            del dz
-            # dV_{l+1} = W_l (g_l' dV_l + dg_l' V_l)
-            inner = np.einsum("sj," + sq + "->sjmp", g1, Q)
-            Q = None
-            inner += np.einsum("sjp," + sv + "->sjmp", dg[:, :, :p0], V)
-            Q = np.zeros((S, rn, m, pc + rn * r))
-            np.einsum("ab,sbmp->samp", W, inner, out=Q[..., :p0])
-            del inner
-            np.einsum("ab,sbp," + sv.replace("j", "b") + "->samp", W, dg[:, :, p0:], V,
-                      out=Q[..., p0:pc])
-            del dg
-            # W_l's own columns
-            own = np.arange(rn)
-            T[:, :, pc:].reshape(S, rn, rn, r)[:, own, own, :] = z[:, None, :]
-            Q[..., pc:].reshape(S, rn, m, rn, r)[:, own, :, own, :] = np.swapaxes(Vd, 1, 2)
-        u = z @ W.T
-        V = W @ Vd
+        terms, V = layers[l - 1], chain[l - 1]
+        g1 = terms.dg
+        p0 = T.shape[2]
+        i0 = 0 if l == L else 1
+        w = c.shape[1] - i0
+        pc = p0 + r * w
+        own = np.arange(r)
+        # d g_l(u_l) and d g_l'(u_l): through u_l, then the layer's own
+        # coefficient columns (neuron j owns columns p0 + j*w ...)
+        dz = np.zeros((S, r, pc))
+        np.einsum("sj,sjp->sjp", g1, T, out=dz[:, :, :p0])
+        dz[:, :, p0:].reshape(S, r, r, w)[:, own, own, :] = terms.powers[:, :, i0:]
+        dg = np.zeros((S, r, pc))
+        np.einsum("sj,sjp->sjp", terms.ddg, T, out=dg[:, :, :p0])
+        dg[:, :, p0:].reshape(S, r, r, w)[:, own, own, 1 - i0 :] = derivative_rows(terms.powers)
+        T = np.zeros((S, rn, pc + rn * r))
+        np.einsum("ab,sbp->sap", W, dz, out=T[:, :, :pc])
+        del dz
+        # dV_{l+1} = W_l (g_l' dV_l + dg_l' V_l)
+        inner = np.einsum("sj,sjmp->sjmp", g1, Q)
+        Q = None
+        inner += np.einsum("sjp,sjm->sjmp", dg[:, :, :p0], V)
+        Q = np.zeros((S, rn, m, pc + rn * r))
+        np.einsum("ab,sbmp->samp", W, inner, out=Q[..., :p0])
+        del inner
+        np.einsum("ab,sbp,sbm->samp", W, dg[:, :, p0:], V, out=Q[..., p0:pc])
+        del dg
+        # W_l's own columns
+        own = np.arange(rn)
+        T[:, :, pc:].reshape(S, rn, rn, r)[:, own, own, :] = terms.g[:, None, :]
+        Q[..., pc:].reshape(S, rn, m, rn, r)[:, own, :, own, :] = np.swapaxes(
+            g1[:, :, None] * V, 1, 2
+        )
         r = rn
-    if jacobian:
-        return u, V, T, Q
-    return u, V
+    return T, Q
 
 
-@functools.lru_cache(maxsize=None)
-def _exponents(width):
-    k = np.arange(width, dtype=float)
-    k.flags.writeable = False
-    return k
-
-
-def _poly_terms(u, c, second=True):
-    """u**i (S x r x d+1), i u**(i-1) (S x r x d), g(u), g'(u) and g''(u) per neuron."""
-    k = _exponents(c.shape[1])
-    pw = u[:, :, None] ** k
-    dpw = pw[:, :, :-1] * k[1:]
-    z = np.einsum("sji,ji->sj", pw, c)
-    g1 = np.einsum("sji,ji->sj", dpw, c[:, 1:])
-    g2 = np.einsum("sji,ji->sj", dpw[:, :, :-1], c[:, 2:] * k[2:]) if second else None
-    return pw, dpw, z, g1, g2
-
-
-def _lm_tape(weights, coeffs, points):
-    """Forward pass keeping each layer's terms for the tangent and adjoint passes.
-
-    Returns (layers, Fhat, Jhat) with layers[l-1] = (pw, dpw, z, g', g'', V_l, Vd_l).
-    """
-    layers = []
-    u = points @ weights[0].T
-    V = weights[0]
-    for W, c in zip(weights[1:], coeffs):
-        pw, dpw, z, g1, g2 = _poly_terms(u, c)
-        Vd = g1[:, :, None] * V
-        layers.append((pw, dpw, z, g1, g2, V, Vd))
-        u = z @ W.T
-        V = W @ Vd
-    return layers, u, V
-
-
-def _lm_jvp(weights, layers, points, dweights, dcoeffs):
+def _lm_jvp(weights, steps, points, dweights, dcoeffs):
     """Directional derivatives (dFhat, dJhat) along (dweights, dcoeffs)."""
     du = points @ dweights[0].T
     dV = dweights[0]
-    for l, (pw, dpw, z, g1, g2, V, Vd) in enumerate(layers, 1):
+    for l, (terms, V, dpw, Vd) in enumerate(steps, 1):
         dc = dcoeffs[l - 1]
-        dz = g1 * du + np.einsum("sji,ji->sj", pw, dc)
-        dg = g2 * du + np.einsum("sji,ji->sj", dpw, dc[:, 1:])
-        dVd = dg[:, :, None] * V + g1[:, :, None] * dV
-        du = dz @ weights[l].T + z @ dweights[l].T
+        dz = terms.dg * du + np.einsum("sji,ji->sj", terms.powers, dc)
+        dg = terms.ddg * du + np.einsum("sji,ji->sj", dpw, dc[:, 1:])
+        dVd = dg[:, :, None] * V + terms.dg[:, :, None] * dV
+        du = dz @ weights[l].T + terms.g @ dweights[l].T
         dV = weights[l] @ dVd + dweights[l] @ Vd
     return du, dV
 
 
-def _lm_vjp(weights, layers, points, f_bar, j_bar):
+def _lm_vjp(weights, steps, points, f_bar, j_bar):
     """Adjoint pass: (weight, coefficient) gradients of <f_bar, Fhat> + <j_bar, Jhat>."""
-    L = len(layers)
+    L = len(steps)
     gw, gc = [None] * (L + 1), [None] * L
     u_bar, v_bar = f_bar, j_bar
     for l in range(L, 0, -1):
-        pw, dpw, z, g1, g2, V, Vd = layers[l - 1]
+        terms, V, dpw, Vd = steps[l - 1]
         W = weights[l]
-        gw[l] = u_bar.T @ z + np.einsum("sam,sbm->ab", v_bar, Vd)
+        gw[l] = u_bar.T @ terms.g + np.einsum("sam,sbm->ab", v_bar, Vd)
         z_bar = u_bar @ W
         vd_bar = np.einsum("ab,sam->sbm", W, v_bar)
         g1_bar = np.einsum("sjm,sjm->sj", vd_bar, np.broadcast_to(V, vd_bar.shape))
-        gc[l - 1] = np.einsum("sj,sji->ji", z_bar, pw)
+        gc[l - 1] = np.einsum("sj,sji->ji", z_bar, terms.powers)
         gc[l - 1][:, 1:] += np.einsum("sj,sji->ji", g1_bar, dpw)
-        u_bar = z_bar * g1 + g1_bar * g2
-        v_bar = g1[:, :, None] * vd_bar
+        u_bar = z_bar * terms.dg + g1_bar * terms.ddg
+        v_bar = terms.dg[:, :, None] * vd_bar
     gw[0] = u_bar.T @ points + v_bar.sum(axis=0)
     return gw, gc
 
@@ -856,20 +796,30 @@ class _LMProblem:
     def model(self, theta):
         return lm_unpack(theta, self.weights, self.coeffs)
 
-    def _residual(self, f_hat, j_hat, sl=slice(None)):
-        return (self.j_slices[sl] - j_hat).ravel(), (self.f_rows[sl] - f_hat).ravel()
-
     def residual(self, theta, tape=False):
         """r at theta; with ``tape=True`` also the forward tape that
         ``apply`` and ``apply_t`` need at the same theta."""
         weights, coeffs = self.model(theta)
-        if tape:
-            layers, f_hat, j_hat = _lm_tape(weights, coeffs, self.points)
-        else:
-            f_hat, j_hat = _lm_forward(weights, coeffs, self.points)
-        rj, rf = self._residual(f_hat, j_hat)
-        r = np.concatenate([rj, self.root_lam * rf])
-        return (r, (weights, coeffs, layers)) if tape else r
+        layers, f_hat = layer_pass(weights, coeffs, self.points)
+        chain = right_chains(weights, [t.dg for t in layers], len(weights))
+        r = np.concatenate([
+            (self.j_slices - chain[-1]).ravel(), self.root_lam * (self.f_rows - f_hat).ravel()
+        ])
+        if not tape:
+            return r
+        # what the tangent and adjoint passes read per layer: the pass's
+        # terms, V_l, the derivative rows and g_l'(u_l) V_l
+        steps = [
+            (t, V, derivative_rows(t.powers), t.dg[:, :, None] * V) for t, V in zip(layers, chain)
+        ]
+        return r, (weights, steps)
+
+    def _derivatives(self, weights, coeffs, sl):
+        # the recursion needs the chains V_1..V_L, not the fitted values
+        points = self.points[sl]
+        layers = layer_pass(weights, coeffs, points)[0]
+        chain = right_chains(weights, [t.dg for t in layers], len(coeffs))
+        return _lm_derivatives(weights, coeffs, layers, chain, points)
 
     def linearize(self, theta, r):
         """(H, g): the normal matrix M.T M and the gradient M.T r at theta."""
@@ -881,7 +831,7 @@ class _LMProblem:
         H = np.zeros((P, P))
         g = np.zeros(P)
         for sl in self.chunks:
-            _, _, T, Q = _lm_forward(weights, coeffs, self.points[sl], jacobian=True)
+            T, Q = self._derivatives(weights, coeffs, sl)
             Mj, Mf = Q.reshape(-1, P), T.reshape(-1, P)
             # one P x P temporary at a time
             H += Mj.T @ Mj
@@ -893,24 +843,25 @@ class _LMProblem:
     def jacobian(self, theta):
         """M = -dr/dθ as a dense (S*n*m + S*n) x P matrix."""
         P = theta.size
-        parts = [_lm_forward(*self.model(theta), self.points[sl], True) for sl in self.chunks]
-        Mj = np.concatenate([Q.reshape(-1, P) for _, _, _, Q in parts])
-        Mf = np.concatenate([T.reshape(-1, P) for _, _, T, _ in parts])
+        weights, coeffs = self.model(theta)
+        parts = [self._derivatives(weights, coeffs, sl) for sl in self.chunks]
+        Mj = np.concatenate([Q.reshape(-1, P) for _, Q in parts])
+        Mf = np.concatenate([T.reshape(-1, P) for T, _ in parts])
         return np.concatenate([Mj, self.root_lam * Mf])
 
     def apply(self, tape, v):
         """M @ v by a tangent pass."""
-        weights, _, layers = tape
+        weights, steps = tape
         dw, dc = lm_unpack(v, self.weights, self.zero_coeffs)
-        df, dj = _lm_jvp(weights, layers, self.points, dw, dc)
+        df, dj = _lm_jvp(weights, steps, self.points, dw, dc)
         return np.concatenate([dj.ravel(), self.root_lam * df.ravel()])
 
     def apply_t(self, tape, y):
         """M.T @ y by an adjoint pass."""
-        weights, _, layers = tape
+        weights, steps = tape
         nj = self.j_slices.size
         gw, gc = _lm_vjp(
-            weights, layers, self.points,
+            weights, steps, self.points,
             self.root_lam * y[nj:].reshape(self.f_rows.shape),
             y[:nj].reshape(self.j_slices.shape),
         )
@@ -919,16 +870,11 @@ class _LMProblem:
 
 def _consistent_state(weights, coeffs, points):
     """Solver state whose G and R are evaluated from the coefficients."""
-    us = internal_inputs_batch(weights, coeffs, points)
-    G = [
-        np.stack([poly_val(poly_der_coeffs(cj), U[:, j]) for j, cj in enumerate(c)], axis=1)
-        for U, c in zip(us, coeffs)
-    ]
-    R = np.stack([poly_val(cj, us[-1][:, j]) for j, cj in enumerate(coeffs[-1])], axis=1)
+    layers = layer_pass(weights, coeffs, points)[0]
     return SolverState(
         weights=[np.array(w, dtype=float) for w in weights],
-        G=G,
-        R=R,
+        G=[t.dg for t in layers],
+        R=layers[-1].g,
         coeffs=[np.array(c, dtype=float) for c in coeffs],
     )
 

@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * A third-order tensor of shape ``(I, J, K)`` is a ``numpy.ndarray`` whose
   logical linear layout is column-major over mode 1: element ``(i, j, k)``
-  sits at flat position ``i + I*j + I*J*k``.  Serialization and ``vec3``
-  follow this layout exactly.
+  sits at flat position ``i + I*j + I*J*k``, and ``vec3`` follows this
+  layout exactly.
 * Mode-n unfoldings follow the Kolda-Bader convention: the remaining
   indices are ordered with earlier modes varying fastest, so
   ``unfold(X, 1)`` is ``I x (J*K)`` with column index ``j + J*k``,
@@ -21,47 +21,23 @@ needs no synchronization.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 __all__ = [
-    "frontal_slice",
+    "NonFiniteError",
     "stack_slices",
     "unfold",
-    "fold",
     "vec",
-    "unvec",
     "vec3",
-    "unvec3",
-    "kron",
     "khatri_rao",
     "fro_norm",
     "lstsq",
     "lstsq_info",
-    "save_array",
-    "load_array",
-    "save_csv",
 ]
 
-_MAGIC = b"PTDARR1\n"
 
-
-def _as_float_array(x, name="array"):
-    a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def frontal_slice(t, k):
-    """Frontal slice ``t[:, :, k]`` of a third-order tensor."""
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-    if not 0 <= k < t.shape[2]:
-        raise IndexError(f"slice index {k} out of range for K={t.shape[2]}")
-    return t[:, :, k]
+class NonFiniteError(ValueError):
+    """A least-squares system or a basis input holds a non-finite value."""
 
 
 def stack_slices(mats):
@@ -100,17 +76,6 @@ def unfold(t, mode):
     )
 
 
-def fold(m, mode, shape):
-    """Inverse of :func:`unfold` for a tensor of the given shape."""
-    m = np.asarray(m)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"invalid mode {mode}, must be 1, 2 or 3")
-    if len(shape) != 3:
-        raise ValueError("shape must have three entries")
-    moved = [shape[mode - 1]] + [s for i, s in enumerate(shape) if i != mode - 1]
-    return np.moveaxis(np.reshape(m, moved, order="F"), 0, mode - 1)
-
-
 def vec(m):
     """Column-major vectorization of a matrix."""
     m = np.asarray(m)
@@ -119,41 +84,16 @@ def vec(m):
     return m.reshape(-1, order="F")
 
 
-def unvec(v, shape):
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    if len(shape) != 2:
-        raise ValueError("shape must have two entries")
-    return v.reshape(shape, order="F")
-
-
 def vec3(t):
     """Vectorize a third-order tensor in its linear layout.
 
-    Equal to the concatenation of ``vec(frontal_slice(t, k))`` over k, and
+    Equal to the concatenation of ``vec(t[:, :, k])`` over k, and
     to ``vec(unfold(t, 1))``.
     """
     t = np.asarray(t)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     return t.reshape(-1, order="F")
-
-
-def unvec3(v, shape):
-    """Inverse of :func:`vec3`."""
-    v = np.asarray(v)
-    if len(shape) != 3:
-        raise ValueError("shape must have three entries")
-    return v.reshape(shape, order="F")
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
 
 
 def khatri_rao(a, b):
@@ -202,65 +142,6 @@ def lstsq_info(a, b, rtol=1e-12):
             f"dimension mismatch: lhs has {a.shape[0]} rows, rhs has {b.shape[0]}"
         )
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise ValueError("non-finite entries in least-squares system")
+        raise NonFiniteError("non-finite entries in least-squares system")
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rtol)
     return x, min(a.shape) - int(rank)
-
-
-def save_array(path, x):
-    """Write a matrix or third-order tensor to the package binary format.
-
-    Layout: 8 magic bytes, ``ndim`` as a little-endian int64, the dims as
-    little-endian int64, then the float64 entries in the linear layout
-    (column-major) order.
-    """
-    x = _as_float_array(x)
-    if x.ndim not in (2, 3):
-        raise ValueError(f"only matrices and third-order tensors supported, got ndim={x.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<q", x.ndim))
-        fh.write(struct.pack(f"<{x.ndim}q", *x.shape))
-        fh.write(np.ascontiguousarray(x.reshape(-1, order="F"), dtype="<f8").tobytes())
-
-
-def load_array(path):
-    """Read a matrix or tensor written by :func:`save_array`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic bytes {magic!r}")
-        (ndim,) = struct.unpack("<q", fh.read(8))
-        if ndim not in (2, 3):
-            raise ValueError(f"unsupported ndim {ndim}")
-        shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-        if any(s <= 0 for s in shape):
-            raise ValueError(f"non-positive dims {shape}")
-        count = int(np.prod(shape))
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError("truncated payload")
-        data = np.frombuffer(payload, dtype="<f8", count=count)
-        return data.reshape(shape, order="F").copy()
-
-
-def save_csv(path, x):
-    """Debug CSV dump: a matrix as rows, a tensor as one frontal slice per block."""
-    x = np.asarray(x, dtype=float)
-    with open(path, "w") as fh:
-        if x.ndim == 2:
-            _write_block(fh, x)
-        elif x.ndim == 3:
-            for k in range(x.shape[2]):
-                fh.write(f"# slice {k}\n")
-                _write_block(fh, x[:, :, k])
-                if k != x.shape[2] - 1:
-                    fh.write("\n")
-        else:
-            raise ValueError(f"only matrices and third-order tensors supported, got ndim={x.ndim}")
-
-
-def _write_block(fh, m):
-    for row in m:
-        fh.write(",".join(repr(float(v)) for v in row))
-        fh.write("\n")

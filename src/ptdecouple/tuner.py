@@ -32,6 +32,7 @@ __all__ = [
     "StageResult",
     "TunerReport",
     "tune",
+    "rrmse",
     "validation_metric",
 ]
 
@@ -43,7 +44,6 @@ class TunerConfig:
     beta: float = 100.0
     max_stages: int = 8
     warm_start: bool = False
-    metric: str = "rrmse_sum"
 
     def __post_init__(self):
         if self.lambda0 <= 0:
@@ -52,18 +52,6 @@ class TunerConfig:
             raise ValueError("beta must exceed 1")
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
-        if self.metric != "rrmse_sum":
-            raise ValueError(f"unknown stop metric {self.metric!r}")
-
-    def to_dict(self):
-        return {
-            "solver": self.solver.to_dict(),
-            "lambda0": self.lambda0,
-            "beta": self.beta,
-            "max_stages": self.max_stages,
-            "warm_start": self.warm_start,
-            "metric": self.metric,
-        }
 
 
 @dataclass
@@ -107,8 +95,28 @@ class TunerReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def rrmse(outputs_true, outputs_pred):
+    """Per-output relative root-mean-squared errors, in percent.
+
+    Both arguments are n x S with S >= 2; output i is normalized by the
+    spread of the true values around their mean.
+    """
+    t = np.asarray(outputs_true, dtype=float)
+    p = np.asarray(outputs_pred, dtype=float)
+    if t.shape != p.shape or t.ndim != 2:
+        raise ValueError("outputs must be matching n x S matrices")
+    if t.shape[1] < 2:
+        raise ValueError("need at least two sampling points")
+    centered = t - t.mean(axis=1, keepdims=True)
+    den = np.sum(centered * centered, axis=1)
+    if np.any(den == 0):
+        raise ValueError("zero variance in some output")
+    num = np.sum((t - p) ** 2, axis=1)
+    return np.sqrt(num / den) * 100.0
+
+
 def validation_metric(state_or_model, points, targets):
-    """Sum of per-output relative root-mean-squared error percentages.
+    """Sum of the per-output :func:`rrmse` percentages at held-out points.
 
     ``targets`` is the n x S matrix of true outputs at the points; the
     decoupled model is reconstructed from the solver state (fitted weights
@@ -125,15 +133,7 @@ def validation_metric(state_or_model, points, targets):
         raise ValueError("need at least two validation points")
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite validation targets")
-    preds = eval_batch(model, points)
-    if preds.shape != targets.shape:
-        raise ValueError(f"target shape {targets.shape} != prediction shape {preds.shape}")
-    centered = targets - targets.mean(axis=1, keepdims=True)
-    den = np.sum(centered * centered, axis=1)
-    if np.any(den == 0):
-        raise ValueError("zero variance in some output: degenerate validation set")
-    num = np.sum((targets - preds) ** 2, axis=1)
-    return float(np.sum(np.sqrt(num / den) * 100.0))
+    return float(np.sum(rrmse(targets, eval_batch(model, points))))
 
 
 def tune(cfg, j_tensor, f_matrix, points, validation):

@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, as the benchmark pins it: the test problems are small, and
+# on a two-core host OpenBLAS's default threads make small LAPACK calls
+# several times slower; this must run before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 
 from ptdecouple.basis import BasisSpec, build_Y

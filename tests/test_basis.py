@@ -43,15 +43,6 @@ class TestBuildX:
         for b in xb.blocks:
             assert np.all(b[:, 0] == 0.0)
 
-    def test_block_diagonal_stack(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(4, 2))
-        xb = build_X(u, BasisSpec(2))
-        assert xb.stacked.shape == (8, 6)
-        assert np.array_equal(xb.stacked[:4, :3], xb.blocks[0])
-        assert np.array_equal(xb.stacked[4:, 3:], xb.blocks[1])
-        assert np.all(xb.stacked[:4, 3:] == 0)
-
     def test_reproduces_exact_factor_columns(self):
         model = builtin_system("f1")
         rng = np.random.default_rng(2)
@@ -125,7 +116,7 @@ def test_structure_tracks_fresh_inputs():
     bumped[0] = bumped[0] * 1.3
     us2 = internal_inputs_batch(bumped, model.coeffs, pts)
     xb2 = build_X(us2[1], BasisSpec(2))
-    assert not np.allclose(xb.stacked, xb2.stacked)
+    assert not np.allclose(xb.blocks, xb2.blocks)
     # entrywise agreement with a direct recomputation from the new inputs
-    expect = build_X(us2[1], BasisSpec(2)).stacked
-    assert np.array_equal(xb2.stacked, expect)
+    expect = build_X(us2[1], BasisSpec(2)).blocks
+    assert np.array_equal(xb2.blocks, expect)

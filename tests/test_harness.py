@@ -8,7 +8,6 @@ from ptdecouple.harness import (
     SyntheticSpec,
     builtin_system,
     collinearity,
-    error_metrics,
     generate_system,
     rrmse,
     run_experiment,
@@ -96,30 +95,6 @@ class TestGenerator:
         # four columns in one dimension can never be pairwise non-collinear
         with pytest.raises(RuntimeError):
             generate_system(spec)
-
-
-class TestErrorMetrics:
-    def test_exact(self):
-        j = np.random.default_rng(0).normal(size=(2, 2, 3))
-        f = np.random.default_rng(1).normal(size=(2, 3))
-        assert error_metrics(j, j, f, f) == (0.0, 0.0)
-
-    def test_zero_estimate_gives_one(self):
-        j = np.random.default_rng(2).normal(size=(2, 2, 3))
-        f = np.random.default_rng(3).normal(size=(2, 3))
-        ej, ef = error_metrics(j, np.zeros_like(j), f, np.zeros_like(f))
-        assert ej == pytest.approx(1.0) and ef == pytest.approx(1.0)
-
-    def test_double_estimate_gives_one(self):
-        j = np.random.default_rng(4).normal(size=(2, 2, 3))
-        f = np.random.default_rng(5).normal(size=(2, 3))
-        ej, ef = error_metrics(j, 2 * j, f, 2 * f)
-        assert ej == pytest.approx(1.0) and ef == pytest.approx(1.0)
-
-    def test_zero_denominator(self):
-        z = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError):
-            error_metrics(z, z, np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestRrmse:
@@ -291,6 +266,22 @@ class TestRunExperiment:
         ]
         doc = json.loads(json_path.read_text())
         assert "aggregates" in doc and "config" in doc
+
+    def test_target_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = ExperimentConfig.target_model
+
+        def counted(cfg):
+            calls.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "target_model", counted)
+        cfg = quick_config(builtin="f1", runs=3, max_stages=1, solver=SolverConfig(
+            ranks=(2, 2), degrees=(5, 2), min_iters=2, max_iters=3, patience=20))
+        table = run_experiment(cfg)
+        write_results(table, tmp_path / "runs.csv", tmp_path / "agg.json")
+        assert len(table.rows) == 3
+        assert len(calls) == 1
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         cfg_serial = quick_config(builtin="f1", runs=2, solver=SolverConfig(

@@ -353,6 +353,25 @@ class TestFit:
             fit(cfg, J, F, pts)
         assert isinstance(err.value.trace, list)
 
+    def test_value_error_with_finite_factors_propagates(self, monkeypatch):
+        # only a non-finite subproblem or a LinAlgError is a divergence; any
+        # other ValueError from inside a sweep is a bug and is re-raised
+        import ptdecouple.solver as solver_mod
+
+        model, pts, J, F = problem(24)
+        cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), rng_seed=0, min_iters=5, max_iters=5)
+        seen = []
+
+        def broken(state, *args):
+            seen.append(state)
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(solver_mod, "update_W", broken)
+        with pytest.raises(ValueError, match="shape bug"):
+            fit(cfg, J, F, pts)
+        st = seen[0]
+        assert all(np.all(np.isfinite(a)) for a in [*st.weights, *st.G, st.R, *st.coeffs])
+
     def test_input_validation(self):
         model, pts, J, F = problem(25)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2))

@@ -35,8 +35,6 @@ class TestConfig:
             TunerConfig(solver=sc, beta=1.0)
         with pytest.raises(ValueError):
             TunerConfig(solver=sc, max_stages=0)
-        with pytest.raises(ValueError):
-            TunerConfig(solver=sc, metric="accuracy")
 
 
 class TestValidationMetric:
