@@ -6,7 +6,7 @@ stacked Jacobian evaluations plus function values by a constrained coupled
 matrix-tensor factorization solved with alternating least squares.
 """
 
-from .basis import BasisSpec, ConstraintBlocks, build_per_slice_X, build_X, build_Y
+from .basis import build_per_slice_X, build_X, build_Y
 from .harness import (
     ExperimentConfig,
     ResultTable,

@@ -17,37 +17,25 @@ coefficient vectors:
 * ``build_per_slice_X`` / ``coeff_block_matrix``:  the per-sample block-
   diagonal factorization ``D = X_s @ C`` of a diagonal derivative matrix.
 
-The rows of ``build_X`` and ``build_Y`` come from ``model.power_rows`` and
-``model.derivative_rows``, so they are bit for bit the rows of the model's
-layer pass.  ``BasisSpec`` is defined with the model and re-exported here.
+Every builder takes the degree d as a plain int; ``build_X`` and ``build_Y``
+return one r x S x (d+1) array whose entry j is neuron j's S x (d+1) block.
+Their rows come from ``model.power_rows`` and ``model.derivative_rows``, so
+they are bit for bit the rows of the model's layer pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .model import BasisSpec, derivative_rows, power_rows
+from .model import derivative_rows, power_rows
 from .tensor_ops import NonFiniteError
 
 __all__ = [
-    "BasisSpec",
-    "ConstraintBlocks",
     "build_X",
     "build_Y",
     "build_per_slice_X",
     "coeff_block_matrix",
-    "poly_val",
-    "poly_der_coeffs",
 ]
-
-
-@dataclass(frozen=True)
-class ConstraintBlocks:
-    """Per-neuron structure matrices, each S x (d+1)."""
-
-    blocks: tuple = field(default_factory=tuple)
 
 
 def _check_inputs(u, ndim):
@@ -59,34 +47,36 @@ def _check_inputs(u, ndim):
     return u
 
 
-def build_X(u_samples, basis):
+def build_X(u_samples, degree):
     """Derivative structure blocks for one layer.
 
     Parameters
     ----------
     u_samples : ndarray, shape (S, r)
         Layer inputs per sampling point and neuron.
-    basis : BasisSpec
+    degree : int
 
     Returns
     -------
-    ConstraintBlocks
-        ``blocks[j]`` has row s equal to ``(0, phi_1'(u), ..., phi_d'(u))``
-        at ``u = u_samples[s, j]``.
+    ndarray, shape (r, S, degree + 1)
+        Block j has row s equal to ``(0, 1, 2u, ..., d*u**(d-1))`` at
+        ``u = u_samples[s, j]``.
     """
     u = _check_inputs(u_samples, 2)
-    rows = derivative_rows(power_rows(u.T, basis.degree))
-    blocks = np.concatenate([np.zeros(rows.shape[:2] + (1,)), rows], axis=2)
-    return ConstraintBlocks(blocks=tuple(blocks))
+    rows = derivative_rows(power_rows(u.T, degree))
+    return np.concatenate([np.zeros(rows.shape[:2] + (1,)), rows], axis=2)
 
 
-def build_Y(u_samples, basis):
-    """Function-value structure blocks for the last layer; rows ``(1, u, ..., u**d)``."""
+def build_Y(u_samples, degree):
+    """Function-value structure blocks for the last layer, r x S x (d+1).
+
+    Block j has row s equal to ``(1, u, ..., u**d)`` at ``u = u_samples[s, j]``.
+    """
     u = _check_inputs(u_samples, 2)
-    return ConstraintBlocks(blocks=tuple(power_rows(u.T, basis.degree)))
+    return power_rows(u.T, degree)
 
 
-def build_per_slice_X(u_sample, basis):
+def build_per_slice_X(u_sample, degree):
     """Block-diagonal row layout of derivative rows for one sampling point.
 
     Returns the ``r x r*(d+1)`` matrix ``X_s`` with
@@ -94,12 +84,12 @@ def build_per_slice_X(u_sample, basis):
     """
     u = _check_inputs(u_sample, 1)
     r = u.shape[0]
-    d = basis.degree
-    out = np.zeros((r, r * (d + 1)))
+    w = degree + 1
+    out = np.zeros((r, r * w))
     for j in range(r):
         p = 1.0
-        for i in range(1, d + 1):
-            out[j, j * (d + 1) + i] = i * p
+        for i in range(1, w):
+            out[j, j * w + i] = i * p
             p *= u[j]
     return out
 
@@ -118,21 +108,3 @@ def coeff_block_matrix(coeffs):
     for j in range(r):
         out[j * w : (j + 1) * w, j] = c[j]
     return out
-
-
-def poly_val(coeffs, u):
-    """Evaluate a polynomial with ascending coefficients by Horner accumulation."""
-    c = np.asarray(coeffs, dtype=float)
-    u = np.asarray(u, dtype=float)
-    acc = np.full_like(u, c[-1])
-    for k in range(c.shape[0] - 2, -1, -1):
-        acc = acc * u + c[k]
-    return acc
-
-
-def poly_der_coeffs(coeffs):
-    """Ascending coefficients of the derivative (shift-and-scale, exact)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape[0] == 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, c.shape[0])

@@ -178,8 +178,6 @@ def _solver_from_doc(doc):
         max_iters=doc.get("max_iters", 500),
         patience=doc.get("patience", 50),
         strategy=doc.get("strategy", "constr"),
-        init_low=doc.get("init_low", 0.1),
-        init_high=doc.get("init_high", 10.0),
     )
 
 

@@ -32,11 +32,10 @@ from .model import (
     build_f_matrix,
     build_jacobian_tensor,
     eval_batch,
-    layer_pass,
     load_model,
 )
-from .solver import SolverConfig, SolverDivergenceError, SolverState, fit, state_to_model
-from .tuner import StageResult, TunerConfig, TunerReport, rrmse, tune, validation_metric
+from .solver import SolverConfig, SolverDivergenceError, state_to_model
+from .tuner import TunerConfig, rrmse, tune
 
 __all__ = [
     "SyntheticSpec",
@@ -196,10 +195,9 @@ class ExperimentConfig:
     """Settings for a batch of decoupling runs against one target.
 
     Exactly one of ``builtin``, ``model_file`` or ``generate`` selects the
-    target.  ``init_perturb`` is a debug option: when set, every run starts
-    the solver at the target's true factors perturbed entrywise by the given
-    relative amount instead of a random initialization (requires ranks and
-    degrees to match the target).
+    target.  Every run fits through the tuner (``tuner.tune``) with
+    ``lambda0``, ``beta`` and ``max_stages``, so each stage starts from its
+    own seeded start search.
     """
 
     solver: SolverConfig
@@ -215,7 +213,6 @@ class ExperimentConfig:
     beta: float = 100.0
     max_stages: int = 8
     jobs: int = 1
-    init_perturb: float = None
 
     def __post_init__(self):
         picked = [x for x in (self.builtin, self.model_file, self.generate) if x is not None]
@@ -258,8 +255,6 @@ class ExperimentConfig:
             out["target"] = {"model_file": self.model_file}
         else:
             out["target"] = {"generate": self.generate.to_dict()}
-        if self.init_perturb is not None:
-            out["init_perturb"] = self.init_perturb
         return out
 
 
@@ -299,25 +294,6 @@ def _solver_seed(base_seed, run_id):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _perturbed_truth(target, cfg, points, seed):
-    """Solver state at the target's exact factors, entrywise perturbed."""
-    if tuple(target.ranks) != cfg.solver.ranks or tuple(target.degrees) != cfg.solver.degrees:
-        raise ValueError("init_perturb requires solver ranks/degrees matching the target")
-    layers = layer_pass(target.weights, target.coeffs, points)[0]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(4,))))
-    scale = cfg.init_perturb
-
-    def wiggle(a):
-        return a * (1.0 + scale * rng.uniform(-1.0, 1.0, size=a.shape))
-
-    return SolverState(
-        weights=[wiggle(w) for w in target.weights],
-        G=[wiggle(t.dg) for t in layers],
-        R=wiggle(layers[-1].g),
-        coeffs=[wiggle(c) for c in target.coeffs],
-    )
-
-
 # what a run may fail with and still be a result: the solver diverging,
 # overflow, or a ValueError (non-finite factors, a degenerate validation
 # set, numpy's LinAlgError); anything else is a programming error and
@@ -336,30 +312,13 @@ def _single_run(cfg, target, run_id):
         f_matrix = build_f_matrix(target, train)
         val_targets = eval_batch(target, val)
 
-        solver_cfg = replace(cfg.solver, rng_seed=solver_seed)
         tuner_cfg = TunerConfig(
-            solver=solver_cfg,
+            solver=replace(cfg.solver, rng_seed=solver_seed),
             lambda0=cfg.lambda0,
             beta=cfg.beta,
             max_stages=cfg.max_stages,
         )
-        if cfg.init_perturb is not None:
-            # debug path: single stage from the perturbed truth
-            state0 = _perturbed_truth(target, cfg, train, solver_seed)
-            fr = fit(
-                replace(solver_cfg, lam=cfg.lambda0),
-                j_tensor,
-                f_matrix,
-                train,
-                initial_state=state0,
-            )
-            metric = validation_metric(fr.state, val, val_targets)
-            report = TunerReport(
-                stages=[StageResult(lam=cfg.lambda0, report=fr, metric=metric)],
-                selected=0,
-            )
-        else:
-            report = tune(tuner_cfg, j_tensor, f_matrix, train, (val, val_targets))
+        report = tune(tuner_cfg, j_tensor, f_matrix, train, (val, val_targets))
 
         best = report.best
         fitted = best.report

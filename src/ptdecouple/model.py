@@ -7,7 +7,9 @@ transforms and banks of univariate polynomials:
 
 with W_0 of shape (r_1, m), W_l of shape (r_{l+1}, r_l) for the middle
 layers, W_L of shape (n, r_L), and g_l applying one polynomial per neuron.
-The layer inputs are defined recursively as u_1 = W_0 x and
+A layer is fixed by its weight matrix and its r_l x (d_l + 1) array of
+ascending monomial coefficients; the degree d_l is the array's width minus
+one and is stored nowhere else.  The layer inputs are defined recursively as u_1 = W_0 x and
 u_{l+1} = W_l g_l(u_l).
 
 Stacking the Jacobians of such a model at S sampling points gives an
@@ -21,8 +23,8 @@ a ParaTuck decomposition of the tensor, which is what the solver estimates.
 
 All evaluation goes through two functions.  ``layer_pass`` evaluates every
 layer at a batch of points: the inputs u_l, their monomial power rows and
-g_l, g_l', g_l''.  ``right_chains`` (with ``left_chain``, its counterpart
-from the output end) forms the chain products above for every slice at
+g_l, g_l'.  ``right_chains`` (with ``left_chain``, its counterpart from the
+output end) forms the chain products above for every slice at
 once, so the Jacobians are ``right_chains(W, g'(u))``.  Model outputs,
 Jacobians, ParaTuck factors and reconstructions, the structure matrices of
 ``basis`` and the solver's subproblems and residuals are all built from
@@ -45,7 +47,6 @@ import numpy as np
 from .tensor_ops import stack_slices
 
 __all__ = [
-    "BasisSpec",
     "DecoupledModel",
     "PTFactors",
     "AmbiguityTransform",
@@ -82,20 +83,6 @@ def _freeze(a):
     return out
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Monomial basis {u, u**2, ..., u**degree} with a separate constant term."""
-
-    degree: int
-    kind: str = "monomial"
-
-    def __post_init__(self):
-        if self.kind != "monomial":
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-
-
 def _check_weight_chain(weights):
     if len(weights) < 2:
         raise ValueError("need at least W_0 and W_1")
@@ -122,14 +109,12 @@ class DecoupledModel:
         W_0 ... W_L.
     coeffs : tuple of ndarray
         One (r_l, d_l + 1) array per layer; row j holds the ascending
-        polynomial coefficients of neuron j.
-    basis : tuple of BasisSpec
-        One per layer; degrees must match the coefficient widths.
+        monomial coefficients of neuron j, so the layer's degree d_l >= 1
+        is the width minus one.
     """
 
     weights: tuple
     coeffs: tuple
-    basis: tuple = None
 
     def __post_init__(self):
         weights = tuple(_freeze(w) for w in self.weights)
@@ -139,11 +124,6 @@ class DecoupledModel:
             raise ValueError(
                 f"expected {len(weights) - 1} coefficient arrays, got {len(coeffs)}"
             )
-        basis = self.basis
-        if basis is None:
-            basis = tuple(BasisSpec(c.shape[1] - 1) for c in coeffs)
-        else:
-            basis = tuple(basis)
         for i, c in enumerate(coeffs):
             if c.ndim != 2:
                 raise ValueError(f"layer {i + 1} coefficients must be r x (d+1)")
@@ -154,14 +134,10 @@ class DecoupledModel:
                     f"layer {i + 1} has {weights[i].shape[0]} neurons but "
                     f"{c.shape[0]} coefficient vectors"
                 )
-            if c.shape[1] != basis[i].degree + 1:
-                raise ValueError(
-                    f"layer {i + 1} coefficient width {c.shape[1]} does not "
-                    f"match degree {basis[i].degree}"
-                )
+            if c.shape[1] < 2:
+                raise ValueError(f"layer {i + 1} needs degree >= 1, got width {c.shape[1]}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "basis", basis)
 
     @property
     def n_layers(self):
@@ -181,7 +157,7 @@ class DecoupledModel:
 
     @property
     def degrees(self):
-        return tuple(b.degree for b in self.basis)
+        return tuple(c.shape[1] - 1 for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -249,7 +225,6 @@ class LayerTerms(NamedTuple):
     powers: np.ndarray  # S x r x (d+1) power rows of u
     g: np.ndarray  # S x r values g(u)
     dg: np.ndarray  # S x r derivatives g'(u): the rows of the ParaTuck factor G
-    ddg: np.ndarray  # S x r second derivatives g''(u)
 
 
 def _der(coeffs):
@@ -266,7 +241,7 @@ def layer_pass(weights, coeffs, points):
     """Every layer's terms at the points, in one batched pass.
 
     Returns ``(layers, outputs)``: ``layers[l-1]`` holds u_l with its power
-    rows and g_l, g_l', g_l'' per neuron (:class:`LayerTerms`) and
+    rows and g_l, g_l' per neuron (:class:`LayerTerms`) and
     ``outputs`` (S x n) holds W_L g_L(u_L).  Every product is reduced
     per point over its own short axis (einsum, never a matrix product that
     folds the points into its rows), so the values at a point do not
@@ -281,11 +256,9 @@ def layer_pass(weights, coeffs, points):
     u = _apply(weights[0], x)
     for W, c in zip(weights[1:], coeffs):
         powers = power_rows(u, c.shape[1] - 1)
-        dc = _der(c)
         g = np.einsum("sji,ji->sj", powers, c)
-        dg = np.einsum("sji,ji->sj", powers[..., :-1], dc)
-        ddg = np.einsum("sji,ji->sj", powers[..., :-2], _der(dc))
-        layers.append(LayerTerms(u, powers, g, dg, ddg))
+        dg = np.einsum("sji,ji->sj", powers[..., :-1], _der(c))
+        layers.append(LayerTerms(u, powers, g, dg))
         u = _apply(W, g)
     return layers, u
 
@@ -602,9 +575,6 @@ def remove_bias(model):
     propagated through the next weight matrix, and the last layer keeps the
     accumulated constants.  Evaluation is unchanged.
     """
-    for b in model.basis:
-        if b.kind != "monomial":
-            raise ValueError("bias removal requires a polynomial basis")
     L = model.n_layers
     new_coeffs = []
     shift = np.zeros(model.weights[0].shape[0])
@@ -616,9 +586,7 @@ def remove_bias(model):
             out[:, 0] = 0.0
             shift = model.weights[i + 1] @ consts
         new_coeffs.append(out)
-    return DecoupledModel(
-        weights=model.weights, coeffs=tuple(new_coeffs), basis=model.basis
-    )
+    return DecoupledModel(weights=model.weights, coeffs=tuple(new_coeffs))
 
 
 def model_to_json(model):
@@ -642,10 +610,13 @@ def model_from_json(doc):
         raise ValueError(f"unsupported basis tag {doc.get('basis')!r}")
     weights = tuple(np.array(w, dtype=float) for w in doc["weights"])
     coeffs = tuple(np.array(c, dtype=float) for c in doc["coeffs"])
-    basis = tuple(BasisSpec(int(d)) for d in doc["degrees"])
-    model = DecoupledModel(weights=weights, coeffs=coeffs, basis=basis)
+    model = DecoupledModel(weights=weights, coeffs=coeffs)
     if model.n_layers != doc["layers"]:
         raise ValueError("layer count does not match weights")
+    if tuple(int(d) for d in doc["degrees"]) != model.degrees:
+        raise ValueError(
+            f"degrees {doc['degrees']} do not match the coefficient widths {model.degrees}"
+        )
     return model
 
 

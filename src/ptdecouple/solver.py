@@ -50,10 +50,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, build_X, build_Y
+from .basis import build_X, build_Y
 from .model import (
     DecoupledModel,
     PTFactors,
+    _der,
     derivative_rows,
     internal_inputs_batch,
     layer_pass,
@@ -105,10 +106,9 @@ class SolverConfig:
     ``ranks`` and ``degrees`` give the per-layer neuron counts and
     polynomial degrees (innermost layer first).  Without an initial state,
     :func:`init_state` draws the starting factor entries uniformly from
-    [init_low, init_high) with a seeded Philox generator; that is how a
-    bare :func:`fit` starts.  Tuned stages (``tuner.tune``) start instead
-    from :func:`start_search`, which draws from N(0, 1) and does not use
-    ``init_low``/``init_high``.
+    [0.1, 10) with a seeded Philox generator; that is how a bare :func:`fit`
+    starts.  Tuned stages (``tuner.tune``) start instead from
+    :func:`start_search`, which draws from N(0, 1).
     """
 
     ranks: tuple
@@ -119,8 +119,6 @@ class SolverConfig:
     patience: int = 50
     rng_seed: int = 0
     strategy: str = "constr"
-    init_low: float = 0.1
-    init_high: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
@@ -133,8 +131,6 @@ class SolverConfig:
             raise ValueError("need 0 < min_iters <= max_iters")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not self.init_low < self.init_high:
-            raise ValueError("init_low must be below init_high")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.strategy not in STRATEGIES:
@@ -154,8 +150,6 @@ class SolverConfig:
             "patience": self.patience,
             "rng_seed": int(self.rng_seed),
             "strategy": self.strategy,
-            "init_low": self.init_low,
-            "init_high": self.init_high,
         }
 
 
@@ -230,7 +224,7 @@ def init_state(cfg, dims):
     """Random starting state for problem dims (n, m, S).
 
     All entries of W_0..W_L, G_1..G_L, R and the coefficient vectors are
-    drawn uniformly from [init_low, init_high), in that order, from a
+    drawn uniformly from [0.1, 10), in that order, from a
     Philox generator seeded with ``rng_seed``; identical configs produce
     identical states on any platform.
     """
@@ -238,7 +232,7 @@ def init_state(cfg, dims):
     if n < 1 or m < 1 or S < 1:
         raise ValueError(f"invalid dims {dims}")
     rng = np.random.Generator(np.random.Philox(int(cfg.rng_seed)))
-    lo, hi = cfg.init_low, cfg.init_high
+    lo, hi = 0.1, 10.0
     ranks = cfg.ranks
     L = cfg.n_layers
     shapes = [(ranks[0], m)]
@@ -366,7 +360,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """
     L = state.n_layers
     n, m, S = j_tensor.shape
-    basis = BasisSpec(state.coeffs[layer - 1].shape[1] - 1)
+    d = state.coeffs[layer - 1].shape[1] - 1
     # every slice's build_MG system at once: row (a, b) holds right[j, a] left[b, j]
     left, right = _chains(state.weights, state.G, layer)
     M = np.einsum("sja,sbj->sabj", right, left).reshape(S, m * n, -1)
@@ -375,32 +369,37 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
         state.R = _lstsq(state, state.weights[L], f_matrix).T
 
     U = _layer_inputs(state, points, layer)
-    Xb = build_X(U, basis)
+    X = build_X(U, d)
     if layer == L:
-        Yb = build_Y(U, basis)
-        for j in range(len(Xb.blocks)):
+        Y = build_Y(U, d)
+        for j in range(len(X)):
             if lam > 0:
-                a = np.concatenate([Xb.blocks[j], np.sqrt(lam) * Yb.blocks[j]], axis=0)
+                a = np.concatenate([X[j], np.sqrt(lam) * Y[j]], axis=0)
                 b = np.concatenate(
                     [state.G[L - 1][:, j], np.sqrt(lam) * state.R[:, j]]
                 )
             else:
-                a = Xb.blocks[j]
+                a = X[j]
                 b = state.G[L - 1][:, j]
             state.coeffs[L - 1][j, :] = _lstsq(state, a, b)
-            state.G[L - 1][:, j] = Xb.blocks[j] @ state.coeffs[L - 1][j, :]
-            state.R[:, j] = Yb.blocks[j] @ state.coeffs[L - 1][j, :]
+            state.G[L - 1][:, j] = X[j] @ state.coeffs[L - 1][j, :]
+            state.R[:, j] = Y[j] @ state.coeffs[L - 1][j, :]
     else:
-        for j in range(len(Xb.blocks)):
+        for j in range(len(X)):
             # drop the zero constant column; the constant stays frozen
-            sol = _lstsq(state, Xb.blocks[j][:, 1:], state.G[layer - 1][:, j])
+            sol = _lstsq(state, X[j][:, 1:], state.G[layer - 1][:, j])
             state.coeffs[layer - 1][j, 1:] = sol
-            state.G[layer - 1][:, j] = Xb.blocks[j] @ state.coeffs[layer - 1][j, :]
+            state.G[layer - 1][:, j] = X[j] @ state.coeffs[layer - 1][j, :]
     return state
 
 
 def _constr_system(state, layer, points):
-    """Pruned coefficient matrix (M_C)_0 and structure blocks for one layer.
+    """Pruned coefficient matrix (M_C)_0 of one layer with the rows it was built from.
+
+    Returns ``(M0, U, X, i0)``: the matrix, the layer inputs U, their
+    derivative structure blocks ``X = build_X(U, d)`` and the first kept
+    coefficient column i0 (1 below the last layer, where the constants are
+    frozen, else 0).
 
     Per slice the tensor slice factors as F_le @ C @ F_ri with C the
     block-diagonal coefficient matrix, so vec(J) is linear in vec(C); the
@@ -411,15 +410,13 @@ def _constr_system(state, layer, points):
     right[j, a] * left[b, j] * X_s[j, i].
     """
     L = state.n_layers
-    d = state.coeffs[layer - 1].shape[1] - 1
-    basis = BasisSpec(d)
     U = _layer_inputs(state, points, layer)
+    X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
     i0 = 0 if layer == L else 1
-    X = np.stack(build_X(U, basis).blocks, axis=1)[:, :, i0:]
     left, right = _chains(state.weights, state.G, layer)
-    M = np.einsum("sja,sbj,sji->sabji", right, left, X)
+    M = np.einsum("sja,sbj,jsi->sabji", right, left, X[:, :, i0:])
     S, m, n, r, w = M.shape
-    return M.reshape(S * m * n, r * w), U, basis, i0
+    return M.reshape(S * m * n, r * w), U, X, i0
 
 
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
@@ -431,17 +428,15 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     coefficients, so they satisfy the constraints exactly.
     """
     L = state.n_layers
-    M0, U, basis, i0 = _constr_system(state, layer, points)
-    r = state.G[layer - 1].shape[1]
-    d = basis.degree
-    width = d + 1 - i0
-    Yb = build_Y(U, basis) if layer == L else None
+    M0, U, X, i0 = _constr_system(state, layer, points)
+    r, w = X.shape[0], X.shape[2]
+    width = w - i0
+    Y = build_Y(U, w - 1) if layer == L else None
     if layer == L and lam > 0:
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
         # W_L[i, j] * Y_j[s, k]
-        Y = np.stack(Yb.blocks, axis=1)
-        coupling = np.sqrt(lam) * np.einsum("ij,sjk->isjk", state.weights[L], Y).reshape(
-            -1, r * (d + 1)
+        coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", state.weights[L], Y).reshape(
+            -1, r * w
         )
         a = np.concatenate([M0, coupling], axis=0)
         b = np.concatenate([vec3(j_tensor), np.sqrt(lam) * vec(f_matrix.T)])
@@ -451,12 +446,9 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     sol = _lstsq(state, a, b)
     for j in range(r):
         state.coeffs[layer - 1][j, i0:] = sol[j * width : (j + 1) * width]
-    Xb = build_X(U, basis)
-    for j in range(r):
-        state.G[layer - 1][:, j] = Xb.blocks[j] @ state.coeffs[layer - 1][j, :]
-    if layer == L:
-        for j in range(r):
-            state.R[:, j] = Yb.blocks[j] @ state.coeffs[layer - 1][j, :]
+        state.G[layer - 1][:, j] = X[j] @ state.coeffs[layer - 1][j, :]
+        if layer == L:
+            state.R[:, j] = Y[j] @ state.coeffs[layer - 1][j, :]
     return state
 
 
@@ -677,6 +669,11 @@ def lm_unpack(theta, weights, coeffs):
     return new_w, new_c
 
 
+def _second_derivative(terms, coeffs):
+    """g''(u) (S x r) of one layer from its layer-pass terms and coefficients."""
+    return np.einsum("sji,ji->sj", terms.powers[..., :-2], _der(_der(coeffs)))
+
+
 def _lm_derivatives(weights, coeffs, layers, chain, points):
     """Derivatives of the outputs (S x n x P) and Jacobians (S x n x m x P) at the points.
 
@@ -716,7 +713,7 @@ def _lm_derivatives(weights, coeffs, layers, chain, points):
         np.einsum("sj,sjp->sjp", g1, T, out=dz[:, :, :p0])
         dz[:, :, p0:].reshape(S, r, r, w)[:, own, own, :] = terms.powers[:, :, i0:]
         dg = np.zeros((S, r, pc))
-        np.einsum("sj,sjp->sjp", terms.ddg, T, out=dg[:, :, :p0])
+        np.einsum("sj,sjp->sjp", _second_derivative(terms, c), T, out=dg[:, :, :p0])
         dg[:, :, p0:].reshape(S, r, r, w)[:, own, own, 1 - i0 :] = derivative_rows(terms.powers)
         T = np.zeros((S, rn, pc + rn * r))
         np.einsum("ab,sbp->sap", W, dz, out=T[:, :, :pc])
@@ -744,10 +741,10 @@ def _lm_jvp(weights, steps, points, dweights, dcoeffs):
     """Directional derivatives (dFhat, dJhat) along (dweights, dcoeffs)."""
     du = points @ dweights[0].T
     dV = dweights[0]
-    for l, (terms, V, dpw, Vd) in enumerate(steps, 1):
+    for l, (terms, ddg, V, dpw, Vd) in enumerate(steps, 1):
         dc = dcoeffs[l - 1]
         dz = terms.dg * du + np.einsum("sji,ji->sj", terms.powers, dc)
-        dg = terms.ddg * du + np.einsum("sji,ji->sj", dpw, dc[:, 1:])
+        dg = ddg * du + np.einsum("sji,ji->sj", dpw, dc[:, 1:])
         dVd = dg[:, :, None] * V + terms.dg[:, :, None] * dV
         du = dz @ weights[l].T + terms.g @ dweights[l].T
         dV = weights[l] @ dVd + dweights[l] @ Vd
@@ -760,7 +757,7 @@ def _lm_vjp(weights, steps, points, f_bar, j_bar):
     gw, gc = [None] * (L + 1), [None] * L
     u_bar, v_bar = f_bar, j_bar
     for l in range(L, 0, -1):
-        terms, V, dpw, Vd = steps[l - 1]
+        terms, ddg, V, dpw, Vd = steps[l - 1]
         W = weights[l]
         gw[l] = u_bar.T @ terms.g + np.einsum("sam,sbm->ab", v_bar, Vd)
         z_bar = u_bar @ W
@@ -768,7 +765,7 @@ def _lm_vjp(weights, steps, points, f_bar, j_bar):
         g1_bar = np.einsum("sjm,sjm->sj", vd_bar, np.broadcast_to(V, vd_bar.shape))
         gc[l - 1] = np.einsum("sj,sji->ji", z_bar, terms.powers)
         gc[l - 1][:, 1:] += np.einsum("sj,sji->ji", g1_bar, dpw)
-        u_bar = z_bar * terms.dg + g1_bar * terms.ddg
+        u_bar = z_bar * terms.dg + g1_bar * ddg
         v_bar = terms.dg[:, :, None] * vd_bar
     gw[0] = u_bar.T @ points + v_bar.sum(axis=0)
     return gw, gc
@@ -808,9 +805,10 @@ class _LMProblem:
         if not tape:
             return r
         # what the tangent and adjoint passes read per layer: the pass's
-        # terms, V_l, the derivative rows and g_l'(u_l) V_l
+        # terms, g_l''(u_l), V_l, the derivative rows and g_l'(u_l) V_l
         steps = [
-            (t, V, derivative_rows(t.powers), t.dg[:, :, None] * V) for t, V in zip(layers, chain)
+            (t, _second_derivative(t, c), V, derivative_rows(t.powers), t.dg[:, :, None] * V)
+            for t, c, V in zip(layers, coeffs, chain)
         ]
         return r, (weights, steps)
 
@@ -987,8 +985,7 @@ def start_search(cfg, j_tensor, f_matrix, points, starts=8):
     stops early at a start that fits the data to round-off, since no other
     start can beat it by more than round-off.  Starts that diverge are
     dropped; returns None when no start gave a finite objective, and the
-    consistent state of the best descent otherwise.  ``cfg.init_low`` and
-    ``cfg.init_high`` are not used here; they govern :func:`init_state`.
+    consistent state of the best descent otherwise.
     """
     j_tensor, f_matrix, points = _check_fit_inputs(cfg, j_tensor, f_matrix, points)
     n, m, S = j_tensor.shape

@@ -11,10 +11,9 @@ Each stage starts from its own seeded start search with seed
 ``base_seed XOR stage``: the best, by that stage's training objective, of
 8 Levenberg-Marquardt descents over the model parameters from
 standard-normal draws (``solver.start_search``).  The alternating solver
-then runs from that state.  Pass ``warm_start=True`` to start every stage
-after the first from the previous stage's best factors instead.  A
-non-finite validation metric counts as a worsening, so it is never
-selected.
+then runs from that state; only where every descent diverged does it start
+from ``solver.init_state``, as a bare ``fit`` does.  A non-finite validation
+metric counts as a worsening, so it is never selected.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import eval_batch
+from .model import DecoupledModel, eval_batch
 from .solver import SolverConfig, SolverDivergenceError, fit, start_search, state_to_model
 
 __all__ = [
@@ -43,7 +42,6 @@ class TunerConfig:
     lambda0: float = 1e-6
     beta: float = 100.0
     max_stages: int = 8
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.lambda0 <= 0:
@@ -124,7 +122,7 @@ def validation_metric(state_or_model, points, targets):
     """
     model = (
         state_or_model
-        if hasattr(state_or_model, "weights") and hasattr(state_or_model, "basis")
+        if isinstance(state_or_model, DecoupledModel)
         else state_to_model(state_or_model)
     )
     points = np.asarray(points, dtype=float)
@@ -144,7 +142,7 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     cfg : TunerConfig
     j_tensor, f_matrix, points : solver inputs
     validation : (val_points, val_targets)
-        Non-empty held-out points with the true outputs, n x S_val.
+        At least two held-out points with the true outputs, n x S_val.
 
     Returns
     -------
@@ -154,35 +152,31 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         A non-finite metric counts as a worsening.
 
     Each stage runs ``fit`` at its lam and seed from the state that
-    ``start_search`` picks for that lam and seed (see the module notes);
-    the solver's ``init_low``/``init_high`` only matter where every descent
-    of a search diverged and ``fit`` falls back to ``init_state``.
+    ``start_search`` picks for that lam and seed (see the module notes).
 
     Raises
     ------
     SolverDivergenceError
         When a stage's fit diverges, or the first stage's validation metric
         is not finite (there is no earlier stage to fall back to).
+    ValueError
+        With fewer than two validation points, before any fit.
     """
     val_points, val_targets = validation
     val_points = np.asarray(val_points, dtype=float)
     val_targets = np.asarray(val_targets, dtype=float)
-    if val_points.shape[0] < 1:
-        raise ValueError("validation set must be non-empty")
+    if val_points.shape[0] < 2:
+        raise ValueError("need at least two validation points")
 
     stages = []
     prev_metric = np.inf  # sentinel for the stage before the first
     lam = cfg.lambda0
     selected = None
-    prev_state = None
     for t in range(cfg.max_stages):
         inner = replace(
             cfg.solver, lam=lam, rng_seed=int(cfg.solver.rng_seed) ^ t
         )
-        if cfg.warm_start and prev_state is not None:
-            start = prev_state
-        else:
-            start = start_search(inner, j_tensor, f_matrix, points)
+        start = start_search(inner, j_tensor, f_matrix, points)
         try:
             report = fit(inner, j_tensor, f_matrix, points, initial_state=start)
         except SolverDivergenceError as exc:
@@ -200,7 +194,6 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
             selected = t - 1
             break
         prev_metric = metric
-        prev_state = report.state
         lam *= cfg.beta
     if selected is None:
         selected = len(stages) - 1

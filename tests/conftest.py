@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from ptdecouple.basis import BasisSpec, build_Y
+from ptdecouple.basis import build_Y
 from ptdecouple.harness import SyntheticSpec, generate_system
 from ptdecouple.model import internal_inputs_batch, true_pt_factors
 from ptdecouple.solver import SolverState
@@ -22,9 +22,9 @@ def make_system(seed, m=2, n=2, ranks=(2, 2), degrees=(3, 2)):
 
 def true_R(model, points):
     us = internal_inputs_batch(model.weights, model.coeffs, points)
-    yb = build_Y(us[-1], BasisSpec(model.degrees[-1]))
+    yb = build_Y(us[-1], model.degrees[-1])
     return np.stack(
-        [yb.blocks[j] @ model.coeffs[-1][j] for j in range(model.ranks[-1])], axis=1
+        [yb[j] @ model.coeffs[-1][j] for j in range(model.ranks[-1])], axis=1
     )
 
 

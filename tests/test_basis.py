@@ -2,45 +2,39 @@ import numpy as np
 import pytest
 
 from ptdecouple.basis import (
-    BasisSpec,
     build_per_slice_X,
     build_X,
     build_Y,
     coeff_block_matrix,
-    poly_der_coeffs,
-    poly_val,
 )
 from ptdecouple.harness import builtin_system, generate_system, SyntheticSpec
-from ptdecouple.model import internal_inputs_batch, true_pt_factors, build_f_matrix
+from ptdecouple.model import (
+    DecoupledModel,
+    internal_inputs_batch,
+    true_pt_factors,
+    build_f_matrix,
+)
 
 
 def test_basis_spec_validation():
+    # a one-column coefficient array is a degree-0 layer, which has no derivative
     with pytest.raises(ValueError):
-        BasisSpec(0)
-    with pytest.raises(ValueError):
-        BasisSpec(3, kind="bernstein")
-
-
-def test_poly_val_horner():
-    c = np.array([1.0, -2.0, 3.0])  # 1 - 2u + 3u^2
-    assert poly_val(c, np.array([2.0]))[0] == pytest.approx(9.0)
-    assert np.array_equal(poly_der_coeffs(c), [-2.0, 6.0])
-    assert np.array_equal(poly_der_coeffs(np.array([5.0])), [0.0])
+        DecoupledModel(weights=(np.eye(2), np.eye(2)), coeffs=(np.ones((2, 1)),))
 
 
 class TestBuildX:
     def test_row_at_zero(self):
-        xb = build_X(np.zeros((1, 1)), BasisSpec(2))
-        assert np.array_equal(xb.blocks[0], [[0.0, 1.0, 0.0]])
+        xb = build_X(np.zeros((1, 1)), 2)
+        assert np.array_equal(xb[0], [[0.0, 1.0, 0.0]])
 
     def test_row_degree3_at_two(self):
-        xb = build_X(np.full((1, 1), 2.0), BasisSpec(3))
-        assert np.array_equal(xb.blocks[0], [[0.0, 1.0, 4.0, 12.0]])
+        xb = build_X(np.full((1, 1), 2.0), 3)
+        assert np.array_equal(xb[0], [[0.0, 1.0, 4.0, 12.0]])
 
     def test_first_column_zero(self):
         rng = np.random.default_rng(0)
-        xb = build_X(rng.normal(size=(7, 3)), BasisSpec(4))
-        for b in xb.blocks:
+        xb = build_X(rng.normal(size=(7, 3)), 4)
+        for b in xb:
             assert np.all(b[:, 0] == 0.0)
 
     def test_reproduces_exact_factor_columns(self):
@@ -50,24 +44,24 @@ class TestBuildX:
         us = internal_inputs_batch(model.weights, model.coeffs, pts)
         factors = true_pt_factors(model, pts)
         for l in range(2):
-            xb = build_X(us[l], BasisSpec(model.degrees[l]))
+            xb = build_X(us[l], model.degrees[l])
             for j in range(2):
-                col = xb.blocks[j] @ model.coeffs[l][j]
+                col = xb[j] @ model.coeffs[l][j]
                 assert np.allclose(col, factors.G[l][:, j], rtol=1e-13, atol=1e-13)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            build_X(np.array([[np.inf]]), BasisSpec(2))
+            build_X(np.array([[np.inf]]), 2)
 
 
 class TestBuildY:
     def test_row_at_zero(self):
-        yb = build_Y(np.zeros((1, 1)), BasisSpec(2))
-        assert np.array_equal(yb.blocks[0], [[1.0, 0.0, 0.0]])
+        yb = build_Y(np.zeros((1, 1)), 2)
+        assert np.array_equal(yb[0], [[1.0, 0.0, 0.0]])
 
     def test_row_degree3_at_two(self):
-        yb = build_Y(np.full((1, 1), 2.0), BasisSpec(3))
-        assert np.array_equal(yb.blocks[0], [[1.0, 2.0, 4.0, 8.0]])
+        yb = build_Y(np.full((1, 1), 2.0), 3)
+        assert np.array_equal(yb[0], [[1.0, 2.0, 4.0, 8.0]])
 
     def test_f_factorization_from_columns(self):
         # R columns built from Y blocks make F = W_L R^T exact
@@ -75,8 +69,8 @@ class TestBuildY:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, (9, 3))
         us = internal_inputs_batch(model.weights, model.coeffs, pts)
-        yb = build_Y(us[-1], BasisSpec(model.degrees[-1]))
-        R = np.stack([yb.blocks[j] @ model.coeffs[-1][j] for j in range(2)], axis=1)
+        yb = build_Y(us[-1], model.degrees[-1])
+        R = np.stack([yb[j] @ model.coeffs[-1][j] for j in range(2)], axis=1)
         F = build_f_matrix(model, pts)
         resid = np.linalg.norm(F - model.weights[-1] @ R.T)
         assert resid < 1e-12 * np.linalg.norm(F)
@@ -85,21 +79,21 @@ class TestBuildY:
 class TestPerSliceX:
     def test_single_neuron_reduces_to_row(self):
         u = np.array([1.7])
-        one = build_per_slice_X(u, BasisSpec(3))
-        row = build_X(u[None, :], BasisSpec(3)).blocks[0]
+        one = build_per_slice_X(u, 3)
+        row = build_X(u[None, :], 3)[0]
         assert np.array_equal(one, row)
 
     def test_product_is_diagonal(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=3)
         C = coeff_block_matrix(rng.normal(size=(3, 4)))
-        D = build_per_slice_X(u, BasisSpec(3)) @ C
+        D = build_per_slice_X(u, 3) @ C
         assert np.allclose(D, np.diag(np.diag(D)))
 
     def test_matches_derivative_values(self):
         # layer-1 derivative matrix of the worked two-layer example at u = 0
         g1 = np.array([[1.0, 3.0, 1.0], [2.0, 4.0, -1.0]])
-        D = build_per_slice_X(np.zeros(2), BasisSpec(2)) @ coeff_block_matrix(g1)
+        D = build_per_slice_X(np.zeros(2), 2) @ coeff_block_matrix(g1)
         assert np.allclose(np.diag(D), [3.0, 4.0])
         assert np.allclose(D, np.diag([3.0, 4.0]))
 
@@ -110,13 +104,13 @@ def test_structure_tracks_fresh_inputs():
     model = generate_system(spec)
     pts = np.random.default_rng(6).uniform(-1, 1, (8, 2))
     us = internal_inputs_batch(model.weights, model.coeffs, pts)
-    xb = build_X(us[1], BasisSpec(2))
+    xb = build_X(us[1], 2)
 
     bumped = [w.copy() for w in model.weights]
     bumped[0] = bumped[0] * 1.3
     us2 = internal_inputs_batch(bumped, model.coeffs, pts)
-    xb2 = build_X(us2[1], BasisSpec(2))
-    assert not np.allclose(xb.blocks, xb2.blocks)
+    xb2 = build_X(us2[1], 2)
+    assert not np.allclose(xb, xb2)
     # entrywise agreement with a direct recomputation from the new inputs
-    expect = build_X(us2[1], BasisSpec(2)).blocks
-    assert np.array_equal(xb2.blocks, expect)
+    expect = build_X(us2[1], 2)
+    assert np.array_equal(xb2, expect)

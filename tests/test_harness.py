@@ -149,27 +149,6 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
-    def test_exact_recovery_oracle_config(self):
-        # one run, solver initialized at the perturbed truth: the resulting
-        # table shows essentially exact tensor recovery
-        spec = SyntheticSpec(n_inputs=2, n_outputs=2, ranks=(2, 2), degrees=(3, 2), seed=11)
-        cfg = ExperimentConfig(
-            solver=SolverConfig(ranks=(2, 2), degrees=(3, 2), min_iters=10,
-                                max_iters=100, patience=100),
-            generate=spec,
-            n_samples=30,
-            n_validation=10,
-            runs=1,
-            seed=8,
-            lambda0=1.0,
-            max_stages=1,
-            init_perturb=1e-3,
-        )
-        table = run_experiment(cfg)
-        row = table.rows[0]
-        assert not row.failed
-        assert row.error_j < 1e-8
-
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg = quick_config(builtin="f1", solver=SolverConfig(
             ranks=(2, 2), degrees=(5, 2), min_iters=3, max_iters=8, patience=20))

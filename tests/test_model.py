@@ -393,6 +393,12 @@ class TestJson:
         with pytest.raises(ValueError):
             model_from_json(doc)
 
+    def test_degrees_must_match_widths(self):
+        doc = model_to_json(builtin_system("f1"))
+        doc["degrees"] = [4, 2]  # the first layer's coefficients have width 6
+        with pytest.raises(ValueError):
+            model_from_json(doc)
+
 
 def test_model_immutability():
     model = worked_example()

@@ -42,8 +42,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), patience=0)
         with pytest.raises(ValueError):
-            SolverConfig(ranks=(2,), degrees=(2,), init_low=2.0, init_high=1.0)
-        with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), lam=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), strategy="newton")
@@ -202,7 +200,7 @@ class TestUpdateCProj:
             assert np.allclose(st.coeffs[l], c_before[l], atol=1e-8)
 
     def test_constraint_satisfaction_exact(self):
-        from ptdecouple.basis import BasisSpec, build_X
+        from ptdecouple.basis import build_X
         from ptdecouple.model import internal_inputs_batch
 
         model, pts, J, F = problem(12)
@@ -210,9 +208,9 @@ class TestUpdateCProj:
         st = init_state(cfg, (2, 2, 20))
         update_c_proj(st, 1, J, F, pts, lam=1.0)
         us = internal_inputs_batch(st.weights, st.coeffs, pts)
-        xb = build_X(us[0], BasisSpec(3))
+        xb = build_X(us[0], 3)
         for j in range(2):
-            assert np.allclose(st.G[0][:, j], xb.blocks[j] @ st.coeffs[0][j], atol=1e-13)
+            assert np.allclose(st.G[0][:, j], xb[j] @ st.coeffs[0][j], atol=1e-13)
 
     def test_lambda_zero_still_updates_R(self):
         model, pts, J, F = problem(13)
@@ -221,13 +219,13 @@ class TestUpdateCProj:
         update_c_proj(st, 2, J, F, pts, lam=0.0)
         assert not np.allclose(st.R, R_before)
         # R still satisfies its structure equation afterwards
-        from ptdecouple.basis import BasisSpec, build_Y
+        from ptdecouple.basis import build_Y
         from ptdecouple.model import internal_inputs_batch
 
         us = internal_inputs_batch(st.weights, st.coeffs, pts)
-        yb = build_Y(us[-1], BasisSpec(2))
+        yb = build_Y(us[-1], 2)
         for j in range(2):
-            assert np.allclose(st.R[:, j], yb.blocks[j] @ st.coeffs[1][j], atol=1e-12)
+            assert np.allclose(st.R[:, j], yb[j] @ st.coeffs[1][j], atol=1e-12)
 
 
 class TestUpdateCConstr:
@@ -347,10 +345,12 @@ class TestFit:
     def test_divergence_raises_with_trace(self):
         model, pts, J, F = problem(24)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e6, rng_seed=0,
-                           min_iters=2, max_iters=400, patience=400,
-                           init_low=1e150, init_high=2e150)
+                           min_iters=2, max_iters=400, patience=400)
+        st = init_state(cfg, J.shape)
+        for a in st.weights + st.G + st.coeffs + [st.R]:
+            a *= 1e150
         with pytest.raises(SolverDivergenceError) as err:
-            fit(cfg, J, F, pts)
+            fit(cfg, J, F, pts, initial_state=st)
         assert isinstance(err.value.trace, list)
 
     def test_value_error_with_finite_factors_propagates(self, monkeypatch):
@@ -417,7 +417,7 @@ def test_rebalance_preserves_objective_and_model():
 def test_slice_scaling_excluded_by_constraints():
     # scaling G_1 rows per slice (compensated in G_2) leaves the tensor
     # unchanged but breaks the coefficient structure
-    from ptdecouple.basis import BasisSpec, build_X
+    from ptdecouple.basis import build_X
     from ptdecouple.model import internal_inputs_batch
     from ptdecouple.tensor_ops import lstsq
 
@@ -431,10 +431,10 @@ def test_slice_scaling_excluded_by_constraints():
         us = internal_inputs_batch(st.weights, st.coeffs, pts)
         total = 0.0
         for l, G in enumerate(G_list):
-            xb = build_X(us[l], BasisSpec(st.coeffs[l].shape[1] - 1))
+            xb = build_X(us[l], st.coeffs[l].shape[1] - 1)
             for j in range(G.shape[1]):
-                c = lstsq(xb.blocks[j], G[:, j])
-                total += float(np.sum((G[:, j] - xb.blocks[j] @ c) ** 2))
+                c = lstsq(xb[j], G[:, j])
+                total += float(np.sum((G[:, j] - xb[j] @ c) ** 2))
         return total
 
     base = constraint_residual(st.G)

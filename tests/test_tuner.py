@@ -186,17 +186,27 @@ class TestTuneProperties:
         assert [s.metric for s in a.stages] == [s.metric for s in b.stages]
         assert [s.lam for s in a.stages] == [s.lam for s in b.stages]
 
-    def test_warm_start_runs(self):
-        model, train, val, J, F, targets = small_problem(13)
-        cfg = TunerConfig(solver=quick_solver(seed=5), max_stages=3, warm_start=True)
-        report = tune(cfg, J, F, train, (val, targets))
-        assert len(report.stages) >= 1
-
     def test_empty_validation_rejected(self):
         model, train, val, J, F, targets = small_problem(14)
         cfg = TunerConfig(solver=quick_solver())
         with pytest.raises(ValueError):
             tune(cfg, J, F, train, (val[:0], targets[:, :0]))
+
+    def test_single_validation_point_rejected_before_any_fit(self, monkeypatch):
+        # one point has no spread for the rrmse, so tune must refuse it
+        # before it spends a stage's search and sweeps
+        calls = []
+
+        def search(*args, **kwargs):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(tuner_mod, "start_search", search)
+        model, train, val, J, F, targets = small_problem(14)
+        cfg = TunerConfig(solver=quick_solver())
+        with pytest.raises(ValueError):
+            tune(cfg, J, F, train, (val[:1], targets[:, :1]))
+        assert calls == []
 
     def test_report_json(self):
         model, train, val, J, F, targets = small_problem(15)
