@@ -170,15 +170,22 @@ def _cmd_decouple(args):
     return 0
 
 
-def _solver_from_doc(doc):
-    return SolverConfig(
-        ranks=tuple(doc["ranks"]),
-        degrees=tuple(doc["degrees"]),
-        min_iters=doc.get("min_iters", 10),
-        max_iters=doc.get("max_iters", 500),
-        patience=doc.get("patience", 50),
-        strategy=doc.get("strategy", "constr"),
-    )
+# what an experiment config file may hold, per entry; every key is read
+_CONFIG_KEYS = {
+    "config": ("target", "samples", "validation", "test", "runs", "seed", "lambda0", "beta",
+               "max_stages", "jobs", "solver"),
+    "solver": ("ranks", "degrees", "strategy", "min_iters", "max_iters", "patience"),
+    "target": ("builtin", "model_file", "generate"),
+    "target.generate": ("n_inputs", "n_outputs", "ranks", "degrees", "collinearity_max", "seed"),
+}
+# config keys named apart from their ExperimentConfig fields
+_CONFIG_FIELDS = {"samples": "n_samples", "validation": "n_validation", "test": "n_test"}
+
+
+def _check_keys(doc, where):
+    _require(isinstance(doc, dict), f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS[where]))
+    _require(not unknown, f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
 def _experiment_config(args):
@@ -189,8 +196,10 @@ def _experiment_config(args):
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit2(f"cannot read config {args.config!r}: {exc}") from exc
-
+    _check_keys(doc, "config")
+    _check_keys(doc.get("solver", {}), "solver")
     target_doc = doc.get("target", {})
+    _check_keys(target_doc, "target")
     if args.target:
         if args.target in BUILTINS:
             target_doc = {"builtin": args.target}
@@ -200,27 +209,19 @@ def _experiment_config(args):
     model_file = target_doc.get("model_file")
     generate = target_doc.get("generate")
     if generate is not None:
-        generate = SyntheticSpec(
-            n_inputs=generate["n_inputs"],
-            n_outputs=generate["n_outputs"],
-            ranks=tuple(generate["ranks"]),
-            degrees=tuple(generate["degrees"]),
-            collinearity_max=generate.get("collinearity_max", 0.5),
-            seed=generate.get("seed", 0),
-        )
+        _check_keys(generate, "target.generate")
+        missing = [k for k in ("n_inputs", "n_outputs", "ranks", "degrees") if k not in generate]
+        _require(not missing, f"target.generate lacks {', '.join(map(repr, missing))}")
+        generate = SyntheticSpec(**generate)
     if builtin is None and model_file is None and generate is None:
         raise SystemExit2("no target: give --target or a config file with a target entry")
     if model_file is not None and not os.path.exists(model_file):
         raise SystemExit2(f"target model file {model_file!r} does not exist")
 
     solver_doc = dict(doc.get("solver", {}))
-    if args.ranks is not None:
-        solver_doc["ranks"] = list(args.ranks)
-    if args.degrees is not None:
-        solver_doc["degrees"] = list(args.degrees)
-    if "ranks" not in solver_doc or "degrees" not in solver_doc:
-        raise SystemExit2("solver ranks and degrees are required (flags or config)")
     for key, flag in (
+        ("ranks", args.ranks),
+        ("degrees", args.degrees),
         ("min_iters", args.min_iters),
         ("max_iters", args.max_iters),
         ("patience", args.patience),
@@ -228,24 +229,22 @@ def _experiment_config(args):
     ):
         if flag is not None:
             solver_doc[key] = flag
+    if "ranks" not in solver_doc or "degrees" not in solver_doc:
+        raise SystemExit2("solver ranks and degrees are required (flags or config)")
     if args.layers is not None and args.layers != len(solver_doc["ranks"]):
         raise SystemExit2(f"--layers {args.layers} does not match {len(solver_doc['ranks'])} ranks")
 
+    fields = {_CONFIG_FIELDS.get(k, k): v for k, v in doc.items() if k not in ("target", "solver")}
+    for key in ("samples", "runs", "seed", "lambda0", "beta", "max_stages", "jobs"):
+        if getattr(args, key) is not None:
+            fields[_CONFIG_FIELDS.get(key, key)] = getattr(args, key)
     try:
         return ExperimentConfig(
-            solver=_solver_from_doc(solver_doc),
+            solver=SolverConfig(**solver_doc),
             builtin=builtin,
             model_file=model_file,
             generate=generate,
-            n_samples=args.samples if args.samples is not None else doc.get("samples", 30),
-            n_validation=doc.get("validation", 30),
-            n_test=doc.get("test", 0),
-            runs=args.runs if args.runs is not None else doc.get("runs", 1),
-            seed=args.seed if args.seed is not None else doc.get("seed", 0),
-            lambda0=args.lambda0 if args.lambda0 is not None else doc.get("lambda0", 1e-6),
-            beta=args.beta if args.beta is not None else doc.get("beta", 100.0),
-            max_stages=args.max_stages if args.max_stages is not None else doc.get("max_stages", 8),
-            jobs=args.jobs if args.jobs is not None else doc.get("jobs", 1),
+            **fields,
         )
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc

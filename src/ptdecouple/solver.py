@@ -35,9 +35,10 @@ every stage's sweeps from its best descent.
 Everything the solver evaluates comes from the model's layer pass and chain
 kernel (``model.layer_pass``, ``model.left_chain``, ``model.right_chains``):
 the subproblem matrices of all slices at once, the objective, the states
-that a descent hands to the sweeps, and the descent's residual.  Its
-derivative arrays are carried forward from the same pass, one chunk of
-sampling points at a time.
+that a descent hands to the sweeps, and the descent's residual.  A
+descent evaluates each trial point once; the pass of an accepted point is
+its forward tape, from which the normal matrix is summed chunk by chunk of
+sampling points and the adjoint pass runs.
 
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.
@@ -79,7 +80,6 @@ __all__ = [
     "fit",
     "LMResult",
     "lm_pack",
-    "lm_unpack",
     "lm_descent",
     "start_search",
     "state_to_model",
@@ -643,44 +643,32 @@ def lm_pack(weights, coeffs):
     return np.concatenate(parts)
 
 
-def lm_unpack(theta, weights, coeffs):
-    """Inverse of :func:`lm_pack`: (weights, coeffs) lists shaped like the given ones.
+def _lm_layout(weights, coeffs):
+    """(start, stop, shape) of every block of the :func:`lm_pack` vector, in order."""
+    shapes = [weights[0].shape]
+    for l, (c, W) in enumerate(zip(coeffs, weights[1:]), 1):
+        shapes += [(c.shape[0], c.shape[1] - (l < len(coeffs))), W.shape]
+    stops = np.cumsum([a * b for a, b in shapes]).tolist()
+    return [(stop - a * b, stop, (a, b)) for stop, (a, b) in zip(stops, shapes)]
+
+
+def _lm_unpack(theta, layout, coeffs):
+    """Inverse of :func:`lm_pack` along its :func:`_lm_layout`: (weights, coeffs) lists.
 
     The frozen constants of the layers below the last are copied from
     ``coeffs``.
     """
-    L = len(coeffs)
-    new_w, new_c = [], []
-    pos = 0
-    for l in range(L + 1):
-        if l:
-            c = coeffs[l - 1]
-            r, w = c.shape
-            if l == L:
-                new_c.append(theta[pos : pos + r * w].reshape(r, w))
-            else:
-                w -= 1
-                block = theta[pos : pos + r * w].reshape(r, w)
-                new_c.append(np.concatenate([c[:, :1], block], axis=1))
-            pos += r * w
-        rows, cols = weights[l].shape
-        new_w.append(theta[pos : pos + rows * cols].reshape(rows, cols))
-        pos += rows * cols
-    return new_w, new_c
+    blocks = [theta[a:b].reshape(shape) for a, b, shape in layout]
+    inner = [np.concatenate([c[:, :1], b], axis=1) for c, b in zip(coeffs, blocks[1:-2:2])]
+    return blocks[::2], inner + [blocks[-2]]
 
 
-def _second_derivative(terms, coeffs):
-    """g''(u) (S x r) of one layer from its layer-pass terms and coefficients."""
-    return np.einsum("sji,ji->sj", terms.powers[..., :-2], _der(_der(coeffs)))
-
-
-def _lm_derivatives(weights, coeffs, layers, chain, points):
+def _lm_derivatives(weights, steps, points):
     """Derivatives of the outputs (S x n x P) and Jacobians (S x n x m x P) at the points.
 
     The derivatives are taken with respect to the P entries of
-    ``lm_pack(weights, coeffs)``; ``layers`` and ``chain`` are the layer
-    pass and the right chains V_1..V_L at the same points (see
-    ``model.layer_pass`` and ``model.right_chains``).  Since
+    ``lm_pack(weights, coeffs)``; ``steps`` is the tape of
+    ``_LMProblem.tape`` at the same points.  Since
     u_{l+1} = W_l g_l(u_l) and V_{l+1} = W_l diag(g_l'(u_l)) V_l, the chain
     rule carries T = du_l/dθ and Q = dV_l/dθ forward through the same
     recursion plus each layer's own coefficient and weight columns; since
@@ -693,28 +681,27 @@ def _lm_derivatives(weights, coeffs, layers, chain, points):
     """
     S = points.shape[0]
     r, m = weights[0].shape
+    # the seeds du_1/dθ and dV_1/dθ are built here, not stored per chunk:
+    # the recursion frees them after the first layer, before its peak
     T = np.einsum("ac,sb->sacb", np.eye(r), points).reshape(S, r, r * m)
     Q = np.eye(r * m).reshape(1, r, m, r * m)
-    L = len(coeffs)
-    for l in range(1, L + 1):
-        c = coeffs[l - 1]
+    L = len(steps)
+    for l, (powers, g, g1, ddg, V, dpw, Vd) in enumerate(steps, 1):
         W = weights[l]
         rn = W.shape[0]
-        terms, V = layers[l - 1], chain[l - 1]
-        g1 = terms.dg
         p0 = T.shape[2]
         i0 = 0 if l == L else 1
-        w = c.shape[1] - i0
+        w = powers.shape[2] - i0
         pc = p0 + r * w
         own = np.arange(r)
         # d g_l(u_l) and d g_l'(u_l): through u_l, then the layer's own
         # coefficient columns (neuron j owns columns p0 + j*w ...)
         dz = np.zeros((S, r, pc))
         np.einsum("sj,sjp->sjp", g1, T, out=dz[:, :, :p0])
-        dz[:, :, p0:].reshape(S, r, r, w)[:, own, own, :] = terms.powers[:, :, i0:]
+        dz[:, :, p0:].reshape(S, r, r, w)[:, own, own, :] = powers[:, :, i0:]
         dg = np.zeros((S, r, pc))
-        np.einsum("sj,sjp->sjp", _second_derivative(terms, c), T, out=dg[:, :, :p0])
-        dg[:, :, p0:].reshape(S, r, r, w)[:, own, own, 1 - i0 :] = derivative_rows(terms.powers)
+        np.einsum("sj,sjp->sjp", ddg, T, out=dg[:, :, :p0])
+        dg[:, :, p0:].reshape(S, r, r, w)[:, own, own, 1 - i0 :] = dpw
         T = np.zeros((S, rn, pc + rn * r))
         np.einsum("ab,sbp->sap", W, dz, out=T[:, :, :pc])
         del dz
@@ -723,32 +710,16 @@ def _lm_derivatives(weights, coeffs, layers, chain, points):
         Q = None
         inner += np.einsum("sjp,sjm->sjmp", dg[:, :, :p0], V)
         Q = np.zeros((S, rn, m, pc + rn * r))
-        np.einsum("ab,sbmp->samp", W, inner, out=Q[..., :p0])
-        del inner
         np.einsum("ab,sbp,sbm->samp", W, dg[:, :, p0:], V, out=Q[..., p0:pc])
         del dg
+        np.einsum("ab,sbmp->samp", W, inner, out=Q[..., :p0])
+        del inner
         # W_l's own columns
         own = np.arange(rn)
-        T[:, :, pc:].reshape(S, rn, rn, r)[:, own, own, :] = terms.g[:, None, :]
-        Q[..., pc:].reshape(S, rn, m, rn, r)[:, own, :, own, :] = np.swapaxes(
-            g1[:, :, None] * V, 1, 2
-        )
+        T[:, :, pc:].reshape(S, rn, rn, r)[:, own, own, :] = g[:, None, :]
+        Q[..., pc:].reshape(S, rn, m, rn, r)[:, own, :, own, :] = np.swapaxes(Vd, 1, 2)
         r = rn
     return T, Q
-
-
-def _lm_jvp(weights, steps, points, dweights, dcoeffs):
-    """Directional derivatives (dFhat, dJhat) along (dweights, dcoeffs)."""
-    du = points @ dweights[0].T
-    dV = dweights[0]
-    for l, (terms, ddg, V, dpw, Vd) in enumerate(steps, 1):
-        dc = dcoeffs[l - 1]
-        dz = terms.dg * du + np.einsum("sji,ji->sj", terms.powers, dc)
-        dg = ddg * du + np.einsum("sji,ji->sj", dpw, dc[:, 1:])
-        dVd = dg[:, :, None] * V + terms.dg[:, :, None] * dV
-        du = dz @ weights[l].T + terms.g @ dweights[l].T
-        dV = weights[l] @ dVd + dweights[l] @ Vd
-    return du, dV
 
 
 def _lm_vjp(weights, steps, points, f_bar, j_bar):
@@ -757,28 +728,33 @@ def _lm_vjp(weights, steps, points, f_bar, j_bar):
     gw, gc = [None] * (L + 1), [None] * L
     u_bar, v_bar = f_bar, j_bar
     for l in range(L, 0, -1):
-        terms, ddg, V, dpw, Vd = steps[l - 1]
+        powers, g, g1, ddg, V, dpw, Vd = steps[l - 1]
         W = weights[l]
-        gw[l] = u_bar.T @ terms.g + np.einsum("sam,sbm->ab", v_bar, Vd)
+        gw[l] = u_bar.T @ g + np.einsum("sam,sbm->ab", v_bar, Vd)
         z_bar = u_bar @ W
         vd_bar = np.einsum("ab,sam->sbm", W, v_bar)
         g1_bar = np.einsum("sjm,sjm->sj", vd_bar, np.broadcast_to(V, vd_bar.shape))
-        gc[l - 1] = np.einsum("sj,sji->ji", z_bar, terms.powers)
+        gc[l - 1] = np.einsum("sj,sji->ji", z_bar, powers)
         gc[l - 1][:, 1:] += np.einsum("sj,sji->ji", g1_bar, dpw)
-        u_bar = z_bar * terms.dg + g1_bar * ddg
-        v_bar = terms.dg[:, :, None] * vd_bar
+        u_bar = z_bar * g1 + g1_bar * ddg
+        v_bar = g1[:, :, None] * vd_bar
     gw[0] = u_bar.T @ points + v_bar.sum(axis=0)
     return gw, gc
 
 
 class _LMProblem:
     """Residual r = [vec(J - Jhat); sqrt(lam) vec(F - Fhat)] of the model
-    ``lm_unpack(theta, weights, coeffs)``, entries in slice-major order, and
-    products with M = -dr/dθ, the derivative of the fitted values."""
+    with parameters theta (see :func:`lm_pack`), entries in slice-major order, and
+    products with M = -dr/dθ, the derivative of the fitted values.
+
+    A point theta is evaluated once: ``residual(theta, keep=True)`` keeps
+    its pass, ``tape`` turns that pass into the forward tape, and the normal
+    matrix (``linearize``) and the adjoint pass (``apply_t``) read the tape.
+    """
 
     def __init__(self, weights, coeffs, j_tensor, f_matrix, points, lam):
-        self.weights, self.coeffs = weights, coeffs
-        self.zero_coeffs = [np.zeros_like(c) for c in coeffs]
+        self.coeffs = coeffs
+        self.layout = _lm_layout(weights, coeffs)
         self.j_slices = np.transpose(j_tensor, (2, 0, 1))
         self.f_rows = f_matrix.T
         self.points = points
@@ -791,45 +767,49 @@ class _LMProblem:
         ]
 
     def model(self, theta):
-        return lm_unpack(theta, self.weights, self.coeffs)
+        return _lm_unpack(theta, self.layout, self.coeffs)
 
-    def residual(self, theta, tape=False):
-        """r at theta; with ``tape=True`` also the forward tape that
-        ``apply`` and ``apply_t`` need at the same theta."""
+    def residual(self, theta, keep=False):
+        """r at theta; with ``keep=True`` also the pass it came from, for ``tape``."""
         weights, coeffs = self.model(theta)
         layers, f_hat = layer_pass(weights, coeffs, self.points)
         chain = right_chains(weights, [t.dg for t in layers], len(weights))
         r = np.concatenate([
             (self.j_slices - chain[-1]).ravel(), self.root_lam * (self.f_rows - f_hat).ravel()
         ])
-        if not tape:
-            return r
-        # what the tangent and adjoint passes read per layer: the pass's
-        # terms, g_l''(u_l), V_l, the derivative rows and g_l'(u_l) V_l
-        steps = [
-            (t, _second_derivative(t, c), V, derivative_rows(t.powers), t.dg[:, :, None] * V)
+        return (r, (weights, coeffs, layers, chain)) if keep else r
+
+    @staticmethod
+    def tape(kept):
+        """The forward tape of a kept pass: per layer the power rows, g_l,
+        g_l', g_l'', V_l, the derivative rows and g_l' V_l at every point."""
+        weights, coeffs, layers, chain = kept
+        return weights, [
+            (t.powers, t.g, t.dg, np.einsum("sji,ji->sj", t.powers[..., :-2], _der(_der(c))),
+             V, derivative_rows(t.powers), t.dg[:, :, None] * V)
             for t, c, V in zip(layers, coeffs, chain)
         ]
-        return r, (weights, steps)
 
-    def _derivatives(self, weights, coeffs, sl):
-        # the recursion needs the chains V_1..V_L, not the fitted values
-        points = self.points[sl]
-        layers = layer_pass(weights, coeffs, points)[0]
-        chain = right_chains(weights, [t.dg for t in layers], len(coeffs))
-        return _lm_derivatives(weights, coeffs, layers, chain, points)
+    def _derivatives(self, tape):
+        """(slice, T, Q) of ``_lm_derivatives`` chunk by chunk, from the tape's rows.
 
-    def linearize(self, theta, r):
-        """(H, g): the normal matrix M.T M and the gradient M.T r at theta."""
-        weights, coeffs = self.model(theta)
-        P = theta.size
+        V_1 = W_0 is one matrix for all points; every other array has a row
+        per point.
+        """
+        weights, steps = tape
+        for sl in self.chunks:
+            rows = [[a if len(a) == 1 else a[sl] for a in step] for step in steps]
+            yield (sl, *_lm_derivatives(weights, rows, self.points[sl]))
+
+    def linearize(self, tape, r):
+        """(H, g): the normal matrix M.T M and the gradient M.T r at the tape's point."""
+        P = self.layout[-1][1]
         nj = self.j_slices.size
         rj = r[:nj].reshape(self.j_slices.shape)
         rf = r[nj:].reshape(self.f_rows.shape)
         H = np.zeros((P, P))
         g = np.zeros(P)
-        for sl in self.chunks:
-            T, Q = self._derivatives(weights, coeffs, sl)
+        for sl, T, Q in self._derivatives(tape):
             Mj, Mf = Q.reshape(-1, P), T.reshape(-1, P)
             # one P x P temporary at a time
             H += Mj.T @ Mj
@@ -841,18 +821,19 @@ class _LMProblem:
     def jacobian(self, theta):
         """M = -dr/dθ as a dense (S*n*m + S*n) x P matrix."""
         P = theta.size
-        weights, coeffs = self.model(theta)
-        parts = [self._derivatives(weights, coeffs, sl) for sl in self.chunks]
-        Mj = np.concatenate([Q.reshape(-1, P) for _, Q in parts])
-        Mf = np.concatenate([T.reshape(-1, P) for T, _ in parts])
+        parts = list(self._derivatives(self.tape(self.residual(theta, keep=True)[1])))
+        Mj = np.concatenate([Q.reshape(-1, P) for _, _, Q in parts])
+        Mf = np.concatenate([T.reshape(-1, P) for _, T, _ in parts])
         return np.concatenate([Mj, self.root_lam * Mf])
 
-    def apply(self, tape, v):
-        """M @ v by a tangent pass."""
-        weights, steps = tape
-        dw, dc = lm_unpack(v, self.weights, self.zero_coeffs)
-        df, dj = _lm_jvp(weights, steps, self.points, dw, dc)
-        return np.concatenate([dj.ravel(), self.root_lam * df.ravel()])
+    def curvature(self, theta, v, tape, g, Hv):
+        """M.T f_vv, f_vv the second directional derivative of the fitted values along v.
+
+        r(theta + h v) = r - h M v - (h^2/2) f_vv + O(h^3) with M.T r = g and
+        M.T M v = H v, so M.T f_vv ~ (2/h) ((g - M.T r(theta + h v)) / h - H v).
+        """
+        r_probe = self.residual(theta + _LM_GEO_H * v)
+        return (2.0 / _LM_GEO_H) * ((g - self.apply_t(tape, r_probe)) / _LM_GEO_H - Hv)
 
     def apply_t(self, tape, y):
         """M.T @ y by an adjoint pass."""
@@ -895,6 +876,12 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     the directions of the model's scaling ambiguities.  A trial step that
     overflows counts as a failed step.
 
+    An iteration runs two layer passes, the acceleration's probe and the
+    trial point, and one adjoint pass (see ``_LMProblem.curvature``).  An
+    accepted trial's pass becomes the tape of the next linearization, so
+    an accepted point is never evaluated again; a rejected one builds no
+    tape.
+
     Stops once the objective is below 1e-20 of ||J||^2 + lam ||F||^2
     ("converged"), once it fell by less than 10% over 15 iterations or the
     damping ran away ("stalled"), or after 150 iterations ("max_iters").
@@ -905,8 +892,9 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     theta = lm_pack(state.weights, state.coeffs)
     scale = float(np.sum(j_tensor * j_tensor) + lam * np.sum(f_matrix * f_matrix))
     with np.errstate(all="ignore"):
-        r, tape = prob.residual(theta, tape=True)
-        H, g = prob.linearize(theta, r)
+        r, trial = prob.residual(theta, keep=True)
+        tape, trial = prob.tape(trial), None
+        H, g = prob.linearize(tape, r)
     f = float(r @ r)
     history = [f]
     mu, nu = _LM_MU0, 2.0
@@ -928,32 +916,32 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
         inv = np.linalg.inv(damped)
         del damped
         v = (inv @ (g / d)) / d
-        pred = 2.0 * (v @ g) - v @ (H @ v)
+        Hv = H @ v
+        pred = 2.0 * (v @ g) - v @ Hv
         step = v
         with np.errstate(all="ignore"):
-            r_probe = prob.residual(theta + _LM_GEO_H * v)
-            mvv = (2.0 / _LM_GEO_H) * ((r - r_probe) / _LM_GEO_H - prob.apply(tape, v))
-            a = -(inv @ (prob.apply_t(tape, mvv) / d)) / d
+            a = -(inv @ (prob.curvature(theta, v, tape, g, Hv) / d)) / d
             if np.all(np.isfinite(a)) and (
                 2.0 * np.linalg.norm(a * d) <= _LM_GEO_ALPHA * np.linalg.norm(v * d)
             ):
                 step = v + 0.5 * a
-            r_new = prob.residual(theta + step)
+            r_new, trial = prob.residual(theta + step, keep=True)
             f_new = float(r_new @ r_new)
         rho = (f - f_new) / pred if pred > 0 else -1.0
         if np.isfinite(f_new) and rho > 0:
             theta = theta + step
-            f = f_new
+            r, f = r_new, f_new
             mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), _LM_MU_MIN)
             nu = 2.0
             # drop the old system and tape first: they would add to the
             # peak memory of the new linearization
             H = g = inv = tape = None
             with np.errstate(all="ignore"):
-                H, g = prob.linearize(theta, r_new)
-                r, tape = prob.residual(theta, tape=True)
+                tape, trial = prob.tape(trial), None
+                H, g = prob.linearize(tape, r)
             fresh = True
         else:
+            trial = None  # a rejected trial point builds no tape
             mu *= nu
             nu *= 2.0
         history.append(f)

@@ -160,13 +160,17 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         When a stage's fit diverges, or the first stage's validation metric
         is not finite (there is no earlier stage to fall back to).
     ValueError
-        With fewer than two validation points, before any fit.
+        With fewer than two validation points, or validation points and
+        targets not shaped S_val x m and n x S_val, before any fit.
     """
     val_points, val_targets = validation
     val_points = np.asarray(val_points, dtype=float)
     val_targets = np.asarray(val_targets, dtype=float)
     if val_points.shape[0] < 2:
         raise ValueError("need at least two validation points")
+    n, m = np.shape(j_tensor)[:2]
+    if val_points.shape != (len(val_points), m) or val_targets.shape != (n, len(val_points)):
+        raise ValueError(f"validation needs S_val x {m} points and {n} x S_val targets")
 
     stages = []
     prev_metric = np.inf  # sentinel for the stage before the first

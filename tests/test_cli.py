@@ -146,6 +146,40 @@ def test_experiment_bad_config_file_is_config_error(tmp_path):
     assert code == 2
 
 
+def _config_exit(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_experiment_unknown_config_keys_are_config_errors(tmp_path, capsys):
+    # a key nothing reads must not run the defaults silently, at any level
+    base = {"target": {"builtin": "f1"}, "runs": 1, "max_stages": 1,
+            "solver": {"ranks": [2, 2], "degrees": [5, 2], "max_iters": 3}}
+    generate = {"n_inputs": 2, "n_outputs": 2, "ranks": [2, 2], "degrees": [3, 2]}
+    cases = [
+        ({**base, "n_samples": 12}, "'n_samples'"),
+        ({**base, "solver": {**base["solver"], "max_iter": 3, "init_low": 5.0}},
+         "'init_low', 'max_iter'"),
+        ({**base, "target": {"builtin": "f1", "file": "x.json"}}, "'file'"),
+        ({**base, "target": {"generate": {**generate, "rank": [2]}}}, "'rank'"),
+    ]
+    for doc, named in cases:
+        code, err = _config_exit(tmp_path, capsys, doc)
+        assert code == 2
+        assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_generate_missing_keys_is_config_error(tmp_path, capsys):
+    doc = {"target": {"generate": {"n_inputs": 2, "ranks": [2, 2]}}, "runs": 1,
+           "solver": {"ranks": [2, 2], "degrees": [3, 2]}}
+    code, err = _config_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "'n_outputs', 'degrees'" in err
+
+
 def test_experiment_all_runs_failed_is_numerical_error(tmp_path):
     # constant second output: every run fails in the validation metric
     from ptdecouple.harness import DecoupledModel

@@ -511,23 +511,61 @@ class TestLevenbergMarquardt:
 
     @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
     def test_tangent_adjoint_and_normal_matrix_agree_with_jacobian(self, ranks, degrees, m, n):
-        # the descent never forms the Jacobian: its products come from a
-        # tangent pass, an adjoint pass and the chunked normal matrix
+        # the descent never forms the Jacobian: its products come from an
+        # adjoint pass and the chunked normal matrix, and the geodesic
+        # acceleration term M.T f_vv takes the place of a tangent pass
+        from ptdecouple.solver import _LM_GEO_H
+
         rng = np.random.default_rng(20 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
         J = rng.standard_normal((n, m, 40))
         F = rng.standard_normal((n, 40))
         prob, theta = self._residual(st, J, F, pts, 0.3)
         M = prob.jacobian(theta)
-        r, tape = prob.residual(theta, tape=True)
-        H, g = prob.linearize(theta, r)
-        v = rng.standard_normal(theta.size)
+        r, kept = prob.residual(theta, keep=True)
+        tape = prob.tape(kept)
+        H, g = prob.linearize(tape, r)
+        v = 1e-2 * rng.standard_normal(theta.size)
         y = rng.standard_normal(r.size)
         assert np.allclose(H, M.T @ M, rtol=1e-12, atol=1e-12 * np.abs(H).max())
         assert np.allclose(g, M.T @ r, rtol=1e-12, atol=1e-12 * np.abs(g).max())
-        assert np.allclose(prob.apply(tape, v), M @ v, rtol=1e-12, atol=1e-12 * np.abs(M @ v).max())
         assert np.allclose(prob.apply_t(tape, y), M.T @ y, rtol=1e-12,
                            atol=1e-12 * np.abs(M.T @ y).max())
+        # the same finite-difference f_vv through the dense Jacobian
+        h = _LM_GEO_H
+        dense = M.T @ ((2 / h) * ((r - prob.residual(theta + h * v)) / h - M @ v))
+        term = prob.curvature(theta, v, tape, g, H @ v)
+        assert np.allclose(term, dense, rtol=1e-8, atol=1e-8 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
+    def test_linearize_from_the_kept_trial_pass_is_bitwise_fresh(self, ranks, degrees, m, n):
+        # an accepted point is linearized from the pass of its trial residual;
+        # that equals a fresh evaluation at the same point bit for bit, and
+        # each chunk's derivatives equal those of a pass over its points alone
+        from ptdecouple.solver import _consistent_state, _LMProblem, lm_pack
+
+        rng = np.random.default_rng(30 + len(ranks))
+        st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
+        J = rng.standard_normal((n, m, 40))
+        F = rng.standard_normal((n, 40))
+        prob, theta = self._residual(st, J, F, pts, 0.3)
+        step = 1e-2 * rng.standard_normal(theta.size)
+        r_trial, kept = prob.residual(theta + step, keep=True)
+        H, g = prob.linearize(prob.tape(kept), r_trial)
+        fresh, fresh_theta = self._residual(
+            _consistent_state(*prob.model(theta + step), pts), J, F, pts, 0.3)
+        r, again = fresh.residual(fresh_theta, keep=True)
+        H2, g2 = fresh.linearize(fresh.tape(again), r)
+        assert np.array_equal(r, r_trial)
+        assert np.array_equal(H, H2) and np.array_equal(g, g2)
+        weights, coeffs = prob.model(theta + step)
+        chunks = list(prob._derivatives(prob.tape(kept)))
+        assert len(chunks) == 3
+        for sl, T, Q in chunks:
+            alone = _LMProblem(weights, coeffs, J[:, :, sl], F[:, sl], pts[sl], 0.3)
+            (_, T1, Q1), = alone._derivatives(
+                alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]))
+            assert np.array_equal(T, T1) and np.array_equal(Q, Q1)
 
     def test_descent_recovers_truth_from_perturbed_start(self):
         from ptdecouple.solver import _consistent_state, lm_descent

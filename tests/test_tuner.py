@@ -208,6 +208,24 @@ class TestTuneProperties:
             tune(cfg, J, F, train, (val[:1], targets[:, :1]))
         assert calls == []
 
+    def test_misshapen_validation_rejected_before_any_fit(self, monkeypatch):
+        # targets must be n x S_val and points S_val x m; a shape error must
+        # surface before a stage's search and sweeps, not in its metric
+        calls = []
+
+        def search(*args, **kwargs):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(tuner_mod, "start_search", search)
+        model, train, val, J, F, targets = small_problem(14)
+        cfg = TunerConfig(solver=quick_solver())
+        for bad in [(val, targets[:, :-1]), (val, targets.T), (val[:, :1], targets),
+                    (np.hstack([val, val]), targets)]:
+            with pytest.raises(ValueError):
+                tune(cfg, J, F, train, bad)
+        assert calls == []
+
     def test_report_json(self):
         model, train, val, J, F, targets = small_problem(15)
         cfg = TunerConfig(solver=quick_solver(seed=6), max_stages=2)
