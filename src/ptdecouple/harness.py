@@ -22,8 +22,9 @@ and the tuner XORs the stage index into the solver seed per stage.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "RunResult",
     "ResultTable",
     "builtin_system",
+    "config_keys",
     "generate_system",
     "collinearity",
     "rrmse",
@@ -115,62 +117,54 @@ def collinearity(w):
     return float(np.max(gram[~np.eye(r, dtype=bool)]))
 
 
+# the ranges that generate_system draws from, and its redraws per weight matrix
+OUTER_RANGE = (-2.0, 2.0)
+MIDDLE_RANGE = (-1.5, 1.5)
+COEFF_RANGE = (-3.0, 3.0)
+MAX_TRIES = 10000
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a random decoupled system with bounded factor collinearity.
 
-    Outer weight matrices are drawn uniformly from [-2, 2], middle layers
-    from [-1.5, 1.5], each redrawn until its collinearity factor is below
-    ``collinearity_max``.  Polynomial coefficients come from [-3, 3]; the
-    constant terms of all but the last layer are zero, matching the shipped
-    benchmark systems.
+    Outer weight matrices are drawn uniformly from ``OUTER_RANGE`` = [-2, 2],
+    middle layers from ``MIDDLE_RANGE`` = [-1.5, 1.5], each redrawn (at most
+    ``MAX_TRIES`` times) until its collinearity factor is below
+    ``collinearity_max``.  Polynomial coefficients come from ``COEFF_RANGE``
+    = [-3, 3]; the constant terms of all but the last layer are zero,
+    matching the shipped benchmark systems.  The six fields are also the
+    keys of a ``generate`` target in an experiment config.
     """
 
     n_inputs: int
     n_outputs: int
     ranks: tuple
     degrees: tuple
-    outer_range: tuple = (-2.0, 2.0)
-    middle_range: tuple = (-1.5, 1.5)
-    coeff_range: tuple = (-3.0, 3.0)
     collinearity_max: float = 0.5
     seed: int = 0
-    max_tries: int = 10000
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "seed", int(self.seed))
         if len(self.ranks) != len(self.degrees) or not self.ranks:
             raise ValueError("ranks and degrees must be non-empty and equally long")
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise ValueError("need positive input and output dims")
 
-    def to_dict(self):
-        return {
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-            "ranks": list(self.ranks),
-            "degrees": list(self.degrees),
-            "outer_range": list(self.outer_range),
-            "middle_range": list(self.middle_range),
-            "coeff_range": list(self.coeff_range),
-            "collinearity_max": self.collinearity_max,
-            "seed": int(self.seed),
-            "max_tries": self.max_tries,
-        }
-
 
 def generate_system(spec):
     """Draw a random decoupled system per the spec; deterministic in the seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
     L = len(spec.ranks)
     shapes = [(spec.ranks[0], spec.n_inputs)]
     shapes += [(spec.ranks[i + 1], spec.ranks[i]) for i in range(L - 1)]
     shapes += [(spec.n_outputs, spec.ranks[-1])]
     weights = []
     for i, shape in enumerate(shapes):
-        lo, hi = spec.middle_range if 0 < i < L else spec.outer_range
-        for _ in range(spec.max_tries):
+        lo, hi = MIDDLE_RANGE if 0 < i < L else OUTER_RANGE
+        for _ in range(MAX_TRIES):
             w = rng.uniform(lo, hi, size=shape)
             if collinearity(w) < spec.collinearity_max:
                 weights.append(w)
@@ -180,7 +174,7 @@ def generate_system(spec):
                 f"rejection budget exceeded for weight matrix {i}; "
                 f"collinearity cap {spec.collinearity_max} may be infeasible"
             )
-    lo, hi = spec.coeff_range
+    lo, hi = COEFF_RANGE
     coeffs = []
     for l, (r, d) in enumerate(zip(spec.ranks, spec.degrees)):
         c = rng.uniform(lo, hi, size=(r, d + 1))
@@ -190,6 +184,43 @@ def generate_system(spec):
     return DecoupledModel(weights=tuple(weights), coeffs=tuple(coeffs))
 
 
+# An experiment config file is ExperimentConfig, SolverConfig and
+# SyntheticSpec written out: the keys are their field names, less the fields
+# no file sets and with these three renamed, and a key left out takes the
+# field's default.
+FILE_KEYS = {"n_samples": "samples", "n_validation": "validation", "n_test": "test"}
+_TARGETS = ("builtin", "model_file", "generate")
+# the tuner sets lam per stage and _single_run sets rng_seed per run
+_PER_RUN = ("lam", "rng_seed")
+
+
+def config_keys(cls):
+    """File keys of a config dataclass in field order, each mapped to whether it is required.
+
+    ``cls`` is ``ExperimentConfig`` (whose target fields sit in one
+    ``target`` object instead), ``SolverConfig`` or ``SyntheticSpec``.
+    """
+    skip = {ExperimentConfig: _TARGETS, SolverConfig: _PER_RUN}.get(cls, ())
+    return {
+        FILE_KEYS.get(f.name, f.name): f.default is MISSING
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+def _checked(doc, where, keys):
+    """``doc`` as a dict, once it holds no key outside ``keys`` and every required one."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    missing = [k for k, required in keys.items() if required and k not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
+    return dict(doc)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for a batch of decoupling runs against one target.
@@ -197,7 +228,13 @@ class ExperimentConfig:
     Exactly one of ``builtin``, ``model_file`` or ``generate`` selects the
     target.  Every run fits through the tuner (``tuner.tune``) with
     ``lambda0``, ``beta`` and ``max_stages``, so each stage starts from its
-    own seeded start search.
+    own seeded start search.  ``n_test`` is 0 (no held-out test set) or at
+    least 2.
+
+    :meth:`to_dict` writes the config file that :meth:`from_dict` reads,
+    and ``aggregates.json`` echoes it, so an experiment's echo runs again
+    as it is.  The solver's ``lam`` and ``rng_seed`` are not in the file:
+    each run and stage sets its own.
     """
 
     solver: SolverConfig
@@ -215,6 +252,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))
         picked = [x for x in (self.builtin, self.model_file, self.generate) if x is not None]
         if len(picked) != 1:
             raise ValueError("exactly one of builtin, model_file or generate must be set")
@@ -226,6 +264,8 @@ class ExperimentConfig:
             raise ValueError("need at least one sampling point")
         if self.n_validation < 2:
             raise ValueError("need at least two validation points")
+        if self.n_test != 0 and self.n_test < 2:
+            raise ValueError("n_test must be 0 (no test set) or at least 2")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -237,25 +277,41 @@ class ExperimentConfig:
         return generate_system(self.generate)
 
     def to_dict(self):
-        out = {
-            "solver": self.solver.to_dict(),
-            "n_samples": self.n_samples,
-            "n_validation": self.n_validation,
-            "n_test": self.n_test,
-            "runs": self.runs,
-            "seed": int(self.seed),
-            "lambda0": self.lambda0,
-            "beta": self.beta,
-            "max_stages": self.max_stages,
-            "jobs": self.jobs,
-        }
-        if self.builtin is not None:
-            out["target"] = {"builtin": self.builtin}
-        elif self.model_file is not None:
-            out["target"] = {"model_file": self.model_file}
-        else:
-            out["target"] = {"generate": self.generate.to_dict()}
+        """The config file of this experiment (see :meth:`from_dict`)."""
+        out = {FILE_KEYS.get(f.name, f.name): getattr(self, f.name)
+               for f in fields(self) if f.name not in _TARGETS}
+        out["solver"] = {k: v for k, v in asdict(self.solver).items() if k not in _PER_RUN}
+        name = next(k for k in _TARGETS if getattr(self, k) is not None)
+        value = getattr(self, name)
+        out["target"] = {name: asdict(value) if name == "generate" else value}
         return out
+
+    @classmethod
+    def from_dict(cls, doc):
+        """The config that a config file holds; the inverse of :meth:`to_dict`.
+
+        Raises ValueError for a key that nothing reads (at any level, the
+        unknown keys named in sorted order), a required field that is
+        missing (named in field order), a missing target, a ``model_file``
+        that does not exist, or a value that the dataclasses reject.
+        """
+        doc = _checked(doc, "config", {**config_keys(cls), "target": False})
+        target = _checked(doc.pop("target", {}), "target", dict.fromkeys(_TARGETS, False))
+        if not target:
+            raise ValueError("no target: the config needs a target entry")
+        if "generate" in target:
+            generate = _checked(target["generate"], "target.generate", config_keys(SyntheticSpec))
+            target["generate"] = SyntheticSpec(**generate)
+        model_file = target.get("model_file")
+        if model_file is not None and not os.path.exists(model_file):
+            raise ValueError(f"target model file {model_file!r} does not exist")
+        solver = _checked(doc.pop("solver"), "solver", config_keys(SolverConfig))
+        renamed = {v: k for k, v in FILE_KEYS.items()}
+        return cls(
+            solver=SolverConfig(**solver),
+            **target,
+            **{renamed.get(k, k): v for k, v in doc.items()},
+        )
 
 
 @dataclass
@@ -329,7 +385,7 @@ def _single_run(cfg, target, run_id):
         row.error_f = fitted.error_f
         fitted_model = state_to_model(fitted.state)
         row.output_errors = list(rrmse(val_targets, eval_batch(fitted_model, val)))
-        if cfg.n_test >= 2:
+        if cfg.n_test:
             test = _rng(cfg.seed, run_id, 2).uniform(-1.0, 1.0, size=(cfg.n_test, m))
             test_targets = eval_batch(target, test)
             row.test_errors = list(rrmse(test_targets, eval_batch(fitted_model, test)))
@@ -371,7 +427,7 @@ def run_experiment(cfg):
         aggregates["error_f"] = _aggregate([r.error_f for r in ok])
         for i in range(n_outputs):
             aggregates[f"e_{i + 1}"] = _aggregate([r.output_errors[i] for r in ok])
-        if all(r.test_errors is not None for r in ok) and cfg.n_test >= 2:
+        if cfg.n_test:
             for i in range(n_outputs):
                 aggregates[f"test_e_{i + 1}"] = _aggregate(
                     [r.test_errors[i] for r in ok]

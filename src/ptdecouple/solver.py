@@ -47,7 +47,7 @@ separate fits share no mutable state and may run concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .model import (
     left_chain,
     right_chains,
 )
-from .tensor_ops import NonFiniteError, fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
+from .tensor_ops import NonFiniteError, fro_norm, lstsq_info, unfold, vec, vec3
 
 __all__ = [
     "SolverConfig",
@@ -123,6 +123,7 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         if len(self.ranks) != len(self.degrees) or not self.ranks:
             raise ValueError("ranks and degrees must be non-empty and equally long")
         if any(r < 1 for r in self.ranks) or any(d < 1 for d in self.degrees):
@@ -139,18 +140,6 @@ class SolverConfig:
     @property
     def n_layers(self):
         return len(self.ranks)
-
-    def to_dict(self):
-        return {
-            "ranks": list(self.ranks),
-            "degrees": list(self.degrees),
-            "lam": self.lam,
-            "min_iters": self.min_iters,
-            "max_iters": self.max_iters,
-            "patience": self.patience,
-            "rng_seed": int(self.rng_seed),
-            "strategy": self.strategy,
-        }
 
 
 @dataclass
@@ -206,7 +195,7 @@ class FitReport:
 
     def to_dict(self):
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "trace": [list(rec) for rec in self.state.trace],
             "error_j": self.error_j,
             "error_f": self.error_f,
@@ -281,6 +270,17 @@ def build_MW(state, layer):
     return np.einsum("ska,sbq->sabkq", B, A).reshape(-1, B.shape[1] * A.shape[2])
 
 
+def _g_rows(weights, G, layer):
+    """Every slice's coefficient matrix of the G_layer row subproblem, S x m x n x r.
+
+    Entry (s, a, b, j) is right[s, j, a] * left[s, b, j], the Khatri-Rao
+    product of the chains around the layer, so that vec(J[:, :, s]) equals
+    the slice's m*n x r matrix times G_layer[s, :] for exact factors.
+    """
+    left, right = _chains(weights, G, layer)
+    return np.einsum("sja,sbj->sabj", right, left)
+
+
 def build_MG(state, layer, s):
     """Khatri-Rao coefficient matrix of the row subproblem for G_layer at slice s.
 
@@ -289,9 +289,8 @@ def build_MG(state, layer, s):
     L = state.n_layers
     if not 1 <= layer <= L:
         raise ValueError(f"layer must be in 1..{L}, got {layer}")
-    G = [g[s : s + 1] for g in state.G]
-    left, right = _chains(state.weights, G, layer)
-    return khatri_rao(right[0].T, left[0])
+    M = _g_rows(state.weights, [g[s : s + 1] for g in state.G], layer)[0]
+    return M.reshape(-1, M.shape[-1])
 
 
 def _lstsq(state, a, b):
@@ -361,9 +360,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     L = state.n_layers
     n, m, S = j_tensor.shape
     d = state.coeffs[layer - 1].shape[1] - 1
-    # every slice's build_MG system at once: row (a, b) holds right[j, a] left[b, j]
-    left, right = _chains(state.weights, state.G, layer)
-    M = np.einsum("sja,sbj->sabj", right, left).reshape(S, m * n, -1)
+    M = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
     state.G[layer - 1] = _lstsq_batched(state, M, j_tensor.transpose(2, 1, 0).reshape(S, m * n))
     if layer == L:
         state.R = _lstsq(state, state.weights[L], f_matrix).T
@@ -406,15 +403,15 @@ def _constr_system(state, layer, points):
     structurally zero entries of vec(C) (off-block, plus the constant rows
     for layers below the last) are pruned from the system columns.  The
     rows of slice s are kron(right.T, left @ X_s) restricted to the kept
-    columns, built here directly: row (a, b), column (j, i) holds
-    right[j, a] * left[b, j] * X_s[j, i].
+    columns, built here directly: row (a, b), column (j, i) holds the
+    slice's G-row entry right[j, a] * left[b, j] (``_g_rows``) times
+    X_s[j, i].
     """
     L = state.n_layers
     U = _layer_inputs(state, points, layer)
     X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
     i0 = 0 if layer == L else 1
-    left, right = _chains(state.weights, state.G, layer)
-    M = np.einsum("sja,sbj,jsi->sabji", right, left, X[:, :, i0:])
+    M = np.einsum("sabj,jsi->sabji", _g_rows(state.weights, state.G, layer), X[:, :, i0:])
     S, m, n, r, w = M.shape
     return M.reshape(S * m * n, r * w), U, X, i0
 

@@ -93,11 +93,28 @@ class TunerReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _spread(outputs_true):
+    """Squared spread of each true output (row, n x S) around its mean.
+
+    Raises ValueError when a true value is non-finite or an output is
+    constant: no relative error can be normalized by such an output.
+    """
+    t = np.asarray(outputs_true, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("non-finite true outputs")
+    centered = t - t.mean(axis=1, keepdims=True)
+    den = np.sum(centered * centered, axis=1)
+    if np.any(den == 0):
+        raise ValueError("zero variance in some output")
+    return den
+
+
 def rrmse(outputs_true, outputs_pred):
     """Per-output relative root-mean-squared errors, in percent.
 
     Both arguments are n x S with S >= 2; output i is normalized by the
-    spread of the true values around their mean.
+    spread of the true values around their mean, which must be finite and
+    non-zero.
     """
     t = np.asarray(outputs_true, dtype=float)
     p = np.asarray(outputs_pred, dtype=float)
@@ -105,12 +122,8 @@ def rrmse(outputs_true, outputs_pred):
         raise ValueError("outputs must be matching n x S matrices")
     if t.shape[1] < 2:
         raise ValueError("need at least two sampling points")
-    centered = t - t.mean(axis=1, keepdims=True)
-    den = np.sum(centered * centered, axis=1)
-    if np.any(den == 0):
-        raise ValueError("zero variance in some output")
     num = np.sum((t - p) ** 2, axis=1)
-    return np.sqrt(num / den) * 100.0
+    return np.sqrt(num / _spread(t)) * 100.0
 
 
 def validation_metric(state_or_model, points, targets):
@@ -126,11 +139,8 @@ def validation_metric(state_or_model, points, targets):
         else state_to_model(state_or_model)
     )
     points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least two validation points")
-    if not np.all(np.isfinite(targets)):
-        raise ValueError("non-finite validation targets")
     return float(np.sum(rrmse(targets, eval_batch(model, points))))
 
 
@@ -160,8 +170,9 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         When a stage's fit diverges, or the first stage's validation metric
         is not finite (there is no earlier stage to fall back to).
     ValueError
-        With fewer than two validation points, or validation points and
-        targets not shaped S_val x m and n x S_val, before any fit.
+        Before any fit: with fewer than two validation points, validation
+        points and targets not shaped S_val x m and n x S_val, or a target
+        output that is non-finite or constant (see :func:`rrmse`).
     """
     val_points, val_targets = validation
     val_points = np.asarray(val_points, dtype=float)
@@ -171,6 +182,7 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     n, m = np.shape(j_tensor)[:2]
     if val_points.shape != (len(val_points), m) or val_targets.shape != (n, len(val_points)):
         raise ValueError(f"validation needs S_val x {m} points and {n} x S_val targets")
+    _spread(val_targets)
 
     stages = []
     prev_metric = np.inf  # sentinel for the stage before the first

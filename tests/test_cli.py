@@ -109,7 +109,7 @@ def test_experiment_from_config_file(tmp_path):
     assert code == 0
     agg = json.loads((tmp_path / "results" / "aggregates.json").read_text())
     assert agg["config"]["solver"]["strategy"] == "proj"
-    assert agg["config"]["n_samples"] == 12
+    assert agg["config"]["samples"] == 12
 
 
 def test_experiment_flag_overrides_config(tmp_path):
@@ -130,7 +130,7 @@ def test_experiment_flag_overrides_config(tmp_path):
     assert code == 0
     agg = json.loads((tmp_path / "results" / "aggregates.json").read_text())
     assert agg["config"]["solver"]["strategy"] == "constr"
-    assert agg["config"]["n_samples"] == 10
+    assert agg["config"]["samples"] == 10
 
 
 def test_experiment_missing_target_is_config_error(tmp_path):
@@ -178,6 +178,62 @@ def test_experiment_generate_missing_keys_is_config_error(tmp_path, capsys):
     code, err = _config_exit(tmp_path, capsys, doc)
     assert code == 2
     assert "'n_outputs', 'degrees'" in err
+
+
+def test_experiment_test_count_of_one_is_config_error(tmp_path, capsys):
+    # one test point has no spread, and the run would drop the test set silently
+    doc = {"target": {"builtin": "f1"}, "test": 1, "runs": 1,
+           "solver": {"ranks": [2, 2], "degrees": [5, 2]}}
+    code, err = _config_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "n_test" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _rerun_echo(tmp_path, argv):
+    """Run an experiment, then again from the config its aggregates.json echoes."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["--out", str(first)]) == 0
+    echo = json.loads((first / "aggregates.json").read_text())["config"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert main(["experiment", "--config", str(path), "--out", str(second)]) == 0
+    assert (first / "runs.csv").read_bytes() == (second / "runs.csv").read_bytes()
+    assert json.loads((second / "aggregates.json").read_text())["config"] == echo
+    return echo
+
+
+_QUICK = ["--samples", "10", "--runs", "2", "--seed", "4", "--max-iters", "6",
+          "--min-iters", "3", "--max-stages", "1"]
+
+
+def test_echo_reruns_builtin_target(tmp_path):
+    echo = _rerun_echo(tmp_path, ["experiment", "--target", "f1", "--ranks", "2,2",
+                                  "--degrees", "5,2", *_QUICK])
+    assert echo["target"] == {"builtin": "f1"} and echo["samples"] == 10
+
+
+def test_echo_reruns_model_file_target(tmp_path):
+    gen_out = str(tmp_path / "gen")
+    assert main(["generate", "-m", "2", "-n", "2", "--ranks", "2,2", "--degrees", "2,2",
+                 "--seed", "6", "--out", gen_out]) == 0
+    model_path = os.path.join(gen_out, "system_m2_n2_s6.json")
+    echo = _rerun_echo(tmp_path, ["experiment", "--target", model_path, "--ranks", "2,2",
+                                  "--degrees", "2,2", "--strategy", "proj", *_QUICK])
+    assert echo["target"] == {"model_file": model_path}
+
+
+def test_echo_reruns_generate_target(tmp_path):
+    doc = {"target": {"generate": {"n_inputs": 2, "n_outputs": 3, "ranks": [2, 2],
+                                   "degrees": [3, 2], "collinearity_max": 0.6,
+                                   "seed": 11}},
+           "validation": 8, "test": 4,
+           "solver": {"ranks": [2, 2], "degrees": [3, 2], "patience": 20}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    echo = _rerun_echo(tmp_path, ["experiment", "--config", str(path), *_QUICK])
+    assert echo["target"] == doc["target"]
+    assert (echo["validation"], echo["test"]) == (8, 4)
 
 
 def test_experiment_all_runs_failed_is_numerical_error(tmp_path):

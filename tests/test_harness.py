@@ -90,7 +90,7 @@ class TestGenerator:
     def test_infeasible_cap_raises(self):
         spec = SyntheticSpec(
             n_inputs=1, n_outputs=2, ranks=(4,), degrees=(2,), seed=3,
-            collinearity_max=0.01, max_tries=50,
+            collinearity_max=0.01,
         )
         # four columns in one dimension can never be pairwise non-collinear
         with pytest.raises(RuntimeError):
@@ -146,6 +146,32 @@ class TestExperimentConfig:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             quick_config(builtin="f9")
+
+    def test_test_count_zero_or_at_least_two(self):
+        # below two points there is no spread to normalize the test errors by
+        for n_test in (1, -1):
+            with pytest.raises(ValueError, match="n_test"):
+                quick_config(builtin="f1", n_test=n_test)
+        assert quick_config(builtin="f1", n_test=2).n_test == 2
+
+    def test_from_dict_inverts_to_dict(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, builtin_system("f2"))
+        spec = SyntheticSpec(n_inputs=2, n_outputs=3, ranks=(2, 2), degrees=(3, 2),
+                             collinearity_max=0.6, seed=11)
+        for target in ({"builtin": "f1"}, {"model_file": str(path)}, {"generate": spec}):
+            cfg = quick_config(**{"builtin": None, **target}, n_test=4, jobs=2)
+            doc = cfg.to_dict()
+            assert ExperimentConfig.from_dict(doc) == cfg
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+
+    def test_to_dict_leaves_out_what_each_run_sets(self):
+        cfg = quick_config(builtin="f1")
+        assert set(cfg.to_dict()["solver"]) == {
+            "ranks", "degrees", "min_iters", "max_iters", "patience", "strategy"}
+        assert set(cfg.to_dict()) == {
+            "samples", "validation", "test", "runs", "seed", "lambda0", "beta",
+            "max_stages", "jobs", "target", "solver"}
 
 
 class TestRunExperiment:

@@ -226,6 +226,27 @@ class TestTuneProperties:
                 tune(cfg, J, F, train, bad)
         assert calls == []
 
+    def test_degenerate_targets_rejected_before_any_fit(self, monkeypatch):
+        # a NaN or a constant target output fails every stage's metric, so
+        # tune must refuse it before it spends stage 0's search and sweeps
+        calls = []
+
+        def search(*args, **kwargs):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(tuner_mod, "start_search", search)
+        model, train, val, J, F, targets = small_problem(14)
+        cfg = TunerConfig(solver=quick_solver())
+        nan = targets.copy()
+        nan[1, 3] = np.nan
+        constant = targets.copy()
+        constant[0] = 2.5
+        for bad, match in [(nan, "non-finite"), (constant, "zero variance")]:
+            with pytest.raises(ValueError, match=match):
+                tune(cfg, J, F, train, (val, bad))
+        assert calls == []
+
     def test_report_json(self):
         model, train, val, J, F, targets = small_problem(15)
         cfg = TunerConfig(solver=quick_solver(seed=6), max_stages=2)
