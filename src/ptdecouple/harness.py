@@ -208,8 +208,23 @@ def config_keys(cls):
     }
 
 
-def _checked(doc, where, keys):
-    """``doc`` as a dict, once it holds no key outside ``keys`` and every required one."""
+# what a config file value must be for each plain field annotation (every
+# tuple field holds integers); a nested config is checked as its own object
+_FILE_TYPES = {"int": "an integer", "float": "a number", "str": "a string",
+               "tuple": "a list of integers"}
+
+
+def _fits(value, annotation):
+    if isinstance(value, bool):
+        return False
+    if annotation == "tuple":
+        return isinstance(value, (list, tuple)) and all(_fits(v, "int") for v in value)
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[annotation])
+
+
+def _checked(doc, where, keys, cls):
+    """``doc`` as a dict, once it holds no key outside ``keys``, every required one,
+    and values of the JSON types of their ``cls`` fields."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(doc) - set(keys))
@@ -218,6 +233,12 @@ def _checked(doc, where, keys):
     missing = [k for k, required in keys.items() if required and k not in doc]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
+    for f in fields(cls):
+        key = FILE_KEYS.get(f.name, f.name)
+        if key in doc and f.type in _FILE_TYPES and not _fits(doc[key], f.type):
+            raise ValueError(
+                f"{where} key {key!r} must be {_FILE_TYPES[f.type]}, got {doc[key]!r}"
+            )
     return dict(doc)
 
 
@@ -292,20 +313,23 @@ class ExperimentConfig:
 
         Raises ValueError for a key that nothing reads (at any level, the
         unknown keys named in sorted order), a required field that is
-        missing (named in field order), a missing target, a ``model_file``
-        that does not exist, or a value that the dataclasses reject.
+        missing (named in field order), a missing target, a value whose JSON
+        type does not fit its field (an integer, a number, a string or a
+        list of integers), a ``model_file`` that does not exist, or a value
+        that the dataclasses reject.
         """
-        doc = _checked(doc, "config", {**config_keys(cls), "target": False})
-        target = _checked(doc.pop("target", {}), "target", dict.fromkeys(_TARGETS, False))
+        doc = _checked(doc, "config", {**config_keys(cls), "target": False}, cls)
+        target = _checked(doc.pop("target", {}), "target", dict.fromkeys(_TARGETS, False), cls)
         if not target:
             raise ValueError("no target: the config needs a target entry")
         if "generate" in target:
-            generate = _checked(target["generate"], "target.generate", config_keys(SyntheticSpec))
+            generate = _checked(target["generate"], "target.generate",
+                                config_keys(SyntheticSpec), SyntheticSpec)
             target["generate"] = SyntheticSpec(**generate)
         model_file = target.get("model_file")
         if model_file is not None and not os.path.exists(model_file):
             raise ValueError(f"target model file {model_file!r} does not exist")
-        solver = _checked(doc.pop("solver"), "solver", config_keys(SolverConfig))
+        solver = _checked(doc.pop("solver"), "solver", config_keys(SolverConfig), SolverConfig)
         renamed = {v: k for k, v in FILE_KEYS.items()}
         return cls(
             solver=SolverConfig(**solver),

@@ -488,15 +488,10 @@ def apply_ambiguity(factors, transform):
     for l in range(L):
         if transform.perms[l].shape[0] != factors.ranks[l]:
             raise ValueError(f"transform rank mismatch at layer {l + 1}")
-    if transform.gammas:
-        for g in transform.gammas:
-            if g.shape[0] != factors.n_slices:
-                raise ValueError("slice-scaling length must equal the slice count")
-        prod = np.ones(factors.n_slices)
-        for g in transform.gammas:
-            prod = prod * g
-        if np.max(np.abs(prod - 1.0)) > 1e-12:
-            raise ValueError("slice-scaling product must be the identity")
+    # the transform itself checked that the slice scalings multiply to one
+    for g in transform.gammas:
+        if g.shape[0] != factors.n_slices:
+            raise ValueError("slice-scaling length must equal the slice count")
 
     perms, l1, l2, l3 = transform.perms, transform.lam1, transform.lam2, transform.lam3
     new_w = []
@@ -516,7 +511,7 @@ def apply_ambiguity(factors, transform):
     return PTFactors(weights=tuple(new_w), G=tuple(new_g))
 
 
-def random_ambiguity(ranks, n_slices, rng, nontrivial_gamma=True):
+def random_ambiguity(ranks, n_slices, rng):
     """Draw a random ambiguity transform for the given ParaTuck ranks.
 
     Scaling magnitudes stay in [0.5, 2] with random signs to keep the
@@ -542,7 +537,7 @@ def random_ambiguity(ranks, n_slices, rng, nontrivial_gamma=True):
     if L >= 2:
         prod = np.ones(n_slices)
         for _ in range(L - 2):
-            g = draw(n_slices) if nontrivial_gamma else np.ones(n_slices)
+            g = draw(n_slices)
             gammas.append(g)
             prod = prod * g
         gammas.append(1.0 / prod)

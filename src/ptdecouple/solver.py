@@ -294,24 +294,10 @@ def build_MG(state, layer, s):
 
 
 def _lstsq(state, a, b):
+    """``lstsq_info`` of one system or a stack, its truncations counted in the state."""
     x, trunc = lstsq_info(a, b)
     state.n_truncated += trunc
     return x
-
-
-def _lstsq_batched(state, a, b, rtol=1e-12):
-    """Minimum-norm solutions of a[s] @ x[s] = b[s] for every s (a: S x p x q).
-
-    The batched counterpart of ``lstsq_info``: singular values at or below
-    rtol times the largest of their system are truncated and counted.
-    """
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFiniteError("non-finite entries in least-squares system")
-    U, sv, Vt = np.linalg.svd(a, full_matrices=False)
-    keep = sv > rtol * sv[:, :1]
-    state.n_truncated += int(np.sum(~keep))
-    coef = np.einsum("spk,sp->sk", U, b) / np.where(keep, sv, 1.0)
-    return np.einsum("skq,sk->sq", Vt, np.where(keep, coef, 0.0))
 
 
 def update_W(state, layer, j_tensor, f_matrix, lam):
@@ -325,14 +311,8 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     if layer == 0:
         state.weights[0] = _lstsq(state, M, unfold(j_tensor, 2).T)
     elif layer == L:
-        if lam > 0:
-            a = np.concatenate([M.T, np.sqrt(lam) * state.R], axis=0)
-            b = np.concatenate(
-                [unfold(j_tensor, 1).T, np.sqrt(lam) * f_matrix.T], axis=0
-            )
-        else:
-            a = M.T
-            b = unfold(j_tensor, 1).T
+        a = np.concatenate([M.T, np.sqrt(lam) * state.R], axis=0)
+        b = np.concatenate([unfold(j_tensor, 1).T, np.sqrt(lam) * f_matrix.T], axis=0)
         state.weights[L] = _lstsq(state, a, b).T
     else:
         w = _lstsq(state, M, vec3(j_tensor))
@@ -349,44 +329,48 @@ def _layer_inputs(state, points, layer):
     return internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
 
 
+def _write_factors(state, layer, X, Y):
+    """Overwrite G_layer, and R when Y is given, with their structured versions.
+
+    Column j becomes X[j] @ c_j (Y[j] @ c_j).  The stacked matmul gives the
+    bits of those per-neuron products, and the results go into the existing
+    arrays, which keeps their memory layout.
+    """
+    c = state.coeffs[layer - 1][:, :, None]
+    state.G[layer - 1][...] = (X @ c)[:, :, 0].T
+    if Y is not None:
+        state.R[...] = (Y @ c)[:, :, 0].T
+
+
 def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
-    Every row of G_layer (and, for the last layer, R as a whole) is updated
-    by unconstrained least squares; the structure matrices are then rebuilt
-    from fresh layer inputs and the coefficients fit to the updated factors,
-    after which the factors are overwritten by their structured versions.
+    All rows of G_layer are updated by unconstrained least squares in one
+    stacked solve (for the last layer R as a whole too, from F).  The
+    structure matrices are then rebuilt from fresh layer inputs and every
+    neuron's coefficients fit to its updated factor column, all neurons in
+    one stacked solve; the last layer stacks the sqrt(lam)-scaled R column
+    and function-value rows below.  The constants of the layers below the
+    last stay frozen.  Finally the factors are overwritten by their
+    structured versions.
     """
     L = state.n_layers
     n, m, S = j_tensor.shape
-    d = state.coeffs[layer - 1].shape[1] - 1
     M = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
-    state.G[layer - 1] = _lstsq_batched(state, M, j_tensor.transpose(2, 1, 0).reshape(S, m * n))
+    state.G[layer - 1] = _lstsq(state, M, j_tensor.transpose(2, 1, 0).reshape(S, m * n))
     if layer == L:
         state.R = _lstsq(state, state.weights[L], f_matrix).T
 
     U = _layer_inputs(state, points, layer)
-    X = build_X(U, d)
+    X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
+    i0 = 0 if layer == L else 1
+    a, b, Y = X[:, :, i0:], state.G[layer - 1].T, None
     if layer == L:
-        Y = build_Y(U, d)
-        for j in range(len(X)):
-            if lam > 0:
-                a = np.concatenate([X[j], np.sqrt(lam) * Y[j]], axis=0)
-                b = np.concatenate(
-                    [state.G[L - 1][:, j], np.sqrt(lam) * state.R[:, j]]
-                )
-            else:
-                a = X[j]
-                b = state.G[L - 1][:, j]
-            state.coeffs[L - 1][j, :] = _lstsq(state, a, b)
-            state.G[L - 1][:, j] = X[j] @ state.coeffs[L - 1][j, :]
-            state.R[:, j] = Y[j] @ state.coeffs[L - 1][j, :]
-    else:
-        for j in range(len(X)):
-            # drop the zero constant column; the constant stays frozen
-            sol = _lstsq(state, X[j][:, 1:], state.G[layer - 1][:, j])
-            state.coeffs[layer - 1][j, 1:] = sol
-            state.G[layer - 1][:, j] = X[j] @ state.coeffs[layer - 1][j, :]
+        Y = build_Y(U, X.shape[2] - 1)
+        a = np.concatenate([a, np.sqrt(lam) * Y], axis=1)
+        b = np.concatenate([b, np.sqrt(lam) * state.R.T], axis=1)
+    state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b)
+    _write_factors(state, layer, X, Y)
     return state
 
 
@@ -426,26 +410,18 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """
     L = state.n_layers
     M0, U, X, i0 = _constr_system(state, layer, points)
-    r, w = X.shape[0], X.shape[2]
-    width = w - i0
-    Y = build_Y(U, w - 1) if layer == L else None
-    if layer == L and lam > 0:
+    a, b, Y = M0, vec3(j_tensor), None
+    if layer == L:
+        Y = build_Y(U, X.shape[2] - 1)
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
         # W_L[i, j] * Y_j[s, k]
         coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", state.weights[L], Y).reshape(
-            -1, r * w
+            -1, Y.shape[0] * Y.shape[2]
         )
         a = np.concatenate([M0, coupling], axis=0)
-        b = np.concatenate([vec3(j_tensor), np.sqrt(lam) * vec(f_matrix.T)])
-    else:
-        a = M0
-        b = vec3(j_tensor)
-    sol = _lstsq(state, a, b)
-    for j in range(r):
-        state.coeffs[layer - 1][j, i0:] = sol[j * width : (j + 1) * width]
-        state.G[layer - 1][:, j] = X[j] @ state.coeffs[layer - 1][j, :]
-        if layer == L:
-            state.R[:, j] = Y[j] @ state.coeffs[layer - 1][j, :]
+        b = np.concatenate([b, np.sqrt(lam) * vec(f_matrix.T)])
+    state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b).reshape(len(X), -1)
+    _write_factors(state, layer, X, Y)
     return state
 
 
@@ -466,18 +442,16 @@ def rebalance(state, points):
 def _normalize_inputs(state, points):
     # rebalance is the first step of every sweep, and per-sweep timers key
     # on it; the start search normalizes its draws through this helper
-    L = state.n_layers
     us = internal_inputs_batch(state.weights, state.coeffs, points)
-    for l in range(L):
-        U = us[l]
-        for j in range(U.shape[1]):
-            a = float(np.sqrt(np.mean(U[:, j] ** 2)))
-            if not np.isfinite(a) or a == 0.0:
-                continue
-            state.weights[l][j, :] /= a
-            d = state.coeffs[l].shape[1] - 1
-            state.coeffs[l][j, :] *= a ** np.arange(d + 1)
-            state.G[l][:, j] *= a
+    for l, U in enumerate(us):
+        # the RMS of each column; a contiguous copy sums each column in the
+        # order a column slice would, which keeps the bits of per-neuron sums
+        a = np.sqrt(np.mean(np.ascontiguousarray((U * U).T), axis=1))
+        # a neuron without a finite, nonzero scale is left as it is
+        a[~np.isfinite(a) | (a == 0.0)] = 1.0
+        state.weights[l] /= a[:, None]
+        state.coeffs[l] *= a[:, None] ** np.arange(state.coeffs[l].shape[1])
+        state.G[l] *= a
     return state
 
 

@@ -14,6 +14,11 @@ Conventions used throughout the package:
 * ``vec`` stacks matrix columns (column-major), which is the ordering
   that satisfies ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``.
 * All public indices are 0-based.
+* Least squares: ``lstsq_info`` is the one solver of every subproblem of a
+  sweep.  It takes one system or a stack of independent ones (a leading
+  axis on both sides), returns minimum-norm solutions with singular values
+  at or below 1e-12 of their system's largest truncated, and counts the
+  truncations, so a caller that wraps it sees every one of them.
 
 Every function here is pure and never mutates its inputs, so concurrent use
 needs no synchronization.
@@ -128,20 +133,29 @@ def lstsq(a, b, rtol=1e-12):
 
 
 def lstsq_info(a, b, rtol=1e-12):
-    """Like :func:`lstsq` but also returns the number of truncated singular values."""
+    """Like :func:`lstsq` but also returns the number of truncated singular values.
+
+    ``a`` is one system, p x q with ``b`` of length p or p x k, or a stack
+    of K systems, K x p x q with ``b`` K x p, each solved on its own by one
+    batched SVD; a stack returns the K x q solutions and the truncations of
+    all its systems summed.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"lhs must be a matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"lhs must have at least one row and column, got {a.shape}")
-    if b.ndim not in (1, 2):
-        raise ValueError(f"rhs must be a vector or matrix, got ndim={b.ndim}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: lhs has {a.shape[0]} rows, rhs has {b.shape[0]}"
-        )
+    if a.ndim not in (2, 3) or 0 in a.shape:
+        raise ValueError(f"lhs must be a non-empty matrix or stack of matrices, got {a.shape}")
+    if a.ndim == 3:
+        fits = b.shape == a.shape[:2]
+    else:
+        fits = b.ndim in (1, 2) and b.shape[0] == a.shape[0]
+    if not fits:
+        raise ValueError(f"rhs of shape {b.shape} does not fit lhs of shape {a.shape}")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise NonFiniteError("non-finite entries in least-squares system")
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rtol)
-    return x, min(a.shape) - int(rank)
+    if a.ndim == 2:
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rtol)
+        return x, min(a.shape) - int(rank)
+    U, sv, Vt = np.linalg.svd(a, full_matrices=False)
+    keep = sv > rtol * sv[:, :1]
+    coef = np.einsum("kpi,kp->ki", U, b) / np.where(keep, sv, 1.0)
+    return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))

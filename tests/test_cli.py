@@ -172,6 +172,24 @@ def test_experiment_unknown_config_keys_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_experiment_config_value_types_are_config_errors(tmp_path, capsys):
+    # a value of the wrong JSON type is refused before any run, not met by a
+    # TypeError inside a dataclass
+    base = {"target": {"builtin": "f1"}, "runs": 1, "max_stages": 1,
+            "solver": {"ranks": [2, 2], "degrees": [5, 2], "min_iters": 3, "max_iters": 3}}
+    cases = [
+        ({**base, "samples": "12"}, "'samples' must be an integer, got '12'"),
+        ({**base, "solver": {**base["solver"], "ranks": 2}},
+         "'ranks' must be a list of integers, got 2"),
+        ({**base, "samples": 12.5}, "'samples' must be an integer, got 12.5"),
+    ]
+    for doc, named in cases:
+        code, err = _config_exit(tmp_path, capsys, doc)
+        assert code == 2
+        assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_generate_missing_keys_is_config_error(tmp_path, capsys):
     doc = {"target": {"generate": {"n_inputs": 2, "ranks": [2, 2]}}, "runs": 1,
            "solver": {"ranks": [2, 2], "degrees": [3, 2]}}

@@ -20,7 +20,7 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.solver import _constr_system
-from ptdecouple.tensor_ops import fro_norm, khatri_rao, unfold, vec, vec3
+from ptdecouple.tensor_ops import fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
 
 
 def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
@@ -227,6 +227,29 @@ class TestUpdateCProj:
         for j in range(2):
             assert np.allclose(st.R[:, j], yb[j] @ st.coeffs[1][j], atol=1e-12)
 
+    def test_every_truncation_is_an_lstsq_info_count(self, monkeypatch):
+        # a zero column of W_L makes every slice's G-row system and the R
+        # system rank deficient; each truncation the state counts must come
+        # from an lstsq_info call, where the benchmark's tracer sees it
+        import ptdecouple.solver as solver_mod
+        from ptdecouple.harness import builtin_system
+
+        model = builtin_system("f1")
+        pts = np.random.Generator(np.random.Philox(3)).uniform(-1, 1, (12, 2))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        st = truth_state(model, pts)
+        st.weights[2][:, 0] = 0.0
+        counts = []
+
+        def counted(a, b):
+            x, trunc = lstsq_info(a, b)
+            counts.append(trunc)
+            return x, trunc
+
+        monkeypatch.setattr(solver_mod, "lstsq_info", counted)
+        update_c_proj(st, 2, J, F, pts, lam=1e-6)
+        assert st.n_truncated == sum(counts) >= 12 + 1
+
 
 class TestUpdateCConstr:
     def test_residual_at_truth(self):
@@ -380,10 +403,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(cfg, J, F, pts[:-1])
 
-    def test_lambda_zero_ignores_f(self):
+    @pytest.mark.parametrize("strategy", ["constr", "proj"])
+    def test_lambda_zero_ignores_f(self, strategy):
         model, pts, J, F = problem(26)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=0.0, rng_seed=19,
-                           min_iters=5, max_iters=30, patience=50)
+                           min_iters=5, max_iters=30, patience=50, strategy=strategy)
         rep = fit(cfg, J, F, pts)
         for it, j_term, f_term, total in rep.state.trace:
             assert total == j_term

@@ -169,6 +169,37 @@ class TestLstsq:
         with pytest.raises(ValueError):
             top.lstsq(np.array([[np.nan, 1.0]]), np.ones(1))
 
+    def test_stack_matches_single_systems(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4, 7, 3))
+        a[2, :, 2] = a[2, :, 0]  # one rank-deficient system
+        b = rng.normal(size=(4, 7))
+        x, trunc = top.lstsq_info(a, b)
+        assert x.shape == (4, 3)
+        singles = [top.lstsq_info(a[k], b[k]) for k in range(4)]
+        for xk, (want, _) in zip(x, singles):
+            assert np.allclose(xk, want, rtol=1e-12, atol=1e-12)
+        assert trunc == sum(t for _, t in singles) == 1
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 7, 3), (4 * 7,)),
+        ((4, 7, 3), (4, 6)),
+        ((4, 7, 3), (4, 7, 1)),
+        ((3, 7), (6,)),
+        ((2, 4, 7, 3), (2, 4, 7)),
+        ((0, 7, 3), (0, 7)),
+    ])
+    def test_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="lhs|rhs"):
+            top.lstsq_info(np.ones(a_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_non_finite_entry_in_one_stacked_system(self, where):
+        a, b = np.ones((3, 5, 2)), np.ones((3, 5))
+        (a if where == "a" else b)[1, 2, ...] = np.inf
+        with pytest.raises(top.NonFiniteError):
+            top.lstsq_info(a, b)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
