@@ -249,8 +249,9 @@ class ExperimentConfig:
     Exactly one of ``builtin``, ``model_file`` or ``generate`` selects the
     target.  Every run fits through the tuner (``tuner.tune``) with
     ``lambda0``, ``beta`` and ``max_stages``, so each stage starts from its
-    own seeded start search.  ``n_test`` is 0 (no held-out test set) or at
-    least 2.
+    own seeded start search; ``TunerConfig`` checks those three when the
+    config is made, so a bad value fails before any run.  ``n_test`` is 0
+    (no held-out test set) or at least 2.
 
     :meth:`to_dict` writes the config file that :meth:`from_dict` reads,
     and ``aggregates.json`` echoes it, so an experiment's echo runs again
@@ -289,6 +290,16 @@ class ExperimentConfig:
             raise ValueError("n_test must be 0 (no test set) or at least 2")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        self.tuner_config(self.solver.rng_seed)  # the tuner's checks, before any run
+
+    def tuner_config(self, rng_seed):
+        """The tuner settings of a run whose solver seed is ``rng_seed``."""
+        return TunerConfig(
+            solver=replace(self.solver, rng_seed=rng_seed),
+            lambda0=self.lambda0,
+            beta=self.beta,
+            max_stages=self.max_stages,
+        )
 
     def target_model(self):
         if self.builtin is not None:
@@ -392,13 +403,7 @@ def _single_run(cfg, target, run_id):
         f_matrix = build_f_matrix(target, train)
         val_targets = eval_batch(target, val)
 
-        tuner_cfg = TunerConfig(
-            solver=replace(cfg.solver, rng_seed=solver_seed),
-            lambda0=cfg.lambda0,
-            beta=cfg.beta,
-            max_stages=cfg.max_stages,
-        )
-        report = tune(tuner_cfg, j_tensor, f_matrix, train, (val, val_targets))
+        report = tune(cfg.tuner_config(solver_seed), j_tensor, f_matrix, train, (val, val_targets))
 
         best = report.best
         fitted = best.report

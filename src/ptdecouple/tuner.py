@@ -19,6 +19,7 @@ metric counts as a worsening, so it is never selected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,10 +45,11 @@ class TunerConfig:
     max_stages: int = 8
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
+        # written so that NaN fails too
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        if not 1 < self.beta < math.inf:
+            raise ValueError(f"beta must exceed 1 and be finite, got {self.beta}")
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
 

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from ptdecouple.cli import main
 from ptdecouple.model import load_model
@@ -283,3 +284,25 @@ def test_deterministic_cli_outputs(tmp_path):
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
     assert (tmp_path / "a" / "runs.csv").read_bytes() == (tmp_path / "b" / "runs.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda0", "-1"), ("--lambda0", "nan"), ("--lambda0", "inf"),
+    ("--beta", "0.5"), ("--beta", "nan"), ("--max-stages", "0"),
+])
+def test_experiment_bad_tuner_setting_is_config_error(tmp_path, capsys, flag, value):
+    # checked once before any run, so no run is attempted and nothing is written
+    out = tmp_path / "out"
+    code = main(["experiment", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
+                 "--runs", "2", flag, value, "--out", str(out)])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
+def test_decouple_nan_lambda0_is_config_error(tmp_path, capsys):
+    code = main(["decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
+                 "--lambda0", "nan", "--out", str(tmp_path)])
+    assert code == 2
+    assert "lambda0" in capsys.readouterr().err
+    assert not (tmp_path / "tuner_report.json").exists()

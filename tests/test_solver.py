@@ -20,7 +20,7 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.solver import _constr_system
-from ptdecouple.tensor_ops import fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
+from ptdecouple.tensor_ops import _QR_MIN_STACK, fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
 
 
 def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
@@ -227,15 +227,17 @@ class TestUpdateCProj:
         for j in range(2):
             assert np.allclose(st.R[:, j], yb[j] @ st.coeffs[1][j], atol=1e-12)
 
-    def test_every_truncation_is_an_lstsq_info_count(self, monkeypatch):
+    @pytest.mark.parametrize("S", [12, _QR_MIN_STACK + 20])
+    def test_every_truncation_is_an_lstsq_info_count(self, monkeypatch, S):
         # a zero column of W_L makes every slice's G-row system and the R
         # system rank deficient; each truncation the state counts must come
-        # from an lstsq_info call, where the benchmark's tracer sees it
+        # from an lstsq_info call, where the benchmark's tracer sees it, on
+        # either path of the stacked G-row solve
         import ptdecouple.solver as solver_mod
         from ptdecouple.harness import builtin_system
 
         model = builtin_system("f1")
-        pts = np.random.Generator(np.random.Philox(3)).uniform(-1, 1, (12, 2))
+        pts = np.random.Generator(np.random.Philox(3)).uniform(-1, 1, (S, 2))
         J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
         st = truth_state(model, pts)
         st.weights[2][:, 0] = 0.0
@@ -248,7 +250,7 @@ class TestUpdateCProj:
 
         monkeypatch.setattr(solver_mod, "lstsq_info", counted)
         update_c_proj(st, 2, J, F, pts, lam=1e-6)
-        assert st.n_truncated == sum(counts) >= 12 + 1
+        assert st.n_truncated == sum(counts) >= S + 1
 
 
 class TestUpdateCConstr:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ptdecouple import tensor_ops as top
 
+BIG_STACK = top._QR_MIN_STACK + 50
+
 
 def brute_unfold(t, mode):
     """Index-enumeration oracle for the mode-n unfolding."""
@@ -169,14 +171,15 @@ class TestLstsq:
         with pytest.raises(ValueError):
             top.lstsq(np.array([[np.nan, 1.0]]), np.ones(1))
 
-    def test_stack_matches_single_systems(self):
+    @pytest.mark.parametrize("K", [4, BIG_STACK])
+    def test_stack_matches_single_systems(self, K):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(4, 7, 3))
+        a = rng.normal(size=(K, 7, 3))
         a[2, :, 2] = a[2, :, 0]  # one rank-deficient system
-        b = rng.normal(size=(4, 7))
+        b = rng.normal(size=(K, 7))
         x, trunc = top.lstsq_info(a, b)
-        assert x.shape == (4, 3)
-        singles = [top.lstsq_info(a[k], b[k]) for k in range(4)]
+        assert x.shape == (K, 3)
+        singles = [top.lstsq_info(a[k], b[k]) for k in range(K)]
         for xk, (want, _) in zip(x, singles):
             assert np.allclose(xk, want, rtol=1e-12, atol=1e-12)
         assert trunc == sum(t for _, t in singles) == 1
@@ -197,6 +200,79 @@ class TestLstsq:
     def test_non_finite_entry_in_one_stacked_system(self, where):
         a, b = np.ones((3, 5, 2)), np.ones((3, 5))
         (a if where == "a" else b)[1, 2, ...] = np.inf
+        with pytest.raises(top.NonFiniteError):
+            top.lstsq_info(a, b)
+
+
+class TestStackedQR:
+    """Stacks of at least ``_QR_MIN_STACK`` tall systems take the QR path."""
+
+    @staticmethod
+    def svd_path(a, b):
+        return top._lstsq_svd(a, b, 1e-12)
+
+    @staticmethod
+    def assert_close(x, want):
+        # each system's solution to 1e-12 of its norm (scaled, so no norm overflows)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        err = np.linalg.norm((x - want) / scale, axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want / scale, axis=1))
+
+    def test_mixed_stack_truncates_as_the_svd_path(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        p, q = 9, 3
+        a, b = rng.normal(size=(BIG_STACK, p, q)), rng.normal(size=(BIG_STACK, p))
+        a[0, :, 1] = 0.0  # a zero column
+        a[1, :, 2] = a[1, :, 0]  # a repeated column
+        ratios = np.geomspace(0.5e-12, 1e-11, 10)  # sigma_min / sigma_max
+        for k, ratio in enumerate(ratios, start=2):
+            U = np.linalg.qr(rng.normal(size=(p, q)))[0]
+            V = np.linalg.qr(rng.normal(size=(q, q)))[0]
+            a[k] = U @ np.diag([1.0, 0.3, ratio]) @ V.T
+        resolved, svd = [], top._lstsq_svd
+
+        def counted(a, b, rtol):
+            resolved.append(len(a))
+            return svd(a, b, rtol)
+
+        monkeypatch.setattr(top, "_lstsq_svd", counted)
+        x, trunc = top.lstsq_info(a, b)
+        monkeypatch.undo()
+        want, want_trunc = self.svd_path(a, b)
+        # the deficient systems and those within the margin of the threshold
+        # are re-solved by the SVD, and only they
+        assert resolved == [2 + len(ratios)]
+        assert trunc == want_trunc == 2 + int(np.sum(ratios <= 1e-12))
+        assert np.array_equal(x[: 2 + len(ratios)], want[: 2 + len(ratios)])
+        self.assert_close(x, want)
+
+    def test_all_fallback_stack_has_the_svd_bits(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(BIG_STACK, 6, 3)), rng.normal(size=(BIG_STACK, 6))
+        a[:, :, 2] = a[:, :, 0] - a[:, :, 1]
+        x, trunc = top.lstsq_info(a, b)
+        want, want_trunc = self.svd_path(a, b)
+        assert trunc == want_trunc == BIG_STACK
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("a_scale, b_scale", [
+        (1e200, 1.0), (1e-200, 1.0), (1.0, 1e200), (1.0, 1e-200), (1e200, 1e200), (1e-200, 1e-200),
+    ])
+    def test_extreme_magnitudes_solve_as_the_svd_path(self, a_scale, b_scale):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(BIG_STACK, 9, 2)), rng.normal(size=(BIG_STACK, 9))
+        a[:, :, 1] *= np.where(np.arange(BIG_STACK) % 2, 1.0, 1e-13)[:, None]  # every other one deficient
+        a, b = a_scale * a, b_scale * b
+        x, trunc = top.lstsq_info(a, b)
+        want, want_trunc = self.svd_path(a, b)
+        assert np.all(np.isfinite(x))
+        assert trunc == want_trunc == BIG_STACK // 2
+        self.assert_close(x, want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, value):
+        a, b = np.ones((BIG_STACK, 5, 2)), np.ones((BIG_STACK, 5))
+        a[BIG_STACK - 1, 4, 1] = value
         with pytest.raises(top.NonFiniteError):
             top.lstsq_info(a, b)
 
