@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -443,6 +442,9 @@ def run_experiment(cfg):
     n_outputs = target.n_outputs
     runs = range(cfg.runs)
     if cfg.jobs > 1:
+        # imported here: it costs every import of the CLI 10-20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_single_run, [cfg] * cfg.runs, [target] * cfg.runs, runs))
     else:

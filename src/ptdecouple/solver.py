@@ -62,7 +62,7 @@ from .model import (
     left_chain,
     right_chains,
 )
-from .tensor_ops import NonFiniteError, fro_norm, lstsq_info, unfold, vec, vec3
+from .tensor_ops import NonFiniteError, fro_norm, householder_qr, lstsq_info, unfold, vec, vec3
 
 __all__ = [
     "SolverConfig",
@@ -132,8 +132,8 @@ class SolverConfig:
             raise ValueError("need 0 < min_iters <= max_iters")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -391,35 +391,81 @@ def _constr_system(state, layer, points):
     slice's G-row entry right[j, a] * left[b, j] (``_g_rows``) times
     X_s[j, i].
     """
+    K, U, X, i0 = _constr_factors(state, layer, points)
+    return _structured_rows(K, X[:, :, i0:]), U, X, i0
+
+
+def _constr_factors(state, layer, points):
+    """``(K, U, X, i0)`` of :func:`_constr_system`, K the S x m*n x r G-row matrices."""
     L = state.n_layers
     U = _layer_inputs(state, points, layer)
     X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
     i0 = 0 if layer == L else 1
-    M = np.einsum("sabj,jsi->sabji", _g_rows(state.weights, state.G, layer), X[:, :, i0:])
-    S, m, n, r, w = M.shape
-    return M.reshape(S * m * n, r * w), U, X, i0
+    K = _g_rows(state.weights, state.G, layer)
+    S, m, n, r = K.shape
+    return K.reshape(S, m * n, r), U, X, i0
+
+
+def _structured_rows(K, X):
+    """Rows (s, k), columns (j, i) holding K[s, k, j] * X[j, s, i], stacked over s."""
+    M = np.einsum("skj,jsi->skji", K, X)
+    S, p, r, w = M.shape
+    return M.reshape(S * p, r * w)
+
+
+# The constr update reduces each slice's rows by QR once that removes at
+# least this many rows, S * (m*n - r).  Time of a 5-sweep constr fit,
+# reduced / full rows (rows removed), one BLAS thread: f1 shape S = 500
+# 1.09 (1000), S = 1000 0.81 (2000); f2 shape S = 200 1.03 (1400),
+# S = 300 0.96 (2100), S = 1000 0.69 (7000).  The stacked QR costs a fixed
+# number of numpy calls, which fewer removed rows do not repay; the S = 30
+# fits remove at most 210 rows and keep the full system.
+_CONSTR_QR_MIN_ROWS = 2000
 
 
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """Direct coefficient update with the constraints satisfied by construction.
 
     Solves for the coefficient vector against vec(J) through the pruned
-    structure-incorporated system; the last layer stacks the sqrt(lam)-scaled
-    F factorization block on top.  G (and R) are then written from the
-    coefficients, so they satisfy the constraints exactly.
+    structure-incorporated system (:func:`_constr_system`); the last layer
+    stacks the sqrt(lam)-scaled F factorization block below.  G (and R) are
+    then written from the coefficients, so they satisfy the constraints
+    exactly.
+
+    The rows of slice s are K_s D_s, with K_s the slice's m*n x r G-row
+    matrix and D_s its block of structure rows, so with K_s = Q_s R_s the
+    r rows R_s D_s against (Q_s^T vec(J_s))[:r] have the same minimizer and
+    the same singular values: the system is block-diagonal(Q_s) times the
+    reduced one.  Once that removes at least ``_CONSTR_QR_MIN_ROWS`` rows,
+    every slice is reduced by one stacked QR (:func:`householder_qr`), and
+    at the last layer the F block W_L E_s is reduced alike by one QR of W_L
+    when n > r.  A reduction with a non-finite entry is dropped for the full
+    system, where the solve reports it.
     """
     L = state.n_layers
-    M0, U, X, i0 = _constr_system(state, layer, points)
-    a, b, Y = M0, vec3(j_tensor), None
+    n, m, S = j_tensor.shape
+    K, U, X, i0 = _constr_factors(state, layer, points)
+    r = K.shape[2]
+    jb = j_tensor.transpose(2, 1, 0).reshape(S, m * n)
+    W, fb = state.weights[L], f_matrix
+    if S * (m * n - r) >= _CONSTR_QR_MIN_ROWS:
+        Kq, jq = householder_qr(K, jb)
+        Wq, fq = W, fb
+        if layer == L and n > r:
+            Q, Wq = np.linalg.qr(W)
+            fq = Q.T @ fb
+        if all(np.all(np.isfinite(x)) for x in (Kq, jq, Wq, fq)):
+            K, jb, W, fb = Kq, jq, Wq, fq
+    a, b, Y = _structured_rows(K, X[:, :, i0:]), jb.ravel(), None
     if layer == L:
         Y = build_Y(U, X.shape[2] - 1)
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
         # W_L[i, j] * Y_j[s, k]
-        coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", state.weights[L], Y).reshape(
+        coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", W, Y).reshape(
             -1, Y.shape[0] * Y.shape[2]
         )
-        a = np.concatenate([M0, coupling], axis=0)
-        b = np.concatenate([b, np.sqrt(lam) * vec(f_matrix.T)])
+        a = np.concatenate([a, coupling], axis=0)
+        b = np.concatenate([b, np.sqrt(lam) * vec(fb.T)])
     state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b).reshape(len(X), -1)
     _write_factors(state, layer, X, Y)
     return state
@@ -851,7 +897,7 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     trial point, and one adjoint pass (see ``_LMProblem.curvature``).  An
     accepted trial's pass becomes the tape of the next linearization, so
     an accepted point is never evaluated again; a rejected one builds no
-    tape.
+    tape, and neither does the point at which the descent stops.
 
     Stops once the objective is below 1e-20 of ||J||^2 + lam ||F||^2
     ("converged"), once it fell by less than 10% over 15 iterations or the
@@ -864,24 +910,27 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     scale = float(np.sum(j_tensor * j_tensor) + lam * np.sum(f_matrix * f_matrix))
     with np.errstate(all="ignore"):
         r, trial = prob.residual(theta, keep=True)
-        tape, trial = prob.tape(trial), None
-        H, g = prob.linearize(tape, r)
     f = float(r @ r)
     history = [f]
     mu, nu = _LM_MU0, 2.0
     stop_reason = "max_iters"
     iterations = 0
-    fresh = True
     for it in range(1, _LM_MAX_ITERS + 1):
         iterations = it
-        if fresh:
+        if trial is not None:
+            # the descent goes on from a new point, the start or an accepted
+            # trial: linearize it, after dropping the old system and tape,
+            # which would add to the peak memory of the new linearization
+            H = g = inv = tape = None
+            with np.errstate(all="ignore"):
+                tape, trial = prob.tape(trial), None
+                H, g = prob.linearize(tape, r)
             if not (np.isfinite(f) and np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
                 raise SolverDivergenceError(
                     f"LM descent became non-finite at iteration {it}", []
                 )
             d = np.sqrt(np.diag(H))
             d[d == 0.0] = 1.0
-            fresh = False
         damped = H / np.outer(d, d)
         damped.flat[:: theta.size + 1] += mu
         inv = np.linalg.inv(damped)
@@ -904,13 +953,6 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
             r, f = r_new, f_new
             mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), _LM_MU_MIN)
             nu = 2.0
-            # drop the old system and tape first: they would add to the
-            # peak memory of the new linearization
-            H = g = inv = tape = None
-            with np.errstate(all="ignore"):
-                tape, trial = prob.tape(trial), None
-                H, g = prob.linearize(tape, r)
-            fresh = True
         else:
             trial = None  # a rejected trial point builds no tape
             mu *= nu

@@ -23,7 +23,8 @@ Conventions used throughout the package:
   ``_QR_MIN_STACK`` tall systems, by Householder QR run across the whole
   stack; a system that QR cannot certify as clear of the truncation
   threshold is re-solved by the SVD, so both paths truncate the same
-  singular values.
+  singular values.  ``householder_qr`` is that QR's reduction on its own:
+  R and Q^T b of every system of a stack.
 
 Every function here is pure and never mutates its inputs, so concurrent use
 needs no synchronization.
@@ -43,6 +44,7 @@ __all__ = [
     "fro_norm",
     "lstsq",
     "lstsq_info",
+    "householder_qr",
 ]
 
 
@@ -193,20 +195,19 @@ def _lstsq_svd(a, b, rtol):
     return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))
 
 
-def _lstsq_qr(a, b, rtol):
-    """Solutions of a K x p x q stack, p >= q, by Householder QR across the stack.
+def householder_qr(a, b):
+    """R and Q^T b of a K x p x q stack of systems a, p >= q, by Householder QR.
 
-    Reflection j zeroes column j of every system below row j at once, and
-    the same reflections applied to b give Q^T b (Golub & Van Loan,
-    *Matrix Computations*, 5.1-5.2).  R^-1 comes from back-substitution
-    across the stack and x = R^-1 (Q^T b)[:q].  R has the singular values
-    of its system, so 1 / (||R||_F ||R^-1||_F) is a lower bound on
-    sigma_min / sigma_max.  A system whose bound is not finite or not above
-    ``_QR_MARGIN * rtol``, or whose solution is not finite, is re-solved by
-    :func:`_lstsq_svd` from its original rows: rank-deficient and
-    near-threshold systems, and those whose reflections over- or underflow.
-    Every kept system is one the SVD would not truncate, so the count is
-    the SVD path's.
+    ``b`` is K x p or K x p x k.  Returns R, K x q x q upper triangular with
+    a = Q R for each system, and the first q rows of Q^T b, K x q or
+    K x q x k: for every x, ||a x - b||^2 equals ||R x - (Q^T b)[:q]||^2
+    plus a term that does not depend on x.  Reflection j zeroes column j
+    of every system below row j at once, and the same reflections applied
+    to b give Q^T b (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A
+    column that is zero below row j gets the identity reflection.  Over-
+    and underflow are not trapped: where alpha**2 underflows, 2 / (v^T v)
+    overflows and turns that system's entries of Q^T b non-finite, which a
+    caller must check.
     """
     K, p, q = a.shape
     A = a.transpose(0, 2, 1).copy()  # A[k, j] is column j of system k
@@ -218,22 +219,41 @@ def _lstsq_qr(a, b, rtol):
             alpha = np.sqrt(np.einsum("kp,kp->k", v, v))
             x0 = v[:, 0].copy()
             R[:, j, j] = s = np.copysign(alpha, -x0)
-            # 2 / (v^T v); inf where alpha**2 underflows, which turns that
-            # system's R^-1 or x non-finite and so sends it to the SVD
-            tau = 1.0 / (alpha * (alpha + np.abs(x0)))
+            tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
+            tau[alpha == 0.0] = 0.0
             v[:, 0] -= s
             rest = A[:, j + 1 :, j:]
             rest -= (np.einsum("kcp,kp->kc", rest, v) * tau[:, None])[:, :, None] * v[:, None, :]
             R[:, j, j + 1 :] = rest[:, :, 0]
             yj = y[:, j:]
-            yj -= (np.einsum("kp,kp->k", yj, v) * tau)[:, None] * v
+            t = np.einsum("kp...,kp->k...", yj, v) * tau.reshape((K,) + (1,) * (y.ndim - 2))
+            yj -= t[:, None] * v.reshape(v.shape + (1,) * (y.ndim - 2))
+    return R, y[:, :q]
+
+
+def _lstsq_qr(a, b, rtol):
+    """Solutions of a K x p x q stack, p >= q, by Householder QR across the stack.
+
+    :func:`householder_qr` gives R and Q^T b; R^-1 comes from
+    back-substitution across the stack and x = R^-1 (Q^T b)[:q].  R has the
+    singular values of its system, so 1 / (||R||_F ||R^-1||_F) is a lower
+    bound on sigma_min / sigma_max.  A system whose bound is not finite or
+    not above ``_QR_MARGIN * rtol``, or whose solution is not finite, is
+    re-solved by :func:`_lstsq_svd` from its original rows: rank-deficient
+    and near-threshold systems, and those whose reflections over- or
+    underflow.  Every kept system is one the SVD would not truncate, so the
+    count is the SVD path's.
+    """
+    K, p, q = a.shape
+    R, y = householder_qr(a, b)
+    with np.errstate(all="ignore"):
         Rinv = np.zeros((K, q, q))
         for i in range(q - 1, -1, -1):
             Rinv[:, i, i] = 1.0 / R[:, i, i]
             Rinv[:, i, i + 1 :] = -np.einsum(
                 "kt,ktj->kj", R[:, i, i + 1 :], Rinv[:, i + 1 :, i + 1 :]
             ) * Rinv[:, i, i, None]
-        x = np.einsum("kij,kj->ki", Rinv, y[:, :q])
+        x = np.einsum("kij,kj->ki", Rinv, y)
         kappa = np.sqrt(np.einsum("kij,kij->k", R, R) * np.einsum("kij,kij->k", Rinv, Rinv))
         ok = (kappa < 1.0 / (_QR_MARGIN * rtol)) & np.all(np.isfinite(x), axis=1)
     redo = np.flatnonzero(~ok)

@@ -1,11 +1,25 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ptdecouple.cli import main
 from ptdecouple.model import load_model
+
+
+def test_cli_import_loads_no_process_pool():
+    # every CLI call pays the import; only an experiment with jobs > 1 needs
+    # concurrent.futures
+    import ptdecouple
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptdecouple.__file__)))
+    probe = "import sys, ptdecouple.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_generate_writes_model(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_system, truth_state
 
+from ptdecouple.basis import build_Y
 from ptdecouple.model import build_f_matrix, build_jacobian_tensor, pt_reconstruct
 from ptdecouple.solver import (
     SolverConfig,
@@ -20,7 +21,16 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.solver import _constr_system
-from ptdecouple.tensor_ops import _QR_MIN_STACK, fro_norm, khatri_rao, lstsq_info, unfold, vec, vec3
+from ptdecouple.tensor_ops import (
+    _QR_MIN_STACK,
+    fro_norm,
+    householder_qr,
+    khatri_rao,
+    lstsq_info,
+    unfold,
+    vec,
+    vec3,
+)
 
 
 def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
@@ -41,8 +51,9 @@ class TestConfig:
             SolverConfig(ranks=(2,), degrees=(2,), min_iters=5, max_iters=4)
         with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), patience=0)
-        with pytest.raises(ValueError):
-            SolverConfig(ranks=(2,), degrees=(2,), lam=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                SolverConfig(ranks=(2,), degrees=(2,), lam=lam)
         with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), strategy="newton")
 
@@ -289,6 +300,111 @@ class TestUpdateCConstr:
         floor = objective(truth_state(model, pts), J, F, 1.0)[2]
         assert abs(obj_p - obj_c) <= 1e-6 * max(1.0, fro_norm(J) ** 2)
         assert min(obj_p, obj_c) >= floor - 1e-9
+
+
+class TestReducedConstrRows:
+    """Above ``_CONSTR_QR_MIN_ROWS`` removed rows the constr update solves on
+    per-slice QR-reduced rows; below it, on the full (M_C)_0."""
+
+    @staticmethod
+    def problem(name, S):
+        from ptdecouple.harness import builtin_system
+
+        model = builtin_system(name)
+        pts = np.random.Generator(np.random.Philox(4)).uniform(-1, 1, (S, model.n_inputs))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        return pts, J, F, truth_state(model, pts, perturb=1e-2, seed=5)
+
+    @staticmethod
+    def both_paths(monkeypatch, st, layer, J, F, pts):
+        """(reduced, full) updated states and the row count of each solve."""
+        import ptdecouple.solver as solver_mod
+
+        rows = []
+
+        def spied(a, b):
+            rows.append(len(a))
+            return lstsq_info(a, b)
+
+        monkeypatch.setattr(solver_mod, "lstsq_info", spied)
+        reduced = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
+        monkeypatch.setattr(solver_mod, "_CONSTR_QR_MIN_ROWS", np.inf)
+        full = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
+        return reduced, full, rows
+
+    @staticmethod
+    def assert_same_solution(st, layer, pts, reduced, full):
+        """The two coefficient sets agree to 1e-12, each coefficient weighted by
+        the norm of the full system's column it multiplies.
+
+        At lam = 1e-6 the last layer's constants enter only through the
+        sqrt(lam)-scaled F rows, so that system's condition number is about
+        1e9 and falls to about 60 once its columns are scaled; two solvers of
+        the same full system differ there by 1e-11 to 1e-9 unweighted.
+        """
+        M0, U, X, i0 = _constr_system(st, layer, pts)
+        sq = np.sum(M0 * M0, axis=0).reshape(len(X), -1)
+        if layer == st.n_layers:
+            Y = build_Y(U, X.shape[2] - 1)
+            sq += 1e-6 * np.sum(st.weights[-1] ** 2, axis=0)[:, None] * np.sum(Y * Y, axis=1)
+        c, want = (x.coeffs[layer - 1][:, i0:] * np.sqrt(sq) for x in (reduced, full))
+        assert fro_norm(c - want) <= 1e-12 * fro_norm(want)
+
+    # f1 has n = r = 2, f2 n = 3 > r = 2, where the F block is reduced too
+    @pytest.mark.parametrize("name, S", [("f1", 1000), ("f2", 300)])
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_reduced_rows_solve_as_the_full_system(self, monkeypatch, name, S, layer):
+        from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
+
+        pts, J, F, st = self.problem(name, S)
+        n, m, _ = J.shape
+        r = st.G[layer - 1].shape[1]
+        assert S * (m * n - r) >= _CONSTR_QR_MIN_ROWS
+        reduced, full, rows = self.both_paths(monkeypatch, st, layer, J, F, pts)
+        f_rows = (0, 0) if layer == 1 else (S * min(n, r), S * n)
+        assert rows == [S * r + f_rows[0], S * m * n + f_rows[1]]
+        self.assert_same_solution(st, layer, pts, reduced, full)
+        assert reduced.n_truncated == full.n_truncated == 0
+
+    @pytest.mark.parametrize("name, S", [("f1", 1000), ("f2", 300)])
+    def test_zero_column_of_w_l_truncates_as_the_full_system(self, monkeypatch, name, S):
+        # the neuron's coefficient columns vanish from every row: the
+        # identity reflection keeps them exactly zero in the reduced rows
+        pts, J, F, st = self.problem(name, S)
+        st.weights[2][:, 0] = 0.0
+        reduced, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
+        assert rows[0] < rows[1]
+        assert reduced.n_truncated == full.n_truncated == st.coeffs[1].shape[1]
+        self.assert_same_solution(st, 2, pts, reduced, full)
+
+    def test_non_finite_reduction_falls_back_to_the_full_system(self, monkeypatch):
+        import ptdecouple.solver as solver_mod
+
+        pts, J, F, st = self.problem("f2", 300)
+
+        def poisoned(a, b):
+            R, y = householder_qr(a, b)
+            R[-1, 0, 0] = np.inf
+            return R, y
+
+        monkeypatch.setattr(solver_mod, "householder_qr", poisoned)
+        fallback, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
+        assert rows[0] == rows[1]
+        assert np.array_equal(fallback.coeffs[1], full.coeffs[1])
+        assert np.array_equal(fallback.G[1], full.G[1])
+
+    # the shapes of f1-protocol, deep-cli and f2 at S = 30
+    @pytest.mark.parametrize("ranks, degrees, m, n", [
+        ((2, 2), (5, 2), 2, 2), ((3, 2, 2), (2, 3, 2), 3, 2), ((2, 2), (3, 3), 3, 3),
+    ])
+    def test_s30_fits_keep_the_full_system(self, monkeypatch, ranks, degrees, m, n):
+        import ptdecouple.solver as solver_mod
+
+        model, pts, J, F = problem(18, m=m, n=n, ranks=ranks, degrees=degrees, S=30)
+        calls = []
+        monkeypatch.setattr(solver_mod, "householder_qr", lambda *a: calls.append(a))
+        fit(SolverConfig(ranks=ranks, degrees=degrees, rng_seed=2, max_iters=12), J, F, pts)
+        assert not calls
 
 
 class TestFit:
@@ -605,6 +721,27 @@ class TestLevenbergMarquardt:
         assert res.objective == pytest.approx(objective(res.state, J, F, 1e-2)[2],
                                               rel=1e-6, abs=1e-20 * fro_norm(J) ** 2)
         assert res.objective <= 1e-20 * (fro_norm(J) ** 2 + 1e-2 * fro_norm(F) ** 2)
+
+    def test_descent_does_not_linearize_its_stop_point(self, monkeypatch):
+        from ptdecouple.solver import _consistent_state, _LMProblem, lm_descent
+
+        model, pts, J, F = problem(32, S=30)
+        start = _consistent_state(
+            [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
+        )
+        linearized, linearize = [], _LMProblem.linearize
+
+        def counted(self, tape, r):
+            linearized.append(float(r @ r))
+            return linearize(self, tape, r)
+
+        monkeypatch.setattr(_LMProblem, "linearize", counted)
+        res = lm_descent(start, J, F, pts, 1e-2)
+        assert res.stop_reason == "converged"
+        # the start and each accepted point the descent went on from, once
+        # each; the converged point is the last accepted one and is not among them
+        assert len(linearized) == len(set(linearized)) >= 2
+        assert min(linearized) > res.objective
 
     def test_search_picks_best_finite_and_is_seeded(self, monkeypatch):
         import ptdecouple.solver as solver_mod

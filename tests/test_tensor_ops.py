@@ -277,6 +277,29 @@ class TestStackedQR:
             top.lstsq_info(a, b)
 
 
+def test_householder_qr_reduces_each_system():
+    # a = Q R with Q orthonormal, so a^T a = R^T R and a^T b = R^T (Q^T b)[:q];
+    # a zero column takes the identity reflection and leaves R finite
+    rng = np.random.default_rng(15)
+    K, p, q, k = 7, 9, 3, 4
+    a, B = rng.normal(size=(K, p, q)), rng.normal(size=(K, p, k))
+    a[0, :, 0] = 0.0
+    a[1, :, 2] = 0.0
+    R, QtB = top.householder_qr(a, B)
+    assert R.shape == (K, q, q) and QtB.shape == (K, q, k)
+    assert np.all(np.isfinite(R)) and np.all(np.isfinite(QtB))
+    assert np.all(np.tril(R, -1) == 0.0)
+    assert np.all(R[0, :, 0] == 0.0) and np.all(R[1, :, 2] == 0.0)
+    Rt = R.transpose(0, 2, 1)
+    assert np.allclose(Rt @ R, a.transpose(0, 2, 1) @ a, rtol=0, atol=1e-12)
+    assert np.allclose(Rt @ QtB, a.transpose(0, 2, 1) @ B, rtol=0, atol=1e-12)
+    # a right-hand side of shape K x p gives the columns of the K x p x k one
+    for c in range(k):
+        R1, Qtb = top.householder_qr(a, B[:, :, c])
+        assert np.array_equal(R1, R)
+        assert np.allclose(Qtb, QtB[:, :, c], rtol=0, atol=1e-14)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
