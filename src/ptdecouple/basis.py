@@ -80,18 +80,14 @@ def build_per_slice_X(u_sample, degree):
     """Block-diagonal row layout of derivative rows for one sampling point.
 
     Returns the ``r x r*(d+1)`` matrix ``X_s`` with
-    ``X_s @ coeff_block_matrix(C) == diag(g'(u))`` exactly.
+    ``X_s @ coeff_block_matrix(C) == diag(g'(u))`` exactly: row j holds
+    neuron j's ``build_X`` row in block j.
     """
     u = _check_inputs(u_sample, 1)
     r = u.shape[0]
-    w = degree + 1
-    out = np.zeros((r, r * w))
-    for j in range(r):
-        p = 1.0
-        for i in range(1, w):
-            out[j, j * w + i] = i * p
-            p *= u[j]
-    return out
+    out = np.zeros((r, r, degree + 1))
+    out[np.arange(r), np.arange(r)] = build_X(u[None], degree)[:, 0]
+    return out.reshape(r, -1)
 
 
 def coeff_block_matrix(coeffs):

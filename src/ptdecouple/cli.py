@@ -27,8 +27,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .harness import (
     BUILTINS,
     ExperimentConfig,
@@ -40,7 +38,7 @@ from .harness import (
     write_results,
 )
 from .model import build_f_matrix, build_jacobian_tensor, eval_batch, load_model, save_model
-from .solver import STRATEGIES, SolverConfig, SolverDivergenceError, state_to_model
+from .solver import STRATEGIES, SolverConfig, SolverDivergenceError, seeded_rng, state_to_model
 from .tuner import TunerConfig, tune
 
 CONFIG_ERROR = 2
@@ -135,11 +133,8 @@ def _cmd_decouple(args):
     target = _resolve_target(args.target)
     m = target.n_inputs
     seed = solver.rng_seed
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
-    train = rng.uniform(-1.0, 1.0, size=(args.samples, m))
-    val = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,)))
-    ).uniform(-1.0, 1.0, size=(args.validation, m))
+    train = seeded_rng(seed, 0).uniform(-1.0, 1.0, size=(args.samples, m))
+    val = seeded_rng(seed, 1).uniform(-1.0, 1.0, size=(args.validation, m))
     j = build_jacobian_tensor(target, train)
     f = build_f_matrix(target, train)
     report = tune(tuner, j, f, train, (val, eval_batch(target, val)))

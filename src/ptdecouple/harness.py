@@ -7,16 +7,18 @@ own training and validation points, builds the Jacobian tensor and the
 evaluation matrix, drives the adaptive-weight tuner and records the
 relative decomposition errors plus per-output validation errors.
 
-Randomness is derived from the counter-based Philox generator through
-``numpy.random.SeedSequence`` so results reproduce across platforms.  Run r
-of an experiment with base seed s uses the streams
+Randomness comes from ``solver.seeded_rng``, the counter-based Philox
+generator seeded through ``numpy.random.SeedSequence``, so results
+reproduce across platforms.  Run r of an experiment with base seed s uses
+the streams
 
-    SeedSequence(s, spawn_key=(r, 0))  training points
-    SeedSequence(s, spawn_key=(r, 1))  validation points
-    SeedSequence(s, spawn_key=(r, 2))  held-out test points (optional)
+    seeded_rng(s, r, 0)                training points
+    seeded_rng(s, r, 1)                validation points
+    seeded_rng(s, r, 2)                held-out test points (optional)
     SeedSequence(s, spawn_key=(r, 3))  solver initialization seed
 
-and the tuner XORs the stage index into the solver seed per stage.
+and the tuner XORs the stage index into the solver seed per stage; a
+generated system draws from ``seeded_rng(spec.seed)``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .model import (
     eval_batch,
     load_model,
 )
-from .solver import SolverConfig, SolverDivergenceError, state_to_model
+from .solver import SolverConfig, SolverDivergenceError, seeded_rng, state_to_model
 from .tuner import TunerConfig, rrmse, tune
 
 __all__ = [
@@ -155,7 +157,7 @@ class SyntheticSpec:
 
 def generate_system(spec):
     """Draw a random decoupled system per the spec; deterministic in the seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    rng = seeded_rng(spec.seed)
     L = len(spec.ranks)
     shapes = [(spec.ranks[0], spec.n_inputs)]
     shapes += [(spec.ranks[i + 1], spec.ranks[i]) for i in range(L - 1)]
@@ -374,11 +376,6 @@ class ResultTable:
     n_outputs: int
 
 
-def _rng(base_seed, run_id, stream):
-    seq = np.random.SeedSequence(int(base_seed), spawn_key=(int(run_id), stream))
-    return np.random.Generator(np.random.Philox(seq))
-
-
 def _solver_seed(base_seed, run_id):
     seq = np.random.SeedSequence(int(base_seed), spawn_key=(int(run_id), 3))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
@@ -396,8 +393,8 @@ def _single_run(cfg, target, run_id):
     solver_seed = _solver_seed(cfg.seed, run_id)
     row = RunResult(run_id=run_id, seed=solver_seed)
     try:
-        train = _rng(cfg.seed, run_id, 0).uniform(-1.0, 1.0, size=(cfg.n_samples, m))
-        val = _rng(cfg.seed, run_id, 1).uniform(-1.0, 1.0, size=(cfg.n_validation, m))
+        train = seeded_rng(cfg.seed, run_id, 0).uniform(-1.0, 1.0, size=(cfg.n_samples, m))
+        val = seeded_rng(cfg.seed, run_id, 1).uniform(-1.0, 1.0, size=(cfg.n_validation, m))
         j_tensor = build_jacobian_tensor(target, train)
         f_matrix = build_f_matrix(target, train)
         val_targets = eval_batch(target, val)
@@ -414,7 +411,7 @@ def _single_run(cfg, target, run_id):
         fitted_model = state_to_model(fitted.state)
         row.output_errors = list(rrmse(val_targets, eval_batch(fitted_model, val)))
         if cfg.n_test:
-            test = _rng(cfg.seed, run_id, 2).uniform(-1.0, 1.0, size=(cfg.n_test, m))
+            test = seeded_rng(cfg.seed, run_id, 2).uniform(-1.0, 1.0, size=(cfg.n_test, m))
             test_targets = eval_batch(target, test)
             row.test_errors = list(rrmse(test_targets, eval_batch(fitted_model, test)))
     except _RUN_FAILURES as exc:  # failed runs are recorded, not dropped

@@ -601,6 +601,12 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
+    """The model a model file holds; ValueError for a malformed document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
+    for key in ("layers", "weights", "coeffs", "degrees"):
+        if key not in doc:
+            raise ValueError(f"model file lacks the key {key!r}")
     if doc.get("basis") != "monomial":
         raise ValueError(f"unsupported basis tag {doc.get('basis')!r}")
     weights = tuple(np.array(w, dtype=float) for w in doc["weights"])

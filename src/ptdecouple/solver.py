@@ -20,6 +20,9 @@ the coefficient updates come in two flavours:
 * ``constr`` - direct least-squares update of the coefficients with the
   constraints satisfied by construction.
 
+Both start from one build of the layer's per-slice structure,
+``_coeff_problem``.
+
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
 are frozen at their initial values and reported in the fit report.  The
@@ -41,7 +44,8 @@ its forward tape, from which the normal matrix is summed chunk by chunk of
 sampling points and the adjoint pass runs.
 
 A fit is single-threaded and deterministic given its configuration;
-separate fits share no mutable state and may run concurrently.
+separate fits share no mutable state and may run concurrently.  Every
+generator the package makes comes from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ __all__ = [
     "SolverState",
     "FitReport",
     "SolverDivergenceError",
+    "seeded_rng",
     "init_state",
     "build_MW",
     "build_MG",
@@ -209,18 +214,28 @@ class FitReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def seeded_rng(seed, *spawn_key):
+    """The package's one random generator: Philox seeded through a SeedSequence.
+
+    ``seeded_rng(s)`` draws the numbers of ``Philox(s)``; each spawn key
+    gives an independent stream of the same seed, alike on any platform.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def init_state(cfg, dims):
     """Random starting state for problem dims (n, m, S).
 
     All entries of W_0..W_L, G_1..G_L, R and the coefficient vectors are
-    drawn uniformly from [0.1, 10), in that order, from a
-    Philox generator seeded with ``rng_seed``; identical configs produce
-    identical states on any platform.
+    drawn uniformly from [0.1, 10), in that order, from
+    ``seeded_rng(rng_seed)``; identical configs produce identical states on
+    any platform.
     """
     n, m, S = dims
     if n < 1 or m < 1 or S < 1:
         raise ValueError(f"invalid dims {dims}")
-    rng = np.random.Generator(np.random.Philox(int(cfg.rng_seed)))
+    rng = seeded_rng(cfg.rng_seed)
     lo, hi = 0.1, 10.0
     ranks = cfg.ranks
     L = cfg.n_layers
@@ -234,17 +249,6 @@ def init_state(cfg, dims):
         rng.uniform(lo, hi, size=(r, d + 1)) for r, d in zip(ranks, cfg.degrees)
     ]
     return SolverState(weights=weights, G=G, R=R, coeffs=coeffs)
-
-
-def _chains(weights, G, l):
-    """(left, right) chains around layer l, both with the full slice count."""
-    S = G[0].shape[0]
-    left = left_chain(weights, G, l)
-    right = right_chains(weights, G, l)[-1]
-    return (
-        np.broadcast_to(left, (S,) + left.shape[1:]),
-        np.broadcast_to(right, (S,) + right.shape[1:]),
-    )
 
 
 def build_MW(state, layer):
@@ -275,10 +279,17 @@ def _g_rows(weights, G, layer):
 
     Entry (s, a, b, j) is right[s, j, a] * left[s, b, j], the Khatri-Rao
     product of the chains around the layer, so that vec(J[:, :, s]) equals
-    the slice's m*n x r matrix times G_layer[s, :] for exact factors.
+    the slice's m*n x r matrix times G_layer[s, :] for exact factors.  The
+    products are formed with S innermost, where a chain of one slice
+    broadcasts over all S, and returned as a view; each entry is a single
+    product, so the layout changes no bit.
     """
-    left, right = _chains(weights, G, layer)
-    return np.einsum("sja,sbj->sabj", right, left)
+    right = right_chains(weights, G, layer)[-1]
+    left = left_chain(weights, G, layer)
+    _, r, m = right.shape
+    out = np.empty((r, m, left.shape[1], G[0].shape[0]))
+    np.multiply(right.transpose(1, 2, 0)[:, :, None], left.transpose(2, 1, 0)[:, None], out=out)
+    return out.transpose(3, 1, 2, 0)
 
 
 def build_MG(state, layer, s):
@@ -321,12 +332,28 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     return state
 
 
-def _layer_inputs(state, points, layer):
-    """Fresh u values (S x r_layer) from the current weights and coefficients.
+def _coeff_problem(state, layer, j_tensor, points):
+    """The per-slice structure that both coefficient updates of a layer start from.
 
-    Only the layers below ``layer`` enter, so the pass stops there.
+    Returns ``(K, jb, X, Y, i0)``: K (S x m*n x r) the slices' G-row
+    matrices (:func:`_g_rows`) and jb (S x m*n) the vec(J_s), so that
+    vec(J_s) = K_s G_layer[s] for exact factors; ``X = build_X(U, d)`` and,
+    at the last layer only, ``Y = build_Y(U, d)`` (else None) of the fresh
+    layer inputs U, so that column j of G_layer (R) is X[j] @ c_j
+    (Y[j] @ c_j); and i0, the first fitted coefficient column (1 below the
+    last layer, where the constants are frozen, else 0).  The rows of
+    (M_C)_0 are ``_structured_rows(K, X[:, :, i0:])``.  U depends only on
+    the layers below, so the pass stops there.
     """
-    return internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
+    L = state.n_layers
+    n, m, S = j_tensor.shape
+    K = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
+    jb = j_tensor.transpose(2, 1, 0).reshape(S, m * n)
+    U = internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
+    d = state.coeffs[layer - 1].shape[1] - 1
+    X = build_X(U, d)
+    Y = build_Y(U, d) if layer == L else None
+    return K, jb, X, Y, 0 if layer == L else 1
 
 
 def _write_factors(state, layer, X, Y):
@@ -346,64 +373,25 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
     All rows of G_layer are updated by unconstrained least squares in one
-    stacked solve (for the last layer R as a whole too, from F).  The
-    structure matrices are then rebuilt from fresh layer inputs and every
-    neuron's coefficients fit to its updated factor column, all neurons in
-    one stacked solve; the last layer stacks the sqrt(lam)-scaled R column
-    and function-value rows below.  The constants of the layers below the
-    last stay frozen.  Finally the factors are overwritten by their
-    structured versions.
+    stacked solve against the G-row matrices of :func:`_coeff_problem`
+    (for the last layer R as a whole too, from F).  Every neuron's
+    coefficients are then fit to its updated factor column through the
+    structure matrices of the fresh layer inputs, all neurons in one
+    stacked solve; the last layer stacks the sqrt(lam)-scaled R column and
+    function-value rows below.  The constants of the layers below the last
+    stay frozen.  Finally the factors are overwritten by their structured
+    versions.
     """
-    L = state.n_layers
-    n, m, S = j_tensor.shape
-    M = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
-    state.G[layer - 1] = _lstsq(state, M, j_tensor.transpose(2, 1, 0).reshape(S, m * n))
-    if layer == L:
-        state.R = _lstsq(state, state.weights[L], f_matrix).T
-
-    U = _layer_inputs(state, points, layer)
-    X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
-    i0 = 0 if layer == L else 1
-    a, b, Y = X[:, :, i0:], state.G[layer - 1].T, None
-    if layer == L:
-        Y = build_Y(U, X.shape[2] - 1)
+    K, jb, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    state.G[layer - 1] = _lstsq(state, K, jb)
+    a, b = X[:, :, i0:], state.G[layer - 1].T
+    if Y is not None:
+        state.R = _lstsq(state, state.weights[-1], f_matrix).T
         a = np.concatenate([a, np.sqrt(lam) * Y], axis=1)
         b = np.concatenate([b, np.sqrt(lam) * state.R.T], axis=1)
     state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b)
     _write_factors(state, layer, X, Y)
     return state
-
-
-def _constr_system(state, layer, points):
-    """Pruned coefficient matrix (M_C)_0 of one layer with the rows it was built from.
-
-    Returns ``(M0, U, X, i0)``: the matrix, the layer inputs U, their
-    derivative structure blocks ``X = build_X(U, d)`` and the first kept
-    coefficient column i0 (1 below the last layer, where the constants are
-    frozen, else 0).
-
-    Per slice the tensor slice factors as F_le @ C @ F_ri with C the
-    block-diagonal coefficient matrix, so vec(J) is linear in vec(C); the
-    structurally zero entries of vec(C) (off-block, plus the constant rows
-    for layers below the last) are pruned from the system columns.  The
-    rows of slice s are kron(right.T, left @ X_s) restricted to the kept
-    columns, built here directly: row (a, b), column (j, i) holds the
-    slice's G-row entry right[j, a] * left[b, j] (``_g_rows``) times
-    X_s[j, i].
-    """
-    K, U, X, i0 = _constr_factors(state, layer, points)
-    return _structured_rows(K, X[:, :, i0:]), U, X, i0
-
-
-def _constr_factors(state, layer, points):
-    """``(K, U, X, i0)`` of :func:`_constr_system`, K the S x m*n x r G-row matrices."""
-    L = state.n_layers
-    U = _layer_inputs(state, points, layer)
-    X = build_X(U, state.coeffs[layer - 1].shape[1] - 1)
-    i0 = 0 if layer == L else 1
-    K = _g_rows(state.weights, state.G, layer)
-    S, m, n, r = K.shape
-    return K.reshape(S, m * n, r), U, X, i0
 
 
 def _structured_rows(K, X):
@@ -427,38 +415,34 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """Direct coefficient update with the constraints satisfied by construction.
 
     Solves for the coefficient vector against vec(J) through the pruned
-    structure-incorporated system (:func:`_constr_system`); the last layer
-    stacks the sqrt(lam)-scaled F factorization block below.  G (and R) are
-    then written from the coefficients, so they satisfy the constraints
-    exactly.
+    structure-incorporated system (M_C)_0, whose rows of slice s are K_s D_s
+    with D_s the slice's structure rows (:func:`_coeff_problem`); the last
+    layer stacks the sqrt(lam)-scaled F factorization block below.  G (and
+    R) are then written from the coefficients, so they satisfy the
+    constraints exactly.
 
-    The rows of slice s are K_s D_s, with K_s the slice's m*n x r G-row
-    matrix and D_s its block of structure rows, so with K_s = Q_s R_s the
-    r rows R_s D_s against (Q_s^T vec(J_s))[:r] have the same minimizer and
-    the same singular values: the system is block-diagonal(Q_s) times the
-    reduced one.  Once that removes at least ``_CONSTR_QR_MIN_ROWS`` rows,
-    every slice is reduced by one stacked QR (:func:`householder_qr`), and
-    at the last layer the F block W_L E_s is reduced alike by one QR of W_L
-    when n > r.  A reduction with a non-finite entry is dropped for the full
-    system, where the solve reports it.
+    With K_s = Q_s R_s, the r rows R_s D_s against
+    (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
+    values: the system is block-diagonal(Q_s) times the reduced one.  Once
+    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
+    reduced by one stacked QR (:func:`householder_qr`), and at the last
+    layer the F block W_L E_s is reduced alike by one QR of W_L when n > r.
+    A reduction with a non-finite entry is dropped for the full system,
+    where the solve reports it.
     """
-    L = state.n_layers
-    n, m, S = j_tensor.shape
-    K, U, X, i0 = _constr_factors(state, layer, points)
-    r = K.shape[2]
-    jb = j_tensor.transpose(2, 1, 0).reshape(S, m * n)
-    W, fb = state.weights[L], f_matrix
-    if S * (m * n - r) >= _CONSTR_QR_MIN_ROWS:
+    K, jb, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    S, p, r = K.shape
+    W, fb = state.weights[-1], f_matrix
+    if S * (p - r) >= _CONSTR_QR_MIN_ROWS:
         Kq, jq = householder_qr(K, jb)
         Wq, fq = W, fb
-        if layer == L and n > r:
+        if Y is not None and len(W) > r:
             Q, Wq = np.linalg.qr(W)
             fq = Q.T @ fb
         if all(np.all(np.isfinite(x)) for x in (Kq, jq, Wq, fq)):
             K, jb, W, fb = Kq, jq, Wq, fq
-    a, b, Y = _structured_rows(K, X[:, :, i0:]), jb.ravel(), None
-    if layer == L:
-        Y = build_Y(U, X.shape[2] - 1)
+    a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
+    if Y is not None:
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
         # W_L[i, j] * Y_j[s, k]
         coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", W, Y).reshape(
@@ -974,12 +958,16 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     )
 
 
-def start_search(cfg, j_tensor, f_matrix, points, starts=8):
-    """Best of ``starts`` seeded LM descents by the training objective at cfg.lam.
+# LM descents of one start search at most
+_SEARCH_STARTS = 8
+
+
+def start_search(cfg, j_tensor, f_matrix, points):
+    """Best of ``_SEARCH_STARTS`` seeded LM descents by the training objective at cfg.lam.
 
     Start k draws W_0..W_L and the coefficients (in that order, start after
-    start) from the standard normal distribution N(0, 1) with a Philox
-    generator seeded with ``cfg.rng_seed``, sets the frozen constants of the
+    start) from the standard normal distribution N(0, 1) with
+    ``seeded_rng(cfg.rng_seed)``, sets the frozen constants of the
     layers below the last to 0 (a constant shift of a layer's output is
     absorbed by the next layer's polynomials), rebalances the neuron input
     scales (:func:`rebalance`) and runs :func:`lm_descent`.  The search
@@ -992,9 +980,9 @@ def start_search(cfg, j_tensor, f_matrix, points, starts=8):
     n, m, S = j_tensor.shape
     dims = [m, *cfg.ranks, n]
     L = cfg.n_layers
-    rng = np.random.Generator(np.random.Philox(int(cfg.rng_seed)))
+    rng = seeded_rng(cfg.rng_seed)
     best = None
-    for _ in range(starts):
+    for _ in range(_SEARCH_STARTS):
         weights = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(L + 1)]
         coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(cfg.ranks, cfg.degrees)]
         for c in coeffs[:-1]:

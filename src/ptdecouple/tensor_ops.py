@@ -128,18 +128,23 @@ def fro_norm(x):
     return float(np.sqrt(np.sum(x * x)))
 
 
-def lstsq(a, b, rtol=1e-12):
+# singular values at or below this fraction of their system's largest are
+# truncated by every least-squares solve
+_RTOL = 1e-12
+
+
+def lstsq(a, b):
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
-    Uses an SVD-based solver; singular values below ``rtol`` times the
-    largest singular value are truncated, which yields the minimum-norm
+    Uses an SVD-based solver; singular values at or below ``_RTOL`` times
+    the largest singular value are truncated, which yields the minimum-norm
     solution for rank-deficient systems.  Normal equations are never formed.
     """
-    x, _ = lstsq_info(a, b, rtol)
+    x, _ = lstsq_info(a, b)
     return x
 
 
-def lstsq_info(a, b, rtol=1e-12):
+def lstsq_info(a, b):
     """Like :func:`lstsq` but also returns the number of truncated singular values.
 
     ``a`` is one system, p x q with ``b`` of length p or p x k, or a stack
@@ -163,12 +168,12 @@ def lstsq_info(a, b, rtol=1e-12):
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise NonFiniteError("non-finite entries in least-squares system")
     if a.ndim == 2:
-        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rtol)
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RTOL)
         return x, min(a.shape) - int(rank)
     K, p, q = a.shape
     if K >= _QR_MIN_STACK and p >= q:
-        return _lstsq_qr(a, b, rtol)
-    return _lstsq_svd(a, b, rtol)
+        return _lstsq_qr(a, b)
+    return _lstsq_svd(a, b)
 
 
 # Stacks of at least this many tall systems take the QR path.  Median time
@@ -180,17 +185,17 @@ def lstsq_info(a, b, rtol=1e-12):
 # grows; at K = 30 it gains nothing, and S = 30 stacks keep the SVD.
 _QR_MIN_STACK = 100
 # QR keeps a system's solution only when its bound on sigma_min / sigma_max
-# exceeds rtol by this factor.  The computed R is the exact factor of rows
+# exceeds _RTOL by this factor.  The computed R is the exact factor of rows
 # perturbed at round-off, and R^-1 of a kept system is accurate to about
 # 1e-6, so the bound is off by far less than this factor: every kept
 # system is one whose singular values the SVD would all keep.
 _QR_MARGIN = 100.0
 
 
-def _lstsq_svd(a, b, rtol):
+def _lstsq_svd(a, b):
     """Minimum-norm solutions of a K x p x q stack by one batched SVD."""
     U, sv, Vt = np.linalg.svd(a, full_matrices=False)
-    keep = sv > rtol * sv[:, :1]
+    keep = sv > _RTOL * sv[:, :1]
     coef = np.einsum("kpi,kp->ki", U, b) / np.where(keep, sv, 1.0)
     return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))
 
@@ -222,6 +227,9 @@ def householder_qr(a, b):
             tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
             tau[alpha == 0.0] = 0.0
             v[:, 0] -= s
+            # dropped before the updates below, whose temporaries and ufunc
+            # buffers set the peak memory of the whole reduction
+            del alpha, x0, s
             rest = A[:, j + 1 :, j:]
             rest -= (np.einsum("kcp,kp->kc", rest, v) * tau[:, None])[:, :, None] * v[:, None, :]
             R[:, j, j + 1 :] = rest[:, :, 0]
@@ -231,14 +239,14 @@ def householder_qr(a, b):
     return R, y[:, :q]
 
 
-def _lstsq_qr(a, b, rtol):
+def _lstsq_qr(a, b):
     """Solutions of a K x p x q stack, p >= q, by Householder QR across the stack.
 
     :func:`householder_qr` gives R and Q^T b; R^-1 comes from
     back-substitution across the stack and x = R^-1 (Q^T b)[:q].  R has the
     singular values of its system, so 1 / (||R||_F ||R^-1||_F) is a lower
     bound on sigma_min / sigma_max.  A system whose bound is not finite or
-    not above ``_QR_MARGIN * rtol``, or whose solution is not finite, is
+    not above ``_QR_MARGIN * _RTOL``, or whose solution is not finite, is
     re-solved by :func:`_lstsq_svd` from its original rows: rank-deficient
     and near-threshold systems, and those whose reflections over- or
     underflow.  Every kept system is one the SVD would not truncate, so the
@@ -255,9 +263,9 @@ def _lstsq_qr(a, b, rtol):
             ) * Rinv[:, i, i, None]
         x = np.einsum("kij,kj->ki", Rinv, y)
         kappa = np.sqrt(np.einsum("kij,kij->k", R, R) * np.einsum("kij,kij->k", Rinv, Rinv))
-        ok = (kappa < 1.0 / (_QR_MARGIN * rtol)) & np.all(np.isfinite(x), axis=1)
+        ok = (kappa < 1.0 / (_QR_MARGIN * _RTOL)) & np.all(np.isfinite(x), axis=1)
     redo = np.flatnonzero(~ok)
     if not redo.size:
         return x, 0
-    x[redo], trunc = _lstsq_svd(a[redo], b[redo], rtol)
+    x[redo], trunc = _lstsq_svd(a[redo], b[redo])
     return x, trunc

@@ -27,7 +27,7 @@ from ptdecouple.model import (
     true_pt_factors,
 )
 from ptdecouple.solver import SolverConfig, build_MG, build_MW, fit
-from ptdecouple.solver import _constr_system
+from ptdecouple.solver import _coeff_problem, _structured_rows
 from ptdecouple.tensor_ops import fro_norm, unfold, vec, vec3
 
 
@@ -210,7 +210,9 @@ def test_criterion_6_update_matrix_identities():
             for s in range(9):
                 M = build_MG(st, l, s)
                 worst = max(worst, fro_norm(vec(J[:, :, s]) - M @ st.G[l - 1][s]) / nJ)
-            M0, U, basis, i0 = _constr_system(st, l, pts)
+            # the rows (M_C)_0 that the constr update solves on
+            K, _, X, _, i0 = _coeff_problem(st, l, J, pts)
+            M0 = _structured_rows(K, X[:, :, i0:])
             c = np.concatenate([st.coeffs[l - 1][j, i0:] for j in range(ranks[l - 1])])
             worst = max(worst, fro_norm(vec3(J) - M0 @ c) / nJ)
     ok = worst <= 1e-10

@@ -83,6 +83,17 @@ class TestPerSliceX:
         row = build_X(u[None, :], 3)[0]
         assert np.array_equal(one, row)
 
+    def test_rows_are_the_cumulative_products_times_i(self):
+        # the former double loop, kept as the reference: equal bit for bit
+        u = np.random.default_rng(5).normal(size=3) * 7.0
+        want = np.zeros((3, 3 * 5))
+        for j in range(3):
+            p = 1.0
+            for i in range(1, 5):
+                want[j, j * 5 + i] = i * p
+                p *= u[j]
+        assert np.array_equal(build_per_slice_X(u, 4), want)
+
     def test_product_is_diagonal(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=3)

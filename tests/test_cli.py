@@ -86,6 +86,55 @@ def test_decouple_model_file_target(tmp_path):
     assert code == 0
 
 
+def test_decouple_draws_points_from_spawn_keys_0_and_1(tmp_path, monkeypatch):
+    # the training points come from SeedSequence(seed, spawn_key=(0,)), the
+    # validation points from spawn_key=(1,)
+    import ptdecouple.cli as cli_mod
+
+    seen = {}
+    tune = cli_mod.tune
+
+    def spied(cfg, j, f, train, validation):
+        seen["train"], seen["val"] = train, validation[0]
+        return tune(cfg, j, f, train, validation)
+
+    monkeypatch.setattr(cli_mod, "tune", spied)
+    assert main([
+        "decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
+        "--samples", "12", "--validation", "7", "--seed", "9", "--max-iters", "3",
+        "--min-iters", "2", "--max-stages", "1", "--out", str(tmp_path),
+    ]) == 0
+
+    def draws(key, size):
+        seq = np.random.SeedSequence(9, spawn_key=(key,))
+        return np.random.Generator(np.random.Philox(seq)).uniform(-1.0, 1.0, size=(size, 2))
+
+    assert np.array_equal(seen["train"], draws(0, 12))
+    assert np.array_equal(seen["val"], draws(1, 7))
+
+
+@pytest.mark.parametrize("fault, named", [
+    ("a list", "JSON object"), ("no weights", "'weights'"), ("no degrees", "'degrees'"),
+])
+def test_malformed_model_file_is_config_error(tmp_path, capsys, fault, named):
+    from ptdecouple.harness import builtin_system
+    from ptdecouple.model import model_to_json
+
+    doc = model_to_json(builtin_system("f1"))
+    if fault == "a list":
+        doc = [doc]
+    else:
+        del doc[fault.split()[1]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    layers = ["--ranks", "2,2", "--degrees", "5,2", "--max-stages", "1"]
+    for command in ("decouple", "experiment"):
+        code = main([command, "--target", str(path), *layers, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and named in err
+
+
 def test_experiment_from_flags(tmp_path):
     out = str(tmp_path)
     code = main([

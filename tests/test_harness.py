@@ -187,10 +187,10 @@ class TestRunExperiment:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_train_validation_disjoint_streams(self):
-        from ptdecouple.harness import _rng
+        from ptdecouple.solver import seeded_rng
 
-        train = _rng(5, 0, 0).uniform(-1, 1, (20, 2))
-        val = _rng(5, 0, 1).uniform(-1, 1, (20, 2))
+        train = seeded_rng(5, 0, 0).uniform(-1, 1, (20, 2))
+        val = seeded_rng(5, 0, 1).uniform(-1, 1, (20, 2))
         assert not np.isclose(train, val).all(axis=1).any()
 
     def test_aggregates_recomputable(self, tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from conftest import make_system, truth_state
 
-from ptdecouple.basis import build_Y
 from ptdecouple.model import build_f_matrix, build_jacobian_tensor, pt_reconstruct
 from ptdecouple.solver import (
     SolverConfig,
@@ -20,7 +19,7 @@ from ptdecouple.solver import (
     update_c_proj,
     update_W,
 )
-from ptdecouple.solver import _constr_system
+from ptdecouple.solver import _coeff_problem, _structured_rows
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
     fro_norm,
@@ -39,6 +38,12 @@ def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
     J = build_jacobian_tensor(model, pts)
     F = build_f_matrix(model, pts)
     return model, pts, J, F
+
+
+def constr_rows(st, layer, J, pts):
+    """The rows (M_C)_0 that the constr update solves on, with the first fitted column."""
+    K, _, X, _, i0 = _coeff_problem(st, layer, J, pts)
+    return _structured_rows(K, X[:, :, i0:]), i0
 
 
 class TestConfig:
@@ -269,15 +274,15 @@ class TestUpdateCConstr:
         model, pts, J, F = problem(14, S=12)
         st = truth_state(model, pts)
         for layer in (1, 2):
-            M0, U, basis, i0 = _constr_system(st, layer, pts)
+            M0, i0 = constr_rows(st, layer, J, pts)
             c = np.concatenate([st.coeffs[layer - 1][j, i0:] for j in range(2)])
             assert fro_norm(vec3(J) - M0 @ c) <= 1e-10 * fro_norm(J)
 
     def test_pruned_column_counts(self):
         model, pts, J, F = problem(15, ranks=(3, 2), degrees=(4, 3), m=3, n=3, S=10)
         st = truth_state(model, pts)
-        M1, _, _, i0_1 = _constr_system(st, 1, pts)
-        M2, _, _, i0_2 = _constr_system(st, 2, pts)
+        M1, i0_1 = constr_rows(st, 1, J, pts)
+        M2, i0_2 = constr_rows(st, 2, J, pts)
         assert i0_1 == 1 and M1.shape[1] == 3 * 4        # r1 * d1, constants pruned
         assert i0_2 == 0 and M2.shape[1] == 2 * (3 + 1)  # r_L * (d_L + 1)
 
@@ -333,7 +338,7 @@ class TestReducedConstrRows:
         return reduced, full, rows
 
     @staticmethod
-    def assert_same_solution(st, layer, pts, reduced, full):
+    def assert_same_solution(st, layer, J, pts, reduced, full):
         """The two coefficient sets agree to 1e-12, each coefficient weighted by
         the norm of the full system's column it multiplies.
 
@@ -342,10 +347,10 @@ class TestReducedConstrRows:
         1e9 and falls to about 60 once its columns are scaled; two solvers of
         the same full system differ there by 1e-11 to 1e-9 unweighted.
         """
-        M0, U, X, i0 = _constr_system(st, layer, pts)
+        K, _, X, Y, i0 = _coeff_problem(st, layer, J, pts)
+        M0 = _structured_rows(K, X[:, :, i0:])
         sq = np.sum(M0 * M0, axis=0).reshape(len(X), -1)
-        if layer == st.n_layers:
-            Y = build_Y(U, X.shape[2] - 1)
+        if Y is not None:
             sq += 1e-6 * np.sum(st.weights[-1] ** 2, axis=0)[:, None] * np.sum(Y * Y, axis=1)
         c, want = (x.coeffs[layer - 1][:, i0:] * np.sqrt(sq) for x in (reduced, full))
         assert fro_norm(c - want) <= 1e-12 * fro_norm(want)
@@ -363,7 +368,7 @@ class TestReducedConstrRows:
         reduced, full, rows = self.both_paths(monkeypatch, st, layer, J, F, pts)
         f_rows = (0, 0) if layer == 1 else (S * min(n, r), S * n)
         assert rows == [S * r + f_rows[0], S * m * n + f_rows[1]]
-        self.assert_same_solution(st, layer, pts, reduced, full)
+        self.assert_same_solution(st, layer, J, pts, reduced, full)
         assert reduced.n_truncated == full.n_truncated == 0
 
     @pytest.mark.parametrize("name, S", [("f1", 1000), ("f2", 300)])
@@ -375,7 +380,7 @@ class TestReducedConstrRows:
         reduced, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
         assert rows[0] < rows[1]
         assert reduced.n_truncated == full.n_truncated == st.coeffs[1].shape[1]
-        self.assert_same_solution(st, 2, pts, reduced, full)
+        self.assert_same_solution(st, 2, J, pts, reduced, full)
 
     def test_non_finite_reduction_falls_back_to_the_full_system(self, monkeypatch):
         import ptdecouple.solver as solver_mod
@@ -405,6 +410,60 @@ class TestReducedConstrRows:
         monkeypatch.setattr(solver_mod, "householder_qr", lambda *a: calls.append(a))
         fit(SolverConfig(ranks=ranks, degrees=degrees, rng_seed=2, max_iters=12), J, F, pts)
         assert not calls
+
+
+class TestCoeffProblem:
+    """Both coefficient updates start from one build of the layer's structure."""
+
+    # L = 2 and L = 3, at S = 30 and at an S where every constr update
+    # solves on QR-reduced rows
+    @pytest.mark.parametrize("strategy", ["proj", "constr"])
+    @pytest.mark.parametrize("ranks, degrees, m, n, S", [
+        ((2, 2), (3, 2), 2, 2, 30), ((2, 2), (3, 2), 2, 2, 1000),
+        ((3, 2, 2), (2, 3, 2), 3, 2, 30), ((3, 2, 2), (2, 3, 2), 3, 2, 700),
+    ])
+    def test_each_update_builds_x_once_and_y_at_the_last_layer(
+        self, monkeypatch, strategy, ranks, degrees, m, n, S
+    ):
+        import ptdecouple.solver as solver_mod
+
+        model, pts, J, F = problem(19, m=m, n=n, ranks=ranks, degrees=degrees, S=S)
+        st = truth_state(model, pts, perturb=1e-2, seed=3)
+        calls, reduced = [], []
+        for name in ("build_X", "build_Y"):
+            build = getattr(solver_mod, name)
+            monkeypatch.setattr(solver_mod, name,
+                                lambda u, d, b=build, k=name: calls.append(k) or b(u, d))
+        qr = solver_mod.householder_qr
+        monkeypatch.setattr(solver_mod, "householder_qr", lambda *a: reduced.append(1) or qr(*a))
+        update = update_c_proj if strategy == "proj" else update_c_constr
+        L = len(ranks)
+        for layer in range(1, L + 1):
+            calls.clear()
+            update(st, layer, J, F, pts, lam=1e-6)
+            assert sorted(calls) == (["build_X", "build_Y"] if layer == L else ["build_X"])
+        assert len(reduced) == (L if strategy == "constr" and S > 30 else 0)
+
+    def test_rows_match_the_slice_matrices_of_build_mg(self):
+        model, pts, J, F = problem(20, ranks=(3, 2, 2), degrees=(2, 3, 2), m=3, n=2, S=7)
+        st = truth_state(model, pts, perturb=0.1, seed=4)
+        for layer in (1, 2, 3):
+            K, jb, X, Y, i0 = _coeff_problem(st, layer, J, pts)
+            for s in range(7):
+                assert np.array_equal(K[s], build_MG(st, layer, s))
+                assert np.array_equal(jb[s], vec(J[:, :, s]))
+            assert (Y is None, i0) == ((False, 0) if layer == 3 else (True, 1))
+
+
+def test_seeded_rng_keeps_the_plain_philox_streams():
+    from ptdecouple.solver import seeded_rng
+
+    for seed in (0, 3, 2**63 + 5, 12_300_000_000_000_000_000):
+        want = np.random.Generator(np.random.Philox(seed)).uniform(size=5)
+        assert np.array_equal(seeded_rng(seed).uniform(size=5), want)
+    seq = np.random.SeedSequence(3, spawn_key=(4, 1))
+    want = np.random.Generator(np.random.Philox(seq)).uniform(size=5)
+    assert np.array_equal(seeded_rng(3, 4, 1).uniform(size=5), want)
 
 
 class TestFit:
@@ -758,15 +817,17 @@ class TestLevenbergMarquardt:
                             stop_reason="stalled")
 
         monkeypatch.setattr(solver_mod, "lm_descent", fake_descent)
-        picked = start_search(cfg, J, F, pts, starts=5)
+        monkeypatch.setattr(solver_mod, "_SEARCH_STARTS", 5)
+        picked = start_search(cfg, J, F, pts)
         assert picked is seen[3]
         # same seed, same draws; the frozen constants of inner layers are 0
         scripted = iter([np.nan, 5.0, np.inf, 2.0, 3.0])
-        again = start_search(cfg, J, F, pts, starts=5)
+        again = start_search(cfg, J, F, pts)
         assert all(np.array_equal(a, b) for a, b in zip(picked.weights, again.weights))
         assert np.all(picked.coeffs[0][:, 0] == 0.0)
         scripted = iter([np.nan, np.inf])
-        assert start_search(cfg, J, F, pts, starts=2) is None
+        monkeypatch.setattr(solver_mod, "_SEARCH_STARTS", 2)
+        assert start_search(cfg, J, F, pts) is None
 
     def test_search_reaches_exact_fits(self):
         # a search is not certain to find the global minimum, but on noise-free
