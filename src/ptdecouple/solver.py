@@ -66,7 +66,15 @@ from .model import (
     left_chain,
     right_chains,
 )
-from .tensor_ops import NonFiniteError, fro_norm, householder_qr, lstsq_info, unfold, vec, vec3
+from .tensor_ops import (
+    NonFiniteError,
+    fro_norm,
+    householder_planes,
+    lstsq_info,
+    unfold,
+    vec,
+    vec3,
+)
 
 __all__ = [
     "SolverConfig",
@@ -337,9 +345,11 @@ def _coeff_problem(state, layer, j_tensor, points):
 
     Returns ``(K, jb, X, Y, i0)``: K (S x m*n x r) the slices' G-row
     matrices (:func:`_g_rows`) and jb (S x m*n) the vec(J_s), so that
-    vec(J_s) = K_s G_layer[s] for exact factors; ``X = build_X(U, d)`` and,
-    at the last layer only, ``Y = build_Y(U, d)`` (else None) of the fresh
-    layer inputs U, so that column j of G_layer (R) is X[j] @ c_j
+    vec(J_s) = K_s G_layer[s] for exact factors, both views of slices-last
+    arrays: the r x m*n x S column planes of :func:`_g_rows` and the
+    m*n x S rows of J, one contiguous row copy each; ``X = build_X(U, d)``
+    and, at the last layer only, ``Y = build_Y(U, d)`` (else None) of the
+    fresh layer inputs U, so that column j of G_layer (R) is X[j] @ c_j
     (Y[j] @ c_j); and i0, the first fitted coefficient column (1 below the
     last layer, where the constants are frozen, else 0).  The rows of
     (M_C)_0 are ``_structured_rows(K, X[:, :, i0:])``.  U depends only on
@@ -348,7 +358,7 @@ def _coeff_problem(state, layer, j_tensor, points):
     L = state.n_layers
     n, m, S = j_tensor.shape
     K = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
-    jb = j_tensor.transpose(2, 1, 0).reshape(S, m * n)
+    jb = j_tensor.transpose(1, 0, 2).reshape(m * n, S).T
     U = internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
     d = state.coeffs[layer - 1].shape[1] - 1
     X = build_X(U, d)
@@ -403,9 +413,10 @@ def _structured_rows(K, X):
 
 # The constr update reduces each slice's rows by QR once that removes at
 # least this many rows, S * (m*n - r).  Time of a 5-sweep constr fit,
-# reduced / full rows (rows removed), one BLAS thread: f1 shape S = 500
-# 1.09 (1000), S = 1000 0.81 (2000); f2 shape S = 200 1.03 (1400),
-# S = 300 0.96 (2100), S = 1000 0.69 (7000).  The stacked QR costs a fixed
+# reduced / full rows (rows removed), median of 31 interleaved pairs, one
+# BLAS thread: f1 shape S = 500 1.04 (1000), S = 700 1.02 (1400),
+# S = 1000 0.81 (2000); f2 shape S = 200 1.04 (1400), S = 300 0.98 (2100),
+# S = 500 0.76 (3500), S = 1000 0.66 (7000).  The stacked QR costs a fixed
 # number of numpy calls, which fewer removed rows do not repay; the S = 30
 # fits remove at most 210 rows and keep the full system.
 _CONSTR_QR_MIN_ROWS = 2000
@@ -425,23 +436,35 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
     that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
-    reduced by one stacked QR (:func:`householder_qr`), and at the last
-    layer the F block W_L E_s is reduced alike by one QR of W_L when n > r.
-    A reduction with a non-finite entry is dropped for the full system,
-    where the solve reports it.
+    reduced by one stacked QR on the column planes of K
+    (:func:`householder_planes`), the reduced rows are built from R's planes
+    in the order (row of R, slice), and at the last layer the F block
+    W_L E_s is reduced alike by one QR of W_L when n > r.  A reduction with
+    a non-finite entry is dropped for the full system, where the solve
+    reports it.
     """
     K, jb, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
     S, p, r = K.shape
     W, fb = state.weights[-1], f_matrix
-    if S * (p - r) >= _CONSTR_QR_MIN_ROWS:
-        Kq, jq = householder_qr(K, jb)
+    reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
+    if reduced:
+        R, y = householder_planes(K.transpose(2, 1, 0), jb.T)
         Wq, fq = W, fb
         if Y is not None and len(W) > r:
             Q, Wq = np.linalg.qr(W)
             fq = Q.T @ fb
-        if all(np.all(np.isfinite(x)) for x in (Kq, jq, Wq, fq)):
-            K, jb, W, fb = Kq, jq, Wq, fq
-    a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
+        reduced = all(np.all(np.isfinite(x)) for x in (R, y, Wq, fq))
+    if reduced:
+        # the unreduced rows are dropped before the reduced ones are built,
+        # and R and Q^T b (views of the reduction's planes) before the solve
+        del K, jb
+        W, fb = Wq, fq
+        # row (k, s), column (j, i) holds R_s[k, j] * X[j, s, i]
+        a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
+        b = y.flatten()
+        del R, y
+    else:
+        a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
     if Y is not None:
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
         # W_L[i, j] * Y_j[s, k]

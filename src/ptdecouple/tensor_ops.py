@@ -23,8 +23,10 @@ Conventions used throughout the package:
   ``_QR_MIN_STACK`` tall systems, by Householder QR run across the whole
   stack; a system that QR cannot certify as clear of the truncation
   threshold is re-solved by the SVD, so both paths truncate the same
-  singular values.  ``householder_qr`` is that QR's reduction on its own:
-  R and Q^T b of every system of a stack.
+  singular values.  ``householder_planes`` is that QR's reduction on its
+  own, R and Q^T b of every system, run on column planes with the slice
+  axis last and contiguous (q x p x K), and ``householder_qr`` is the same
+  for a K x p x q stack.
 
 Every function here is pure and never mutates its inputs, so concurrent use
 needs no synchronization.
@@ -45,6 +47,7 @@ __all__ = [
     "lstsq",
     "lstsq_info",
     "householder_qr",
+    "householder_planes",
 ]
 
 
@@ -177,12 +180,14 @@ def lstsq_info(a, b):
 
 
 # Stacks of at least this many tall systems take the QR path.  Median time
-# of one stacked solve, QR / SVD, K x p x q on one BLAS thread: 30x9x2 and
-# 30x4x2 0.99, 30x9x3 0.82, 50x9x2 0.74, 64x9x2 0.53, 100x9x2 0.41,
-# 1000x9x2 0.15, 1000x9x3 0.14, 1000x12x5 0.21; a few tall systems lose
-# (2x2000x4 1.15, 3x1000x4 1.40).  The SVD makes one LAPACK call per
-# system and QR a fixed number of numpy calls per column, so QR wins as K
-# grows; at K = 30 it gains nothing, and S = 30 stacks keep the SVD.
+# of one stacked solve, QR / SVD, K x p x q on one BLAS thread, the stack a
+# view of slices-last planes as the sweep passes it: 30x9x2 0.89, 30x4x2
+# 0.96, 30x9x3 0.82, 50x9x2 0.72, 64x9x2 0.56, 100x9x2 0.37, 200x9x2 0.21,
+# 1000x9x2 0.08, 1000x9x3 0.07, 1000x12x5 0.06; a few tall systems lose
+# (2x2000x4 2.9, 3x1000x4 2.5), since every QR step then runs on rows of K
+# entries.  The SVD makes one LAPACK call per system and QR a fixed number
+# of numpy calls per column, so QR wins as K grows; at K = 30 it gains
+# little, and 100 keeps the S = 30 stacks on the SVD with room to spare.
 _QR_MIN_STACK = 100
 # QR keeps a system's solution only when its bound on sigma_min / sigma_max
 # exceeds _RTOL by this factor.  The computed R is the exact factor of rows
@@ -193,11 +198,65 @@ _QR_MARGIN = 100.0
 
 
 def _lstsq_svd(a, b):
-    """Minimum-norm solutions of a K x p x q stack by one batched SVD."""
+    """Minimum-norm solutions of a K x p x q stack by one batched SVD.
+
+    b is read as a C-contiguous K x p array: einsum's order of summation
+    follows the layout of its operands, so this keeps a system's bits
+    whatever the layout of the b it came in.
+    """
+    b = np.ascontiguousarray(b)
     U, sv, Vt = np.linalg.svd(a, full_matrices=False)
     keep = sv > _RTOL * sv[:, :1]
     coef = np.einsum("kpi,kp->ki", U, b) / np.where(keep, sv, 1.0)
     return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))
+
+
+def householder_planes(a, b):
+    """R and Q^T b of K systems held as column planes with the slice axis last.
+
+    ``a`` is q x p x K, a[j, :, k] column j of system k (p >= q), and ``b``
+    is p x K or p x k x K, b[:, ..., k] the right-hand side of system k.
+    Returns R and the first q rows of Q^T b in the layouts of a and b:
+    R is q x q x K with R[j, :, k] column j of system k's upper triangular
+    factor (a_k = Q_k R_k), and Q^T b is q x K or q x k x K.  For every x,
+    ||a_k x - b_k||^2 equals ||R_k x - (Q_k^T b_k)[:q]||^2 plus a term that
+    does not depend on x.  Reflection j zeroes column j of every system
+    below row j at once, and the same reflections applied to b give Q^T b
+    (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A column that is
+    zero below row j gets the identity reflection.
+
+    The reflections run on one fresh copy of a and b, side by side as
+    column planes, and every update reads and writes whole rows of K
+    entries; with the slice axis contiguous in a and b that copy is a
+    plain one.  The caller's arrays are never written, and R and Q^T b are
+    views of the copy.  Over- and underflow are not trapped: where
+    alpha**2 underflows, 2 / (v^T v) overflows and turns that system's
+    entries of Q^T b non-finite, which a caller must check.
+    """
+    q, p, K = a.shape
+    b3 = b.reshape(p, -1, K)
+    C = np.empty((q + b3.shape[1], p, K))
+    C[:q] = a
+    C[q:] = b3.transpose(1, 0, 2)
+    with np.errstate(all="ignore"):
+        for j in range(q):
+            v = C[j, j:]
+            x0 = v[0]
+            alpha = np.sqrt(np.einsum("pk,pk->k", v, v))
+            s = np.copysign(alpha, -x0)
+            tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
+            tau[alpha == 0.0] = 0.0
+            v[0] -= s
+            t = np.einsum("cpk,pk->ck", C[j + 1 :, j:], v) * tau
+            # one column at a time: a single p x K temporary, and operands
+            # of one shape, for which numpy allocates no iteration buffers
+            for c, tc in enumerate(t, start=j + 1):
+                C[c, j:] -= np.einsum("pk,k->pk", v, tc)
+            # column j of R: s on the diagonal and zeros below it
+            v[0] = s
+            v[1 : q - j] = 0.0
+    y = C[q:, :q].transpose(1, 0, 2)
+    return C[:q, :q], y.reshape((q,) + b.shape[1:])
 
 
 def householder_qr(a, b):
@@ -206,64 +265,43 @@ def householder_qr(a, b):
     ``b`` is K x p or K x p x k.  Returns R, K x q x q upper triangular with
     a = Q R for each system, and the first q rows of Q^T b, K x q or
     K x q x k: for every x, ||a x - b||^2 equals ||R x - (Q^T b)[:q]||^2
-    plus a term that does not depend on x.  Reflection j zeroes column j
-    of every system below row j at once, and the same reflections applied
-    to b give Q^T b (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A
-    column that is zero below row j gets the identity reflection.  Over-
-    and underflow are not trapped: where alpha**2 underflows, 2 / (v^T v)
-    overflows and turns that system's entries of Q^T b non-finite, which a
-    caller must check.
+    plus a term that does not depend on x.  This is
+    :func:`householder_planes` on the transposed views of a and b, and the
+    results are views whose slice axis is innermost in memory, so a stack
+    that is itself a view of column planes (as ``solver._g_rows`` builds
+    them) is reduced without a transposing copy.
     """
-    K, p, q = a.shape
-    A = a.transpose(0, 2, 1).copy()  # A[k, j] is column j of system k
-    y = b.copy()
-    R = np.zeros((K, q, q))
-    with np.errstate(all="ignore"):
-        for j in range(q):
-            v = A[:, j, j:]
-            alpha = np.sqrt(np.einsum("kp,kp->k", v, v))
-            x0 = v[:, 0].copy()
-            R[:, j, j] = s = np.copysign(alpha, -x0)
-            tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
-            tau[alpha == 0.0] = 0.0
-            v[:, 0] -= s
-            # dropped before the updates below, whose temporaries and ufunc
-            # buffers set the peak memory of the whole reduction
-            del alpha, x0, s
-            rest = A[:, j + 1 :, j:]
-            rest -= (np.einsum("kcp,kp->kc", rest, v) * tau[:, None])[:, :, None] * v[:, None, :]
-            R[:, j, j + 1 :] = rest[:, :, 0]
-            yj = y[:, j:]
-            t = np.einsum("kp...,kp->k...", yj, v) * tau.reshape((K,) + (1,) * (y.ndim - 2))
-            yj -= t[:, None] * v.reshape(v.shape + (1,) * (y.ndim - 2))
-    return R, y[:, :q]
+    R, y = householder_planes(a.transpose(2, 1, 0), np.moveaxis(b, 0, -1))
+    return R.transpose(2, 1, 0), np.moveaxis(y, -1, 0)
 
 
 def _lstsq_qr(a, b):
     """Solutions of a K x p x q stack, p >= q, by Householder QR across the stack.
 
-    :func:`householder_qr` gives R and Q^T b; R^-1 comes from
-    back-substitution across the stack and x = R^-1 (Q^T b)[:q].  R has the
-    singular values of its system, so 1 / (||R||_F ||R^-1||_F) is a lower
-    bound on sigma_min / sigma_max.  A system whose bound is not finite or
-    not above ``_QR_MARGIN * _RTOL``, or whose solution is not finite, is
-    re-solved by :func:`_lstsq_svd` from its original rows: rank-deficient
-    and near-threshold systems, and those whose reflections over- or
-    underflow.  Every kept system is one the SVD would not truncate, so the
-    count is the SVD path's.
+    :func:`householder_planes` gives R and Q^T b with the slice axis last;
+    R^-1 comes from back-substitution across the stack and
+    x = R^-1 (Q^T b)[:q].  R has the singular values of its system, so
+    1 / (||R||_F ||R^-1||_F) is a lower bound on sigma_min / sigma_max.  A
+    system whose bound is not finite or not above ``_QR_MARGIN * _RTOL``,
+    or whose solution is not finite, is re-solved by :func:`_lstsq_svd`
+    from its original rows: rank-deficient and near-threshold systems, and
+    those whose reflections over- or underflow.  Every kept system is one
+    the SVD would not truncate, so the count is the SVD path's.
     """
     K, p, q = a.shape
-    R, y = householder_qr(a, b)
+    Rc, y = householder_planes(a.transpose(2, 1, 0), b.T)
+    R = Rc.transpose(1, 0, 2)  # R[i, j] is entry (i, j) of every system
     with np.errstate(all="ignore"):
-        Rinv = np.zeros((K, q, q))
+        Rinv = np.zeros((q, q, K))
         for i in range(q - 1, -1, -1):
-            Rinv[:, i, i] = 1.0 / R[:, i, i]
-            Rinv[:, i, i + 1 :] = -np.einsum(
-                "kt,ktj->kj", R[:, i, i + 1 :], Rinv[:, i + 1 :, i + 1 :]
-            ) * Rinv[:, i, i, None]
-        x = np.einsum("kij,kj->ki", Rinv, y)
-        kappa = np.sqrt(np.einsum("kij,kij->k", R, R) * np.einsum("kij,kij->k", Rinv, Rinv))
-        ok = (kappa < 1.0 / (_QR_MARGIN * _RTOL)) & np.all(np.isfinite(x), axis=1)
+            Rinv[i, i] = 1.0 / R[i, i]
+            Rinv[i, i + 1 :] = -np.einsum(
+                "tk,tjk->jk", R[i, i + 1 :], Rinv[i + 1 :, i + 1 :]
+            ) * Rinv[i, i]
+        x = np.einsum("ijk,jk->ik", Rinv, y)
+        kappa = np.sqrt(np.einsum("ijk,ijk->k", R, R) * np.einsum("ijk,ijk->k", Rinv, Rinv))
+        ok = (kappa < 1.0 / (_QR_MARGIN * _RTOL)) & np.all(np.isfinite(x), axis=0)
+    x = np.ascontiguousarray(x.T)
     redo = np.flatnonzero(~ok)
     if not redo.size:
         return x, 0

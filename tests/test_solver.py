@@ -23,7 +23,7 @@ from ptdecouple.solver import _coeff_problem, _structured_rows
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
     fro_norm,
-    householder_qr,
+    householder_planes,
     khatri_rao,
     lstsq_info,
     unfold,
@@ -388,15 +388,28 @@ class TestReducedConstrRows:
         pts, J, F, st = self.problem("f2", 300)
 
         def poisoned(a, b):
-            R, y = householder_qr(a, b)
-            R[-1, 0, 0] = np.inf
+            R, y = householder_planes(a, b)
+            R[0, 0, -1] = np.inf
             return R, y
 
-        monkeypatch.setattr(solver_mod, "householder_qr", poisoned)
+        monkeypatch.setattr(solver_mod, "householder_planes", poisoned)
         fallback, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
         assert rows[0] == rows[1]
         assert np.array_equal(fallback.coeffs[1], full.coeffs[1])
         assert np.array_equal(fallback.G[1], full.G[1])
+
+    def test_reduction_never_writes_into_its_inputs(self):
+        # with J in Fortran order the vec(J_s) rows that the reduction starts
+        # from are a view of J itself
+        pts, J, F, st = self.problem("f2", 1000)
+        Jf = np.asfortranarray(J)
+        for layer in (1, 2):
+            inputs = (Jf, F, pts, *st.weights)
+            kept = [x.copy() for x in inputs]
+            got = update_c_constr(st.copy(), layer, Jf, F, pts, lam=1e-6)
+            assert all(np.array_equal(x, k) for x, k in zip(inputs, kept))
+            want = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
+            assert np.array_equal(got.coeffs[layer - 1], want.coeffs[layer - 1])
 
     # the shapes of f1-protocol, deep-cli and f2 at S = 30
     @pytest.mark.parametrize("ranks, degrees, m, n", [
@@ -407,7 +420,7 @@ class TestReducedConstrRows:
 
         model, pts, J, F = problem(18, m=m, n=n, ranks=ranks, degrees=degrees, S=30)
         calls = []
-        monkeypatch.setattr(solver_mod, "householder_qr", lambda *a: calls.append(a))
+        monkeypatch.setattr(solver_mod, "householder_planes", lambda *a: calls.append(a))
         fit(SolverConfig(ranks=ranks, degrees=degrees, rng_seed=2, max_iters=12), J, F, pts)
         assert not calls
 
@@ -434,8 +447,8 @@ class TestCoeffProblem:
             build = getattr(solver_mod, name)
             monkeypatch.setattr(solver_mod, name,
                                 lambda u, d, b=build, k=name: calls.append(k) or b(u, d))
-        qr = solver_mod.householder_qr
-        monkeypatch.setattr(solver_mod, "householder_qr", lambda *a: reduced.append(1) or qr(*a))
+        qr = solver_mod.householder_planes
+        monkeypatch.setattr(solver_mod, "householder_planes", lambda *a: reduced.append(1) or qr(*a))
         update = update_c_proj if strategy == "proj" else update_c_constr
         L = len(ranks)
         for layer in range(1, L + 1):

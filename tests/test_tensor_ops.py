@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,19 @@ class TestLstsq:
             assert np.allclose(xk, want, rtol=1e-12, atol=1e-12)
         assert trunc == sum(t for _, t in singles) == 1
 
+    @pytest.mark.parametrize("K", [30, BIG_STACK])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_stack_bits_do_not_depend_on_the_layout_of_b(self, K, q):
+        # the solver passes b as a view of slices-last rows; einsum sums in
+        # an order set by its operands' layout, and with q = 1 the SVD path
+        # gave other bits for such a b than for a C-ordered copy
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(q, 9, K)).transpose(2, 1, 0)
+        b = rng.normal(size=(9, K)).T
+        x, trunc = top.lstsq_info(a, b)
+        want, want_trunc = top.lstsq_info(a, np.ascontiguousarray(b))
+        assert np.array_equal(x, want) and trunc == want_trunc
+
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((4, 7, 3), (4 * 7,)),
         ((4, 7, 3), (4, 6)),
@@ -275,6 +290,34 @@ class TestStackedQR:
         a[BIG_STACK - 1, 4, 1] = value
         with pytest.raises(top.NonFiniteError):
             top.lstsq_info(a, b)
+
+
+def test_reflections_never_write_into_the_callers_arrays():
+    # a stack as solver._g_rows returns it, a view of column planes with the
+    # slice axis last; system 0 has a zero column and is re-solved by the SVD
+    rng = np.random.default_rng(17)
+    planes, rows = rng.normal(size=(2, 9, BIG_STACK)), rng.normal(size=(9, BIG_STACK))
+    planes[1, :, 0] = 0.0
+    kept_planes, kept_rows = planes.copy(), rows.copy()
+    x, trunc = top.lstsq_info(planes.transpose(2, 1, 0), rows.T)
+    assert np.array_equal(planes, kept_planes) and np.array_equal(rows, kept_rows)
+    want, want_trunc = top._lstsq_svd(kept_planes.transpose(2, 1, 0)[:1], kept_rows.T[:1])
+    assert trunc == want_trunc == 1
+    assert np.array_equal(x[0], want[0])
+
+
+def test_householder_qr_peak_memory():
+    # the f2 G-row stack at S = 1000 (144 KB) and its right-hand side (72 KB):
+    # the reduction holds one copy of both and one p x K temporary, 288 KB
+    rng = np.random.default_rng(18)
+    a, b = rng.normal(size=(1000, 9, 2)), rng.normal(size=(1000, 9))
+    tracemalloc.start()
+    try:
+        top.householder_qr(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 350_000
 
 
 def test_householder_qr_reduces_each_system():
