@@ -52,7 +52,6 @@ from .solver import (
 from .tensor_ops import (
     fro_norm,
     khatri_rao,
-    lstsq,
     stack_slices,
     unfold,
     vec,

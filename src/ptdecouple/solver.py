@@ -413,12 +413,17 @@ def _structured_rows(K, X):
 
 # The constr update reduces each slice's rows by QR once that removes at
 # least this many rows, S * (m*n - r).  Time of a 5-sweep constr fit,
-# reduced / full rows (rows removed), median of 31 interleaved pairs, one
-# BLAS thread: f1 shape S = 500 1.04 (1000), S = 700 1.02 (1400),
-# S = 1000 0.81 (2000); f2 shape S = 200 1.04 (1400), S = 300 0.98 (2100),
-# S = 500 0.76 (3500), S = 1000 0.66 (7000).  The stacked QR costs a fixed
-# number of numpy calls, which fewer removed rows do not repay; the S = 30
-# fits remove at most 210 rows and keep the full system.
+# reduced / full rows (rows removed), median of 41 interleaved pairs, one
+# BLAS thread: f1 shape S = 100 1.22 (200), S = 300 1.14 (600), S = 500
+# 1.03 (1000), S = 700 1.00 (1400), S = 1000 0.76 (2000); f2 shape S = 100
+# 1.20 (700), S = 200 1.01 (1400), S = 300 0.95 (2100), S = 500 0.71
+# (3500), S = 1000 0.65 (7000); L = 3 (m = 3, n = 2, ranks 3, 2, 2) S = 100
+# 1.21 (300-400), S = 300 1.07 (900-1200), S = 500 1.00 (1500-2000),
+# S = 700 0.97 (2100-2800), S = 1000 0.95 (3000-4000).  The stacked QR
+# costs a fixed number of numpy calls, which fewer removed rows do not
+# repay: _QR_MIN_STACK's cut at S = 100 would slow the f1 and L = 3 fits
+# at S = 100-300.  The S = 30 fits remove at most 210 rows and keep the
+# full system.
 _CONSTR_QR_MIN_ROWS = 2000
 
 
@@ -450,6 +455,10 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     if reduced:
         R, y = householder_planes(K.transpose(2, 1, 0), jb.T)
         Wq, fq = W, fb
+        # the QR of W_L cuts the coupling block from n*S to r*S rows; that
+        # gains no time (without it a 5-sweep f2 fit reads x1.00 at S = 300
+        # and x1.01 at S = 1000, medians of 25 pairs), but without it a
+        # 2-sweep f2 S = 1000 fit peaks at 0.89 MB rather than 0.78 MB
         if Y is not None and len(W) > r:
             Q, Wq = np.linalg.qr(W)
             fq = Q.T @ fb
@@ -524,7 +533,7 @@ def objective(state, j_tensor, f_matrix, lam):
     return resid, f_term, resid + lam * f_term
 
 
-def _check_fit_inputs(cfg, j_tensor, f_matrix, points):
+def _check_fit_inputs(j_tensor, f_matrix, points):
     j = np.asarray(j_tensor, dtype=float)
     f = np.asarray(f_matrix, dtype=float)
     p = np.asarray(points, dtype=float)
@@ -549,7 +558,7 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
     ``min_iters``, or at ``max_iters``.  The report carries the state with
     the lowest recorded objective, which need not be the last one.
     """
-    j_tensor, f_matrix, points = _check_fit_inputs(cfg, j_tensor, f_matrix, points)
+    j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
     n, m, S = j_tensor.shape
     state = initial_state.copy() if initial_state is not None else init_state(
         cfg, (n, m, S)
@@ -999,7 +1008,7 @@ def start_search(cfg, j_tensor, f_matrix, points):
     dropped; returns None when no start gave a finite objective, and the
     consistent state of the best descent otherwise.
     """
-    j_tensor, f_matrix, points = _check_fit_inputs(cfg, j_tensor, f_matrix, points)
+    j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
     n, m, S = j_tensor.shape
     dims = [m, *cfg.ranks, n]
     L = cfg.n_layers

@@ -25,8 +25,7 @@ Conventions used throughout the package:
   threshold is re-solved by the SVD, so both paths truncate the same
   singular values.  ``householder_planes`` is that QR's reduction on its
   own, R and Q^T b of every system, run on column planes with the slice
-  axis last and contiguous (q x p x K), and ``householder_qr`` is the same
-  for a K x p x q stack.
+  axis last and contiguous (q x p x K).
 
 Every function here is pure and never mutates its inputs, so concurrent use
 needs no synchronization.
@@ -44,9 +43,7 @@ __all__ = [
     "vec3",
     "khatri_rao",
     "fro_norm",
-    "lstsq",
     "lstsq_info",
-    "householder_qr",
     "householder_planes",
 ]
 
@@ -136,27 +133,18 @@ def fro_norm(x):
 _RTOL = 1e-12
 
 
-def lstsq(a, b):
-    """Minimum-norm least-squares solution of ``a @ x = b``.
-
-    Uses an SVD-based solver; singular values at or below ``_RTOL`` times
-    the largest singular value are truncated, which yields the minimum-norm
-    solution for rank-deficient systems.  Normal equations are never formed.
-    """
-    x, _ = lstsq_info(a, b)
-    return x
-
-
 def lstsq_info(a, b):
-    """Like :func:`lstsq` but also returns the number of truncated singular values.
+    """Minimum-norm least-squares solution of ``a @ x = b`` and its truncation count.
 
-    ``a`` is one system, p x q with ``b`` of length p or p x k, or a stack
-    of K systems, K x p x q with ``b`` K x p, each solved on its own; a
-    stack returns the K x q solutions and the truncations of all its
-    systems summed.  A stack of at least ``_QR_MIN_STACK`` systems with
-    p >= q goes through :func:`_lstsq_qr`, any other through
-    :func:`_lstsq_svd`; the two give the same truncations and agree to
-    round-off.
+    Singular values at or below ``_RTOL`` times their system's largest are
+    truncated, which gives the minimum-norm solution of a rank-deficient
+    system; normal equations are never formed.  ``a`` is one system, p x q
+    with ``b`` of length p or p x k, or a stack of K systems, K x p x q
+    with ``b`` K x p, each solved on its own; a stack returns the K x q
+    solutions and the truncations of all its systems summed.  A stack of
+    at least ``_QR_MIN_STACK`` systems with p >= q goes through
+    :func:`_lstsq_qr`, any other through :func:`_lstsq_svd`; the two give
+    the same truncations and agree to round-off.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -215,10 +203,10 @@ def householder_planes(a, b):
     """R and Q^T b of K systems held as column planes with the slice axis last.
 
     ``a`` is q x p x K, a[j, :, k] column j of system k (p >= q), and ``b``
-    is p x K or p x k x K, b[:, ..., k] the right-hand side of system k.
-    Returns R and the first q rows of Q^T b in the layouts of a and b:
-    R is q x q x K with R[j, :, k] column j of system k's upper triangular
-    factor (a_k = Q_k R_k), and Q^T b is q x K or q x k x K.  For every x,
+    is p x K, b[:, k] the right-hand side of system k.  Returns R and the
+    first q rows of Q^T b in the layouts of a and b: R is q x q x K with
+    R[j, :, k] column j of system k's upper triangular factor
+    (a_k = Q_k R_k), and Q^T b is q x K.  For every x,
     ||a_k x - b_k||^2 equals ||R_k x - (Q_k^T b_k)[:q]||^2 plus a term that
     does not depend on x.  Reflection j zeroes column j of every system
     below row j at once, and the same reflections applied to b give Q^T b
@@ -234,10 +222,9 @@ def householder_planes(a, b):
     entries of Q^T b non-finite, which a caller must check.
     """
     q, p, K = a.shape
-    b3 = b.reshape(p, -1, K)
-    C = np.empty((q + b3.shape[1], p, K))
+    C = np.empty((q + 1, p, K))
     C[:q] = a
-    C[q:] = b3.transpose(1, 0, 2)
+    C[q] = b
     with np.errstate(all="ignore"):
         for j in range(q):
             v = C[j, j:]
@@ -255,24 +242,7 @@ def householder_planes(a, b):
             # column j of R: s on the diagonal and zeros below it
             v[0] = s
             v[1 : q - j] = 0.0
-    y = C[q:, :q].transpose(1, 0, 2)
-    return C[:q, :q], y.reshape((q,) + b.shape[1:])
-
-
-def householder_qr(a, b):
-    """R and Q^T b of a K x p x q stack of systems a, p >= q, by Householder QR.
-
-    ``b`` is K x p or K x p x k.  Returns R, K x q x q upper triangular with
-    a = Q R for each system, and the first q rows of Q^T b, K x q or
-    K x q x k: for every x, ||a x - b||^2 equals ||R x - (Q^T b)[:q]||^2
-    plus a term that does not depend on x.  This is
-    :func:`householder_planes` on the transposed views of a and b, and the
-    results are views whose slice axis is innermost in memory, so a stack
-    that is itself a view of column planes (as ``solver._g_rows`` builds
-    them) is reduced without a transposing copy.
-    """
-    R, y = householder_planes(a.transpose(2, 1, 0), np.moveaxis(b, 0, -1))
-    return R.transpose(2, 1, 0), np.moveaxis(y, -1, 0)
+    return C[:q, :q], C[q, :q]
 
 
 def _lstsq_qr(a, b):

@@ -116,9 +116,9 @@ class TestBuildMW:
         M = build_MW(st, 0)
         assert np.allclose(M, np.tile(W1, (S, 1)))
         J = pt_reconstruct(st.factors())
-        from ptdecouple.tensor_ops import lstsq
+        from ptdecouple.tensor_ops import lstsq_info
 
-        W0_hat = lstsq(M, unfold(J, 2).T)
+        W0_hat = lstsq_info(M, unfold(J, 2).T)[0]
         assert np.allclose(W0_hat, W0, rtol=1e-10)
 
     @pytest.mark.parametrize("seed,ranks,degrees,m,n", [
@@ -178,10 +178,10 @@ class TestUpdateW:
     def test_lambda_zero_last_layer_pure_tensor_fit(self):
         model, pts, J, F = problem(9)
         st = truth_state(model, pts, perturb=0.05, seed=1)
-        from ptdecouple.tensor_ops import lstsq
+        from ptdecouple.tensor_ops import lstsq_info
 
         M = build_MW(st, 2)
-        expect = lstsq(M.T, unfold(J, 1).T).T
+        expect = lstsq_info(M.T, unfold(J, 1).T)[0].T
         update_W(st, 2, J, F, lam=0.0)
         assert np.allclose(st.weights[2], expect, rtol=1e-12)
 
@@ -633,7 +633,7 @@ def test_slice_scaling_excluded_by_constraints():
     # unchanged but breaks the coefficient structure
     from ptdecouple.basis import build_X
     from ptdecouple.model import internal_inputs_batch
-    from ptdecouple.tensor_ops import lstsq
+    from ptdecouple.tensor_ops import lstsq_info
 
     model, pts, J, F = problem(28, S=15)
     cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1.0, min_iters=10,
@@ -647,7 +647,7 @@ def test_slice_scaling_excluded_by_constraints():
         for l, G in enumerate(G_list):
             xb = build_X(us[l], st.coeffs[l].shape[1] - 1)
             for j in range(G.shape[1]):
-                c = lstsq(xb[j], G[:, j])
+                c = lstsq_info(xb[j], G[:, j])[0]
                 total += float(np.sum((G[:, j] - xb[j] @ c) ** 2))
         return total
 

@@ -140,17 +140,17 @@ class TestNorm:
 class TestLstsq:
     def test_identity_system(self):
         b = np.arange(6.0).reshape(3, 2)
-        assert np.allclose(top.lstsq(np.eye(3), b), b)
+        assert np.allclose(top.lstsq_info(np.eye(3), b)[0], b)
 
     def test_overdetermined_mean(self):
-        x = top.lstsq(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]))
+        x = top.lstsq_info(np.array([[1.0], [1.0]]), np.array([[0.0], [2.0]]))[0]
         assert np.allclose(x, [[1.0]])
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(20, 5))
         b = rng.normal(size=(20, 3))
-        x = top.lstsq(a, b)
+        x = top.lstsq_info(a, b)[0]
         resid = a.T @ (a @ x - b)
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
@@ -158,7 +158,7 @@ class TestLstsq:
         rng = np.random.default_rng(10)
         a = rng.normal(size=(6, 6)) + 3 * np.eye(6)
         x_true = rng.normal(size=6)
-        x = top.lstsq(a, a @ x_true)
+        x = top.lstsq_info(a, a @ x_true)[0]
         assert np.allclose(x, x_true, rtol=1e-10)
 
     def test_rank_deficient_min_norm(self):
@@ -169,9 +169,9 @@ class TestLstsq:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            top.lstsq(np.ones((3, 2)), np.ones(4))
+            top.lstsq_info(np.ones((3, 2)), np.ones(4))
         with pytest.raises(ValueError):
-            top.lstsq(np.array([[np.nan, 1.0]]), np.ones(1))
+            top.lstsq_info(np.array([[np.nan, 1.0]]), np.ones(1))
 
     @pytest.mark.parametrize("K", [4, BIG_STACK])
     def test_stack_matches_single_systems(self, K):
@@ -306,41 +306,41 @@ def test_reflections_never_write_into_the_callers_arrays():
     assert np.array_equal(x[0], want[0])
 
 
-def test_householder_qr_peak_memory():
-    # the f2 G-row stack at S = 1000 (144 KB) and its right-hand side (72 KB):
-    # the reduction holds one copy of both and one p x K temporary, 288 KB
+def test_householder_planes_peak_memory():
+    # the f2 G-row planes at S = 1000 (144 KB) and their right-hand side
+    # (72 KB): the reduction holds one copy of both and one p x K temporary,
+    # 288 KB
     rng = np.random.default_rng(18)
-    a, b = rng.normal(size=(1000, 9, 2)), rng.normal(size=(1000, 9))
+    a, b = rng.normal(size=(2, 9, 1000)), rng.normal(size=(9, 1000))
     tracemalloc.start()
     try:
-        top.householder_qr(a, b)
+        top.householder_planes(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 350_000
 
 
-def test_householder_qr_reduces_each_system():
+def test_householder_planes_reduces_each_system():
     # a = Q R with Q orthonormal, so a^T a = R^T R and a^T b = R^T (Q^T b)[:q];
     # a zero column takes the identity reflection and leaves R finite
     rng = np.random.default_rng(15)
-    K, p, q, k = 7, 9, 3, 4
-    a, B = rng.normal(size=(K, p, q)), rng.normal(size=(K, p, k))
-    a[0, :, 0] = 0.0
-    a[1, :, 2] = 0.0
-    R, QtB = top.householder_qr(a, B)
-    assert R.shape == (K, q, q) and QtB.shape == (K, q, k)
-    assert np.all(np.isfinite(R)) and np.all(np.isfinite(QtB))
+    K, p, q = 7, 9, 3
+    planes, rows = rng.normal(size=(q, p, K)), rng.normal(size=(p, K))
+    planes[0, :, 0] = 0.0
+    planes[2, :, 1] = 0.0
+    Rc, y = top.householder_planes(planes, rows)
+    assert Rc.shape == (q, q, K) and y.shape == (q, K)
+    assert np.all(np.isfinite(Rc)) and np.all(np.isfinite(y))
+    # system k: a_k = planes[:, :, k].T (p x q), R_k = Rc[:, :, k].T
+    a, R, b, Qtb = planes.transpose(2, 1, 0), Rc.transpose(2, 1, 0), rows.T, y.T
     assert np.all(np.tril(R, -1) == 0.0)
     assert np.all(R[0, :, 0] == 0.0) and np.all(R[1, :, 2] == 0.0)
     Rt = R.transpose(0, 2, 1)
     assert np.allclose(Rt @ R, a.transpose(0, 2, 1) @ a, rtol=0, atol=1e-12)
-    assert np.allclose(Rt @ QtB, a.transpose(0, 2, 1) @ B, rtol=0, atol=1e-12)
-    # a right-hand side of shape K x p gives the columns of the K x p x k one
-    for c in range(k):
-        R1, Qtb = top.householder_qr(a, B[:, :, c])
-        assert np.array_equal(R1, R)
-        assert np.allclose(Qtb, QtB[:, :, c], rtol=0, atol=1e-14)
+    assert np.allclose(
+        np.einsum("kji,kj->ki", R, Qtb), np.einsum("kpi,kp->ki", a, b), rtol=0, atol=1e-12
+    )
 
 
 @settings(max_examples=30, deadline=None)
