@@ -51,7 +51,6 @@ from .solver import (
 )
 from .tensor_ops import (
     fro_norm,
-    khatri_rao,
     stack_slices,
     unfold,
     vec,

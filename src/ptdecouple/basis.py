@@ -14,8 +14,9 @@ coefficient vectors:
   carries the constant coefficient, which never influences derivatives.
 * ``build_Y``:  rows ``(1, u, u**2, ..., u**d)`` so that a column of
   function evaluations equals ``Y_j @ c_j``.
-* ``build_per_slice_X`` / ``coeff_block_matrix``:  the per-sample block-
-  diagonal factorization ``D = X_s @ C`` of a diagonal derivative matrix.
+* ``build_per_slice_X``:  the per-sample block-diagonal factorization
+  ``D = X_s @ C`` of a diagonal derivative matrix, C the r*(d+1) x r
+  matrix whose column j holds neuron j's coefficients in block j.
 
 Every builder takes the degree d as a plain int; ``build_X`` and ``build_Y``
 return one r x S x (d+1) array whose entry j is neuron j's S x (d+1) block.
@@ -34,7 +35,6 @@ __all__ = [
     "build_X",
     "build_Y",
     "build_per_slice_X",
-    "coeff_block_matrix",
 ]
 
 
@@ -79,8 +79,8 @@ def build_Y(u_samples, degree):
 def build_per_slice_X(u_sample, degree):
     """Block-diagonal row layout of derivative rows for one sampling point.
 
-    Returns the ``r x r*(d+1)`` matrix ``X_s`` with
-    ``X_s @ coeff_block_matrix(C) == diag(g'(u))`` exactly: row j holds
+    Returns the ``r x r*(d+1)`` matrix ``X_s`` with ``X_s @ C == diag(g'(u))``
+    for C the block-diagonal column matrix of the coefficients: row j holds
     neuron j's ``build_X`` row in block j.
     """
     u = _check_inputs(u_sample, 1)
@@ -88,19 +88,3 @@ def build_per_slice_X(u_sample, degree):
     out = np.zeros((r, r, degree + 1))
     out[np.arange(r), np.arange(r)] = build_X(u[None], degree)[:, 0]
     return out.reshape(r, -1)
-
-
-def coeff_block_matrix(coeffs):
-    """Stack per-neuron coefficient vectors into the block-diagonal column matrix.
-
-    ``coeffs`` is ``r x (d+1)`` with ascending coefficients per row; the
-    result is ``r*(d+1) x r`` with column j holding ``coeffs[j]`` in block j.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2:
-        raise ValueError(f"coeffs must be r x (d+1), got ndim={c.ndim}")
-    r, w = c.shape
-    out = np.zeros((r * w, r))
-    for j in range(r):
-        out[j * w : (j + 1) * w, j] = c[j]
-    return out

@@ -69,10 +69,9 @@ from .model import (
 from .tensor_ops import (
     NonFiniteError,
     fro_norm,
-    householder_planes,
     lstsq_info,
+    reduce_planes,
     unfold,
-    vec,
     vec3,
 )
 
@@ -278,24 +277,41 @@ def build_MW(state, layer):
         return M.transpose(1, 0, 2).reshape(M.shape[1], -1)
     A = left_chain(w, G, layer + 1) * G[layer][:, None, :]
     B = G[layer - 1][:, :, None] * right_chains(w, G, layer)[-1]
-    # per slice kron(B.T, A): row (a, b), column (k, q) holds B[k, a] A[b, q]
-    return np.einsum("ska,sbq->sabkq", B, A).reshape(-1, B.shape[1] * A.shape[2])
+    S, K, a = B.shape
+    _, b, Q = A.shape
+    # per slice kron(B.T, A): row (s, a, b), column (k, q) holds
+    # B[s, k, a] * A[s, b, q].  M is returned column-major, each column
+    # written by its own einsum into a contiguous block: one einsum that
+    # broadcasts over the columns allocates iteration buffers, 130 KB at
+    # f2 S = 1000.  Each entry is a single product and the solve copies M
+    # into LAPACK's layout either way, so the layout changes no bit.
+    M = np.empty((K, Q, S, a, b))
+    for k in range(K):
+        for q in range(Q):
+            np.einsum("sa,sb->sab", B[:, k], A[:, :, q], out=M[k, q])
+    return M.reshape(K * Q, -1).T
 
 
-def _g_rows(weights, G, layer):
+def _g_rows(weights, G, layer, out=None):
     """Every slice's coefficient matrix of the G_layer row subproblem, S x m x n x r.
 
     Entry (s, a, b, j) is right[s, j, a] * left[s, b, j], the Khatri-Rao
     product of the chains around the layer, so that vec(J[:, :, s]) equals
     the slice's m*n x r matrix times G_layer[s, :] for exact factors.  The
     products are formed with S innermost, where a chain of one slice
-    broadcasts over all S, and returned as a view; each entry is a single
-    product, so the layout changes no bit.
+    broadcasts over all S, into ``out`` (r x m x n x S, C-contiguous; a
+    fresh array when None), and returned as a view of it; each entry is a
+    single product, so the layout changes no bit, and a slice's entries do
+    not depend on the other slices of G.
     """
     right = right_chains(weights, G, layer)[-1]
     left = left_chain(weights, G, layer)
     _, r, m = right.shape
-    out = np.empty((r, m, left.shape[1], G[0].shape[0]))
+    if out is None:
+        out = np.empty((r, m, left.shape[1], G[0].shape[0]))
+    # np.multiply writes a -0.0 product as -0.0, where einsum, which sums
+    # its products into a zeroed output, writes +0.0; a solve can see the
+    # sign, so each block keeps the call that writes it
     np.multiply(right.transpose(1, 2, 0)[:, :, None], left.transpose(2, 1, 0)[:, None], out=out)
     return out.transpose(3, 1, 2, 0)
 
@@ -312,9 +328,9 @@ def build_MG(state, layer, s):
     return M.reshape(-1, M.shape[-1])
 
 
-def _lstsq(state, a, b):
+def _lstsq(state, a, b, rows=None):
     """``lstsq_info`` of one system or a stack, its truncations counted in the state."""
-    x, trunc = lstsq_info(a, b)
+    x, trunc = lstsq_info(a, b, rows)
     state.n_truncated += trunc
     return x
 
@@ -343,27 +359,47 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
 def _coeff_problem(state, layer, j_tensor, points):
     """The per-slice structure that both coefficient updates of a layer start from.
 
-    Returns ``(K, jb, X, Y, i0)``: K (S x m*n x r) the slices' G-row
-    matrices (:func:`_g_rows`) and jb (S x m*n) the vec(J_s), so that
-    vec(J_s) = K_s G_layer[s] for exact factors, both views of slices-last
-    arrays: the r x m*n x S column planes of :func:`_g_rows` and the
-    m*n x S rows of J, one contiguous row copy each; ``X = build_X(U, d)``
-    and, at the last layer only, ``Y = build_Y(U, d)`` (else None) of the
-    fresh layer inputs U, so that column j of G_layer (R) is X[j] @ c_j
-    (Y[j] @ c_j); and i0, the first fitted coefficient column (1 below the
-    last layer, where the constants are frozen, else 0).  The rows of
-    (M_C)_0 are ``_structured_rows(K, X[:, :, i0:])``.  U depends only on
-    the layers below, so the pass stops there.
+    Returns ``(C, X, Y, i0)``: C ((r+1) x m*n x S) holds the slices'
+    G-row matrices K_s (:func:`_g_rows`) as r column planes, then the
+    vec(J_s) as one more, so that vec(J_s) = K_s G_layer[s] for exact
+    factors; ``_planes_stack(C)`` gives the stack K (S x m*n x r) and jb
+    (S x m*n) as views, and :func:`_slice_rows` rebuilds any slices of
+    them bit for bit.  ``X = build_X(U, d)`` and, at the last layer only,
+    ``Y = build_Y(U, d)`` (else None) of the fresh layer inputs U, so that
+    column j of G_layer (R) is X[j] @ c_j (Y[j] @ c_j); and i0, the first
+    fitted coefficient column (1 below the last layer, where the constants
+    are frozen, else 0).  The rows of (M_C)_0 are K_s times the structure
+    rows X[:, s, i0:].  U depends only on the layers below, so the pass
+    stops there.
     """
     L = state.n_layers
     n, m, S = j_tensor.shape
-    K = _g_rows(state.weights, state.G, layer).reshape(S, m * n, -1)
-    jb = j_tensor.transpose(1, 0, 2).reshape(m * n, S).T
+    r = state.G[layer - 1].shape[1]
+    C = np.empty((r + 1, m * n, S))
+    _g_rows(state.weights, state.G, layer, out=C[:r].reshape(r, m, n, S))
+    C[r].reshape(m, n, S)[...] = j_tensor.transpose(1, 0, 2)
     U = internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
     d = state.coeffs[layer - 1].shape[1] - 1
     X = build_X(U, d)
     Y = build_Y(U, d) if layer == L else None
-    return K, jb, X, Y, 0 if layer == L else 1
+    return C, X, Y, 0 if layer == L else 1
+
+
+def _planes_stack(C):
+    """The stack K (S x m*n x r) and jb (S x m*n) held in C's planes, as views."""
+    return C[:-1].transpose(2, 1, 0), C[-1].T
+
+
+def _slice_rows(state, layer, j_tensor, idx):
+    """Slices idx of ``_planes_stack`` of :func:`_coeff_problem`, rebuilt.
+
+    Each entry is the same single product as in the planes, so the rows
+    are bit for bit the ones the planes held before a reduction.
+    """
+    n, m, _ = j_tensor.shape
+    K = _g_rows(state.weights, [g[idx] for g in state.G], layer)
+    k = K.shape[0]
+    return K.reshape(k, m * n, -1), j_tensor[:, :, idx].transpose(2, 1, 0).reshape(k, m * n)
 
 
 def _write_factors(state, layer, X, Y):
@@ -383,8 +419,10 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
     All rows of G_layer are updated by unconstrained least squares in one
-    stacked solve against the G-row matrices of :func:`_coeff_problem`
-    (for the last layer R as a whole too, from F).  Every neuron's
+    stacked solve against the G-row matrices of :func:`_coeff_problem`,
+    reduced in the planes they were built in; a system that the solve
+    re-solves by the SVD comes from rows rebuilt for that slice alone.
+    For the last layer R is fit as a whole too, from F.  Every neuron's
     coefficients are then fit to its updated factor column through the
     structure matrices of the fresh layer inputs, all neurons in one
     stacked solve; the last layer stacks the sqrt(lam)-scaled R column and
@@ -392,8 +430,11 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     stay frozen.  Finally the factors are overwritten by their structured
     versions.
     """
-    K, jb, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
-    state.G[layer - 1] = _lstsq(state, K, jb)
+    C, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    state.G[layer - 1] = _lstsq(
+        state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
+    )
+    del C
     a, b = X[:, :, i0:], state.G[layer - 1].T
     if Y is not None:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
@@ -404,11 +445,16 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     return state
 
 
-def _structured_rows(K, X):
-    """Rows (s, k), columns (j, i) holding K[s, k, j] * X[j, s, i], stacked over s."""
-    M = np.einsum("skj,jsi->skji", K, X)
-    S, p, r, w = M.shape
-    return M.reshape(S * p, r * w)
+def _structured_rows(K, X, out=None):
+    """Rows (s, k), columns (j, i) holding K[s, k, j] * X[j, s, i], stacked over s.
+
+    Written into ``out`` (S*p x r*w, C-contiguous; a fresh array when None).
+    """
+    S, p, r = K.shape
+    if out is None:
+        out = np.empty((S * p, r * X.shape[2]))
+    np.einsum("skj,jsi->skji", K, X, out=out.reshape(S, p, r, -1))
+    return out
 
 
 # The constr update reduces each slice's rows by QR once that removes at
@@ -441,47 +487,69 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
     that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
-    reduced by one stacked QR on the column planes of K
-    (:func:`householder_planes`), the reduced rows are built from R's planes
-    in the order (row of R, slice), and at the last layer the F block
-    W_L E_s is reduced alike by one QR of W_L when n > r.  A reduction with
-    a non-finite entry is dropped for the full system, where the solve
-    reports it.
+    reduced by one stacked QR in the planes :func:`_coeff_problem` built
+    (:func:`reduce_planes`), the reduced rows are built from R's planes in
+    the order (row of R, slice), and at the last layer the F block W_L E_s
+    is reduced alike by one QR of W_L when n > r.  A reduction with a
+    non-finite entry is dropped for the full system, built from rows
+    rebuilt for every slice, where the solve reports it.  The system is
+    written block by block into one array.
     """
-    K, jb, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
-    S, p, r = K.shape
+    C, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    r, p, S = len(C) - 1, C.shape[1], C.shape[2]
     W, fb = state.weights[-1], f_matrix
     reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
     if reduced:
-        R, y = householder_planes(K.transpose(2, 1, 0), jb.T)
+        R, y = reduce_planes(C[:r], C[r])
         Wq, fq = W, fb
         # the QR of W_L cuts the coupling block from n*S to r*S rows; that
         # gains no time (without it a 5-sweep f2 fit reads x1.00 at S = 300
-        # and x1.01 at S = 1000, medians of 25 pairs), but without it a
-        # 2-sweep f2 S = 1000 fit peaks at 0.89 MB rather than 0.78 MB
+        # and x1.01 at S = 1000, medians of 25 pairs) and little memory
+        # (without it a 2-sweep constr fit at f2 S = 1000 peaks at 0.64 MB
+        # rather than 0.59 MB), but dropping it would change every large-S
+        # constr fit's bits
         if Y is not None and len(W) > r:
             Q, Wq = np.linalg.qr(W)
             fq = Q.T @ fb
         reduced = all(np.all(np.isfinite(x)) for x in (R, y, Wq, fq))
+        if reduced:
+            W, fb = Wq, fq
+            # R and Q^T b leave the planes, which go before the system is built
+            R, y = R.copy(), y.copy()
+        else:
+            # the planes were reduced, so the full rows are built again
+            K, jb = _slice_rows(state, layer, j_tensor, slice(None))
+    else:
+        K, jb = _planes_stack(C)
+    del C
+    w = X.shape[2] - i0
+    rows = r * S if reduced else p * S
+    a = np.empty((rows + (len(W) * S if Y is not None else 0), r * w))
+    b = np.empty(len(a))
+    # Blocks are written by einsum, whose single products land in a zeroed
+    # output as +0.0 where np.multiply keeps -0.0: a solve can see the sign,
+    # so compare bytes, not values.  A call that writes a strided block
+    # allocates iteration buffers as large as the block, so the large
+    # blocks are written one contiguous panel of S rows per call.
     if reduced:
-        # the unreduced rows are dropped before the reduced ones are built,
-        # and R and Q^T b (views of the reduction's planes) before the solve
-        del K, jb
-        W, fb = Wq, fq
         # row (k, s), column (j, i) holds R_s[k, j] * X[j, s, i]
-        a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
-        b = y.flatten()
+        panels = a[:rows].reshape(r, S, r, w)
+        for k in range(r):
+            np.einsum("js,jsi->sji", R[:, k], X[:, :, i0:], out=panels[k])
+        b[:rows] = y.ravel()
         del R, y
     else:
-        a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
+        _structured_rows(K, X[:, :, i0:], out=a[:rows])
+        b[:rows].reshape(jb.shape)[...] = jb
+        del K, jb
     if Y is not None:
         # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
-        # W_L[i, j] * Y_j[s, k]
-        coupling = np.sqrt(lam) * np.einsum("ij,jsk->isjk", W, Y).reshape(
-            -1, Y.shape[0] * Y.shape[2]
-        )
-        a = np.concatenate([a, coupling], axis=0)
-        b = np.concatenate([b, np.sqrt(lam) * vec(fb.T)])
+        # sqrt(lam) * W_L[i, j] * Y_j[s, k]
+        panels = a[rows:].reshape(len(W), S, r, w)
+        for i in range(len(W)):
+            np.einsum("j,jsk->sjk", W[i], Y, out=panels[i])
+        panels *= np.sqrt(lam)
+        np.multiply(np.sqrt(lam), fb, out=b[rows:].reshape(fb.shape))
     state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b).reshape(len(X), -1)
     _write_factors(state, layer, X, Y)
     return state

@@ -25,10 +25,14 @@ Conventions used throughout the package:
   threshold is re-solved by the SVD, so both paths truncate the same
   singular values.  ``householder_planes`` is that QR's reduction on its
   own, R and Q^T b of every system, run on column planes with the slice
-  axis last and contiguous (q x p x K).
+  axis last and contiguous (q x p x K), and ``reduce_planes`` the same
+  reduction in place.  A caller that passes ``lstsq_info`` a way to build
+  its systems again lets the QR path reduce them in place too, so a
+  system is held once, in the array it was built in.
 
-Every function here is pure and never mutates its inputs, so concurrent use
-needs no synchronization.
+Apart from ``reduce_planes`` and a ``lstsq_info`` call given ``rows``,
+every function here is pure and never mutates its inputs, so concurrent
+use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ __all__ = [
     "unfold",
     "vec",
     "vec3",
-    "khatri_rao",
     "fro_norm",
     "lstsq_info",
     "householder_planes",
+    "reduce_planes",
 ]
 
 
@@ -108,20 +112,6 @@ def vec3(t):
     return t.reshape(-1, order="F")
 
 
-def khatri_rao(a, b):
-    """Column-wise Kronecker product; column j is kron(a[:, j], b[:, j])."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column-count mismatch: {a.shape[1]} != {b.shape[1]}"
-        )
-    # (a_ij * b_kj) laid out with the b-index fastest, matching np.kron.
-    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
-
-
 def fro_norm(x):
     """Frobenius norm: square root of the sum of squared entries."""
     x = np.asarray(x)
@@ -133,7 +123,7 @@ def fro_norm(x):
 _RTOL = 1e-12
 
 
-def lstsq_info(a, b):
+def lstsq_info(a, b, rows=None):
     """Minimum-norm least-squares solution of ``a @ x = b`` and its truncation count.
 
     Singular values at or below ``_RTOL`` times their system's largest are
@@ -145,6 +135,14 @@ def lstsq_info(a, b):
     at least ``_QR_MIN_STACK`` systems with p >= q goes through
     :func:`_lstsq_qr`, any other through :func:`_lstsq_svd`; the two give
     the same truncations and agree to round-off.
+
+    A caller that can build systems again may pass ``rows``, where
+    ``rows(idx)`` returns systems idx of the stack and their right-hand
+    sides as they are now.  The QR path then reduces a and b in place
+    rather than in a copy, and re-solves from those rows; a and b are best
+    views of slices-last planes (``a.transpose(2, 1, 0)`` and ``b.T``
+    C-contiguous), and hold scratch afterwards.  The solutions keep their
+    bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -163,7 +161,10 @@ def lstsq_info(a, b):
         return x, min(a.shape) - int(rank)
     K, p, q = a.shape
     if K >= _QR_MIN_STACK and p >= q:
-        return _lstsq_qr(a, b)
+        if rows is None:
+            C = _planes(a.transpose(2, 1, 0), b.T)
+            return _lstsq_qr(C[:q], C[q], lambda idx: (a[idx], b[idx]))
+        return _lstsq_qr(a.transpose(2, 1, 0), b.T, rows)
     return _lstsq_svd(a, b)
 
 
@@ -208,58 +209,79 @@ def householder_planes(a, b):
     R[j, :, k] column j of system k's upper triangular factor
     (a_k = Q_k R_k), and Q^T b is q x K.  For every x,
     ||a_k x - b_k||^2 equals ||R_k x - (Q_k^T b_k)[:q]||^2 plus a term that
-    does not depend on x.  Reflection j zeroes column j of every system
-    below row j at once, and the same reflections applied to b give Q^T b
-    (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A column that is
-    zero below row j gets the identity reflection.
+    does not depend on x.
 
-    The reflections run on one fresh copy of a and b, side by side as
-    column planes, and every update reads and writes whole rows of K
-    entries; with the slice axis contiguous in a and b that copy is a
-    plain one.  The caller's arrays are never written, and R and Q^T b are
-    views of the copy.  Over- and underflow are not trapped: where
-    alpha**2 underflows, 2 / (v^T v) overflows and turns that system's
-    entries of Q^T b non-finite, which a caller must check.
+    The reduction (:func:`reduce_planes`) runs on one fresh copy of a and
+    b, side by side as column planes; with the slice axis contiguous in a
+    and b that copy is a plain one.  The caller's arrays are never
+    written, and R and Q^T b are views of the copy.
     """
+    C = _planes(a, b)
+    return reduce_planes(C[:-1], C[-1])
+
+
+def _planes(a, b):
+    """One fresh (q + 1) x p x K array: the q x p x K planes a, then b (p x K)."""
     q, p, K = a.shape
     C = np.empty((q + 1, p, K))
     C[:q] = a
     C[q] = b
+    return C
+
+
+def reduce_planes(a, b):
+    """:func:`householder_planes` of a and b, reduced in place.
+
+    Returns R (q x q x K) and Q^T b (q x K) as views of a and b, whose
+    other entries are left as scratch.  Reflection j zeroes column j of
+    every system below row j at once, and the same reflections applied to
+    b give Q^T b (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A
+    column that is zero below row j gets the identity reflection.  Every
+    update reads and writes whole rows of K entries, so a and b are best
+    C-contiguous.  Over- and underflow are not trapped: where alpha**2
+    underflows, 2 / (v^T v) overflows and turns that system's entries of
+    Q^T b non-finite, which a caller must check.
+    """
+    q = len(a)
     with np.errstate(all="ignore"):
         for j in range(q):
-            v = C[j, j:]
+            v = a[j, j:]
             x0 = v[0]
             alpha = np.sqrt(np.einsum("pk,pk->k", v, v))
             s = np.copysign(alpha, -x0)
             tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
             tau[alpha == 0.0] = 0.0
             v[0] -= s
-            t = np.einsum("cpk,pk->ck", C[j + 1 :, j:], v) * tau
+            t = np.einsum("cpk,pk->ck", a[j + 1 :, j:], v) * tau
+            tb = np.einsum("pk,pk->k", b[j:], v) * tau
             # one column at a time: a single p x K temporary, and operands
             # of one shape, for which numpy allocates no iteration buffers
             for c, tc in enumerate(t, start=j + 1):
-                C[c, j:] -= np.einsum("pk,k->pk", v, tc)
+                a[c, j:] -= np.einsum("pk,k->pk", v, tc)
+            b[j:] -= np.einsum("pk,k->pk", v, tb)
             # column j of R: s on the diagonal and zeros below it
             v[0] = s
             v[1 : q - j] = 0.0
-    return C[:q, :q], C[q, :q]
+    return a[:, :q], b[:q]
 
 
-def _lstsq_qr(a, b):
-    """Solutions of a K x p x q stack, p >= q, by Householder QR across the stack.
+def _lstsq_qr(a, b, rows):
+    """Solutions of the K systems held in planes a and b by Householder QR.
 
-    :func:`householder_planes` gives R and Q^T b with the slice axis last;
-    R^-1 comes from back-substitution across the stack and
+    a is q x p x K and b p x K as in :func:`householder_planes`;
+    :func:`reduce_planes` reduces them in place to R and Q^T b, with the
+    slice axis last; R^-1 comes from back-substitution across the stack and
     x = R^-1 (Q^T b)[:q].  R has the singular values of its system, so
     1 / (||R||_F ||R^-1||_F) is a lower bound on sigma_min / sigma_max.  A
     system whose bound is not finite or not above ``_QR_MARGIN * _RTOL``,
     or whose solution is not finite, is re-solved by :func:`_lstsq_svd`
-    from its original rows: rank-deficient and near-threshold systems, and
-    those whose reflections over- or underflow.  Every kept system is one
-    the SVD would not truncate, so the count is the SVD path's.
+    from its original rows, ``rows(idx)``: rank-deficient and
+    near-threshold systems, and those whose reflections over- or
+    underflow.  Every kept system is one the SVD would not truncate, so
+    the count is the SVD path's.
     """
-    K, p, q = a.shape
-    Rc, y = householder_planes(a.transpose(2, 1, 0), b.T)
+    Rc, y = reduce_planes(a, b)
+    q, _, K = Rc.shape
     R = Rc.transpose(1, 0, 2)  # R[i, j] is entry (i, j) of every system
     with np.errstate(all="ignore"):
         Rinv = np.zeros((q, q, K))
@@ -275,5 +297,5 @@ def _lstsq_qr(a, b):
     redo = np.flatnonzero(~ok)
     if not redo.size:
         return x, 0
-    x[redo], trunc = _lstsq_svd(a[redo], b[redo])
+    x[redo], trunc = _lstsq_svd(*rows(redo))
     return x, trunc

@@ -27,7 +27,7 @@ from ptdecouple.model import (
     true_pt_factors,
 )
 from ptdecouple.solver import SolverConfig, build_MG, build_MW, fit
-from ptdecouple.solver import _coeff_problem, _structured_rows
+from ptdecouple.solver import _coeff_problem, _planes_stack, _structured_rows
 from ptdecouple.tensor_ops import fro_norm, unfold, vec, vec3
 
 
@@ -211,8 +211,8 @@ def test_criterion_6_update_matrix_identities():
                 M = build_MG(st, l, s)
                 worst = max(worst, fro_norm(vec(J[:, :, s]) - M @ st.G[l - 1][s]) / nJ)
             # the rows (M_C)_0 that the constr update solves on
-            K, _, X, _, i0 = _coeff_problem(st, l, J, pts)
-            M0 = _structured_rows(K, X[:, :, i0:])
+            C, X, _, i0 = _coeff_problem(st, l, J, pts)
+            M0 = _structured_rows(_planes_stack(C)[0], X[:, :, i0:])
             c = np.concatenate([st.coeffs[l - 1][j, i0:] for j in range(ranks[l - 1])])
             worst = max(worst, fro_norm(vec3(J) - M0 @ c) / nJ)
     ok = worst <= 1e-10

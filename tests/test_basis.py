@@ -5,7 +5,6 @@ from ptdecouple.basis import (
     build_per_slice_X,
     build_X,
     build_Y,
-    coeff_block_matrix,
 )
 from ptdecouple.harness import builtin_system, generate_system, SyntheticSpec
 from ptdecouple.model import (
@@ -94,17 +93,23 @@ class TestPerSliceX:
                 p *= u[j]
         assert np.array_equal(build_per_slice_X(u, 4), want)
 
+    @staticmethod
+    def coeff_blocks(coeffs):
+        """r*(d+1) x r: column j holds neuron j's coefficients in block j."""
+        r, w = coeffs.shape
+        return (coeffs[:, :, None] * np.eye(r)[:, None, :]).reshape(r * w, r)
+
     def test_product_is_diagonal(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=3)
-        C = coeff_block_matrix(rng.normal(size=(3, 4)))
+        C = self.coeff_blocks(rng.normal(size=(3, 4)))
         D = build_per_slice_X(u, 3) @ C
         assert np.allclose(D, np.diag(np.diag(D)))
 
     def test_matches_derivative_values(self):
         # layer-1 derivative matrix of the worked two-layer example at u = 0
         g1 = np.array([[1.0, 3.0, 1.0], [2.0, 4.0, -1.0]])
-        D = build_per_slice_X(np.zeros(2), 2) @ coeff_block_matrix(g1)
+        D = build_per_slice_X(np.zeros(2), 2) @ self.coeff_blocks(g1)
         assert np.allclose(np.diag(D), [3.0, 4.0])
         assert np.allclose(D, np.diag([3.0, 4.0]))
 

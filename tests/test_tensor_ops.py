@@ -65,7 +65,7 @@ class TestUnfold:
         a, b, c = rng.normal(size=3), rng.normal(size=4), rng.normal(size=5)
         t = np.einsum("i,j,k->ijk", a, b, c)
         lhs = top.unfold(t, 1)
-        rhs = a[:, None] @ top.khatri_rao(c[:, None], b[:, None]).T
+        rhs = a[:, None] @ np.kron(c, b)[None]
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_mode3_rows_are_vec_slices(self):
@@ -101,26 +101,6 @@ class TestVec:
                     assert v[i + 2 * j + 6 * k] == t[i, j, k]
         # identical to vec of the mode-1 unfolding under this layout
         assert np.array_equal(v, top.vec(top.unfold(t, 1)))
-
-
-class TestProducts:
-    def test_khatri_rao_identities(self):
-        out = top.khatri_rao(np.eye(2), np.eye(2))
-        expect = np.zeros((4, 2))
-        expect[0, 0] = 1.0  # e1 kron e1
-        expect[3, 1] = 1.0  # e2 kron e2
-        assert np.array_equal(out, expect)
-
-    def test_khatri_rao_matches_column_kron(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
-        out = top.khatri_rao(a, b)
-        for j in range(4):
-            assert np.array_equal(out[:, j], np.kron(a[:, j], b[:, j]))
-
-    def test_khatri_rao_mismatch(self):
-        with pytest.raises(ValueError):
-            top.khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestNorm:
@@ -323,13 +303,16 @@ def test_householder_planes_peak_memory():
 
 def test_householder_planes_reduces_each_system():
     # a = Q R with Q orthonormal, so a^T a = R^T R and a^T b = R^T (Q^T b)[:q];
-    # a zero column takes the identity reflection and leaves R finite
+    # a zero column takes the identity reflection and leaves R finite; the
+    # reduction runs on a copy, so the caller's planes are never written
     rng = np.random.default_rng(15)
     K, p, q = 7, 9, 3
     planes, rows = rng.normal(size=(q, p, K)), rng.normal(size=(p, K))
     planes[0, :, 0] = 0.0
     planes[2, :, 1] = 0.0
+    kept = planes.tobytes(), rows.tobytes()
     Rc, y = top.householder_planes(planes, rows)
+    assert (planes.tobytes(), rows.tobytes()) == kept
     assert Rc.shape == (q, q, K) and y.shape == (q, K)
     assert np.all(np.isfinite(Rc)) and np.all(np.isfinite(y))
     # system k: a_k = planes[:, :, k].T (p x q), R_k = Rc[:, :, k].T
@@ -362,6 +345,7 @@ def test_cpd_unfolding_identity_property(I, J, r, seed):
     A, B, C = rng.normal(size=(I, r)), rng.normal(size=(J, r)), rng.normal(size=(K, r))
     t = top.stack_slices([(A * C[k][None, :]) @ B.T for k in range(K)])
     lhs = top.unfold(t, 1)
-    rhs = A @ top.khatri_rao(C, B).T
+    # column j of the Khatri-Rao product C kr B is kron(C[:, j], B[:, j])
+    rhs = A @ np.einsum("kj,lj->klj", C, B).reshape(-1, r).T
     scale = max(1.0, np.abs(lhs).max())
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * scale)
