@@ -20,8 +20,8 @@ the coefficient updates come in two flavours:
 * ``constr`` - direct least-squares update of the coefficients with the
   constraints satisfied by construction.
 
-Both start from one build of the layer's per-slice structure,
-``_coeff_problem``.
+Both start from one build of the layer's per-slice G-row planes,
+``_coeff_problem``, and read the structure matrices of ``_coeff_bases``.
 
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
@@ -58,7 +58,6 @@ import numpy as np
 from .basis import build_X, build_Y
 from .model import (
     DecoupledModel,
-    PTFactors,
     _der,
     derivative_rows,
     internal_inputs_batch,
@@ -173,9 +172,6 @@ class SolverState:
     @property
     def n_layers(self):
         return len(self.G)
-
-    def factors(self):
-        return PTFactors(weights=tuple(self.weights), G=tuple(self.G))
 
     def copy(self):
         return SolverState(
@@ -356,33 +352,39 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     return state
 
 
-def _coeff_problem(state, layer, j_tensor, points):
-    """The per-slice structure that both coefficient updates of a layer start from.
+def _coeff_problem(state, layer, j_tensor):
+    """The per-slice G-row planes that both coefficient updates of a layer start from.
 
-    Returns ``(C, X, Y, i0)``: C ((r+1) x m*n x S) holds the slices'
-    G-row matrices K_s (:func:`_g_rows`) as r column planes, then the
-    vec(J_s) as one more, so that vec(J_s) = K_s G_layer[s] for exact
-    factors; ``_planes_stack(C)`` gives the stack K (S x m*n x r) and jb
+    Returns ``(C, i0)``: C ((r+1) x m*n x S) holds the slices' G-row
+    matrices K_s (:func:`_g_rows`) as r column planes, then the vec(J_s)
+    as one more, so that vec(J_s) = K_s G_layer[s] for exact factors;
+    ``_planes_stack(C)`` gives the stack K (S x m*n x r) and jb
     (S x m*n) as views, and :func:`_slice_rows` rebuilds any slices of
-    them bit for bit.  ``X = build_X(U, d)`` and, at the last layer only,
-    ``Y = build_Y(U, d)`` (else None) of the fresh layer inputs U, so that
-    column j of G_layer (R) is X[j] @ c_j (Y[j] @ c_j); and i0, the first
-    fitted coefficient column (1 below the last layer, where the constants
-    are frozen, else 0).  The rows of (M_C)_0 are K_s times the structure
-    rows X[:, s, i0:].  U depends only on the layers below, so the pass
-    stops there.
+    them bit for bit.  i0 is the first fitted coefficient column (1 below
+    the last layer, where the constants are frozen, else 0).  The rows of
+    (M_C)_0 are K_s times the structure rows X[:, s, i0:] of
+    :func:`_coeff_bases`.
     """
-    L = state.n_layers
     n, m, S = j_tensor.shape
     r = state.G[layer - 1].shape[1]
     C = np.empty((r + 1, m * n, S))
     _g_rows(state.weights, state.G, layer, out=C[:r].reshape(r, m, n, S))
     C[r].reshape(m, n, S)[...] = j_tensor.transpose(1, 0, 2)
+    return C, 0 if layer == state.n_layers else 1
+
+
+def _coeff_bases(state, layer, points):
+    """``(X, Y)``: the structure matrices of the layer's fresh inputs U.
+
+    ``X = build_X(U, d)`` and, at the last layer only, ``Y = build_Y(U, d)``
+    (else None), so that column j of G_layer (R) is X[j] @ c_j
+    (Y[j] @ c_j).  U depends only on the weights and coefficients of the
+    layers below, which a G-row solve does not change, so the pass stops
+    there and the matrices are built where they are first read.
+    """
     U = internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
     d = state.coeffs[layer - 1].shape[1] - 1
-    X = build_X(U, d)
-    Y = build_Y(U, d) if layer == L else None
-    return C, X, Y, 0 if layer == L else 1
+    return build_X(U, d), build_Y(U, d) if layer == state.n_layers else None
 
 
 def _planes_stack(C):
@@ -424,17 +426,19 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     re-solves by the SVD comes from rows rebuilt for that slice alone.
     For the last layer R is fit as a whole too, from F.  Every neuron's
     coefficients are then fit to its updated factor column through the
-    structure matrices of the fresh layer inputs, all neurons in one
+    structure matrices of the fresh layer inputs (:func:`_coeff_bases`,
+    built once the planes are gone), all neurons in one
     stacked solve; the last layer stacks the sqrt(lam)-scaled R column and
     function-value rows below.  The constants of the layers below the last
     stay frozen.  Finally the factors are overwritten by their structured
     versions.
     """
-    C, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    C, i0 = _coeff_problem(state, layer, j_tensor)
     state.G[layer - 1] = _lstsq(
         state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
     )
     del C
+    X, Y = _coeff_bases(state, layer, points)
     a, b = X[:, :, i0:], state.G[layer - 1].T
     if Y is not None:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
@@ -478,7 +482,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
 
     Solves for the coefficient vector against vec(J) through the pruned
     structure-incorporated system (M_C)_0, whose rows of slice s are K_s D_s
-    with D_s the slice's structure rows (:func:`_coeff_problem`); the last
+    with D_s the slice's structure rows (:func:`_coeff_bases`); the last
     layer stacks the sqrt(lam)-scaled F factorization block below.  G (and
     R) are then written from the coefficients, so they satisfy the
     constraints exactly.
@@ -492,10 +496,11 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     the order (row of R, slice), and at the last layer the F block W_L E_s
     is reduced alike by one QR of W_L when n > r.  A reduction with a
     non-finite entry is dropped for the full system, built from rows
-    rebuilt for every slice, where the solve reports it.  The system is
-    written block by block into one array.
+    rebuilt for every slice, where the solve reports it.  The structure
+    matrices are built once the planes are gone, and the system is written
+    block by block into one array.
     """
-    C, X, Y, i0 = _coeff_problem(state, layer, j_tensor, points)
+    C, i0 = _coeff_problem(state, layer, j_tensor)
     r, p, S = len(C) - 1, C.shape[1], C.shape[2]
     W, fb = state.weights[-1], f_matrix
     reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
@@ -508,7 +513,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
         # (without it a 2-sweep constr fit at f2 S = 1000 peaks at 0.64 MB
         # rather than 0.59 MB), but dropping it would change every large-S
         # constr fit's bits
-        if Y is not None and len(W) > r:
+        if layer == state.n_layers and len(W) > r:
             Q, Wq = np.linalg.qr(W)
             fq = Q.T @ fb
         reduced = all(np.all(np.isfinite(x)) for x in (R, y, Wq, fq))
@@ -522,6 +527,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     else:
         K, jb = _planes_stack(C)
     del C
+    X, Y = _coeff_bases(state, layer, points)
     w = X.shape[2] - i0
     rows = r * S if reduced else p * S
     a = np.empty((rows + (len(W) * S if Y is not None else 0), r * w))

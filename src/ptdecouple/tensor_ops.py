@@ -20,15 +20,12 @@ Conventions used throughout the package:
   at or below 1e-12 of their system's largest truncated, and counts the
   truncations, so a caller that wraps it sees every one of them.  A stack
   is solved by one batched SVD, or, when it holds at least
-  ``_QR_MIN_STACK`` tall systems, by Householder QR run across the whole
-  stack; a system that QR cannot certify as clear of the truncation
-  threshold is re-solved by the SVD, so both paths truncate the same
-  singular values.  ``householder_planes`` is that QR's reduction on its
-  own, R and Q^T b of every system, run on column planes with the slice
-  axis last and contiguous (q x p x K), and ``reduce_planes`` the same
-  reduction in place.  A caller that passes ``lstsq_info`` a way to build
-  its systems again lets the QR path reduce them in place too, so a
-  system is held once, in the array it was built in.
+  ``_QR_MIN_STACK`` tall systems and its caller passes a way to build them
+  again, by Householder QR run across the whole stack in the array the
+  systems were built in (``reduce_planes``, column planes with the slice
+  axis last and contiguous, q x p x K); a system that QR cannot certify as
+  clear of the truncation threshold is re-solved by the SVD from rows built
+  again, so both paths truncate the same singular values.
 
 Apart from ``reduce_planes`` and a ``lstsq_info`` call given ``rows``,
 every function here is pure and never mutates its inputs, so concurrent
@@ -47,7 +44,6 @@ __all__ = [
     "vec3",
     "fro_norm",
     "lstsq_info",
-    "householder_planes",
     "reduce_planes",
 ]
 
@@ -131,18 +127,17 @@ def lstsq_info(a, b, rows=None):
     system; normal equations are never formed.  ``a`` is one system, p x q
     with ``b`` of length p or p x k, or a stack of K systems, K x p x q
     with ``b`` K x p, each solved on its own; a stack returns the K x q
-    solutions and the truncations of all its systems summed.  A stack of
-    at least ``_QR_MIN_STACK`` systems with p >= q goes through
-    :func:`_lstsq_qr`, any other through :func:`_lstsq_svd`; the two give
-    the same truncations and agree to round-off.
+    solutions and the truncations of all its systems summed, solved by
+    :func:`_lstsq_svd`, which never writes a or b.
 
     A caller that can build systems again may pass ``rows``, where
     ``rows(idx)`` returns systems idx of the stack and their right-hand
-    sides as they are now.  The QR path then reduces a and b in place
-    rather than in a copy, and re-solves from those rows; a and b are best
-    views of slices-last planes (``a.transpose(2, 1, 0)`` and ``b.T``
-    C-contiguous), and hold scratch afterwards.  The solutions keep their
-    bits.
+    sides as they are now.  A stack of at least ``_QR_MIN_STACK`` systems
+    with p >= q then goes through :func:`_lstsq_qr`, which reduces a and b
+    in place and re-solves from those rows; a and b are best views of
+    slices-last planes (``a.transpose(2, 1, 0)`` and ``b.T``
+    C-contiguous), and hold scratch afterwards.  The two paths give the
+    same truncations and agree to round-off.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -160,23 +155,21 @@ def lstsq_info(a, b, rows=None):
         x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RTOL)
         return x, min(a.shape) - int(rank)
     K, p, q = a.shape
-    if K >= _QR_MIN_STACK and p >= q:
-        if rows is None:
-            C = _planes(a.transpose(2, 1, 0), b.T)
-            return _lstsq_qr(C[:q], C[q], lambda idx: (a[idx], b[idx]))
+    if rows is not None and K >= _QR_MIN_STACK and p >= q:
         return _lstsq_qr(a.transpose(2, 1, 0), b.T, rows)
     return _lstsq_svd(a, b)
 
 
-# Stacks of at least this many tall systems take the QR path.  Median time
-# of one stacked solve, QR / SVD, K x p x q on one BLAS thread, the stack a
-# view of slices-last planes as the sweep passes it: 30x9x2 0.89, 30x4x2
-# 0.96, 30x9x3 0.82, 50x9x2 0.72, 64x9x2 0.56, 100x9x2 0.37, 200x9x2 0.21,
-# 1000x9x2 0.08, 1000x9x3 0.07, 1000x12x5 0.06; a few tall systems lose
-# (2x2000x4 2.9, 3x1000x4 2.5), since every QR step then runs on rows of K
-# entries.  The SVD makes one LAPACK call per system and QR a fixed number
-# of numpy calls per column, so QR wins as K grows; at K = 30 it gains
-# little, and 100 keeps the S = 30 stacks on the SVD with room to spare.
+# Stacks of at least this many tall systems, given rows, take the QR path.
+# Median time of one stacked solve, QR / SVD, K x p x q on one BLAS thread,
+# the stack a view of slices-last planes as the sweep passes it: 30x9x2
+# 0.89, 30x4x2 0.96, 30x9x3 0.82, 50x9x2 0.72, 64x9x2 0.56, 100x9x2 0.37,
+# 200x9x2 0.21, 1000x9x2 0.08, 1000x9x3 0.07, 1000x12x5 0.06; a few tall
+# systems lose (2x2000x4 2.9, 3x1000x4 2.5), since every QR step then runs
+# on rows of K entries.  The SVD makes one LAPACK call per system and QR a
+# fixed number of numpy calls per column, so QR wins as K grows; at K = 30
+# it gains little, and 100 keeps the S = 30 stacks on the SVD with room to
+# spare.
 _QR_MIN_STACK = 100
 # QR keeps a system's solution only when its bound on sigma_min / sigma_max
 # exceeds _RTOL by this factor.  The computed R is the exact factor of rows
@@ -200,40 +193,16 @@ def _lstsq_svd(a, b):
     return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))
 
 
-def householder_planes(a, b):
+def reduce_planes(a, b):
     """R and Q^T b of K systems held as column planes with the slice axis last.
 
     ``a`` is q x p x K, a[j, :, k] column j of system k (p >= q), and ``b``
-    is p x K, b[:, k] the right-hand side of system k.  Returns R and the
-    first q rows of Q^T b in the layouts of a and b: R is q x q x K with
-    R[j, :, k] column j of system k's upper triangular factor
-    (a_k = Q_k R_k), and Q^T b is q x K.  For every x,
-    ||a_k x - b_k||^2 equals ||R_k x - (Q_k^T b_k)[:q]||^2 plus a term that
-    does not depend on x.
-
-    The reduction (:func:`reduce_planes`) runs on one fresh copy of a and
-    b, side by side as column planes; with the slice axis contiguous in a
-    and b that copy is a plain one.  The caller's arrays are never
-    written, and R and Q^T b are views of the copy.
-    """
-    C = _planes(a, b)
-    return reduce_planes(C[:-1], C[-1])
-
-
-def _planes(a, b):
-    """One fresh (q + 1) x p x K array: the q x p x K planes a, then b (p x K)."""
-    q, p, K = a.shape
-    C = np.empty((q + 1, p, K))
-    C[:q] = a
-    C[q] = b
-    return C
-
-
-def reduce_planes(a, b):
-    """:func:`householder_planes` of a and b, reduced in place.
-
-    Returns R (q x q x K) and Q^T b (q x K) as views of a and b, whose
-    other entries are left as scratch.  Reflection j zeroes column j of
+    is p x K, b[:, k] the right-hand side of system k; both are reduced in
+    place.  Returns R (q x q x K), R[j, :, k] column j of system k's upper
+    triangular factor (a_k = Q_k R_k), and the first q rows of Q^T b
+    (q x K), as views of a and b, whose other entries are left as scratch.
+    For every x, ||a_k x - b_k||^2 equals ||R_k x - (Q_k^T b_k)[:q]||^2
+    plus a term that does not depend on x.  Reflection j zeroes column j of
     every system below row j at once, and the same reflections applied to
     b give Q^T b (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A
     column that is zero below row j gets the identity reflection.  Every
@@ -268,7 +237,7 @@ def reduce_planes(a, b):
 def _lstsq_qr(a, b, rows):
     """Solutions of the K systems held in planes a and b by Householder QR.
 
-    a is q x p x K and b p x K as in :func:`householder_planes`;
+    a is q x p x K and b p x K, laid out as in :func:`reduce_planes`;
     :func:`reduce_planes` reduces them in place to R and Q^T b, with the
     slice axis last; R^-1 comes from back-substitution across the stack and
     x = R^-1 (Q^T b)[:q].  R has the singular values of its system, so

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_system, truth_state
 
-from ptdecouple.model import build_f_matrix, build_jacobian_tensor, pt_reconstruct
+from ptdecouple.model import PTFactors, build_f_matrix, build_jacobian_tensor, pt_reconstruct
 from ptdecouple.solver import (
     SolverConfig,
     SolverDivergenceError,
@@ -19,9 +19,16 @@ from ptdecouple.solver import (
     update_c_proj,
     update_W,
 )
-from ptdecouple.solver import _coeff_problem, _planes_stack, _slice_rows, _structured_rows
+from ptdecouple.solver import (
+    _coeff_bases,
+    _coeff_problem,
+    _planes_stack,
+    _slice_rows,
+    _structured_rows,
+)
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
+    _lstsq_qr,
     fro_norm,
     lstsq_info,
     reduce_planes,
@@ -41,7 +48,8 @@ def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
 
 def constr_rows(st, layer, J, pts):
     """The rows (M_C)_0 that the constr update solves on, with the first fitted column."""
-    C, X, _, i0 = _coeff_problem(st, layer, J, pts)
+    C, i0 = _coeff_problem(st, layer, J)
+    X, _ = _coeff_bases(st, layer, pts)
     return _structured_rows(_planes_stack(C)[0], X[:, :, i0:]), i0
 
 
@@ -114,7 +122,7 @@ class TestBuildMW:
         st.G = [np.ones((S, 2))]
         M = build_MW(st, 0)
         assert np.allclose(M, np.tile(W1, (S, 1)))
-        J = pt_reconstruct(st.factors())
+        J = pt_reconstruct(PTFactors(weights=tuple(st.weights), G=tuple(st.G)))
         from ptdecouple.tensor_ops import lstsq_info
 
         W0_hat = lstsq_info(M, unfold(J, 2).T)[0]
@@ -362,7 +370,8 @@ class TestReducedConstrRows:
         1e9 and falls to about 60 once its columns are scaled; two solvers of
         the same full system differ there by 1e-11 to 1e-9 unweighted.
         """
-        C, X, Y, i0 = _coeff_problem(st, layer, J, pts)
+        C, i0 = _coeff_problem(st, layer, J)
+        X, Y = _coeff_bases(st, layer, pts)
         M0 = _structured_rows(_planes_stack(C)[0], X[:, :, i0:])
         sq = np.sum(M0 * M0, axis=0).reshape(len(X), -1)
         if Y is not None:
@@ -478,7 +487,8 @@ class TestCoeffProblem:
         model, pts, J, F = problem(20, ranks=(3, 2, 2), degrees=(2, 3, 2), m=3, n=2, S=7)
         st = truth_state(model, pts, perturb=0.1, seed=4)
         for layer in (1, 2, 3):
-            C, X, Y, i0 = _coeff_problem(st, layer, J, pts)
+            C, i0 = _coeff_problem(st, layer, J)
+            _, Y = _coeff_bases(st, layer, pts)
             K, jb = _planes_stack(C)
             for s in range(7):
                 assert np.array_equal(K[s], build_MG(st, layer, s))
@@ -677,9 +687,7 @@ def test_slice_scaling_excluded_by_constraints():
     base = constraint_residual(st.G)
     gamma = np.random.default_rng(6).uniform(0.5, 2.0, 15)
     scaled = [st.G[0] * gamma[:, None], st.G[1] / gamma[:, None]]
-    rec0 = pt_reconstruct(st.factors())
-    from ptdecouple.model import PTFactors
-
+    rec0 = pt_reconstruct(PTFactors(weights=tuple(st.weights), G=tuple(st.G)))
     rec1 = pt_reconstruct(PTFactors(weights=tuple(st.weights), G=tuple(scaled)))
     assert np.allclose(rec0, rec1, rtol=1e-10, atol=1e-10 * np.abs(rec0).max())
     assert constraint_residual(scaled) > max(base * 10.0, 1e-6)
@@ -909,9 +917,18 @@ class TestInPlaceReduction:
         return pts, J, F, st
 
     def untouched_rows(self, st, J, pts):
-        C, X, _, i0 = _coeff_problem(st, 1, J, pts)
+        C, i0 = _coeff_problem(st, 1, J)
         K, jb = _planes_stack(C)
-        return K.copy(), jb.copy(), X, i0
+        return K.copy(), jb.copy(), _coeff_bases(st, 1, pts)[0], i0
+
+    @staticmethod
+    def planes_of(K, jb):
+        """Slices-last copies of K and jb, laid out as the planes the updates build."""
+        return np.ascontiguousarray(K.transpose(2, 1, 0)), np.ascontiguousarray(jb.T)
+
+    def qr_on_copies(self, K, jb):
+        """The in-place QR of the large-S G-row solve, run on copies of K and jb."""
+        return _lstsq_qr(*self.planes_of(K, jb), lambda idx: (K[idx], jb[idx]))
 
     def test_the_stack_holds_a_deficient_and_a_near_threshold_slice(self):
         from ptdecouple.tensor_ops import _QR_MARGIN, _RTOL
@@ -936,7 +953,7 @@ class TestInPlaceReduction:
     def test_proj_matches_a_solve_on_copies(self):
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
-        G, trunc_g = lstsq_info(K, jb)
+        G, trunc_g = self.qr_on_copies(K, jb)
         c, trunc_c = lstsq_info(X[:, :, i0:], G.T)
         assert trunc_g == 2
         got = self.check_inputs_kept(update_c_proj, st, J, F, pts)
@@ -951,7 +968,7 @@ class TestInPlaceReduction:
 
         pts, J, F, st = self.problem()
         K, jb, _, _ = self.untouched_rows(st, J, pts)
-        want, trunc = lstsq_info(K, jb)
+        want, trunc = self.qr_on_copies(K, jb)
         seen, rebuilt = [], []
         # the structured write that follows the G-row solve is bypassed here
         monkeypatch.setattr(solver_mod, "_write_factors", lambda st, *a: seen.append(st.G[0]))
@@ -965,13 +982,12 @@ class TestInPlaceReduction:
 
     def test_reduced_constr_matches_a_solve_on_copies(self):
         from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
-        from ptdecouple.tensor_ops import householder_planes
 
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
         S, p, r = K.shape
         assert S * (p - r) >= _CONSTR_QR_MIN_ROWS
-        R, y = householder_planes(K.transpose(2, 1, 0), jb.T)
+        R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
         c, trunc = lstsq_info(a, y.flatten())
         got = self.check_inputs_kept(update_c_constr, st, J, F, pts)
@@ -1002,9 +1018,11 @@ def traced_peak(run):
 
 
 # Peak memory above the fit's inputs at f2 S = 1000.  A 2-sweep fit peaks
-# at 0.59 MB (constr) and 0.56 MB (proj) with each large-S system built
-# once, in the array its solver reduces, and at 0.78 MB with the rows built
-# beside the solver's copy of them.  The layer-1 W update peaks at 0.40 MB
+# at 0.59 MB (constr) and 0.52 MB (proj) with each large-S system built
+# once, in the array its solver reduces, and the structure matrices built
+# after that reduction; at 0.59 and 0.56 MB with X and Y held across the
+# proj reduction, and at 0.78 MB with the rows built beside the solver's
+# copy of them.  The layer-1 W update peaks at 0.40 MB
 # with build_MW's columns written by one einsum each, 0.52 MB with one
 # einsum into a C-ordered matrix and 0.67 MB when its reshape copied.
 @pytest.mark.parametrize("strategy", ["constr", "proj"])
@@ -1013,6 +1031,14 @@ def test_large_s_fit_peak_memory(strategy):
     cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy=strategy,
                        min_iters=2, max_iters=2, rng_seed=1)
     assert traced_peak(lambda: fit(cfg, J, F, pts)) < 650_000
+
+
+def test_last_layer_proj_update_peak_memory():
+    # 0.452 MB, set by the coefficient solve; with X and Y built before the
+    # G-row reduction and held across it, 0.460 MB, set by that reduction
+    J, F, pts = f2_s1000()
+    st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
+    assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 456_000
 
 
 def test_middle_w_update_peak_memory():

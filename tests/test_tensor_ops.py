@@ -200,11 +200,17 @@ class TestLstsq:
 
 
 class TestStackedQR:
-    """Stacks of at least ``_QR_MIN_STACK`` tall systems take the QR path."""
+    """Stacks of at least ``_QR_MIN_STACK`` tall systems given rows take the QR path."""
 
     @staticmethod
     def svd_path(a, b):
         return top._lstsq_svd(a, b)
+
+    @staticmethod
+    def qr_path(a, b):
+        """``lstsq_info`` given rows, reducing slices-last copies of a and b in place."""
+        planes, rhs = np.ascontiguousarray(a.transpose(2, 1, 0)), np.ascontiguousarray(b.T)
+        return top.lstsq_info(planes.transpose(2, 1, 0), rhs.T, lambda idx: (a[idx], b[idx]))
 
     @staticmethod
     def assert_close(x, want):
@@ -231,7 +237,7 @@ class TestStackedQR:
             return svd(a, b)
 
         monkeypatch.setattr(top, "_lstsq_svd", counted)
-        x, trunc = top.lstsq_info(a, b)
+        x, trunc = self.qr_path(a, b)
         monkeypatch.undo()
         want, want_trunc = self.svd_path(a, b)
         # the deficient systems and those within the margin of the threshold
@@ -245,7 +251,7 @@ class TestStackedQR:
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(BIG_STACK, 6, 3)), rng.normal(size=(BIG_STACK, 6))
         a[:, :, 2] = a[:, :, 0] - a[:, :, 1]
-        x, trunc = top.lstsq_info(a, b)
+        x, trunc = self.qr_path(a, b)
         want, want_trunc = self.svd_path(a, b)
         assert trunc == want_trunc == BIG_STACK
         assert np.array_equal(x, want)
@@ -258,7 +264,7 @@ class TestStackedQR:
         a, b = rng.normal(size=(BIG_STACK, 9, 2)), rng.normal(size=(BIG_STACK, 9))
         a[:, :, 1] *= np.where(np.arange(BIG_STACK) % 2, 1.0, 1e-13)[:, None]  # every other one deficient
         a, b = a_scale * a, b_scale * b
-        x, trunc = top.lstsq_info(a, b)
+        x, trunc = self.qr_path(a, b)
         want, want_trunc = self.svd_path(a, b)
         assert np.all(np.isfinite(x))
         assert trunc == want_trunc == BIG_STACK // 2
@@ -269,50 +275,68 @@ class TestStackedQR:
         a, b = np.ones((BIG_STACK, 5, 2)), np.ones((BIG_STACK, 5))
         a[BIG_STACK - 1, 4, 1] = value
         with pytest.raises(top.NonFiniteError):
-            top.lstsq_info(a, b)
+            self.qr_path(a, b)
 
 
 def test_reflections_never_write_into_the_callers_arrays():
-    # a stack as solver._g_rows returns it, a view of column planes with the
-    # slice axis last; system 0 has a zero column and is re-solved by the SVD
+    # the QR path reduces the planes it is passed, slices-last as
+    # solver._g_rows builds them, and re-solves system 0, which has a zero
+    # column, by the SVD from the rows the caller builds again; those rows
+    # come from arrays the reflections never write
     rng = np.random.default_rng(17)
     planes, rows = rng.normal(size=(2, 9, BIG_STACK)), rng.normal(size=(9, BIG_STACK))
     planes[1, :, 0] = 0.0
     kept_planes, kept_rows = planes.copy(), rows.copy()
-    x, trunc = top.lstsq_info(planes.transpose(2, 1, 0), rows.T)
+    a, b = planes.transpose(2, 1, 0), rows.T
+    x, trunc = top.lstsq_info(planes.copy().transpose(2, 1, 0), rows.copy().T,
+                              lambda idx: (a[idx], b[idx]))
     assert np.array_equal(planes, kept_planes) and np.array_equal(rows, kept_rows)
     want, want_trunc = top._lstsq_svd(kept_planes.transpose(2, 1, 0)[:1], kept_rows.T[:1])
     assert trunc == want_trunc == 1
     assert np.array_equal(x[0], want[0])
 
 
-def test_householder_planes_peak_memory():
+def test_large_stack_without_rows_takes_the_svd_and_keeps_its_inputs(monkeypatch):
+    rng = np.random.default_rng(19)
+    planes, rows = rng.normal(size=(2, 9, BIG_STACK)), rng.normal(size=(9, BIG_STACK))
+    kept = planes.tobytes(), rows.tobytes()
+    solved, svd = [], top._lstsq_svd
+    monkeypatch.setattr(top, "_lstsq_svd", lambda a, b: solved.append(len(a)) or svd(a, b))
+    x, trunc = top.lstsq_info(planes.transpose(2, 1, 0), rows.T)
+    assert solved == [BIG_STACK] >= [top._QR_MIN_STACK]
+    assert (planes.tobytes(), rows.tobytes()) == kept
+    want, want_trunc = svd(planes.transpose(2, 1, 0), rows.T)
+    assert np.array_equal(x, want) and trunc == want_trunc == 0
+
+
+def test_reduce_planes_peak_memory():
     # the f2 G-row planes at S = 1000 (144 KB) and their right-hand side
-    # (72 KB): the reduction holds one copy of both and one p x K temporary,
-    # 288 KB
+    # (72 KB), reduced in place: the reduction holds one p x K temporary
+    # (72 KB) and a few rows of K entries, 115 KB
     rng = np.random.default_rng(18)
     a, b = rng.normal(size=(2, 9, 1000)), rng.normal(size=(9, 1000))
     tracemalloc.start()
     try:
-        top.householder_planes(a, b)
+        top.reduce_planes(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 350_000
+    assert peak < 130_000
 
 
-def test_householder_planes_reduces_each_system():
+def test_reduce_planes_reduces_each_system():
     # a = Q R with Q orthonormal, so a^T a = R^T R and a^T b = R^T (Q^T b)[:q];
     # a zero column takes the identity reflection and leaves R finite; the
-    # reduction runs on a copy, so the caller's planes are never written
+    # reduction writes the copies it is passed, as views of which R and
+    # Q^T b come back
     rng = np.random.default_rng(15)
     K, p, q = 7, 9, 3
     planes, rows = rng.normal(size=(q, p, K)), rng.normal(size=(p, K))
     planes[0, :, 0] = 0.0
     planes[2, :, 1] = 0.0
-    kept = planes.tobytes(), rows.tobytes()
-    Rc, y = top.householder_planes(planes, rows)
-    assert (planes.tobytes(), rows.tobytes()) == kept
+    work, work_rows = planes.copy(), rows.copy()
+    Rc, y = top.reduce_planes(work, work_rows)
+    assert np.shares_memory(Rc, work) and np.shares_memory(y, work_rows)
     assert Rc.shape == (q, q, K) and y.shape == (q, K)
     assert np.all(np.isfinite(Rc)) and np.all(np.isfinite(y))
     # system k: a_k = planes[:, :, k].T (p x q), R_k = Rc[:, :, k].T
