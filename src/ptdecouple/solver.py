@@ -44,14 +44,19 @@ its forward tape, from which the normal matrix is summed chunk by chunk of
 sampling points and the adjoint pass runs.
 
 A fit is single-threaded and deterministic given its configuration;
-separate fits share no mutable state and may run concurrently.  Every
+separate fits share no mutable state and may run concurrently.  A start
+search runs its descents on every usable core, in the calling process and
+forked helpers, and returns the same bits as on one core.  Every
 generator the package makes comes from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -1068,6 +1073,184 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
 _SEARCH_STARTS = 8
 
 
+def _helper_cpus():
+    """CPUs of the helpers a start search forks: each usable one but the caller's.
+
+    At most ``_SEARCH_STARTS - 1``, and none inside a multiprocessing child
+    (a harness run with jobs > 1 already uses the cores), in a process with
+    other Python threads (a fork copies the locks they hold), and where
+    fork, the CPU affinity or the caller's CPU is not to be had.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return []
+    try:
+        with open("/proc/self/stat") as fh:  # field 39: the CPU this process runs on
+            own = int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return []
+    cpus = sorted(os.sched_getaffinity(0) - {own})[: _SEARCH_STARTS - 1]
+    if not cpus:
+        return []
+    # imported here: it costs every import of the CLI about 10 ms
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return []
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else []
+
+
+def _start_outcome(cfg, j_tensor, f_matrix, points, k):
+    """LMResult of start k's descent, None if it diverged, or the exception it raised."""
+    n, m, _ = j_tensor.shape
+    dims = [m, *cfg.ranks, n]
+    rng = seeded_rng(cfg.rng_seed)
+    for _ in range(k + 1):  # start k is the stream's k-th draw
+        weights = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(cfg.n_layers + 1)]
+        coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(cfg.ranks, cfg.degrees)]
+    for c in coeffs[:-1]:
+        c[:, 0] = 0.0
+    try:
+        with np.errstate(all="ignore"):
+            state = _normalize_inputs(_consistent_state(weights, coeffs, points), points)
+        return lm_descent(state, j_tensor, f_matrix, points, cfg.lam)
+    except (SolverDivergenceError, np.linalg.LinAlgError):
+        return None
+    except Exception as exc:  # raised once the pick reaches start k
+        return exc
+
+
+class _Pick:
+    """A search's pick from descent outcomes that arrive in any order.
+
+    The outcomes are taken in start order: an exception is raised, a
+    diverged or non-finite descent is dropped, a strictly lower objective
+    replaces the best so far, and a converged descent ends the search.
+    """
+
+    def __init__(self):
+        self.best = None
+        self.done = False
+        self._next = 0
+        self._held = {}
+
+    def add(self, k, outcome):
+        """Take start k's outcome; returns whether the pick is final."""
+        self._held[k] = outcome
+        while not self.done and self._next in self._held:
+            result = self._held.pop(self._next)
+            self._next += 1
+            if isinstance(result, Exception):
+                raise result
+            if result is None or not np.isfinite(result.objective):
+                continue
+            if self.best is None or result.objective < self.best.objective:
+                self.best = result
+            self.done = result.stop_reason == "converged"
+        self.done = self.done or self._next == _SEARCH_STARTS
+        if self.done:
+            self._held.clear()
+        return self.done
+
+
+def _search_in_parallel(cpus, descend, pick):
+    """Feed pick the outcomes of descend(k), run by the caller and one forked
+    helper on each of cpus.
+
+    Each process claims the next start whenever it is free; the caller
+    claims start 0, then the helpers are forked.  A process whose descent
+    converges takes the unclaimed starts away, since none of them can be
+    picked.  A helper is bound to its CPU: a forked process starts on its
+    parent's, and where the kernel does not balance the load it stays
+    there.  The helpers are terminated and joined before this returns or
+    raises; one whose caller has gone exits when its result pipe breaks.
+    """
+    import multiprocessing
+    import signal
+    import traceback
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    # start k is claimed by reading byte k: the pipe hands each byte to one
+    # reader, in order
+    tickets, write_end = os.pipe()
+    os.write(write_end, bytes(range(_SEARCH_STARTS)))
+    os.close(write_end)
+
+    def claim():
+        byte = os.read(tickets, 1)
+        return byte[0] if byte else None
+
+    def run(k):
+        outcome = descend(k)
+        if isinstance(outcome, LMResult) and outcome.stop_reason == "converged":
+            while os.read(tickets, _SEARCH_STARTS):
+                pass
+        return outcome
+
+    def serve(conn, cpu):
+        os.sched_setaffinity(0, {cpu})
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+        for c in results:  # the caller's ends: the pipe must break when the caller goes
+            c.close()
+        for k in iter(claim, None):
+            outcome = run(k)
+            failed = isinstance(outcome, Exception)
+            trace = "".join(traceback.format_exception(
+                type(outcome), outcome, outcome.__traceback__)) if failed else None
+            try:
+                conn.send((k, outcome, trace))
+            except BrokenPipeError:
+                return
+            if failed:
+                return
+
+    def collect(timeout):
+        for conn in wait(results, timeout):
+            try:
+                k, outcome, trace = conn.recv()
+            except EOFError:  # the helper has exited
+                results.remove(conn)
+                conn.close()
+                continue
+            if trace is not None:  # shown above the caller's traceback
+                outcome.__cause__ = RuntimeError("in a start-search helper:\n" + trace)
+            if pick.add(k, outcome):
+                return
+
+    procs, results = [], []
+    try:
+        k = claim()
+        for cpu in cpus:
+            recv, send = ctx.Pipe(duplex=False)
+            results.append(recv)
+            proc = ctx.Process(target=serve, args=(send, cpu), daemon=True)
+            try:
+                proc.start()
+            except OSError:  # no process to be had: go on with those started
+                results.pop().close()
+                break
+            finally:
+                send.close()
+            procs.append(proc)
+        while not pick.done:
+            if k is not None:
+                pick.add(k, run(k))
+                collect(0)
+                k = claim()
+            elif results:
+                collect(None)
+            else:
+                raise RuntimeError("a start-search helper exited without its outcome")
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in results:
+            conn.close()
+        os.close(tickets)
+
+
 def start_search(cfg, j_tensor, f_matrix, points):
     """Best of ``_SEARCH_STARTS`` seeded LM descents by the training objective at cfg.lam.
 
@@ -1081,31 +1264,24 @@ def start_search(cfg, j_tensor, f_matrix, points):
     start can beat it by more than round-off.  Starts that diverge are
     dropped; returns None when no start gave a finite objective, and the
     consistent state of the best descent otherwise.
+
+    The descents run in the calling process and in one forked helper on
+    each further usable core (:func:`_helper_cpus`), each process taking
+    the next start as it becomes free.  The outcomes are picked in start order, so
+    the result, bit for bit, and any exception raised are those of one
+    descent after another in the calling process, on any number of cores.
     """
     j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
-    n, m, S = j_tensor.shape
-    dims = [m, *cfg.ranks, n]
-    L = cfg.n_layers
-    rng = seeded_rng(cfg.rng_seed)
-    best = None
-    for _ in range(_SEARCH_STARTS):
-        weights = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(L + 1)]
-        coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(cfg.ranks, cfg.degrees)]
-        for c in coeffs[:-1]:
-            c[:, 0] = 0.0
-        try:
-            with np.errstate(all="ignore"):
-                state = _normalize_inputs(_consistent_state(weights, coeffs, points), points)
-            result = lm_descent(state, j_tensor, f_matrix, points, cfg.lam)
-        except (SolverDivergenceError, np.linalg.LinAlgError):
-            continue
-        if not np.isfinite(result.objective):
-            continue
-        if best is None or result.objective < best.objective:
-            best = result
-        if result.stop_reason == "converged":
-            break
-    return None if best is None else best.state
+    descend = partial(_start_outcome, cfg, j_tensor, f_matrix, points)
+    pick = _Pick()
+    cpus = _helper_cpus()
+    if cpus:
+        _search_in_parallel(cpus, descend, pick)
+    else:
+        for k in range(_SEARCH_STARTS):
+            if pick.add(k, descend(k)):
+                break
+    return None if pick.best is None else pick.best.state
 
 
 def state_to_model(state):

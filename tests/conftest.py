@@ -6,12 +6,26 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import multiprocessing
+
 import numpy as np
+import pytest
 
 from ptdecouple.basis import build_Y
 from ptdecouple.harness import SyntheticSpec, generate_system
 from ptdecouple.model import internal_inputs_batch, true_pt_factors
 from ptdecouple.solver import SolverState
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, as the benchmark fails a run."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"child processes left running: {left}"
 
 
 def make_system(seed, m=2, n=2, ranks=(2, 2), degrees=(3, 2)):

@@ -12,14 +12,16 @@ from ptdecouple.model import load_model
 
 def test_cli_import_loads_no_process_pool():
     # every CLI call pays the import; only an experiment with jobs > 1 needs
-    # concurrent.futures
+    # concurrent.futures, and only a start search on more than one core
+    # needs multiprocessing
     import ptdecouple
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptdecouple.__file__)))
-    probe = "import sys, ptdecouple.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import sys, ptdecouple.cli; "
+             "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_generate_writes_model(tmp_path):

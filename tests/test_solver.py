@@ -1,8 +1,12 @@
 import json
+import os
+import select
 
 import numpy as np
 import pytest
 from conftest import make_system, truth_state
+
+import ptdecouple.solver as solver_mod
 
 from ptdecouple.model import PTFactors, build_f_matrix, build_jacobian_tensor, pt_reconstruct
 from ptdecouple.solver import (
@@ -14,6 +18,7 @@ from ptdecouple.solver import (
     init_state,
     objective,
     rebalance,
+    start_search,
     state_to_model,
     update_c_constr,
     update_c_proj,
@@ -862,6 +867,8 @@ class TestLevenbergMarquardt:
 
         monkeypatch.setattr(solver_mod, "lm_descent", fake_descent)
         monkeypatch.setattr(solver_mod, "_SEARCH_STARTS", 5)
+        # in process: a forked helper would read its own copy of the script
+        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
         picked = start_search(cfg, J, F, pts)
         assert picked is seen[3]
         # same seed, same draws; the frozen constants of inner layers are 0
@@ -891,6 +898,153 @@ class TestLevenbergMarquardt:
         cfg, J, F, pts, start = exact[0]
         rep = fit(cfg, J, F, pts, initial_state=start)
         assert rep.error_j <= 1e-16
+
+
+def _search_case(case):
+    """An f1 search that stops at its third start, which converges, or an L = 3
+    search whose 8 descents all stall; S = 30 as in the protocols."""
+    from ptdecouple.harness import builtin_system
+    from ptdecouple.solver import seeded_rng
+
+    if case == "f1":
+        model, ranks, degrees = builtin_system("f1"), (2, 2), (5, 2)
+    else:
+        ranks, degrees = (3, 2, 2), (2, 3, 2)
+        model = make_system(0, m=3, n=2, ranks=ranks, degrees=degrees)
+    pts = seeded_rng(0, 0, 0).uniform(-1, 1, (30, model.n_inputs))
+    cfg = SolverConfig(ranks=ranks, degrees=degrees, lam=1e-6, rng_seed=0)
+    return cfg, build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
+
+
+def _state_bytes(st):
+    return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
+
+
+def _search_in_worker(case):
+    from ptdecouple.solver import start_search
+
+    forks = []
+    os.register_at_fork(before=lambda: forks.append(1))
+    return len(forks), start_search(*case)
+
+
+class TestParallelSearch:
+    """A start search runs its descents in the caller and in forked helpers,
+    and returns what one descent after another in the caller returns."""
+
+    @staticmethod
+    def hold_for_helpers(monkeypatch):
+        """From here on, each descent of the caller waits until a helper has
+        begun one, so that every search hands starts to a helper.
+
+        Returns the ends of a pipe that gets each start a helper descends from.
+        """
+        read, write = os.pipe()
+        caller, real = os.getpid(), solver_mod._start_outcome
+
+        def outcome(*args):
+            if os.getpid() != caller:
+                os.write(write, bytes([args[-1]]))
+            elif not select.select([read], [], [], 60)[0]:
+                raise AssertionError("no helper began a descent")
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        return read, write
+
+    @pytest.mark.parametrize("helpers", [1, 3])
+    @pytest.mark.parametrize("case", ["f1", "L3"])
+    def test_parallel_search_returns_the_in_process_bytes(self, monkeypatch, case, helpers):
+        cfg, J, F, pts = _search_case(case)
+        real, stops = solver_mod._start_outcome, []
+
+        def spied(*args):
+            out = real(*args)
+            stops.append(out.stop_reason)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            m.setattr(solver_mod, "_start_outcome", spied)
+            expected = start_search(cfg, J, F, pts)
+        if case == "f1":
+            assert stops == ["stalled", "stalled", "converged"]
+        else:
+            assert stops == ["stalled"] * 8
+        # three helpers share one core
+        cpu = max(os.sched_getaffinity(0))
+        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu] * helpers)
+        read, write = self.hold_for_helpers(monkeypatch)
+        try:
+            got = start_search(cfg, J, F, pts)
+            ran = set(os.read(read, 64))
+        finally:
+            os.close(read)
+            os.close(write)
+        assert ran and 0 not in ran  # the caller takes start 0
+        assert _state_bytes(got) == _state_bytes(expected)
+
+    def test_outcomes_are_picked_in_start_order(self):
+        from ptdecouple.solver import LMResult, _Pick
+
+        def result(objective, stop_reason="stalled"):
+            return LMResult(state=None, objective=objective, iterations=1,
+                            stop_reason=stop_reason)
+
+        conv = result(1e-30, "converged")
+        pick = _Pick()
+        # start 2 converges: start 3, lower and also converged, and the error
+        # of start 4 come after it and do not count
+        assert not pick.add(3, result(1e-32, "converged"))
+        assert not pick.add(4, TypeError("past the pick"))
+        assert not pick.add(2, conv)
+        assert not pick.add(1, result(np.nan))
+        assert pick.add(0, None)
+        assert pick.best is conv
+        pick = _Pick()
+        pick.add(1, TypeError("first in start order"))
+        with pytest.raises(TypeError, match="first in start order"):
+            pick.add(0, result(5.0))
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        from ptdecouple.solver import LMResult
+
+        cfg, J, F, pts = _search_case("f1")
+        read, write = os.pipe()
+        caller = os.getpid()
+
+        def descent(state, *args):
+            if os.getpid() != caller:
+                os.write(write, b"!")
+                raise TypeError("scripted helper error")
+            if not select.select([read], [], [], 60)[0]:
+                raise AssertionError("no helper began a descent")
+            return LMResult(state=state, objective=1.0, iterations=1, stop_reason="stalled")
+
+        monkeypatch.setattr(solver_mod, "lm_descent", descent)
+        cpu = max(os.sched_getaffinity(0))
+        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu])
+        try:
+            with pytest.raises(TypeError, match="scripted helper error") as info:
+                start_search(cfg, J, F, pts)
+        finally:
+            os.close(read)
+            os.close(write)
+        assert "in a start-search helper" in str(info.value.__cause__)
+
+    def test_search_in_a_pool_worker_forks_nothing(self, monkeypatch):
+        # a harness run with jobs > 1 already has its cores; its results do
+        # not depend on jobs
+        from concurrent.futures import ProcessPoolExecutor
+
+        case = _search_case("f1")
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            expected = start_search(*case)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            forks, got = pool.submit(_search_in_worker, case).result(timeout=120)
+        assert forks == 0
+        assert _state_bytes(got) == _state_bytes(expected)
 
 
 class TestInPlaceReduction:
@@ -1045,3 +1199,12 @@ def test_middle_w_update_peak_memory():
     J, F, pts = f2_s1000()
     st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
     assert traced_peak(lambda: update_W(st, 1, J, F, 1e-6)) < 450_000
+
+
+def test_start_search_peak_memory(monkeypatch):
+    # 80.2-84.0 KB above the inputs for this f1 S = 30 search in process (a
+    # descent's linearization sets it), as before the search could run on
+    # more than one core; a stored LM Jacobian would add about 70 KB
+    cfg, J, F, pts = _search_case("f1")
+    monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
+    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 87_000
