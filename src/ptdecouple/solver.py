@@ -1002,6 +1002,7 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     """
     prob = _LMProblem(state.weights, state.coeffs, j_tensor, f_matrix, points, lam)
     theta = lm_pack(state.weights, state.coeffs)
+    del state  # its G and R are not read; a caller that drops the state frees them
     scale = float(np.sum(j_tensor * j_tensor) + lam * np.sum(f_matrix * f_matrix))
     with np.errstate(all="ignore"):
         r, trial = prob.residual(theta, keep=True)
@@ -1099,24 +1100,39 @@ def _helper_cpus():
     return cpus if "fork" in multiprocessing.get_all_start_methods() else []
 
 
-def _start_outcome(cfg, j_tensor, f_matrix, points, k):
-    """LMResult of start k's descent, None if it diverged, or the exception it raised."""
-    n, m, _ = j_tensor.shape
-    dims = [m, *cfg.ranks, n]
+def _start_state(cfg, dims, points, k):
+    """Rebalanced consistent state of start k, the k-th draw of the search's stream."""
     rng = seeded_rng(cfg.rng_seed)
-    for _ in range(k + 1):  # start k is the stream's k-th draw
+    for _ in range(k + 1):
         weights = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(cfg.n_layers + 1)]
         coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(cfg.ranks, cfg.degrees)]
     for c in coeffs[:-1]:
         c[:, 0] = 0.0
+    with np.errstate(all="ignore"):
+        return _normalize_inputs(_consistent_state(weights, coeffs, points), points)
+
+
+def _start_outcome(cfg, j_tensor, f_matrix, points, k):
+    """LMResult of start k's descent, None if it diverged, or the exception it raised."""
+    n, m, _ = j_tensor.shape
     try:
-        with np.errstate(all="ignore"):
-            state = _normalize_inputs(_consistent_state(weights, coeffs, points), points)
-        return lm_descent(state, j_tensor, f_matrix, points, cfg.lam)
+        # the descent holds the only reference to its start: the draws, G
+        # and R are freed before it linearizes
+        return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], points, k),
+                          j_tensor, f_matrix, points, cfg.lam)
     except (SolverDivergenceError, np.linalg.LinAlgError):
         return None
     except Exception as exc:  # raised once the pick reaches start k
         return exc
+
+
+def _join(a, b):
+    """Runs a and b of a pick, b starting where a ends, reduced as one run."""
+    if a[2] is not False:  # a ends the search: nothing of b is taken
+        return [b[0], a[1], a[2]]
+    if b[1] is not None and (a[1] is None or b[1].objective < a[1].objective):
+        return b
+    return [b[0], a[1], b[2]]
 
 
 class _Pick:
@@ -1125,36 +1141,47 @@ class _Pick:
     The outcomes are taken in start order: an exception is raised, a
     diverged or non-finite descent is dropped, a strictly lower objective
     replaces the best so far, and a converged descent ends the search.
+    Outcomes that arrive ahead of their turn are reduced in the same way,
+    run by run of consecutive starts, so that a run holds one result: a
+    search holds no more states than one descent after another does.
     """
 
     def __init__(self):
-        self.best = None
-        self.done = False
-        self._next = 0
-        self._held = {}
+        # first start of each run of consecutive outcomes in -> [end, best,
+        # stop], stop being True after a converged descent, the exception of
+        # a descent that raised, or False
+        self._runs = {}
+
+    @property
+    def best(self):
+        return self._runs[0][1] if 0 in self._runs else None
+
+    @property
+    def done(self):
+        end, _, stop = self._runs.get(0, (0, None, False))
+        return stop is True or end == _SEARCH_STARTS
 
     def add(self, k, outcome):
         """Take start k's outcome; returns whether the pick is final."""
-        self._held[k] = outcome
-        while not self.done and self._next in self._held:
-            result = self._held.pop(self._next)
-            self._next += 1
-            if isinstance(result, Exception):
-                raise result
-            if result is None or not np.isfinite(result.objective):
-                continue
-            if self.best is None or result.objective < self.best.objective:
-                self.best = result
-            self.done = result.stop_reason == "converged"
-        self.done = self.done or self._next == _SEARCH_STARTS
         if self.done:
-            self._held.clear()
+            return True
+        best = outcome if isinstance(outcome, LMResult) and np.isfinite(outcome.objective) else None
+        stop = outcome if isinstance(outcome, Exception) else (
+            best is not None and best.stop_reason == "converged")
+        first, run = k, [k + 1, best, stop]
+        if k + 1 in self._runs:
+            run = _join(run, self._runs.pop(k + 1))
+        before = next((s for s, (end, _, _) in self._runs.items() if end == k), None)
+        if before is not None:
+            first, run = before, _join(self._runs.pop(before), run)
+        self._runs[first] = run
+        if first == 0 and isinstance(run[2], Exception):
+            raise run[2]
         return self.done
 
 
 def _search_in_parallel(cpus, descend, pick):
-    """Feed pick the outcomes of descend(k), run by the caller and one forked
-    helper on each of cpus.
+    """Feed pick the outcomes of descend(k) from the caller and a forked helper per CPU in cpus.
 
     Each process claims the next start whenever it is free; the caller
     claims start 0, then the helpers are forked.  A process whose descent
@@ -1267,9 +1294,10 @@ def start_search(cfg, j_tensor, f_matrix, points):
 
     The descents run in the calling process and in one forked helper on
     each further usable core (:func:`_helper_cpus`), each process taking
-    the next start as it becomes free.  The outcomes are picked in start order, so
-    the result, bit for bit, and any exception raised are those of one
-    descent after another in the calling process, on any number of cores.
+    the next start as it becomes free.  The outcomes are picked in start
+    order, so the result, bit for bit, and any exception raised are those
+    of one descent after another in the calling process, on any number of
+    cores.
     """
     j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
     descend = partial(_start_outcome, cfg, j_tensor, f_matrix, points)
