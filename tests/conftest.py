@@ -19,7 +19,8 @@ from ptdecouple.solver import SolverState
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running, as the benchmark fails a run."""
+    """Fail a test that leaves a child process running; a run of the package must
+    not leave one either."""
     yield
     left = multiprocessing.active_children()
     for proc in left:

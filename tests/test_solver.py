@@ -971,7 +971,7 @@ class TestParallelSearch:
             assert stops == ["stalled", "stalled", "converged"]
         else:
             assert stops == ["stalled"] * 8
-        # three helpers share one core
+        # every helper on one core: with three, more processes than cores
         cpu = max(os.sched_getaffinity(0))
         monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu] * helpers)
         read, write = self.hold_for_helpers(monkeypatch)
