@@ -928,6 +928,7 @@ def _search_in_worker(case):
     return len(forks), start_search(*case)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="searches run in process")
 class TestParallelSearch:
     """A start search runs its descents in the caller and in forked helpers,
     and returns what one descent after another in the caller returns."""
@@ -1041,6 +1042,20 @@ class TestParallelSearch:
             os.close(read)
             os.close(write)
         assert "in a start-search helper" in str(info.value.__cause__)
+
+    def test_no_helpers_beside_another_thread(self):
+        # a fork copies the locks that other threads hold
+        import threading
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert solver_mod._helper_cpus() == []
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
 
     def test_search_in_a_pool_worker_forks_nothing(self, monkeypatch):
         # a harness run with jobs > 1 already has its cores; its results do
