@@ -30,6 +30,7 @@ from dataclasses import fields
 from .harness import (
     BUILTINS,
     ExperimentConfig,
+    GenerationError,
     SyntheticSpec,
     builtin_system,
     config_keys,
@@ -202,11 +203,7 @@ def _cmd_generate(args):
     _require_layers(args)
     spec = SyntheticSpec(**_given(args, _field_names(SyntheticSpec)))
     _check_layers(args, spec.ranks)
-    try:
-        model = generate_system(spec)
-    except RuntimeError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    model = generate_system(spec)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(
         args.out, f"system_m{spec.n_inputs}_n{spec.n_outputs}_s{spec.seed}.json"
@@ -230,6 +227,9 @@ def main(argv=None):
         return CONFIG_ERROR
     except SolverDivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except GenerationError as exc:  # a generate target, from either command
+        print(f"generation failed: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
 

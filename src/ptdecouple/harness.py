@@ -153,6 +153,14 @@ class SyntheticSpec:
             raise ValueError("ranks and degrees must be non-empty and equally long")
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise ValueError("need positive input and output dims")
+        if any(r < 1 for r in self.ranks):
+            raise ValueError(f"ranks must be positive, got {list(self.ranks)}")
+        if np.isnan(self.collinearity_max):
+            raise ValueError("collinearity_max must be a number, got nan")
+
+
+class GenerationError(RuntimeError):
+    """No weight matrix under the collinearity cap within ``MAX_TRIES`` draws."""
 
 
 def generate_system(spec):
@@ -171,7 +179,7 @@ def generate_system(spec):
                 weights.append(w)
                 break
         else:
-            raise RuntimeError(
+            raise GenerationError(
                 f"rejection budget exceeded for weight matrix {i}; "
                 f"collinearity cap {spec.collinearity_max} may be infeasible"
             )

@@ -448,6 +448,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     if Y is not None:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
         a = np.concatenate([a, np.sqrt(lam) * Y], axis=1)
+        X = a[:, : X.shape[1]]  # i0 = 0: a view of X's entries, and X's array is freed
         b = np.concatenate([b, np.sqrt(lam) * state.R.T], axis=1)
     state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b)
     _write_factors(state, layer, X, Y)
@@ -994,11 +995,16 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     an accepted point is never evaluated again; a rejected one builds no
     tape, and neither does the point at which the descent stops.
 
-    Stops once the objective is below 1e-20 of ||J||^2 + lam ||F||^2
+    Stops once the objective is at most 1e-20 of ||J||^2 + lam ||F||^2
     ("converged"), once it fell by less than 10% over 15 iterations or the
     damping ran away ("stalled"), or after 150 iterations ("max_iters").
     A non-finite objective or Jacobian at an accepted point raises
     SolverDivergenceError.
+
+    Invariant, which the start search's pick relies on: a descent ends
+    "converged" exactly when the objective it returns is at most 1e-20 of
+    a scale set by the data and lam alone, so below every start's that
+    ends otherwise.
     """
     prob = _LMProblem(state.weights, state.coeffs, j_tensor, f_matrix, points, lam)
     theta = lm_pack(state.weights, state.coeffs)
@@ -1126,57 +1132,49 @@ def _start_outcome(cfg, j_tensor, f_matrix, points, k):
         return exc
 
 
-def _join(a, b):
-    """Runs a and b of a pick, b starting where a ends, reduced as one run."""
-    if a[2] is not False:  # a ends the search: nothing of b is taken
-        return [b[0], a[1], a[2]]
-    if b[1] is not None and (a[1] is None or b[1].objective < a[1].objective):
-        return b
-    return [b[0], a[1], b[2]]
+def _rank(k, outcome):
+    """Key of start k's outcome, the least being picked; None for a dropped one.
+
+    A stop (a converged descent or an exception) keys as (0, k), any other
+    finite descent as (1, objective, k).  By :func:`lm_descent`'s
+    invariant a converged descent's objective is below every other's.
+    """
+    if isinstance(outcome, Exception):
+        return (0, k)
+    if not (isinstance(outcome, LMResult) and np.isfinite(outcome.objective)):
+        return None
+    return (0, k) if outcome.stop_reason == "converged" else (1, outcome.objective, k)
 
 
 class _Pick:
     """A search's pick from descent outcomes that arrive in any order.
 
-    The outcomes are taken in start order: an exception is raised, a
-    diverged or non-finite descent is dropped, a strictly lower objective
-    replaces the best so far, and a converged descent ends the search.
-    Outcomes that arrive ahead of their turn are reduced in the same way,
-    run by run of consecutive starts, so that a run holds one result: a
-    search holds no more states than one descent after another does.
+    It holds one outcome, the least under :func:`_rank` so far, and is
+    final once that is a stop whose earlier starts have all come in, or
+    once every start has.  So it picks what one descent after another
+    does: the first strictly lowest finite objective, up to the first
+    converged descent or the first exception, which is raised.
     """
 
     def __init__(self):
-        # first start of each run of consecutive outcomes in -> [end, best,
-        # stop], stop being True after a converged descent, the exception of
-        # a descent that raised, or False
-        self._runs = {}
-
-    @property
-    def best(self):
-        return self._runs[0][1] if 0 in self._runs else None
+        self._seen, self._key, self.best = set(), None, None
 
     @property
     def done(self):
-        end, _, stop = self._runs.get(0, (0, None, False))
-        return stop is True or end == _SEARCH_STARTS
+        key = self._key
+        return len(self._seen) == _SEARCH_STARTS or (
+            key is not None and key[0] == 0 and self._seen.issuperset(range(key[1])))
 
     def add(self, k, outcome):
         """Take start k's outcome; returns whether the pick is final."""
         if self.done:
             return True
-        best = outcome if isinstance(outcome, LMResult) and np.isfinite(outcome.objective) else None
-        stop = outcome if isinstance(outcome, Exception) else (
-            best is not None and best.stop_reason == "converged")
-        first, run = k, [k + 1, best, stop]
-        if k + 1 in self._runs:
-            run = _join(run, self._runs.pop(k + 1))
-        before = next((s for s, (end, _, _) in self._runs.items() if end == k), None)
-        if before is not None:
-            first, run = before, _join(self._runs.pop(before), run)
-        self._runs[first] = run
-        if first == 0 and isinstance(run[2], Exception):
-            raise run[2]
+        self._seen.add(k)
+        key = _rank(k, outcome)
+        if key is not None and (self._key is None or key < self._key):
+            self._key, self.best = key, outcome
+        if self.done and isinstance(self.best, Exception):
+            raise self.best
         return self.done
 
 
@@ -1184,7 +1182,8 @@ def _search_in_parallel(cpus, descend, pick):
     """Feed pick the outcomes of descend(k) from the caller and a forked helper per CPU in cpus.
 
     Each process claims the next start whenever it is free; the caller
-    claims start 0, then the helpers are forked.  A process whose descent
+    claims start 0, then the helpers are forked.  The caller hands each
+    outcome to the pick as it arrives, in any order.  A process whose descent
     converges takes the unclaimed starts away, since none of them can be
     picked.  A helper is bound to its CPU: a forked process starts on its
     parent's, and where the kernel does not balance the load it stays
@@ -1294,10 +1293,10 @@ def start_search(cfg, j_tensor, f_matrix, points):
 
     The descents run in the calling process and in one forked helper on
     each further usable core (:func:`_helper_cpus`), each process taking
-    the next start as it becomes free.  The outcomes are picked in start
-    order, so the result, bit for bit, and any exception raised are those
-    of one descent after another in the calling process, on any number of
-    cores.
+    the next start as it becomes free.  The pick holds the least outcome
+    so far by :func:`_rank`, which by :func:`lm_descent`'s invariant is
+    the pick of one descent after another: the result, bit for bit, and
+    any exception raised are those of the caller alone, on any core count.
     """
     j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
     descend = partial(_start_outcome, cfg, j_tensor, f_matrix, points)

@@ -274,6 +274,36 @@ def test_experiment_test_count_of_one_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ranks", [2, 0]), ("ranks", [2, -1]), ("collinearity_max", float("nan")),
+])
+def test_bad_synthetic_spec_is_config_error(tmp_path, capsys, field, value):
+    # refused before any draw, from a generate flag and from a config file
+    flag = ",".join(map(str, value)) if field == "ranks" else str(value)
+    code = main(["generate", "-m", "2", "-n", "2", "--ranks", "2,2", "--degrees", "3,2",
+                 "--" + field.replace("_", "-"), flag, "--out", str(tmp_path / "gen")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error:") and field in err
+    spec = {"n_inputs": 2, "n_outputs": 2, "ranks": [2, 2], "degrees": [3, 2], field: value}
+    code, err = _config_exit(tmp_path, capsys, {
+        "target": {"generate": spec}, "runs": 1,
+        "solver": {"ranks": [2, 2], "degrees": [3, 2]}})
+    assert code == 2 and err.startswith("config error:") and field in err
+    assert not (tmp_path / "gen").exists() and not (tmp_path / "out").exists()
+
+
+def test_experiment_infeasible_generate_cap_is_numerical_error(tmp_path, capsys):
+    # no 2-column matrix has a collinearity below -1: exit 3, as generate does
+    spec = {"n_inputs": 2, "n_outputs": 2, "ranks": [2, 2], "degrees": [3, 2],
+            "collinearity_max": -2.0}
+    code, err = _config_exit(tmp_path, capsys, {
+        "target": {"generate": spec}, "runs": 1,
+        "solver": {"ranks": [2, 2], "degrees": [3, 2]}})
+    assert code == 3
+    assert err.startswith("generation failed:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _rerun_echo(tmp_path, argv):
     """Run an experiment, then again from the config its aggregates.json echoes."""
     first, second = tmp_path / "first", tmp_path / "second"
