@@ -155,6 +155,8 @@ class SyntheticSpec:
             raise ValueError("need positive input and output dims")
         if any(r < 1 for r in self.ranks):
             raise ValueError(f"ranks must be positive, got {list(self.ranks)}")
+        if any(d < 1 for d in self.degrees):
+            raise ValueError(f"degrees must be positive, got {list(self.degrees)}")
         if np.isnan(self.collinearity_max):
             raise ValueError("collinearity_max must be a number, got nan")
 

@@ -46,7 +46,9 @@ sampling points and the adjoint pass runs.
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.  A start
 search runs its descents on every usable core, in the calling process and
-forked helpers, and returns the same bits as on one core.  Every
+forked helpers, and returns the same bits as on one core; the searches of
+a tuned run's stages run as one :class:`StartSearch`, whose helpers
+descend the next stage's starts while the caller sweeps.  Every
 generator the package makes comes from :func:`seeded_rng`.
 """
 
@@ -56,7 +58,6 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -97,6 +98,7 @@ __all__ = [
     "LMResult",
     "lm_pack",
     "lm_descent",
+    "StartSearch",
     "start_search",
     "state_to_model",
 ]
@@ -971,7 +973,7 @@ def _consistent_state(weights, coeffs, points):
     )
 
 
-def lm_descent(state, j_tensor, f_matrix, points, lam):
+def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
     """Levenberg-Marquardt descent of the objective over the model parameters.
 
     The parameters are W_0..W_L and every coefficient except the frozen
@@ -999,7 +1001,9 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
     ("converged"), once it fell by less than 10% over 15 iterations or the
     damping ran away ("stalled"), or after 150 iterations ("max_iters").
     A non-finite objective or Jacobian at an accepted point raises
-    SolverDivergenceError.
+    SolverDivergenceError.  ``poll``, if given, is called after each
+    iteration that does not stop the descent; once it returns true the
+    descent is dropped and returns None.
 
     Invariant, which the start search's pick relies on: a descent ends
     "converged" exactly when the objective it returns is at most 1e-20 of
@@ -1068,6 +1072,8 @@ def lm_descent(state, j_tensor, f_matrix, points, lam):
         ):
             stop_reason = "stalled"
             break
+        if poll is not None and poll():
+            return None
     return LMResult(
         state=_consistent_state(*prob.model(theta), points),
         objective=f,
@@ -1118,14 +1124,14 @@ def _start_state(cfg, dims, points, k):
         return _normalize_inputs(_consistent_state(weights, coeffs, points), points)
 
 
-def _start_outcome(cfg, j_tensor, f_matrix, points, k):
-    """LMResult of start k's descent, None if it diverged, or the exception it raised."""
+def _start_outcome(cfg, j_tensor, f_matrix, points, k, poll=None):
+    """LMResult of start k's descent, None if it diverged or was dropped, or the exception it raised."""
     n, m, _ = j_tensor.shape
     try:
         # the descent holds the only reference to its start: the draws, G
         # and R are freed before it linearizes
         return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], points, k),
-                          j_tensor, f_matrix, points, cfg.lam)
+                          j_tensor, f_matrix, points, cfg.lam, poll)
     except (SolverDivergenceError, np.linalg.LinAlgError):
         return None
     except Exception as exc:  # raised once the pick reaches start k
@@ -1153,7 +1159,7 @@ class _Pick:
     final once that is a stop whose earlier starts have all come in, or
     once every start has.  So it picks what one descent after another
     does: the first strictly lowest finite objective, up to the first
-    converged descent or the first exception, which is raised.
+    converged descent or the first exception, which the search raises.
     """
 
     def __init__(self):
@@ -1167,114 +1173,220 @@ class _Pick:
 
     def add(self, k, outcome):
         """Take start k's outcome; returns whether the pick is final."""
-        if self.done:
-            return True
-        self._seen.add(k)
-        key = _rank(k, outcome)
-        if key is not None and (self._key is None or key < self._key):
-            self._key, self.best = key, outcome
-        if self.done and isinstance(self.best, Exception):
-            raise self.best
+        if not self.done:
+            self._seen.add(k)
+            key = _rank(k, outcome)
+            if key is not None and (self._key is None or key < self._key):
+                self._key, self.best = key, outcome
         return self.done
 
 
-def _search_in_parallel(cpus, descend, pick):
-    """Feed pick the outcomes of descend(k) from the caller and a forked helper per CPU in cpus.
+class _PipeLock:
+    """A lock that forked processes share: a pipe that holds one byte while it is free."""
 
-    Each process claims the next start whenever it is free; the caller
-    claims start 0, then the helpers are forked.  The caller hands each
-    outcome to the pick as it arrives, in any order.  A process whose descent
-    converges takes the unclaimed starts away, since none of them can be
-    picked.  A helper is bound to its CPU: a forked process starts on its
+    __slots__ = ("fds",)
+
+    def __init__(self):
+        self.fds = os.pipe()
+        os.write(self.fds[1], b"\0")
+
+    def __enter__(self):
+        os.read(self.fds[0], 1)
+
+    def __exit__(self, *exc):
+        os.write(self.fds[1], b"\0")
+
+
+class StartSearch:
+    """The start searches of a tuned run's stages, one :func:`start_search` per config.
+
+    An iterator: ``next()`` returns the next stage's start, the consistent
+    state of its best descent or None, and raises the exception its pick
+    reaches.  The descents run in the caller and in one forked helper on
+    each further usable core (:func:`_helper_cpus`), forked once, when the
+    search opens.  The caller descends starts of the stage it is on; the
+    helpers do too, and once that stage has no start left to claim they
+    claim starts of the next stage, which so descend while the caller
+    sweeps, and never of a stage beyond it.  Outcomes feed one
+    :class:`_Pick` per stage as they arrive, and a final pick is raised
+    only by the ``next()`` of its stage, so a stage never reached raises
+    nothing.  A descent is dropped between its LM iterations once an
+    earlier start of its stage has stopped (converged or raised), since it
+    cannot be picked then: the process whose descent stops marks that on a
+    board of shared memory, which every process reads between iterations
+    and before it claims a start.  So no descent of a stage goes on once
+    the stage's pick is final.
+
+    Close it (or use it as a context manager) to terminate and join the
+    helpers; a helper whose caller has gone exits at its next send or
+    wait.  A helper is bound to its CPU: a forked process starts on its
     parent's, and where the kernel does not balance the load it stays
-    there.  The helpers are terminated and joined before this returns or
-    raises; one whose caller has gone exits when its result pipe breaks.
+    there.
     """
-    import multiprocessing
-    import signal
-    import traceback
-    from multiprocessing.connection import wait
 
-    ctx = multiprocessing.get_context("fork")
-    # start k is claimed by reading byte k: the pipe hands each byte to one
-    # reader, in order
-    tickets, write_end = os.pipe()
-    os.write(write_end, bytes(range(_SEARCH_STARTS)))
-    os.close(write_end)
+    # no instance dict: a search is live at the peak memory of its descents
+    __slots__ = ("_cfgs", "_data", "_picks", "_board", "_t", "_procs", "_results",
+                 "_wake", "_lock", "_held")
 
-    def claim():
-        byte = os.read(tickets, 1)
-        return byte[0] if byte else None
+    def __init__(self, cfgs, j_tensor, f_matrix, points):
+        import mmap
 
-    def run(k):
-        outcome = descend(k)
-        if isinstance(outcome, LMResult) and outcome.stop_reason == "converged":
-            while os.read(tickets, _SEARCH_STARTS):
-                pass
+        self._cfgs = list(cfgs)
+        self._data = _check_fit_inputs(j_tensor, f_matrix, points)
+        n = len(self._cfgs)
+        self._picks = [_Pick() for _ in range(n)]
+        # the board, shared with the helpers: [0] the stage the caller is
+        # on, then for stage s [1 + 2s] the starts claimed, which are
+        # claimed in order, and [2 + 2s] the end of the starts that can
+        # still be picked, which only falls
+        self._board = memoryview(mmap.mmap(-1, 8 * (1 + 2 * n))).cast("q")
+        for s in range(n):
+            self._board[2 + 2 * s] = _SEARCH_STARTS
+        self._t = -1  # the caller's stage
+        self._procs, self._results, self._wake = [], [], None
+        self._lock = threading.Lock()
+        # the caller takes start 0 before any helper can
+        self._held = self._claim([0])
+        cpus = _helper_cpus()
+        if cpus:
+            self._fork(cpus)
+
+    def _fork(self, cpus):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        # an idle helper waits for a byte, which the caller writes to each
+        # helper as it enters a stage; EOF tells it the caller has gone
+        woken, self._wake = os.pipe()
+        try:
+            self._lock = _PipeLock()
+            for cpu in cpus:
+                recv, send = ctx.Pipe(duplex=False)
+                self._results.append(recv)
+                proc = ctx.Process(target=self._serve, args=(send, woken, cpu), daemon=True)
+                try:
+                    proc.start()
+                except OSError:  # no process to be had: go on with those started
+                    self._results.pop().close()
+                    break
+                finally:
+                    send.close()
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(woken)
+
+    def __iter__(self):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Terminate and join the helpers; idempotent."""
+        for proc in self._procs:
+            proc.terminate()
+        for proc in self._procs:
+            proc.join()
+        for conn in self._results:
+            conn.close()
+        if self._wake is not None:
+            os.close(self._wake)
+        for fd in getattr(self._lock, "fds", ()):
+            os.close(fd)
+        self._procs, self._results, self._wake = [], [], None
+        self._lock = threading.Lock()
+
+    def _claim(self, stages):
+        """(s, k): start k of the first of the stages with a start left to claim, or None."""
+        board = self._board
+        with self._lock:
+            for s in stages:
+                k = board[1 + 2 * s]
+                if k < board[2 + 2 * s]:
+                    board[1 + 2 * s] = k + 1
+                    return s, k
+        return None
+
+    def _descend(self, s, k):
+        """Outcome of start k of stage s, dropped once a stop of an earlier start is on the board."""
+        board, end = self._board, 2 + 2 * s
+        outcome = _start_outcome(self._cfgs[s], *self._data, k, lambda: k >= board[end])
+        key = _rank(k, outcome)
+        if key is not None and key[0] == 0:  # a stop: no later start can be picked
+            with self._lock:
+                board[end] = min(board[end], k + 1)
         return outcome
 
-    def serve(conn, cpu):
+    def _collect(self, timeout):
+        """Feed the picks every outcome the helpers have sent, waiting up to timeout for one."""
+        import select
+
+        for conn in select.select(self._results, [], [], timeout)[0]:
+            while True:
+                try:
+                    s, k, outcome, trace = conn.recv()
+                except EOFError:  # a helper exits early only when it fails
+                    raise RuntimeError(
+                        "a start-search helper exited without its outcome") from None
+                if trace is not None:  # shown above the caller's traceback
+                    outcome.__cause__ = RuntimeError("in a start-search helper:\n" + trace)
+                self._picks[s].add(k, outcome)
+                if not conn.poll():
+                    break
+
+    def _serve(self, conn, woken, cpu):
+        import signal
+        import traceback
+
         os.sched_setaffinity(0, {cpu})
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-        for c in results:  # the caller's ends: the pipe must break when the caller goes
+        # the caller's ends: the pipes must break when the caller goes
+        for c in self._results:
             c.close()
-        for k in iter(claim, None):
-            outcome = run(k)
+        os.close(self._wake)
+        while True:
+            t = self._board[0]
+            claim = self._claim(range(t, min(t + 2, len(self._cfgs))))
+            if claim is None:
+                if not os.read(woken, 1):
+                    return
+                continue
+            s, k = claim
+            outcome = self._descend(s, k)
             failed = isinstance(outcome, Exception)
             trace = "".join(traceback.format_exception(
                 type(outcome), outcome, outcome.__traceback__)) if failed else None
             try:
-                conn.send((k, outcome, trace))
+                conn.send((s, k, outcome, trace))
             except BrokenPipeError:
                 return
-            if failed:
-                return
 
-    def collect(timeout):
-        for conn in wait(results, timeout):
-            try:
-                k, outcome, trace = conn.recv()
-            except EOFError:  # the helper has exited
-                results.remove(conn)
-                conn.close()
-                continue
-            if trace is not None:  # shown above the caller's traceback
-                outcome.__cause__ = RuntimeError("in a start-search helper:\n" + trace)
-            if pick.add(k, outcome):
-                return
-
-    procs, results = [], []
-    try:
-        k = claim()
-        for cpu in cpus:
-            recv, send = ctx.Pipe(duplex=False)
-            results.append(recv)
-            proc = ctx.Process(target=serve, args=(send, cpu), daemon=True)
-            try:
-                proc.start()
-            except OSError:  # no process to be had: go on with those started
-                results.pop().close()
-                break
-            finally:
-                send.close()
-            procs.append(proc)
+    def __next__(self):
+        t = self._t + 1
+        if t == len(self._cfgs):
+            raise StopIteration
+        self._t = self._board[0] = t
+        if self._wake is not None:
+            os.write(self._wake, bytes(len(self._procs)))
+        pick = self._picks[t]
         while not pick.done:
-            if k is not None:
-                pick.add(k, run(k))
-                collect(0)
-                k = claim()
-            elif results:
-                collect(None)
-            else:
-                raise RuntimeError("a start-search helper exited without its outcome")
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in results:
-            conn.close()
-        os.close(tickets)
+            claim, self._held = self._held or self._claim([t]), None
+            if claim is not None:
+                pick.add(claim[1], self._descend(*claim))
+                self._collect(0)
+            elif self._results:
+                self._collect(None)
+            else:  # every start is claimed, so the pick is final without helpers
+                raise RuntimeError("a start search ran out of starts before its pick")
+        if isinstance(pick.best, Exception):
+            raise pick.best
+        return None if pick.best is None else pick.best.state
 
 
 def start_search(cfg, j_tensor, f_matrix, points):
@@ -1291,24 +1403,17 @@ def start_search(cfg, j_tensor, f_matrix, points):
     dropped; returns None when no start gave a finite objective, and the
     consistent state of the best descent otherwise.
 
-    The descents run in the calling process and in one forked helper on
-    each further usable core (:func:`_helper_cpus`), each process taking
-    the next start as it becomes free.  The pick holds the least outcome
-    so far by :func:`_rank`, which by :func:`lm_descent`'s invariant is
-    the pick of one descent after another: the result, bit for bit, and
-    any exception raised are those of the caller alone, on any core count.
+    This is the one-stage case of :class:`StartSearch`: the descents run
+    in the calling process and in one forked helper on each further
+    usable core (:func:`_helper_cpus`), each process taking the next start
+    as it becomes free, and a descent is dropped once it cannot be picked.
+    The pick holds the least outcome so far by :func:`_rank`, which by
+    :func:`lm_descent`'s invariant is the pick of one descent after
+    another: the result, bit for bit, and any exception raised are those
+    of the caller alone, on any core count.
     """
-    j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
-    descend = partial(_start_outcome, cfg, j_tensor, f_matrix, points)
-    pick = _Pick()
-    cpus = _helper_cpus()
-    if cpus:
-        _search_in_parallel(cpus, descend, pick)
-    else:
-        for k in range(_SEARCH_STARTS):
-            if pick.add(k, descend(k)):
-                break
-    return None if pick.best is None else pick.best.state
+    with StartSearch([cfg], j_tensor, f_matrix, points) as starts:
+        return next(starts)
 
 
 def state_to_model(state):

@@ -14,6 +14,14 @@ standard-normal draws (``solver.start_search``).  The alternating solver
 then runs from that state; only where every descent diverged does it start
 from ``solver.init_state``, as a bare ``fit`` does.  A non-finite validation
 metric counts as a worsening, so it is never selected.
+
+A stage's search needs only the data, its lam and its seed, not the fit of
+the stage before.  So a tuned run's searches run as one pipelined
+``solver.StartSearch``: its helper processes, forked once per run, descend
+starts of the next stage while the caller runs this stage's sweeps, and
+never of a stage beyond it.  Each stage picks, bit for bit, what its own
+``start_search`` picks; a stage the tuner never reaches is dropped
+unseen, exceptions included.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DecoupledModel, eval_batch
-from .solver import SolverConfig, SolverDivergenceError, fit, start_search, state_to_model
+from .solver import SolverConfig, SolverDivergenceError, StartSearch, fit, state_to_model
 
 __all__ = [
     "TunerConfig",
@@ -164,7 +172,10 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         A non-finite metric counts as a worsening.
 
     Each stage runs ``fit`` at its lam and seed from the state that
-    ``start_search`` picks for that lam and seed (see the module notes).
+    ``start_search`` picks for that lam and seed.  The stages' searches run
+    as one ``StartSearch``, opened here and closed before this returns or
+    raises: the helpers it forks once descend the next stage's starts while
+    this stage's sweeps run (see the module notes).
 
     Raises
     ------
@@ -186,33 +197,38 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         raise ValueError(f"validation needs S_val x {m} points and {n} x S_val targets")
     _spread(val_targets)
 
+    # lam by repeated products, as each stage multiplies the last; a lam
+    # that overflows ends the list, and raises if the tuner gets there
+    stage_cfgs, lam = [], cfg.lambda0
+    while len(stage_cfgs) < cfg.max_stages and lam < math.inf:
+        seed = int(cfg.solver.rng_seed) ^ len(stage_cfgs)
+        stage_cfgs.append(replace(cfg.solver, lam=lam, rng_seed=seed))
+        lam *= cfg.beta
     stages = []
     prev_metric = np.inf  # sentinel for the stage before the first
-    lam = cfg.lambda0
     selected = None
-    for t in range(cfg.max_stages):
-        inner = replace(
-            cfg.solver, lam=lam, rng_seed=int(cfg.solver.rng_seed) ^ t
-        )
-        start = start_search(inner, j_tensor, f_matrix, points)
-        try:
-            report = fit(inner, j_tensor, f_matrix, points, initial_state=start)
-        except SolverDivergenceError as exc:
-            raise SolverDivergenceError(
-                f"stage {t} (lam={lam:g}): {exc}", exc.trace
-            ) from exc
-        metric = validation_metric(report.state, val_points, val_targets)
-        stages.append(StageResult(lam=lam, report=report, metric=metric))
-        if not np.isfinite(metric) or metric > prev_metric:
-            if t == 0:
+    with StartSearch(stage_cfgs, j_tensor, f_matrix, points) as starts:
+        for t, inner in enumerate(stage_cfgs):
+            start = next(starts)
+            try:
+                report = fit(inner, j_tensor, f_matrix, points, initial_state=start)
+            except SolverDivergenceError as exc:
                 raise SolverDivergenceError(
-                    f"stage 0 (lam={lam:g}): non-finite validation metric {metric}",
-                    list(report.state.trace),
-                )
-            selected = t - 1
-            break
-        prev_metric = metric
-        lam *= cfg.beta
+                    f"stage {t} (lam={inner.lam:g}): {exc}", exc.trace
+                ) from exc
+            metric = validation_metric(report.state, val_points, val_targets)
+            stages.append(StageResult(lam=inner.lam, report=report, metric=metric))
+            if not np.isfinite(metric) or metric > prev_metric:
+                if t == 0:
+                    raise SolverDivergenceError(
+                        f"stage 0 (lam={inner.lam:g}): non-finite validation metric {metric}",
+                        list(report.state.trace),
+                    )
+                selected = t - 1
+                break
+            prev_metric = metric
     if selected is None:
+        if len(stages) < cfg.max_stages:
+            raise ValueError(f"stage {len(stages)}: lam must be finite, got {lam}")
         selected = len(stages) - 1
     return TunerReport(stages=stages, selected=selected)

@@ -17,16 +17,34 @@ from ptdecouple.model import internal_inputs_batch, true_pt_factors
 from ptdecouple.solver import SolverState
 
 
+def open_pipes():
+    """Number of this process's open pipe file descriptors; None without /proc/self/fd."""
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except FileNotFoundError:
+        return None
+    count = 0
+    for fd in fds:
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("pipe:")
+        except OSError:  # closed since the listing, as the listing's own descriptor is
+            pass
+    return count
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running; a run of the package must
-    not leave one either."""
+    """Fail a test that leaves a child process running or more pipes open than
+    it found; a run of the package must not leave either."""
+    pipes = open_pipes()
     yield
     left = multiprocessing.active_children()
     for proc in left:
         proc.terminate()
         proc.join()
     assert not left, f"child processes left running: {left}"
+    if pipes is not None:
+        assert open_pipes() <= pipes, f"pipes left open: {open_pipes() - pipes}"
 
 
 def make_system(seed, m=2, n=2, ranks=(2, 2), degrees=(3, 2)):

@@ -275,11 +275,12 @@ def test_experiment_test_count_of_one_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("ranks", [2, 0]), ("ranks", [2, -1]), ("collinearity_max", float("nan")),
+    ("ranks", [2, 0]), ("ranks", [2, -1]), ("degrees", [3, 0]),
+    ("collinearity_max", float("nan")),
 ])
 def test_bad_synthetic_spec_is_config_error(tmp_path, capsys, field, value):
     # refused before any draw, from a generate flag and from a config file
-    flag = ",".join(map(str, value)) if field == "ranks" else str(value)
+    flag = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     code = main(["generate", "-m", "2", "-n", "2", "--ranks", "2,2", "--degrees", "3,2",
                  "--" + field.replace("_", "-"), flag, "--out", str(tmp_path / "gen")])
     err = capsys.readouterr().err

@@ -900,9 +900,10 @@ class TestLevenbergMarquardt:
         assert rep.error_j <= 1e-16
 
 
-def _search_case(case):
+def _search_case(case, seed=0):
     """An f1 search that stops at its third start, which converges, or an L = 3
-    search whose 8 descents all stall; S = 30 as in the protocols."""
+    search whose 8 descents all stall; S = 30 as in the protocols.  At seed 2
+    the f1 search stops at its second start."""
     from ptdecouple.harness import builtin_system
     from ptdecouple.solver import seeded_rng
 
@@ -911,8 +912,8 @@ def _search_case(case):
     else:
         ranks, degrees = (3, 2, 2), (2, 3, 2)
         model = make_system(0, m=3, n=2, ranks=ranks, degrees=degrees)
-    pts = seeded_rng(0, 0, 0).uniform(-1, 1, (30, model.n_inputs))
-    cfg = SolverConfig(ranks=ranks, degrees=degrees, lam=1e-6, rng_seed=0)
+    pts = seeded_rng(seed, 0, 0).uniform(-1, 1, (30, model.n_inputs))
+    cfg = SolverConfig(ranks=ranks, degrees=degrees, lam=1e-6, rng_seed=seed)
     return cfg, build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
 
 
@@ -961,7 +962,7 @@ class TestParallelSearch:
 
         def outcome(*args):
             if os.getpid() != caller:
-                os.write(write, bytes([args[-1]]))
+                os.write(write, bytes([args[4]]))  # (cfg, J, F, points, k, poll)
             elif not select.select([read], [], [], 60)[0]:
                 raise AssertionError("no helper began a descent")
             return real(*args)
@@ -999,6 +1000,59 @@ class TestParallelSearch:
             os.close(read)
             os.close(write)
         assert ran and 0 not in ran  # the caller takes start 0
+        assert _state_bytes(got) == _state_bytes(expected)
+
+    def test_a_descent_that_cannot_be_picked_is_dropped(self, monkeypatch):
+        # the f1 search of seed 2 stops at start 1, which converges in the
+        # helper while the caller descends start 2; alone, start 2 runs 60
+        # LM iterations, but the caller drops it once start 1's stop is on
+        # the board, and the pick is that of the search in process
+        cfg, J, F, pts = _search_case("f1", seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            expected = start_search(cfg, J, F, pts)
+        alone = solver_mod._start_outcome(cfg, J, F, pts, 2)
+        assert alone.stop_reason == "stalled" and alone.iterations == 60
+        caller, real = os.getpid(), solver_mod._start_outcome
+        began, go = os.pipe(), os.pipe()
+        polls, dropped = [], []
+
+        def wait(fd, what):
+            if not select.select([fd], [], [], 60)[0]:
+                raise AssertionError(what)
+
+        def outcome(cfg, J, F, pts, k, poll):
+            if os.getpid() != caller:
+                os.write(began[1], bytes([k]))
+                out = real(cfg, J, F, pts, k, poll)
+                if k == 1:  # its stop goes on the board once the caller descends start 2
+                    wait(go[0], "the caller did not begin start 2")
+                return out
+            if k == 0:
+                wait(began[0], "no helper began a descent")
+            elif k == 2:
+                os.write(go[1], b"2")
+
+                def counted():  # called after each LM iteration
+                    polls.append(1)
+                    return poll()
+
+                out = real(cfg, J, F, pts, k, counted)
+                dropped.append(out is None)
+                return out
+            return real(cfg, J, F, pts, k, poll)
+
+        cpu = max(os.sched_getaffinity(0))
+        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu])
+        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        try:
+            got = start_search(cfg, J, F, pts)
+            ran = set(os.read(began[0], 64))
+        finally:
+            for fd in (*began, *go):
+                os.close(fd)
+        assert ran == {1}
+        assert dropped == [True] and 0 < len(polls) < alone.iterations
         assert _state_bytes(got) == _state_bytes(expected)
 
     def test_outcomes_are_picked_in_start_order(self):
@@ -1051,12 +1105,9 @@ class TestParallelSearch:
             assert in_order(script) is expected
             for order in [range(8)] + [rng.permutation(8) for _ in range(100)]:
                 pick = _Pick()
-                try:
-                    for k in order:
-                        pick.add(k, script[k])
-                except TypeError as exc:
-                    assert exc is expected
-                    continue
+                for k in order:
+                    pick.add(k, script[k])
+                # an exception is picked like an outcome; the search raises it
                 assert pick.done and pick.best is expected
 
     def test_helper_error_is_raised_in_the_caller(self, monkeypatch):

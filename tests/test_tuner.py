@@ -1,9 +1,13 @@
 import json
+import multiprocessing.connection
+import os
+import select
 
 import numpy as np
 import pytest
 from conftest import make_system, truth_state
 
+import ptdecouple.solver as solver_mod
 import ptdecouple.tuner as tuner_mod
 from ptdecouple.model import build_f_matrix, build_jacobian_tensor, eval_batch
 from ptdecouple.solver import SolverConfig, SolverDivergenceError
@@ -24,6 +28,34 @@ def small_problem(seed=0, S=20):
 def quick_solver(seed=1, strategy="constr"):
     return SolverConfig(ranks=(2, 2), degrees=(3, 2), min_iters=3, max_iters=15,
                         patience=20, rng_seed=seed, strategy=strategy)
+
+
+def fake_searches(monkeypatch):
+    """Make the tuner's start searches pick no start.
+
+    Returns the lists of the stage configs handed to each search opened,
+    and of the (lam, seed) of each stage a start was asked for.
+    """
+    opened, picked = [], []
+
+    class Searches:
+        def __init__(self, cfgs, *data):
+            opened.append(cfgs)
+            self.cfgs = iter(cfgs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def __next__(self):
+            cfg = next(self.cfgs)
+            picked.append((cfg.lam, cfg.rng_seed))
+            return None
+
+    monkeypatch.setattr(tuner_mod, "StartSearch", Searches)
+    return opened, picked
 
 
 class TestConfig:
@@ -148,17 +180,15 @@ class TestTuneLoopSemantics:
     def test_stages_start_from_the_search(self, monkeypatch):
         # each stage's fit starts from the state the search picked for that
         # stage's lam and seed
-        seen = []
-
-        def fake_search(cfg, j, f, points):
-            seen.append((cfg.lam, cfg.rng_seed))
-            return None
-
-        monkeypatch.setattr(tuner_mod, "start_search", fake_search)
+        opened, seen = fake_searches(monkeypatch)
         model, train, val, J, F, targets = small_problem(16)
         cfg = TunerConfig(solver=quick_solver(seed=12), max_stages=2)
         report = tune(cfg, J, F, train, (val, targets))
         assert seen == [(st.lam, 12 ^ t) for t, st in enumerate(report.stages)]
+        # one search per tuned run, handed every stage's config; lam is the
+        # product of the stages before, bit for bit
+        assert [[(c.lam, c.rng_seed) for c in cfgs] for cfgs in opened] == [
+            [(1e-6, 12), (1e-6 * 100.0, 13)]]
 
     def test_stage_seeds_xor(self):
         model, train, val, J, F, targets = small_problem(10)
@@ -195,13 +225,7 @@ class TestTuneProperties:
     def test_single_validation_point_rejected_before_any_fit(self, monkeypatch):
         # one point has no spread for the rrmse, so tune must refuse it
         # before it spends a stage's search and sweeps
-        calls = []
-
-        def search(*args, **kwargs):
-            calls.append(args)
-            return None
-
-        monkeypatch.setattr(tuner_mod, "start_search", search)
+        calls, _ = fake_searches(monkeypatch)
         model, train, val, J, F, targets = small_problem(14)
         cfg = TunerConfig(solver=quick_solver())
         with pytest.raises(ValueError):
@@ -211,13 +235,7 @@ class TestTuneProperties:
     def test_misshapen_validation_rejected_before_any_fit(self, monkeypatch):
         # targets must be n x S_val and points S_val x m; a shape error must
         # surface before a stage's search and sweeps, not in its metric
-        calls = []
-
-        def search(*args, **kwargs):
-            calls.append(args)
-            return None
-
-        monkeypatch.setattr(tuner_mod, "start_search", search)
+        calls, _ = fake_searches(monkeypatch)
         model, train, val, J, F, targets = small_problem(14)
         cfg = TunerConfig(solver=quick_solver())
         for bad in [(val, targets[:, :-1]), (val, targets.T), (val[:, :1], targets),
@@ -229,13 +247,7 @@ class TestTuneProperties:
     def test_degenerate_targets_rejected_before_any_fit(self, monkeypatch):
         # a NaN or a constant target output fails every stage's metric, so
         # tune must refuse it before it spends stage 0's search and sweeps
-        calls = []
-
-        def search(*args, **kwargs):
-            calls.append(args)
-            return None
-
-        monkeypatch.setattr(tuner_mod, "start_search", search)
+        calls, _ = fake_searches(monkeypatch)
         model, train, val, J, F, targets = small_problem(14)
         cfg = TunerConfig(solver=quick_solver())
         nan = targets.copy()
@@ -258,3 +270,184 @@ class TestTuneProperties:
             assert stage["stage"] == t
             assert "lam" in stage and "metric" in stage
             assert "trace" in stage["report"]
+
+
+def tuned_case(case):
+    """A tuned run of 3 stages, on f1 or on a generated L = 3 system, S = 30."""
+    from ptdecouple.harness import builtin_system
+    from ptdecouple.solver import seeded_rng
+
+    if case == "f1":
+        seed, model, ranks, degrees = 1, builtin_system("f1"), (2, 2), (5, 2)
+    else:
+        seed, ranks, degrees = 0, (3, 2, 2), (2, 3, 2)
+        model = make_system(seed, m=3, n=2, ranks=ranks, degrees=degrees)
+    rng = seeded_rng(seed, 0, 0)
+    pts = rng.uniform(-1, 1, (30, model.n_inputs))
+    val = rng.uniform(-1, 1, (30, model.n_inputs))
+    cfg = TunerConfig(solver=SolverConfig(ranks=ranks, degrees=degrees, rng_seed=seed,
+                                          max_iters=20, patience=20), max_stages=3)
+    J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+    return cfg, J, F, pts, (val, eval_batch(model, val))
+
+
+def state_bytes(st):
+    return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="searches run in process")
+class TestPipelinedSearches:
+    """A tuned run's searches run as one StartSearch: helpers forked once per
+    run descend the next stage's starts while the caller sweeps, and every
+    stage gets the bits of its search in process."""
+
+    @staticmethod
+    def helpers(monkeypatch, count):
+        """Fork count helpers, all on one core, from here on."""
+        cpu = max(os.sched_getaffinity(0))
+        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu] * count)
+
+    @staticmethod
+    def stage_of(cfg, inner):
+        return inner.rng_seed ^ cfg.solver.rng_seed
+
+    @staticmethod
+    def wait(fd, what):
+        if not select.select([fd], [], [], 60)[0]:
+            raise AssertionError(what)
+
+    @pytest.mark.parametrize("case", ["f1", "L3"])
+    def test_a_tuned_run_keeps_its_bytes_and_forks_once(self, monkeypatch, case):
+        cfg, J, F, pts, validation = tuned_case(case)
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            expected = tune(cfg, J, F, pts, validation)
+        assert len(expected.stages) == 3
+        # each stage's sweeps wait until a helper has begun a start of the
+        # next stage, which the caller has not reached
+        read, write = os.pipe()
+        caller, real, real_fit = os.getpid(), solver_mod._start_outcome, tuner_mod.fit
+        ahead = set()
+
+        def outcome(inner, *args):
+            if os.getpid() != caller:
+                os.write(write, bytes([self.stage_of(cfg, inner)]))
+            return real(inner, *args)
+
+        def fit(inner, *args, **kwargs):
+            t = self.stage_of(cfg, inner)
+            while t + 1 < cfg.max_stages and t + 1 not in ahead:
+                self.wait(read, f"no helper began a start of stage {t + 1} during stage {t}")
+                ahead.update(os.read(read, 64))
+            return real_fit(inner, *args, **kwargs)
+
+        forks = []
+        os.register_at_fork(after_in_parent=lambda: forks.append(1))
+        self.helpers(monkeypatch, 2)
+        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(tuner_mod, "fit", fit)
+        try:
+            got = tune(cfg, J, F, pts, validation)
+        finally:
+            os.close(read)
+            os.close(write)
+        assert ahead >= {1, 2}
+        assert len(forks) == 2  # each helper forked once, not once per stage
+        assert got.to_json() == expected.to_json()
+        assert [state_bytes(st.report.state) for st in got.stages] == [
+            state_bytes(st.report.state) for st in expected.stages]
+
+    def scripted_errors(self, monkeypatch, cfg, stage):
+        """Descents of the stage raise TypeError in the helpers; returns the
+        outcomes the caller's picks take."""
+        caller, real = os.getpid(), solver_mod.lm_descent
+        lam = cfg.lambda0
+        for _ in range(stage):  # by the tuner's products
+            lam *= cfg.beta
+
+        def descent(state, *args):
+            if args[3] == lam and os.getpid() != caller:
+                raise TypeError(f"scripted error in stage {stage}")
+            return real(state, *args)
+
+        picked, add = [], solver_mod._Pick.add
+
+        def spied(pick, k, outcome):
+            picked.append(outcome)
+            return add(pick, k, outcome)
+
+        monkeypatch.setattr(solver_mod, "lm_descent", descent)
+        monkeypatch.setattr(solver_mod._Pick, "add", spied)
+        return picked
+
+    def test_an_error_of_a_stage_never_run_is_not_raised(self, monkeypatch):
+        # the tuner stops after stage 1, whose metric is worse; a helper
+        # raised in stage 2 while stage 1 ran, and stage 2's pick took it
+        cfg, J, F, pts, validation = tuned_case("f1")
+        scripted = iter([2.0, 3.0])
+        monkeypatch.setattr(tuner_mod, "validation_metric", lambda *a: next(scripted))
+        picked = self.scripted_errors(monkeypatch, cfg, 2)
+        # the helper descends stage 1 only once the caller is in it, and the
+        # caller's first descent of stage 1 ends once stage 2's error is sent
+        caller, real, real_fit = os.getpid(), solver_mod._start_outcome, tuner_mod.fit
+        entered, sent = os.pipe(), os.pipe()
+        send = multiprocessing.connection.Connection.send
+
+        def sending(conn, obj):
+            send(conn, obj)
+            if isinstance(obj[2], TypeError):
+                os.write(sent[1], b"!")
+
+        def outcome(inner, *args):
+            t = self.stage_of(cfg, inner)
+            if t == 1 and os.getpid() != caller:
+                self.wait(entered[0], "the caller did not finish stage 0")
+            elif t == 1 and not sent_seen:
+                self.wait(sent[0], "no helper sent stage 2's error")
+                sent_seen.append(1)
+            return real(inner, *args)
+
+        def fit(inner, *args, **kwargs):
+            report = real_fit(inner, *args, **kwargs)
+            if self.stage_of(cfg, inner) == 0:
+                os.write(entered[1], b"!")
+            return report
+
+        sent_seen = []
+        self.helpers(monkeypatch, 1)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", sending)
+        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(tuner_mod, "fit", fit)
+        try:
+            report = tune(cfg, J, F, pts, validation)
+        finally:
+            for fd in (*entered, *sent):
+                os.close(fd)
+        assert len(report.stages) == 2 and report.selected == 0
+        assert sent_seen and any(isinstance(out, TypeError) for out in picked)
+
+    def test_an_error_of_a_stage_run_is_raised_with_the_helpers_traceback(self, monkeypatch):
+        cfg, J, F, pts, validation = tuned_case("f1")
+        self.scripted_errors(monkeypatch, cfg, 1)
+        # the caller's descents of stage 1 wait until a helper has begun one
+        read, write = os.pipe()
+        caller, real = os.getpid(), solver_mod._start_outcome
+
+        def outcome(inner, *args):
+            if self.stage_of(cfg, inner) == 1:
+                if os.getpid() != caller:
+                    os.write(write, b"!")
+                else:
+                    self.wait(read, "no helper began a start of stage 1")
+            return real(inner, *args)
+
+        self.helpers(monkeypatch, 1)
+        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        try:
+            with pytest.raises(TypeError, match="scripted error in stage 1") as info:
+                tune(cfg, J, F, pts, validation)
+        finally:
+            os.close(read)
+            os.close(write)
+        assert "in a start-search helper" in str(info.value.__cause__)
+        assert "scripted error in stage 1" in str(info.value.__cause__)
