@@ -185,7 +185,8 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     ValueError
         Before any fit: with fewer than two validation points, validation
         points and targets not shaped S_val x m and n x S_val, or a target
-        output that is non-finite or constant (see :func:`rrmse`).
+        output that is non-finite or constant (see :func:`rrmse`).  Also
+        when the escalation reaches a stage whose lam overflows.
     """
     val_points, val_targets = validation
     val_points = np.asarray(val_points, dtype=float)
