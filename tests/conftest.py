@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import multiprocessing
+import select
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def no_child_process_left():
     assert not left, f"child processes left running: {left}"
     if pipes is not None:
         assert open_pipes() <= pipes, f"pipes left open: {open_pipes() - pipes}"
+
+
+def state_bytes(st):
+    return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
+
+
+def wait_readable(fd, what):
+    """Wait up to 60 s for fd to be readable; fail with what otherwise."""
+    if not select.select([fd], [], [], 60)[0]:
+        raise AssertionError(what)
 
 
 def make_system(seed, m=2, n=2, ranks=(2, 2), degrees=(3, 2)):

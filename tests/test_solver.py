@@ -4,7 +4,7 @@ import select
 
 import numpy as np
 import pytest
-from conftest import make_system, truth_state
+from conftest import make_system, state_bytes, truth_state, wait_readable
 
 import ptdecouple.solver as solver_mod
 
@@ -917,10 +917,6 @@ def _search_case(case, seed=0):
     return cfg, build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
 
 
-def _state_bytes(st):
-    return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
-
-
 def _search_in_worker(case):
     from ptdecouple.solver import start_search
 
@@ -1000,7 +996,7 @@ class TestParallelSearch:
             os.close(read)
             os.close(write)
         assert ran and 0 not in ran  # the caller takes start 0
-        assert _state_bytes(got) == _state_bytes(expected)
+        assert state_bytes(got) == state_bytes(expected)
 
     def test_a_descent_that_cannot_be_picked_is_dropped(self, monkeypatch):
         # the f1 search of seed 2 stops at start 1, which converges in the
@@ -1017,19 +1013,15 @@ class TestParallelSearch:
         began, go = os.pipe(), os.pipe()
         polls, dropped = [], []
 
-        def wait(fd, what):
-            if not select.select([fd], [], [], 60)[0]:
-                raise AssertionError(what)
-
         def outcome(cfg, J, F, pts, k, poll):
             if os.getpid() != caller:
                 os.write(began[1], bytes([k]))
                 out = real(cfg, J, F, pts, k, poll)
                 if k == 1:  # its stop goes on the board once the caller descends start 2
-                    wait(go[0], "the caller did not begin start 2")
+                    wait_readable(go[0], "the caller did not begin start 2")
                 return out
             if k == 0:
-                wait(began[0], "no helper began a descent")
+                wait_readable(began[0], "no helper began a descent")
             elif k == 2:
                 os.write(go[1], b"2")
 
@@ -1053,7 +1045,7 @@ class TestParallelSearch:
                 os.close(fd)
         assert ran == {1}
         assert dropped == [True] and 0 < len(polls) < alone.iterations
-        assert _state_bytes(got) == _state_bytes(expected)
+        assert state_bytes(got) == state_bytes(expected)
 
     def test_outcomes_are_picked_in_start_order(self):
         # whatever order the outcomes arrive in, the pick is that of one
@@ -1162,7 +1154,7 @@ class TestParallelSearch:
         with ProcessPoolExecutor(max_workers=1) as pool:
             forks, got = pool.submit(_search_in_worker, case).result(timeout=120)
         assert forks == 0
-        assert _state_bytes(got) == _state_bytes(expected)
+        assert state_bytes(got) == state_bytes(expected)
 
 
 class TestInPlaceReduction:

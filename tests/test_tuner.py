@@ -1,11 +1,10 @@
 import json
 import multiprocessing.connection
 import os
-import select
 
 import numpy as np
 import pytest
-from conftest import make_system, truth_state
+from conftest import make_system, state_bytes, truth_state, wait_readable
 
 import ptdecouple.solver as solver_mod
 import ptdecouple.tuner as tuner_mod
@@ -291,10 +290,6 @@ def tuned_case(case):
     return cfg, J, F, pts, (val, eval_batch(model, val))
 
 
-def state_bytes(st):
-    return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="searches run in process")
 class TestPipelinedSearches:
     """A tuned run's searches run as one StartSearch: helpers forked once per
@@ -310,11 +305,6 @@ class TestPipelinedSearches:
     @staticmethod
     def stage_of(cfg, inner):
         return inner.rng_seed ^ cfg.solver.rng_seed
-
-    @staticmethod
-    def wait(fd, what):
-        if not select.select([fd], [], [], 60)[0]:
-            raise AssertionError(what)
 
     @pytest.mark.parametrize("case", ["f1", "L3"])
     def test_a_tuned_run_keeps_its_bytes_and_forks_once(self, monkeypatch, case):
@@ -337,7 +327,7 @@ class TestPipelinedSearches:
         def fit(inner, *args, **kwargs):
             t = self.stage_of(cfg, inner)
             while t + 1 < cfg.max_stages and t + 1 not in ahead:
-                self.wait(read, f"no helper began a start of stage {t + 1} during stage {t}")
+                wait_readable(read, f"no helper began a start of stage {t + 1} during stage {t}")
                 ahead.update(os.read(read, 64))
             return real_fit(inner, *args, **kwargs)
 
@@ -401,9 +391,9 @@ class TestPipelinedSearches:
         def outcome(inner, *args):
             t = self.stage_of(cfg, inner)
             if t == 1 and os.getpid() != caller:
-                self.wait(entered[0], "the caller did not finish stage 0")
+                wait_readable(entered[0], "the caller did not finish stage 0")
             elif t == 1 and not sent_seen:
-                self.wait(sent[0], "no helper sent stage 2's error")
+                wait_readable(sent[0], "no helper sent stage 2's error")
                 sent_seen.append(1)
             return real(inner, *args)
 
@@ -438,7 +428,7 @@ class TestPipelinedSearches:
                 if os.getpid() != caller:
                     os.write(write, b"!")
                 else:
-                    self.wait(read, "no helper began a start of stage 1")
+                    wait_readable(read, "no helper began a start of stage 1")
             return real(inner, *args)
 
         self.helpers(monkeypatch, 1)
