@@ -1,6 +1,7 @@
 import json
 import os
 import select
+import time
 
 import numpy as np
 import pytest
@@ -1027,6 +1028,10 @@ class TestParallelSearch:
 
                 def counted():  # called after each LM iteration
                     polls.append(1)
+                    if len(polls) == 1:  # the helper's stop reaches the board meanwhile
+                        deadline = time.monotonic() + 60
+                        while not poll() and time.monotonic() < deadline:
+                            time.sleep(1e-3)
                     return poll()
 
                 out = real(cfg, J, F, pts, k, counted)

@@ -348,17 +348,20 @@ class TestPipelinedSearches:
             state_bytes(st.report.state) for st in expected.stages]
 
     def scripted_errors(self, monkeypatch, cfg, stage):
-        """Descents of the stage raise TypeError in the helpers; returns the
-        outcomes the caller's picks take."""
+        """Descents of the stage raise TypeError in the helpers and stall in
+        the caller; returns the outcomes the caller's picks take."""
         caller, real = os.getpid(), solver_mod.lm_descent
         lam = cfg.lambda0
         for _ in range(stage):  # by the tuner's products
             lam *= cfg.beta
 
-        def descent(state, *args):
-            if args[3] == lam and os.getpid() != caller:
+        def descent(state, *args):  # args: J, F, points, lam, poll
+            if args[3] != lam:
+                return real(state, *args)
+            if os.getpid() != caller:
                 raise TypeError(f"scripted error in stage {stage}")
-            return real(state, *args)
+            return solver_mod.LMResult(state=state, objective=1.0, iterations=1,
+                                       stop_reason="stalled")
 
         picked, add = [], solver_mod._Pick.add
 
