@@ -128,6 +128,8 @@ def _resolve_target(text):
 
 def _cmd_decouple(args):
     _require_layers(args)
+    if args.samples < 1:
+        raise ValueError("need at least one sampling point")
     solver = SolverConfig(**_given(args, _field_names(SolverConfig)))
     tuner = TunerConfig(solver=solver, **_given(args, _field_names(TunerConfig)))
     _check_layers(args, solver.ranks)

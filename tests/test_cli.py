@@ -396,9 +396,19 @@ def test_experiment_bad_tuner_setting_is_config_error(tmp_path, capsys, flag, va
     assert not (out / "runs.csv").exists()
 
 
-def test_decouple_nan_lambda0_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, named", [
+    ("--lambda0", "nan", "lambda0"),
+    ("--samples", "-3", "need at least one sampling point"),
+    ("--samples", "0", "need at least one sampling point"),
+])
+def test_decouple_bad_argument_is_config_error(tmp_path, capsys, monkeypatch, flag, value, named):
+    # rejected before any point is drawn, so nothing is written
+    import ptdecouple.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "seeded_rng", lambda *a: pytest.fail("drew points"))
     code = main(["decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
-                 "--lambda0", "nan", "--out", str(tmp_path)])
+                 flag, value, "--out", str(tmp_path)])
     assert code == 2
-    assert "lambda0" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "tuner_report.json").exists()
+

@@ -335,6 +335,23 @@ class TestUpdateCConstr:
         assert abs(obj_p - obj_c) <= 1e-6 * max(1.0, fro_norm(J) ** 2)
         assert min(obj_p, obj_c) >= floor - 1e-9
 
+    @pytest.mark.parametrize("update", [update_c_constr, update_c_proj])
+    def test_last_layer_keeps_the_constants_at_lambda_1e_12(self, update):
+        # the last layer's constants sit in the sqrt(lam) F rows alone; at
+        # lam = 1e-12 the unscaled constr system truncated them, counting one
+        # truncation and moving f1's constants from [-0.19, -1.93] to
+        # [0.87, -1.03].  Its unit-column system keeps them to 6e-5.
+        from ptdecouple.harness import builtin_system
+        from ptdecouple.solver import seeded_rng
+
+        model = builtin_system("f1")
+        pts = seeded_rng(0, 0).uniform(-1, 1, (30, 2))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        st = truth_state(model, pts)
+        update(st, 2, J, F, pts, 1e-12)
+        assert st.n_truncated == 0
+        assert np.allclose(st.coeffs[-1][:, 0], model.coeffs[-1][:, 0], rtol=0, atol=1e-3)
+
 
 class TestReducedConstrRows:
     """Above ``_CONSTR_QR_MIN_ROWS`` removed rows the constr update solves on
@@ -792,7 +809,8 @@ class TestLevenbergMarquardt:
     def test_linearize_from_the_kept_trial_pass_is_bitwise_fresh(self, ranks, degrees, m, n):
         # an accepted point is linearized from the pass of its trial residual;
         # that equals a fresh evaluation at the same point bit for bit, and
-        # each chunk's derivatives equal those of a pass over its points alone
+        # each chunk's rows of M from the adjoint kernel equal those of a
+        # pass over its points alone
         from ptdecouple.solver import _consistent_state, _LMProblem, lm_pack
 
         rng = np.random.default_rng(30 + len(ranks))
@@ -810,13 +828,14 @@ class TestLevenbergMarquardt:
         assert np.array_equal(r, r_trial)
         assert np.array_equal(H, H2) and np.array_equal(g, g2)
         weights, coeffs = prob.model(theta + step)
-        chunks = list(prob._derivatives(prob.tape(kept)))
-        assert len(chunks) == 3
-        for sl, T, Q in chunks:
+        tape, seeds = prob.tape(kept), prob._unit_seeds()
+        assert len(prob.chunks) == 3
+        for sl in prob.chunks:
             alone = _LMProblem(weights, coeffs, J[:, :, sl], F[:, sl], pts[sl], 0.3)
-            (_, T1, Q1), = alone._derivatives(
-                alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]))
-            assert np.array_equal(T, T1) and np.array_equal(Q, Q1)
+            (whole,) = alone.chunks
+            rows = alone._rows(
+                alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]), whole, seeds)
+            assert np.array_equal(prob._rows(tape, sl, seeds), rows)
 
     def test_descent_recovers_truth_from_perturbed_start(self):
         from ptdecouple.solver import _consistent_state, lm_descent
@@ -1258,7 +1277,10 @@ class TestInPlaceReduction:
         assert S * (p - r) >= _CONSTR_QR_MIN_ROWS
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
-        c, trunc = lstsq_info(a, y.flatten())
+        # the update solves the system with its columns scaled to unit norm
+        unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", a, a))
+        c, trunc = lstsq_info(a * unit, y.flatten())
+        c *= unit
         got = self.check_inputs_kept(update_c_constr, st, J, F, pts)
         coeffs = st.coeffs[0].copy()
         coeffs[:, i0:] = c.reshape(r, -1)
@@ -1319,12 +1341,24 @@ def test_middle_w_update_peak_memory():
 
 
 def test_start_search_peak_memory(monkeypatch):
-    # 76.2-76.5 KB above the inputs for this f1 S = 30 search in process,
+    # 76.5-77.5 KB above the inputs for this f1 S = 30 search in process,
     # after a first search has made numpy's one-time allocations; a
-    # descent's linearization sets it.  It was about 80 KB while each
-    # descent held the draws and the G and R of its start, and a stored LM
-    # Jacobian would add about 70 KB.
+    # descent's linearization sets it, with one 16-point chunk's rows of M
+    # from the adjoint kernel (21.5 KB) and the kernel's temporaries
+    # (about 17 KB) live.  The forward-mode derivatives it replaced read
+    # 77.2-78.3 KB; kernels that broadcast ufuncs or einsums across the
+    # seeds read 84-105 KB, and a stored LM Jacobian 110-125 KB.
     cfg, J, F, pts = _search_case("f1")
     monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
     assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 79_000
+
+
+def test_deep_start_search_peak_memory(monkeypatch):
+    # 136.4-138.7 KB for this L = 3 search, whose 8 descents all stall,
+    # measured as the f1 search above; 138.2-139.5 KB with the forward-mode
+    # derivatives.  The bound leaves the f1 test's margin of about 2 %.
+    cfg, J, F, pts = _search_case("L3")
+    monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
+    start_search(cfg, J, F, pts)
+    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 141_000
