@@ -9,14 +9,19 @@ Subcommands:
 * ``generate``   emit a random synthetic system as a model JSON.
 
 Exit codes: 0 on success, 2 on configuration errors (every ValueError,
-a config file that cannot be read included), 3 on numerical failures.
+a config or target model file that cannot be read included), 3 on numerical
+failures.
 
 The config dataclasses hold every default and the experiment config file
 format (``ExperimentConfig.from_dict``, keys in the README).  A flag is
-named after the field it sets and defaults to None; only the flags given
-reach a config, laid over the config file's values.  The ``config``
-object that ``experiment`` echoes into ``aggregates.json`` is a config
-file that runs the same experiment again.
+named after the config key it sets; only the flags given reach a config,
+laid over the config file's values, and ``generate``'s flags go through
+the same key checks.  ``decouple`` is one run of an experiment: its flags
+make an ``ExperimentConfig`` as ``experiment``'s do, so both commands run
+the same checks, and ``harness.tuned_run`` draws its points (streams
+``seeded_rng(seed, 0)`` and ``(seed, 1)``) and tunes with solver seed
+``seed``.  The ``config`` object that ``experiment`` echoes into
+``aggregates.json`` is a config file that runs the same experiment again.
 """
 
 from __future__ import annotations
@@ -25,22 +30,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .harness import (
     BUILTINS,
     ExperimentConfig,
     GenerationError,
     SyntheticSpec,
-    builtin_system,
+    _checked,
     config_keys,
     generate_system,
     run_experiment,
+    tuned_run,
     write_results,
 )
-from .model import build_f_matrix, build_jacobian_tensor, eval_batch, load_model, save_model
-from .solver import STRATEGIES, SolverConfig, SolverDivergenceError, seeded_rng, state_to_model
-from .tuner import TunerConfig, tune
+from .model import save_model
+from .solver import STRATEGIES, SolverConfig, SolverDivergenceError, state_to_model
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -53,11 +57,11 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_common(p, seed_dest="seed"):
+def _add_common(p):
     p.add_argument("--ranks", type=_int_list, help="per-layer neuron counts, e.g. 2,2")
     p.add_argument("--degrees", type=_int_list, help="per-layer polynomial degrees, e.g. 5,2")
     p.add_argument("--layers", type=int, help="layer count; must match ranks/degrees")
-    p.add_argument("--seed", type=int, dest=seed_dest)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -77,7 +81,7 @@ def build_parser():
 
     d = sub.add_parser("decouple", help="fit one decoupling of a target function")
     d.add_argument("--target", required=True, help=f"builtin {BUILTINS} or a model JSON path")
-    _add_common(d, seed_dest="rng_seed")
+    _add_common(d)
     _add_solver(d)
     d.add_argument("--samples", type=int, default=30, help="training sample count S")
     d.add_argument("--validation", type=int, default=30, help="validation sample count")
@@ -104,43 +108,14 @@ def _given(args, names):
     return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
-def _field_names(cls):
-    return [f.name for f in fields(cls)]
-
-
-def _require_layers(args):
-    if args.ranks is None or args.degrees is None:
-        raise ValueError("--ranks and --degrees are required")
-
-
 def _check_layers(args, ranks):
     if args.layers is not None and args.layers != len(ranks):
         raise ValueError(f"--layers {args.layers} does not match {len(ranks)} ranks")
 
 
-def _resolve_target(text):
-    if text in BUILTINS:
-        return builtin_system(text)
-    if os.path.exists(text):
-        return load_model(text)
-    raise ValueError(f"unknown target {text!r}: not a builtin and not a file")
-
-
 def _cmd_decouple(args):
-    _require_layers(args)
-    if args.samples < 1:
-        raise ValueError("need at least one sampling point")
-    solver = SolverConfig(**_given(args, _field_names(SolverConfig)))
-    tuner = TunerConfig(solver=solver, **_given(args, _field_names(TunerConfig)))
-    _check_layers(args, solver.ranks)
-    target = _resolve_target(args.target)
-    m = target.n_inputs
-    seed = solver.rng_seed
-    train = seeded_rng(seed, 0).uniform(-1.0, 1.0, size=(args.samples, m))
-    val = seeded_rng(seed, 1).uniform(-1.0, 1.0, size=(args.validation, m))
-    j = build_jacobian_tensor(target, train)
-    f = build_f_matrix(target, train)
-    report = tune(tuner, j, f, train, (val, eval_batch(target, val)))
+    cfg = _experiment_config(args)
+    report, _, _ = tuned_run(cfg, cfg.target_model(), (), cfg.seed)
 
     os.makedirs(args.out, exist_ok=True)
     best = report.best
@@ -160,9 +135,9 @@ def _cmd_decouple(args):
 
 
 def _experiment_config(args):
-    """The config file's document with the given flags laid over it, as a config."""
+    """The given flags laid over the ``--config`` file's document, if any, as a config."""
     doc = {}
-    if args.config:
+    if getattr(args, "config", None):  # decouple has no --config
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
@@ -202,8 +177,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_generate(args):
-    _require_layers(args)
-    spec = SyntheticSpec(**_given(args, _field_names(SyntheticSpec)))
+    keys = config_keys(SyntheticSpec)
+    spec = SyntheticSpec(**_checked(_given(args, keys), "generate", keys, SyntheticSpec))
     _check_layers(args, spec.ranks)
     model = generate_system(spec)
     os.makedirs(args.out, exist_ok=True)

@@ -9,16 +9,18 @@ relative decomposition errors plus per-output validation errors.
 
 Randomness comes from ``solver.seeded_rng``, the counter-based Philox
 generator seeded through ``numpy.random.SeedSequence``, so results
-reproduce across platforms.  Run r of an experiment with base seed s uses
-the streams
+reproduce across platforms.  Run r of an experiment with base seed s, and
+the one run of the CLI's ``decouple`` with seed s, use the streams
 
-    seeded_rng(s, r, 0)                training points
-    seeded_rng(s, r, 1)                validation points
-    seeded_rng(s, r, 2)                held-out test points (optional)
-    SeedSequence(s, spawn_key=(r, 3))  solver initialization seed
+    experiment run r                   decouple           use
+    seeded_rng(s, r, 0)                seeded_rng(s, 0)   training points
+    seeded_rng(s, r, 1)                seeded_rng(s, 1)   validation points
+    seeded_rng(s, r, 2)                -                  held-out test points (optional)
+    SeedSequence(s, spawn_key=(r, 3))  s                  solver initialization seed
 
 and the tuner XORs the stage index into the solver seed per stage; a
-generated system draws from ``seeded_rng(spec.seed)``.
+generated system draws from ``seeded_rng(spec.seed)``.  Both draw their
+points and tune through :func:`tuned_run`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "collinearity",
     "rrmse",
     "run_experiment",
+    "tuned_run",
     "write_results",
 ]
 
@@ -316,7 +319,11 @@ class ExperimentConfig:
         if self.builtin is not None:
             return builtin_system(self.builtin)
         if self.model_file is not None:
-            return load_model(self.model_file)
+            try:
+                return load_model(self.model_file)
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot read target model file {self.model_file!r}: {exc}") from exc
         return generate_system(self.generate)
 
     def to_dict(self):
@@ -398,18 +405,29 @@ def _solver_seed(base_seed, run_id):
 _RUN_FAILURES = (SolverDivergenceError, ArithmeticError, ValueError)
 
 
-def _single_run(cfg, target, run_id):
+def tuned_run(cfg, target, key, solver_seed):
+    """Draw one run's points, build its data and tune; the one path of every run.
+
+    The training points come from ``seeded_rng(cfg.seed, *key, 0)`` and the
+    validation points from ``seeded_rng(cfg.seed, *key, 1)``; the tuner's
+    solver seed is ``solver_seed``.  Returns the tuner report, the
+    validation points and their target values.
+    """
     m = target.n_inputs
+    train = seeded_rng(cfg.seed, *key, 0).uniform(-1.0, 1.0, size=(cfg.n_samples, m))
+    val = seeded_rng(cfg.seed, *key, 1).uniform(-1.0, 1.0, size=(cfg.n_validation, m))
+    j_tensor = build_jacobian_tensor(target, train)
+    f_matrix = build_f_matrix(target, train)
+    val_targets = eval_batch(target, val)
+    report = tune(cfg.tuner_config(solver_seed), j_tensor, f_matrix, train, (val, val_targets))
+    return report, val, val_targets
+
+
+def _single_run(cfg, target, run_id):
     solver_seed = _solver_seed(cfg.seed, run_id)
     row = RunResult(run_id=run_id, seed=solver_seed)
     try:
-        train = seeded_rng(cfg.seed, run_id, 0).uniform(-1.0, 1.0, size=(cfg.n_samples, m))
-        val = seeded_rng(cfg.seed, run_id, 1).uniform(-1.0, 1.0, size=(cfg.n_validation, m))
-        j_tensor = build_jacobian_tensor(target, train)
-        f_matrix = build_f_matrix(target, train)
-        val_targets = eval_batch(target, val)
-
-        report = tune(cfg.tuner_config(solver_seed), j_tensor, f_matrix, train, (val, val_targets))
+        report, val, val_targets = tuned_run(cfg, target, (run_id,), solver_seed)
 
         best = report.best
         fitted = best.report
@@ -421,7 +439,8 @@ def _single_run(cfg, target, run_id):
         fitted_model = state_to_model(fitted.state)
         row.output_errors = list(rrmse(val_targets, eval_batch(fitted_model, val)))
         if cfg.n_test:
-            test = seeded_rng(cfg.seed, run_id, 2).uniform(-1.0, 1.0, size=(cfg.n_test, m))
+            test = seeded_rng(cfg.seed, run_id, 2).uniform(
+                -1.0, 1.0, size=(cfg.n_test, target.n_inputs))
             test_targets = eval_batch(target, test)
             row.test_errors = list(rrmse(test_targets, eval_batch(fitted_model, test)))
     except _RUN_FAILURES as exc:  # failed runs are recorded, not dropped

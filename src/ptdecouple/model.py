@@ -607,6 +607,9 @@ def model_from_json(doc):
     for key in ("layers", "weights", "coeffs", "degrees"):
         if key not in doc:
             raise ValueError(f"model file lacks the key {key!r}")
+    for key in ("weights", "coeffs", "degrees"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"model file key {key!r} must be a list, got {doc[key]!r}")
     if doc.get("basis") != "monomial":
         raise ValueError(f"unsupported basis tag {doc.get('basis')!r}")
     weights = tuple(np.array(w, dtype=float) for w in doc["weights"])

@@ -91,16 +91,16 @@ def test_decouple_model_file_target(tmp_path):
 def test_decouple_draws_points_from_spawn_keys_0_and_1(tmp_path, monkeypatch):
     # the training points come from SeedSequence(seed, spawn_key=(0,)), the
     # validation points from spawn_key=(1,)
-    import ptdecouple.cli as cli_mod
+    import ptdecouple.harness as harness_mod
 
     seen = {}
-    tune = cli_mod.tune
+    tune = harness_mod.tune
 
     def spied(cfg, j, f, train, validation):
         seen["train"], seen["val"] = train, validation[0]
         return tune(cfg, j, f, train, validation)
 
-    monkeypatch.setattr(cli_mod, "tune", spied)
+    monkeypatch.setattr(harness_mod, "tune", spied)
     assert main([
         "decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
         "--samples", "12", "--validation", "7", "--seed", "9", "--max-iters", "3",
@@ -117,6 +117,7 @@ def test_decouple_draws_points_from_spawn_keys_0_and_1(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fault, named", [
     ("a list", "JSON object"), ("no weights", "'weights'"), ("no degrees", "'degrees'"),
+    ("weights 5", "'weights'"), ("coeffs 5", "'coeffs'"), ("degrees 5", "'degrees'"),
 ])
 def test_malformed_model_file_is_config_error(tmp_path, capsys, fault, named):
     from ptdecouple.harness import builtin_system
@@ -125,8 +126,11 @@ def test_malformed_model_file_is_config_error(tmp_path, capsys, fault, named):
     doc = model_to_json(builtin_system("f1"))
     if fault == "a list":
         doc = [doc]
-    else:
+    elif fault.startswith("no "):
         del doc[fault.split()[1]]
+    else:
+        key, value = fault.split()
+        doc[key] = int(value)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     layers = ["--ranks", "2,2", "--degrees", "5,2", "--max-stages", "1"]
@@ -135,6 +139,20 @@ def test_malformed_model_file_is_config_error(tmp_path, capsys, fault, named):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and named in err
+
+
+def test_unreadable_target_is_config_error(tmp_path, capsys):
+    # a directory exists but cannot be read as a model file
+    target = tmp_path / "models"
+    target.mkdir()
+    layers = ["--ranks", "2,2", "--degrees", "5,2", "--max-stages", "1"]
+    for command in ("decouple", "experiment"):
+        out = tmp_path / command
+        code = main([command, "--target", str(target), *layers, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and repr(str(target)) in err
+        assert not out.exists()
 
 
 def test_experiment_from_flags(tmp_path):
@@ -400,12 +418,14 @@ def test_experiment_bad_tuner_setting_is_config_error(tmp_path, capsys, flag, va
     ("--lambda0", "nan", "lambda0"),
     ("--samples", "-3", "need at least one sampling point"),
     ("--samples", "0", "need at least one sampling point"),
+    ("--validation", "-2", "need at least two validation points"),
+    ("--validation", "1", "need at least two validation points"),
 ])
 def test_decouple_bad_argument_is_config_error(tmp_path, capsys, monkeypatch, flag, value, named):
     # rejected before any point is drawn, so nothing is written
-    import ptdecouple.cli as cli_mod
+    import ptdecouple.harness as harness_mod
 
-    monkeypatch.setattr(cli_mod, "seeded_rng", lambda *a: pytest.fail("drew points"))
+    monkeypatch.setattr(harness_mod, "seeded_rng", lambda *a: pytest.fail("drew points"))
     code = main(["decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
                  flag, value, "--out", str(tmp_path)])
     assert code == 2
