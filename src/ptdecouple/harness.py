@@ -357,7 +357,8 @@ class ExperimentConfig:
             target["generate"] = SyntheticSpec(**generate)
         model_file = target.get("model_file")
         if model_file is not None and not os.path.exists(model_file):
-            raise ValueError(f"target model file {model_file!r} does not exist")
+            raise ValueError(f"target model file {model_file!r} does not exist, "
+                             f"and the builtin targets are {', '.join(BUILTINS)}")
         solver = _checked(doc.pop("solver"), "solver", config_keys(SolverConfig), SolverConfig)
         renamed = {v: k for k, v in FILE_KEYS.items()}
         return cls(

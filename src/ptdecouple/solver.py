@@ -23,6 +23,15 @@ the coefficient updates come in two flavours:
 Both start from one build of the layer's per-slice G-row planes,
 ``_coeff_problem``, and read the structure matrices of ``_coeff_bases``.
 
+At large S the tall systems of a sweep (the middle and last W systems,
+both coefficient systems and the G-row planes) are built and reduced one
+panel of slices at a time (``tensor_ops.slice_panels`` and
+``tensor_ops.lstsq_panels``), so that their memory follows a byte budget
+rather than S; a system within the budget is built and solved whole, as
+before, so no fit of fewer than 200 slices splits one and every S = 30 fit
+keeps its bits.  On f2 at S = 1000 a 2-sweep fit's traced peak per
+sampling point fell from 584 to 454 bytes at unchanged speed.
+
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
 are frozen at their initial values and reported in the fit report.  The
@@ -82,9 +91,10 @@ from .tensor_ops import (
     NonFiniteError,
     fro_norm,
     lstsq_info,
+    lstsq_panels,
     reduce_planes,
+    slice_panels,
     unfold,
-    vec3,
 )
 
 __all__ = [
@@ -285,21 +295,31 @@ def build_MW(state, layer):
     if layer == L:
         M = G[L - 1][:, :, None] * right_chains(w, G, L)[-1]
         return M.transpose(1, 0, 2).reshape(M.shape[1], -1)
-    A = left_chain(w, G, layer + 1) * G[layer][:, None, :]
-    B = G[layer - 1][:, :, None] * right_chains(w, G, layer)[-1]
+    # column-major, each column one contiguous block (see _kron_rows)
+    M = np.empty((w[layer].size, G[0].shape[0] * w[0].shape[1] * w[-1].shape[0])).T
+    _kron_rows(w, G, layer, M)
+    return M
+
+
+def _kron_rows(weights, G, layer, out):
+    """The middle-layer rows of :func:`build_MW` for the slices of G, written into out.
+
+    out is S*m*n x r_l*r_{l+1}, S the slices G holds; the chains are
+    computed for those slices alone, and a slice's rows do not depend on
+    the others.  Row (s, a, b), column (k, q) holds B[s, k, a] * A[s, b, q],
+    per slice kron(B.T, A), each column written by its own einsum: one
+    einsum that broadcasts over the columns allocates iteration buffers,
+    130 KB at f2 S = 1000.  Each entry is a single product, and a solve
+    copies the rows into LAPACK's layout, so the layout of out changes no
+    bit.
+    """
+    A = left_chain(weights, G, layer + 1) * G[layer][:, None, :]
+    B = G[layer - 1][:, :, None] * right_chains(weights, G, layer)[-1]
     S, K, a = B.shape
-    _, b, Q = A.shape
-    # per slice kron(B.T, A): row (s, a, b), column (k, q) holds
-    # B[s, k, a] * A[s, b, q].  M is returned column-major, each column
-    # written by its own einsum into a contiguous block: one einsum that
-    # broadcasts over the columns allocates iteration buffers, 130 KB at
-    # f2 S = 1000.  Each entry is a single product and the solve copies M
-    # into LAPACK's layout either way, so the layout changes no bit.
-    M = np.empty((K, Q, S, a, b))
+    Q = A.shape[2]
     for k in range(K):
         for q in range(Q):
-            np.einsum("sa,sb->sab", B[:, k], A[:, :, q], out=M[k, q])
-    return M.reshape(K * Q, -1).T
+            np.einsum("sa,sb->sab", B[:, k], A[:, :, q], out=out[:, k * Q + q].reshape(S, a, -1))
 
 
 def _g_rows(weights, G, layer, out=None):
@@ -321,8 +341,13 @@ def _g_rows(weights, G, layer, out=None):
         out = np.empty((r, m, left.shape[1], G[0].shape[0]))
     # np.multiply writes a -0.0 product as -0.0, where einsum, which sums
     # its products into a zeroed output, writes +0.0; a solve can see the
-    # sign, so each block keeps the call that writes it
-    np.multiply(right.transpose(1, 2, 0)[:, :, None], left.transpose(2, 1, 0)[:, None], out=out)
+    # sign, so each block keeps the call that writes it.  One n x S block
+    # per call: a single call broadcasting over all four axes buffers its
+    # operands, 64 KB or more whatever S is.
+    right, left = right.transpose(1, 2, 0), left.transpose(2, 1, 0)
+    for j in range(r):
+        for a in range(m):
+            np.multiply(right[j, a], left[j], out=out[j, a])
     return out.transpose(3, 1, 2, 0)
 
 
@@ -340,7 +365,12 @@ def build_MG(state, layer, s):
 
 def _lstsq(state, a, b, rows=None):
     """``lstsq_info`` of one system or a stack, its truncations counted in the state."""
-    x, trunc = lstsq_info(a, b, rows)
+    return _counted(state, lstsq_info(a, b, rows))
+
+
+def _counted(state, solved):
+    """The solution of a ``(x, truncations)`` pair, its truncations counted in the state."""
+    x, trunc = solved
     state.n_truncated += trunc
     return x
 
@@ -349,42 +379,120 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     """Replace W_layer with the least-squares minimizer of its subproblem.
 
     For the last layer the tensor block is stacked with the sqrt(lam)-scaled
-    F factorization block so both terms are fit jointly in one system.
+    F factorization block so both terms are fit jointly in one system.  The
+    middle and last layers' systems are built per slice, one panel of
+    slices at a time (:func:`lstsq_panels`): a middle panel holds the rows
+    of :func:`build_MW` and vec3(J) for its slices, from chains computed
+    for those slices alone, and a last-layer panel its slices' rows of M.T
+    and unfold(J, 1).T, then their sqrt(lam) R and F.T rows, each written
+    in place.  A system within the budget is built whole, in that order.
     """
     L = state.n_layers
-    M = build_MW(state, layer)
+    if not 0 <= layer <= L:
+        raise ValueError(f"layer must be in 0..{L}, got {layer}")
     if layer == 0:
-        state.weights[0] = _lstsq(state, M, unfold(j_tensor, 2).T)
-    elif layer == L:
-        a = np.concatenate([M.T, np.sqrt(lam) * state.R], axis=0)
-        b = np.concatenate([unfold(j_tensor, 1).T, np.sqrt(lam) * f_matrix.T], axis=0)
-        state.weights[L] = _lstsq(state, a, b).T
+        state.weights[0] = _lstsq(state, build_MW(state, 0), unfold(j_tensor, 2).T)
+        return state
+    n, m, S = j_tensor.shape
+    w = state.weights
+    r_next, r_this = w[layer].shape
+
+    def middle_rows(panel):
+        sl = slice(None) if panel is None else panel[0]
+        G = [g[sl] for g in state.G]
+        k = len(G[0])
+        # column-major, so that each column is one contiguous block
+        ab = np.empty((r_next * r_this + 1, k * m * n)).T
+        _kron_rows(w, G, layer, ab[:, :-1])
+        # row (s, a, b) of vec3(J) holds J[b, a, s]
+        ab[:, -1].reshape(k, m, n)[...] = j_tensor[:, :, sl].transpose(2, 1, 0)
+        return ab
+
+    def last_rows(panel):
+        sl = slice(None) if panel is None else panel[0]
+        G = [g[sl] for g in state.G]
+        k = len(G[0])
+        # column-major, written one column at a time: numpy buffers a
+        # product written across rows of r + n entries
+        ab = np.empty((r_this + n, (m + 1) * k)).T
+        V = right_chains(w, G, L)[-1]
+        for i in range(r_this):
+            # row (s, j) of M.T holds G_L[s, i] * V_L[s, i, j] in column i
+            np.multiply(G[-1][:, i, None], V[:, i], out=ab[: m * k, i].reshape(k, m))
+            np.multiply(np.sqrt(lam), state.R[sl, i], out=ab[m * k :, i])
+        del V
+        for c in range(n):
+            ab[: m * k, r_this + c].reshape(k, m)[...] = j_tensor[c, :, sl].T
+            np.multiply(np.sqrt(lam), f_matrix[c, sl], out=ab[m * k :, r_this + c])
+        return ab
+
+    if layer < L:
+        panels = _row_panels(S, 8 * m * n * (r_next * r_this + 1))
+        x = _counted(state, lstsq_panels(middle_rows, panels, r_next * r_this))
+        w[layer] = x.reshape((r_next, r_this), order="F")
     else:
-        w = _lstsq(state, M, vec3(j_tensor))
-        r_next, r_this = state.weights[layer].shape
-        state.weights[layer] = w.reshape((r_next, r_this), order="F")
+        # beside the rows, the last layer's chain and its temporary
+        panels = _row_panels(S, 8 * (m + 1) * (r_this + n), held=16 * m * r_this)
+        w[L] = _counted(state, lstsq_panels(last_rows, panels, r_this)).T
     return state
 
 
-def _coeff_problem(state, layer, j_tensor):
+def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     """The per-slice G-row planes that both coefficient updates of a layer start from.
 
-    Returns ``(C, i0)``: C ((r+1) x m*n x S) holds the slices' G-row
-    matrices K_s (:func:`_g_rows`) as r column planes, then the vec(J_s)
-    as one more, so that vec(J_s) = K_s G_layer[s] for exact factors;
-    ``_planes_stack(C)`` gives the stack K (S x m*n x r) and jb
-    (S x m*n) as views, and :func:`_slice_rows` rebuilds any slices of
-    them bit for bit.  i0 is the first fitted coefficient column (1 below
-    the last layer, where the constants are frozen, else 0).  The rows of
-    (M_C)_0 are K_s times the structure rows X[:, s, i0:] of
-    :func:`_coeff_bases`.
+    Returns ``(C, i0)`` for the slices sl (all by default): C
+    ((r+1) x m*n x k, k slices) holds the slices' G-row matrices K_s
+    (:func:`_g_rows`) as r column planes, then the vec(J_s) as one more,
+    so that vec(J_s) = K_s G_layer[s] for exact factors;
+    ``_planes_stack(C)`` gives the stack K (k x m*n x r) and jb
+    (k x m*n) as views, and :func:`_slice_rows` rebuilds any slices of
+    them bit for bit.  A slice's planes do not depend on the others.  i0 is
+    the first fitted coefficient column (1 below the last layer, where the
+    constants are frozen, else 0).  The rows of (M_C)_0 are K_s times the
+    structure rows X[:, s, i0:] of :func:`_coeff_bases`.
     """
+    n, m, _ = j_tensor.shape
+    G = [g[sl] for g in state.G]
+    r, S = G[layer - 1].shape[1], len(G[0])
+    C = np.empty((r + 1, m * n, S))
+    planes = C[:r].reshape(r, m, n, S)
+    # the planes are written one chunk of slices at a time, so that the
+    # chains around the layer and their temporaries, up to three arrays of a
+    # chain's size, exist for one chunk only
+    for ch in slice_panels(S, 8 * ((r + 1) * m * n + 3 * r * max(m, n))):
+        _g_rows(state.weights, [g[ch] for g in G], layer, out=planes[..., ch])
+    C[r].reshape(m, n, S)[...] = j_tensor[:, :, sl].transpose(1, 0, 2)
+    return C, 0 if layer == state.n_layers else 1
+
+
+def _row_panels(S, first, second=None, held=0, stack=False):
+    """Panels ``(slices, first, second)`` for :func:`lstsq_panels` of a system built per slice.
+
+    ``first`` and ``second`` are the bytes of one slice's rows in the
+    system's two parts (None: one part), ``held`` what the update holds
+    beside them per slice.  The system is solved whole, ``[None]``, both
+    parts of every slice in that order, when it fits one of
+    :func:`slice_panels`: a solve of one system holds its rows once, of a
+    stack (``stack``) twice, its SVD holding U.  Otherwise each part is
+    split on its own, the first part's panels first, a panel's QR holding
+    its rows twice.
+    """
+    rows = first + (second or 0)
+    if len(slice_panels(S, rows * (1 + stack) + held)) == 1:
+        return [None]
+    panels = [(sl, True, False) for sl in slice_panels(S, 2 * first + held)]
+    if second is not None:
+        panels += [(sl, False, True) for sl in slice_panels(S, 2 * second + held)]
+    return panels
+
+
+def _plane_panels(state, layer, j_tensor):
+    """The slice panels in which the coefficient updates build the G-row planes."""
     n, m, S = j_tensor.shape
     r = state.G[layer - 1].shape[1]
-    C = np.empty((r + 1, m * n, S))
-    _g_rows(state.weights, state.G, layer, out=C[:r].reshape(r, m, n, S))
-    C[r].reshape(m, n, S)[...] = j_tensor.transpose(1, 0, 2)
-    return C, 0 if layer == state.n_layers else 1
+    # per slice, the planes and half a plane of each reflection's temporary
+    # (the planes are written in chunks that bound the chains around them)
+    return slice_panels(S, 4 * (2 * r + 3) * m * n)
 
 
 def _coeff_bases(state, layer, points):
@@ -434,32 +542,61 @@ def _write_factors(state, layer, X, Y):
 def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
-    All rows of G_layer are updated by unconstrained least squares in one
-    stacked solve against the G-row matrices of :func:`_coeff_problem`,
-    reduced in the planes they were built in; a system that the solve
-    re-solves by the SVD comes from rows rebuilt for that slice alone.
+    All rows of G_layer are updated by unconstrained least squares in
+    stacked solves against the G-row matrices of :func:`_coeff_problem`,
+    built one panel of slices at a time (:func:`slice_panels`, each panel
+    as long as the stacked solve's QR path needs, so every row keeps the
+    bits of one solve of the whole stack) and reduced in the planes they
+    were built in; a system that the solve re-solves by the SVD comes from
+    rows rebuilt for that slice alone.
     For the last layer R is fit as a whole too, from F.  Every neuron's
     coefficients are then fit to its updated factor column through the
     structure matrices of the fresh layer inputs (:func:`_coeff_bases`,
     built once the planes are gone), all neurons in one
     stacked solve; the last layer stacks the sqrt(lam)-scaled R column and
-    function-value rows below.  The constants of the layers below the last
-    stay frozen.  Finally the factors are overwritten by their structured
-    versions.
+    function-value rows below.  That stack is built one panel of slices at
+    a time (:func:`lstsq_panels`), its X rows and its Y rows as separate
+    panels, and whole, X rows then Y rows, within the budget.  The constants
+    of the layers below the last stay frozen.  Finally the factors are
+    overwritten by their structured versions.
     """
-    C, i0 = _coeff_problem(state, layer, j_tensor)
-    state.G[layer - 1] = _lstsq(
-        state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
-    )
-    del C
+    G = []
+    for sl in _plane_panels(state, layer, j_tensor):
+        C, i0 = _coeff_problem(state, layer, j_tensor, sl)
+        G.append(_lstsq(state, *_planes_stack(C),
+                        lambda idx, o=sl.start: _slice_rows(state, layer, j_tensor, idx + o)))
+        del C  # before the next panel's planes exist
+    G = state.G[layer - 1] = G[0] if len(G) == 1 else np.concatenate(G)
     X, Y = _coeff_bases(state, layer, points)
-    a, b = X[:, :, i0:], state.G[layer - 1].T
     if Y is not None:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
-        a = np.concatenate([a, np.sqrt(lam) * Y], axis=1)
-        X = a[:, : X.shape[1]]  # i0 = 0: a view of X's entries, and X's array is freed
-        b = np.concatenate([b, np.sqrt(lam) * state.R.T], axis=1)
-    state.coeffs[layer - 1][:, i0:] = _lstsq(state, a, b)
+    w, R = X.shape[2] - i0, state.R
+
+    def rows(panel):
+        # neuron j's rows: X_j against G[:, j], then sqrt(lam) Y_j against
+        # sqrt(lam) R[:, j]
+        sl, with_x, with_y = (slice(None), True, True) if panel is None else panel
+        k = len(G[sl])
+        n_x = k if with_x else 0
+        # column-major per neuron: numpy buffers what it reads or writes
+        # across rows of w + 1 entries, 64 KB a call
+        ab = np.empty((len(X), w + 1, n_x + (k if with_y and Y is not None else 0)))
+        ab = ab.transpose(0, 2, 1)
+        if with_x:
+            ab[:, :k, :w] = X[:, sl, i0:]
+            ab[:, :k, w] = G[sl].T
+        if with_y and Y is not None:
+            # one column at a time, as ab's columns lie
+            for t in range(w):
+                np.multiply(np.sqrt(lam), Y[:, sl, t], out=ab[:, n_x:, t])
+            np.multiply(np.sqrt(lam), R[sl].T, out=ab[:, n_x:, w])
+        return ab
+
+    # X and Y are held beside the rows
+    part = 8 * len(X) * (w + 1)
+    panels = _row_panels(len(G), part, None if Y is None else part, stack=True,
+                         held=(X.nbytes + (0 if Y is None else Y.nbytes)) // len(G))
+    state.coeffs[layer - 1][:, i0:] = _counted(state, lstsq_panels(rows, panels, w))
     _write_factors(state, layer, X, Y)
     return state
 
@@ -505,82 +642,95 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     With K_s = Q_s R_s, the r rows R_s D_s against
     (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
-    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
-    reduced by one stacked QR in the planes :func:`_coeff_problem` built
-    (:func:`reduce_planes`), the reduced rows are built from R's planes in
-    the order (row of R, slice), and at the last layer the F block W_L E_s
-    is reduced alike by one QR of W_L when n > r.  A reduction with a
-    non-finite entry is dropped for the full system, built from rows
-    rebuilt for every slice, where the solve reports it.  The structure
-    matrices are built once the planes are gone, and the system is written
-    block by block into one array.
+    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, the slices are
+    reduced by stacked QR in the planes :func:`_coeff_problem` builds, one
+    panel of slices at a time (:func:`reduce_planes`), and R and Q^T b
+    leave the planes; the reduced rows are built from them in the order
+    (row of R, slice), and at the last layer the F block W_L E_s is reduced
+    alike by one QR of W_L when n > r.  A reduction with a non-finite entry
+    is dropped for the full system, built from rows built again, where the
+    solve reports it.  The structure matrices are built once the planes
+    are gone.  The system's J rows and F rows are then built one panel of
+    slices at a time (:func:`lstsq_panels`; a system within the budget is
+    built whole, J rows then F rows), each block written into the panel's
+    one array; the solve scales the columns to unit norm.
     """
-    C, i0 = _coeff_problem(state, layer, j_tensor)
-    r, p, S = len(C) - 1, C.shape[1], C.shape[2]
-    W, fb = state.weights[-1], f_matrix
+    n, m, S = j_tensor.shape
+    p, r = m * n, state.G[layer - 1].shape[1]
+    last = layer == state.n_layers
+    # the F block's W_L E_s rows at the last layer, none below it
+    W = state.weights[-1][: n if last else 0]
+    fb = f_matrix[: len(W)]
     reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
     if reduced:
-        R, y = reduce_planes(C[:r], C[r])
-        Wq, fq = W, fb
-        # the QR of W_L cuts the coupling block from n*S to r*S rows; that
-        # gains no time (without it a 5-sweep f2 fit reads x1.00 at S = 300
-        # and x1.01 at S = 1000, medians of 25 pairs) and little memory
-        # (without it a 2-sweep constr fit at f2 S = 1000 peaks at 0.64 MB
-        # rather than 0.59 MB), but dropping it would change every large-S
-        # constr fit's bits
-        if layer == state.n_layers and len(W) > r:
+        if len(W) > r:
+            # the QR of W_L cuts the coupling block from n*S to r*S rows
             Q, Wq = np.linalg.qr(W)
-            fq = Q.T @ fb
-        reduced = all(np.all(np.isfinite(x)) for x in (R, y, Wq, fq))
-        if reduced:
-            W, fb = Wq, fq
-            # R and Q^T b leave the planes, which go before the system is built
-            R, y = R.copy(), y.copy()
-        else:
-            # the planes were reduced, so the full rows are built again
-            K, jb = _slice_rows(state, layer, j_tensor, slice(None))
-    else:
-        K, jb = _planes_stack(C)
-    del C
+            W, fb = Wq, Q.T @ fb
+        Rs, ys = [], []
+        for sl in _plane_panels(state, layer, j_tensor):
+            C, _ = _coeff_problem(state, layer, j_tensor, sl)
+            R, y = reduce_planes(C[:r], C[r])
+            # R and Q^T b leave the planes, which go before the next exist
+            Rs.append(R.copy())
+            ys.append(y.copy())
+            del C, R, y
+        Rs, ys = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in (Rs, ys))
+        if not all(np.all(np.isfinite(x)) for x in (Rs, ys, W, fb)):
+            reduced, Rs, ys = False, None, None
+            W = state.weights[-1][: n if last else 0]
+            fb = f_matrix[: len(W)]
     X, Y = _coeff_bases(state, layer, points)
-    w = X.shape[2] - i0
-    rows = r * S if reduced else p * S
-    a = np.empty((rows + (len(W) * S if Y is not None else 0), r * w))
-    b = np.empty(len(a))
-    # Blocks are written by einsum, whose single products land in a zeroed
-    # output as +0.0 where np.multiply keeps -0.0: a solve can see the sign,
-    # so compare bytes, not values.  A call that writes a strided block
-    # allocates iteration buffers as large as the block, so the large
-    # blocks are written one contiguous panel of S rows per call.
-    if reduced:
-        # row (k, s), column (j, i) holds R_s[k, j] * X[j, s, i]
-        panels = a[:rows].reshape(r, S, r, w)
-        for k in range(r):
-            np.einsum("js,jsi->sji", R[:, k], X[:, :, i0:], out=panels[k])
-        b[:rows] = y.ravel()
-        del R, y
-    else:
-        _structured_rows(K, X[:, :, i0:], out=a[:rows])
-        b[:rows].reshape(jb.shape)[...] = jb
-        del K, jb
-    if Y is not None:
-        # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, k) holds
-        # sqrt(lam) * W_L[i, j] * Y_j[s, k]
-        panels = a[rows:].reshape(len(W), S, r, w)
-        for i in range(len(W)):
-            np.einsum("j,jsk->sjk", W[i], Y, out=panels[i])
-        panels *= np.sqrt(lam)
-        np.multiply(np.sqrt(lam), fb, out=b[rows:].reshape(fb.shape))
+    i0 = 0 if last else 1
+    q = r * (X.shape[2] - i0)
+
+    def rows(panel):
+        sl, with_j, with_f = (slice(None), True, True) if panel is None else panel
+        k = X[0, sl].shape[0]
+        n_j = ((r if reduced else p) * k) if with_j else 0
+        ab = np.empty((n_j + (len(W) * k if with_f else 0), q + 1))
+        a, b = ab[:, :-1], ab[:, -1]
+        # Blocks are written by einsum, whose single products land in a
+        # zeroed output as +0.0 where np.multiply keeps -0.0: a solve can
+        # see the sign, so compare bytes, not values.  A call that writes a
+        # strided block allocates iteration buffers as large as the block,
+        # so the large blocks are written one panel of k rows per call.
+        if with_j and reduced:
+            # row (t, s), column (j, i) holds R_s[t, j] * X[j, s, i]
+            blocks = a[:n_j].reshape(r, k, r, q // r)
+            for t in range(r):
+                np.einsum("js,jsi->sji", Rs[:, t, sl], X[:, sl, i0:], out=blocks[t])
+            b[:n_j] = ys[:, sl].ravel()
+        elif with_j:
+            # the full rows, from planes built again where a failed
+            # reduction overwrote them
+            C, _ = _coeff_problem(state, layer, j_tensor, sl)
+            K, jb = _planes_stack(C)
+            _structured_rows(K, X[:, sl, i0:], out=a[:n_j])
+            b[:n_j].reshape(jb.shape)[...] = jb
+            del C, K, jb
+        if with_f:
+            # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, t) holds
+            # sqrt(lam) * W_L[i, j] * Y_j[s, t]
+            blocks = a[n_j:].reshape(len(W), k, r, q // r)
+            for i in range(len(W)):
+                np.einsum("j,jst->sjt", W[i], Y[:, sl], out=blocks[i])
+            # one column at a time: numpy copies a strided block that it
+            # scales in place
+            for j in range(q):
+                a[n_j:, j] *= np.sqrt(lam)
+            np.multiply(np.sqrt(lam), fb[:, sl], out=b[n_j:].reshape(len(W), k))
+        return ab
+
+    # X, Y and the reduced slices are held beside the rows
+    held = (X.nbytes + (0 if Y is None else Y.nbytes)) // S + (8 * r * (r + 1) if reduced else 0)
+    panels = _row_panels(S, 8 * (r if reduced else p) * (q + 1),
+                         8 * len(W) * (q + 1) if last else None, held=held)
     # the truncation rule applies to the system with unit columns: at the
     # last layer the constants' columns sit in the sqrt(lam) F rows alone,
-    # and at lam <= 1e-12 the unscaled system truncated them.  One column
-    # at a time: a broadcast product would allocate iteration buffers.
-    unit = np.sqrt(np.einsum("ij,ij->j", a, a))
-    unit[unit == 0.0] = 1.0
-    unit = 1.0 / unit
-    for j, u in enumerate(unit.tolist()):
-        a[:, j] *= u
-    state.coeffs[layer - 1][:, i0:] = (_lstsq(state, a, b) * unit).reshape(len(X), -1)
+    # and at lam <= 1e-12 the unscaled system truncated them
+    c = _counted(state, lstsq_panels(rows, panels, q, unit=True))
+    state.coeffs[layer - 1][:, i0:] = c.reshape(len(X), -1)
     _write_factors(state, layer, X, Y)
     return state
 
@@ -740,6 +890,13 @@ _LM_GEO_H = 0.1
 _LM_GEO_ALPHA = 0.75
 # sampling points per chunk of the normal-matrix accumulation
 _LM_CHUNK_ROWS = 16
+# sampling points per pass of the adjoint kernel in _LMProblem.apply_t, a
+# whole number of chunks: the kernel's fixed cost is paid once per pass, its
+# temporaries grow with the pass.  The protocols' S = 30 runs one pass.  A
+# serial f2 search peaks at 179 KB at S = 100 and 1.30 MB at S = 1000, as
+# with a pass per chunk; passes of 128 points raised the first to 210 KB, one
+# pass over all points the second to 1.81 MB.
+_LM_PASS_ROWS = 4 * _LM_CHUNK_ROWS
 
 
 @dataclass
@@ -819,6 +976,9 @@ class _LMProblem:
         # which bounds the memory of the derivative arrays whatever S is
         self.chunks = [
             slice(i, i + _LM_CHUNK_ROWS) for i in range(0, points.shape[0], _LM_CHUNK_ROWS)
+        ]
+        self.passes = [
+            slice(i, i + _LM_PASS_ROWS) for i in range(0, points.shape[0], _LM_PASS_ROWS)
         ]
 
     def model(self, theta):
@@ -945,13 +1105,21 @@ class _LMProblem:
         return (2.0 / _LM_GEO_H) * ((g - self.apply_t(tape, r_probe)) / _LM_GEO_H - Hv)
 
     def apply_t(self, tape, y):
-        """M.T @ y: the kernel seeded with y, its rows summed chunk by chunk."""
+        """M.T @ y: the kernel seeded with y, in one pass over up to
+        ``_LM_PASS_ROWS`` points.
+
+        Its rows, one per point, are summed chunk by chunk in the order of
+        ``linearize``'s chunks, which keeps the bits of running the kernel
+        chunk by chunk: a point's row does not depend on the other points.
+        """
         nj = self.j_slices.size
         seeds = np.concatenate([self.root_lam * y[nj:].reshape(self.f_rows.shape)[..., None],
                                 y[:nj].reshape(self.j_slices.shape)], axis=2)[:, :, None]
         total = np.zeros(self.layout[-1][1])
-        for sl in self.chunks:
-            total += self._rows(tape, sl, seeds[sl]).sum(axis=(0, 1))
+        for sl in self.passes:
+            rows = self._rows(tape, sl, seeds[sl])
+            for i in range(0, len(rows), _LM_CHUNK_ROWS):
+                total += rows[i : i + _LM_CHUNK_ROWS].sum(axis=(0, 1))
         return total
 
 

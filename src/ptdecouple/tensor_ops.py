@@ -26,6 +26,14 @@ Conventions used throughout the package:
   axis last and contiguous, q x p x K); a system that QR cannot certify as
   clear of the truncation threshold is re-solved by the SVD from rows built
   again, so both paths truncate the same singular values.
+* Tall systems whose rows come per slice: ``slice_panels`` splits the
+  slices into panels from a byte budget, and ``lstsq_panels`` builds and
+  reduces one panel of rows at a time (TSQR: Demmel, Grigori, Hoemmen &
+  Langou, SIAM J. Sci. Comput. 2012), so that memory follows the panel, not
+  the slice count.  It solves the small reduced system through
+  ``lstsq_info``, and re-solves the whole system from rows built again when
+  the reduction cannot be certified clear of the truncation threshold.  A
+  system given as one panel, ``[None]``, is built and solved whole.
 
 Apart from ``reduce_planes`` and a ``lstsq_info`` call given ``rows``,
 every function here is pure and never mutates its inputs, so concurrent
@@ -45,6 +53,8 @@ __all__ = [
     "fro_norm",
     "lstsq_info",
     "reduce_planes",
+    "slice_panels",
+    "lstsq_panels",
 ]
 
 
@@ -223,11 +233,15 @@ def reduce_planes(a, b):
             v[0] -= s
             t = np.einsum("cpk,pk->ck", a[j + 1 :, j:], v) * tau
             tb = np.einsum("pk,pk->k", b[j:], v) * tau
-            # one column at a time: a single p x K temporary, and operands
-            # of one shape, for which numpy allocates no iteration buffers
+            # one column at a time and in two blocks of rows: a temporary of
+            # half the column, and operands of one shape, for which numpy
+            # allocates no iteration buffers
+            h = (len(v) + 1) // 2
             for c, tc in enumerate(t, start=j + 1):
-                a[c, j:] -= np.einsum("pk,k->pk", v, tc)
-            b[j:] -= np.einsum("pk,k->pk", v, tb)
+                a[c, j : j + h] -= np.einsum("pk,k->pk", v[:h], tc)
+                a[c, j + h :] -= np.einsum("pk,k->pk", v[h:], tc)
+            b[j : j + h] -= np.einsum("pk,k->pk", v[:h], tb)
+            b[j + h :] -= np.einsum("pk,k->pk", v[h:], tb)
             # column j of R: s on the diagonal and zeros below it
             v[0] = s
             v[1 : q - j] = 0.0
@@ -268,3 +282,91 @@ def _lstsq_qr(a, b, rows):
         return x, 0
     x[redo], trunc = _lstsq_svd(*rows(redo))
     return x, trunc
+
+
+# What one panel of a system built per slice may take, in bytes.  Each
+# panel costs a fixed number of numpy calls: at f2 S = 1000 a second panel
+# of G-row planes cost 0.1-0.3 ms per coefficient update.  With 320 KiB an
+# f2 S = 1000 sweep splits the middle W system in three and the last
+# layer's constr and proj systems in four and two, and keeps the G-row
+# planes, the last W system and the layer-1 systems whole: a 2-sweep fit of
+# both strategies peaks at 0.454 MB against 0.584 MB with every system
+# whole, at the same time per sweep.
+_PANEL_BYTES = 5 << 16
+
+
+def slice_panels(n, slice_bytes):
+    """Consecutive slice ranges that split n slices into panels built one at a time.
+
+    ``slice_bytes`` is what one slice takes while its panel is built and
+    solved.  The panels are of near-equal length, as few as keep each
+    within ``_PANEL_BYTES``, but
+    never shorter than ``_QR_MIN_STACK`` slices: a stack of independent
+    per-slice systems then takes the same path of :func:`lstsq_info` in
+    every panel as it would whole, with the same bits, and a system of
+    fewer than 2 * ``_QR_MIN_STACK`` slices is never split.
+    """
+    size = max(_QR_MIN_STACK, _PANEL_BYTES // slice_bytes)
+    k = max(1, min(-(-n // size), n // _QR_MIN_STACK))
+    cuts = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def lstsq_panels(rows, panels, q, unit=False):
+    """Least-squares solution of a tall system built one panel at a time, and its truncations.
+
+    ``rows(panel)`` returns the rows of one panel as one matrix [a | b]: q
+    columns of the system, then its right-hand sides; or as a stack of K
+    such matrices, one per independent system, each with one right-hand
+    side.  ``panels`` lists what ``rows`` takes, and ``rows(None)`` returns
+    the whole system.  Returns what :func:`lstsq_info` returns for the
+    whole system or stack: x, q x k or K x q, and the truncation count.
+    With ``unit`` set, the columns of a single system are first scaled to
+    unit norm, and x is returned in the unscaled unknowns.
+
+    ``[None]``: the whole system is solved as built.  Several panels: each
+    panel is replaced by the triangle of its QR as it is built, so that the
+    triangles stacked, [a' | b'], have the Gram matrix of [a | b]: a' has
+    the singular values and the column norms of a, and a' x = b' the
+    minimizer of a x = b.  That small system goes to :func:`lstsq_info`
+    when it is finite and the singular values of a' (of each of its
+    systems) exceed ``_QR_MARGIN * _RTOL`` of its largest, so that an SVD
+    of the whole system would truncate none of them either; otherwise the
+    whole system is built again and solved, a stack one system at a time,
+    since the stack's SVD would hold U beside the rows.
+    """
+    if panels != [None]:
+        # each panel's rows are freed once their triangle is taken
+        a, b = _split(np.concatenate(
+            [np.linalg.qr(rows(p), mode="r") for p in panels], axis=-2), q)
+        scale = _unit_scale(a) if unit else 1.0
+        a = a * scale
+        if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+            sv = np.linalg.svd(a, compute_uv=False)
+            if np.all(sv[..., -1] > _QR_MARGIN * _RTOL * sv[..., 0]):
+                x, trunc = lstsq_info(a, b)
+                return (x * scale[:, None] if unit else x), trunc
+    a, b = _split(rows(None), q)
+    if unit:
+        scale = _unit_scale(a)
+        # one column at a time: a broadcast product would allocate
+        # iteration buffers as large as the system
+        for j, u in enumerate(scale.tolist()):
+            a[:, j] *= u
+    if a.ndim == 3 and panels != [None]:
+        solved = [lstsq_info(a_k, b_k) for a_k, b_k in zip(a, b)]
+        return np.array([x for x, _ in solved]), sum(t for _, t in solved)
+    x, trunc = lstsq_info(a, b)
+    return (x * scale[:, None] if unit else x), trunc
+
+
+def _split(ab, q):
+    """The views a and b of rows [a | b]: b one column per system of a stack."""
+    return ab[..., :q], ab[..., q:] if ab.ndim == 2 else ab[..., q]
+
+
+def _unit_scale(a):
+    """1 / the norm of each column of a, 1 for a zero column."""
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    norms[norms == 0.0] = 1.0
+    return 1.0 / norms

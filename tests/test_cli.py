@@ -141,17 +141,23 @@ def test_malformed_model_file_is_config_error(tmp_path, capsys, fault, named):
         assert err.startswith("config error:") and named in err
 
 
-def test_unreadable_target_is_config_error(tmp_path, capsys):
-    # a directory exists but cannot be read as a model file
-    target = tmp_path / "models"
-    target.mkdir()
+# a directory exists but cannot be read as a model file; a mistyped builtin
+# name is neither a builtin nor a file, and the builtins are listed
+@pytest.mark.parametrize("target, named", [
+    ("models", None), ("f9", "does not exist, and the builtin targets are f1, f2, f3"),
+], ids=["directory", "typo"])
+def test_unreadable_target_is_config_error(tmp_path, capsys, monkeypatch, target, named):
+    monkeypatch.chdir(tmp_path)
+    if named is None:
+        (tmp_path / target).mkdir()
     layers = ["--ranks", "2,2", "--degrees", "5,2", "--max-stages", "1"]
     for command in ("decouple", "experiment"):
         out = tmp_path / command
-        code = main([command, "--target", str(target), *layers, "--out", str(out)])
+        code = main([command, "--target", target, *layers, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error:") and repr(str(target)) in err
+        assert err.startswith("config error:") and repr(target) in err
+        assert named is None or named in err
         assert not out.exists()
 
 

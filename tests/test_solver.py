@@ -37,6 +37,7 @@ from ptdecouple.tensor_ops import (
     _lstsq_qr,
     fro_norm,
     lstsq_info,
+    lstsq_panels,
     reduce_planes,
     unfold,
     vec,
@@ -293,7 +294,12 @@ class TestUpdateCProj:
             counts.append(trunc)
             return x, trunc
 
+        import ptdecouple.tensor_ops as top
+
+        # the panel solves call lstsq_info from tensor_ops, where the
+        # tracer wraps it too
         monkeypatch.setattr(solver_mod, "lstsq_info", counted)
+        monkeypatch.setattr(top, "lstsq_info", counted)
         update_c_proj(st, 2, J, F, pts, lam=1e-6)
         assert st.n_truncated == sum(counts) >= S + 1
 
@@ -367,20 +373,26 @@ class TestReducedConstrRows:
         return pts, J, F, truth_state(model, pts, perturb=1e-2, seed=5)
 
     @staticmethod
-    def both_paths(monkeypatch, st, layer, J, F, pts):
-        """(reduced, full) updated states and the row count of each solve."""
+    def both_paths(monkeypatch, st, layer, J, F, pts, split=None):
+        """(reduced, full) updated states and the row count of each solve.
+
+        With ``split`` given, checks that the reduced system was (True) or
+        was not (False) split into panels.
+        """
         import ptdecouple.solver as solver_mod
 
-        rows = []
+        rows, splits = [], []
 
-        def spied(a, b, *args):
-            rows.append(len(a))
-            return lstsq_info(a, b, *args)
+        def spied(build, panels, *args, **kwargs):
+            rows.append(sum(build(p).shape[-2] for p in panels))
+            splits.append(len(panels) > 1)
+            return lstsq_panels(build, panels, *args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "lstsq_info", spied)
+        monkeypatch.setattr(solver_mod, "lstsq_panels", spied)
         reduced = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
         monkeypatch.setattr(solver_mod, "_CONSTR_QR_MIN_ROWS", np.inf)
         full = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
+        assert split is None or splits[0] == split
         return reduced, full, rows
 
     @staticmethod
@@ -418,21 +430,26 @@ class TestReducedConstrRows:
         self.assert_same_solution(st, layer, J, pts, reduced, full)
         assert reduced.n_truncated == full.n_truncated == 0
 
-    @pytest.mark.parametrize("name, S", [("f1", 1000), ("f2", 300)])
-    def test_zero_column_of_w_l_truncates_as_the_full_system(self, monkeypatch, name, S):
+    # the reduced system solved whole, and split into panels, which cannot
+    # be certified and fall back to the whole system
+    @pytest.mark.parametrize("name, S, split", [("f2", 300, False), ("f1", 1000, True),
+                                                ("f2", 1000, True)])
+    def test_zero_column_of_w_l_truncates_as_the_full_system(self, monkeypatch, name, S, split):
         # the neuron's coefficient columns vanish from every row: the
         # identity reflection keeps them exactly zero in the reduced rows
         pts, J, F, st = self.problem(name, S)
         st.weights[2][:, 0] = 0.0
-        reduced, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
+        reduced, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts, split)
         assert rows[0] < rows[1]
         assert reduced.n_truncated == full.n_truncated == st.coeffs[1].shape[1]
         self.assert_same_solution(st, 2, J, pts, reduced, full)
 
-    def test_non_finite_reduction_falls_back_to_the_full_system(self, monkeypatch):
+    # at S = 1000 the full system is split into panels
+    @pytest.mark.parametrize("S", [300, 1000])
+    def test_non_finite_reduction_falls_back_to_the_full_system(self, monkeypatch, S):
         import ptdecouple.solver as solver_mod
 
-        pts, J, F, st = self.problem("f2", 300)
+        pts, J, F, st = self.problem("f2", S)
 
         def poisoned(a, b):
             R, y = reduce_planes(a, b)
@@ -442,7 +459,7 @@ class TestReducedConstrRows:
         # the reduction has overwritten the planes, so the full system comes
         # from rows built again, with the bits of the unreduced update's
         monkeypatch.setattr(solver_mod, "reduce_planes", poisoned)
-        fallback, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts)
+        fallback, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts, S == 1000)
         assert rows[0] == rows[1]
         assert fallback.coeffs[1].tobytes() == full.coeffs[1].tobytes()
         assert fallback.G[1].tobytes() == full.G[1].tobytes()
@@ -461,17 +478,28 @@ class TestReducedConstrRows:
             assert np.array_equal(got.coeffs[layer - 1], want.coeffs[layer - 1])
 
     # the shapes of f1-protocol, deep-cli and f2 at S = 30
+    @pytest.mark.parametrize("strategy", ["constr", "proj"])
     @pytest.mark.parametrize("ranks, degrees, m, n", [
         ((2, 2), (5, 2), 2, 2), ((3, 2, 2), (2, 3, 2), 3, 2), ((2, 2), (3, 3), 3, 3),
     ])
-    def test_s30_fits_keep_the_full_system(self, monkeypatch, ranks, degrees, m, n):
+    def test_s30_fits_keep_the_full_system(self, monkeypatch, ranks, degrees, m, n, strategy):
+        # no slice reduction, and every system built and solved whole
         import ptdecouple.solver as solver_mod
 
         model, pts, J, F = problem(18, m=m, n=n, ranks=ranks, degrees=degrees, S=30)
-        calls = []
+        calls, panels = [], []
         monkeypatch.setattr(solver_mod, "reduce_planes", lambda *a: calls.append(a))
-        fit(SolverConfig(ranks=ranks, degrees=degrees, rng_seed=2, max_iters=12), J, F, pts)
+        split = solver_mod.slice_panels
+        monkeypatch.setattr(solver_mod, "slice_panels",
+                            lambda *a: panels.append(split(*a)) or panels[-1])
+        solve = solver_mod.lstsq_panels
+        monkeypatch.setattr(solver_mod, "lstsq_panels",
+                            lambda rows, p, *a, **k: panels.append(p) or solve(rows, p, *a, **k))
+        fit(SolverConfig(ranks=ranks, degrees=degrees, strategy=strategy, rng_seed=2,
+                         max_iters=12), J, F, pts)
         assert not calls
+        assert panels and all(len(p) == 1 for p in panels)
+        assert [None] in panels
 
 
 class TestCoeffProblem:
@@ -836,6 +864,33 @@ class TestLevenbergMarquardt:
             rows = alone._rows(
                 alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]), whole, seeds)
             assert np.array_equal(prob._rows(tape, sl, seeds), rows)
+
+    # one pass (S = 30) and two passes of the kernel, the second a part one
+    @pytest.mark.parametrize("S", [30, 100])
+    @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
+    def test_apply_t_sums_the_kernel_rows_of_each_chunk(self, ranks, degrees, m, n, S):
+        # apply_t runs the kernel over passes of several chunks; each
+        # point's row equals the row of the kernel run over its chunk alone,
+        # and the rows are summed chunk by chunk, so M.T y has the bits of
+        # one kernel run per chunk
+        from ptdecouple.solver import _LM_PASS_ROWS
+
+        rng = np.random.default_rng(40 + len(ranks))
+        st, pts = _random_model_state(rng, ranks, degrees, m, n, S=S)
+        J = rng.standard_normal((n, m, S))
+        F = rng.standard_normal((n, S))
+        prob, theta = self._residual(st, J, F, pts, 0.3)
+        r, kept = prob.residual(theta, keep=True)
+        tape = prob.tape(kept)
+        y = rng.standard_normal(r.size)
+        nj = J.size
+        seeds = np.concatenate([np.sqrt(0.3) * y[nj:].reshape(S, n)[..., None],
+                                y[:nj].reshape(S, n, m)], axis=2)[:, :, None]
+        want = np.zeros(theta.size)
+        for sl in prob.chunks:
+            want += prob._rows(tape, sl, seeds[sl]).sum(axis=(0, 1))
+        assert len(prob.passes) == -(-S // _LM_PASS_ROWS)
+        assert prob.apply_t(tape, y).tobytes() == want.tobytes()
 
     def test_descent_recovers_truth_from_perturbed_start(self):
         from ptdecouple.solver import _consistent_state, lm_descent
@@ -1289,6 +1344,84 @@ class TestInPlaceReduction:
         assert got.n_truncated - st.n_truncated == trunc
 
 
+
+class TestPanelSolves:
+    """At large S the W and coefficient systems are built and reduced one
+    panel of slices at a time; they solve as the whole systems, to round-off,
+    with the same truncations."""
+
+    @staticmethod
+    def case(name):
+        """f2 at S = 1000, or the deep-cli shape at S = 700, near the truth."""
+        from ptdecouple.harness import builtin_system
+
+        if name == "f2":
+            model, S = builtin_system("f2"), 1000
+        else:
+            model, S = make_system(19, m=3, n=2, ranks=(3, 2, 2), degrees=(2, 3, 2)), 700
+        pts = np.random.Generator(np.random.Philox(4)).uniform(-1, 1, (S, model.n_inputs))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        return pts, J, F, truth_state(model, pts, perturb=1e-2, seed=5)
+
+    @pytest.mark.parametrize("name", ["f2", "L3"])
+    # the package's budget, and one that splits every system
+    @pytest.mark.parametrize("panel_bytes", [None, 1 << 14])
+    def test_panels_solve_as_the_whole_system(self, monkeypatch, name, panel_bytes):
+        import ptdecouple.tensor_ops as top
+
+        pts, J, F, st = self.case(name)
+        L = st.n_layers
+        updates = [lambda s, l=l: update_W(s, l, J, F, 1e-6) for l in range(1, L + 1)]
+        updates += [lambda s, l=l, u=u: u(s, l, J, F, pts, 1e-6)
+                    for u in (update_c_constr, update_c_proj) for l in range(1, L + 1)]
+        splits = []
+        solve = solver_mod.lstsq_panels
+        monkeypatch.setattr(solver_mod, "lstsq_panels",
+                            lambda rows, p, *a, **k: splits.append(len(p)) or solve(rows, p, *a, **k))
+        budget = top._PANEL_BYTES if panel_bytes is None else panel_bytes
+        for update in updates:
+            monkeypatch.setattr(top, "_PANEL_BYTES", budget)
+            got = update(st.copy())
+            monkeypatch.setattr(top, "_PANEL_BYTES", 1 << 40)
+            want = update(st.copy())
+            assert got.n_truncated == want.n_truncated == 0
+            for x, y in zip(got.weights + got.G + [got.R], want.weights + want.G + [want.R]):
+                assert fro_norm(x - y) <= 1e-10 * fro_norm(y)
+            g, w = objective(got, J, F, 1e-6)[2], objective(want, J, F, 1e-6)[2]
+            assert abs(g - w) <= 1e-11 * w
+        panelled = splits[::2]
+        if panel_bytes is not None:
+            assert min(panelled) > 1
+        elif name == "f2":
+            # the middle W system, and the last layer's constr and proj systems
+            assert panelled == [3, 1, 1, 4, 1, 2]
+
+    def test_g_row_panels_keep_the_whole_stack_bits(self, monkeypatch):
+        # per-slice systems in panels of at least _QR_MIN_STACK slices, of
+        # near-equal and odd lengths: each slice's R and Q^T b, and the G rows
+        # the proj update solves, are those of the whole stack bit for bit
+        import ptdecouple.tensor_ops as top
+
+        pts, J, F, st = self.case("f2")
+        seen = []
+        monkeypatch.setattr(solver_mod, "_write_factors", lambda s, *a: seen.append(s.G[a[0] - 1]))
+        for layer in (1, 2):
+            monkeypatch.setattr(top, "_PANEL_BYTES", 1 << 40)
+            C, _ = _coeff_problem(st, layer, J)
+            R, y = reduce_planes(C[:-1], C[-1])
+            update_c_proj(st.copy(), layer, J, F, pts, 1e-6)
+            monkeypatch.setattr(top, "_PANEL_BYTES", 37_800)
+            panels = solver_mod._plane_panels(st, layer, J)
+            assert [sl.stop - sl.start for sl in panels] == [142, 143, 143, 143, 143, 143, 143]
+            for sl in panels:
+                Cp, _ = _coeff_problem(st, layer, J, sl)
+                Rp, yp = reduce_planes(Cp[:-1], Cp[-1])
+                assert Rp.tobytes() == np.ascontiguousarray(R[:, :, sl]).tobytes()
+                assert yp.tobytes() == np.ascontiguousarray(y[:, sl]).tobytes()
+            update_c_proj(st.copy(), layer, J, F, pts, 1e-6)
+            assert seen[-1].tobytes() == seen[-2].tobytes()
+
+
 def f2_s1000():
     from ptdecouple.harness import builtin_system
 
@@ -1309,35 +1442,37 @@ def traced_peak(run):
 
 
 # Peak memory above the fit's inputs at f2 S = 1000.  A 2-sweep fit peaks
-# at 0.59 MB (constr) and 0.52 MB (proj) with each large-S system built
-# once, in the array its solver reduces, and the structure matrices built
-# after that reduction; at 0.59 and 0.56 MB with X and Y held across the
-# proj reduction, and at 0.78 MB with the rows built beside the solver's
-# copy of them.  The layer-1 W update peaks at 0.40 MB
-# with build_MW's columns written by one einsum each, 0.52 MB with one
-# einsum into a C-ordered matrix and 0.67 MB when its reshape copied.
-@pytest.mark.parametrize("strategy", ["constr", "proj"])
-def test_large_s_fit_peak_memory(strategy):
+# at 450.1 KB (constr) and 401.2 KB (proj) with the large systems built and
+# reduced one panel of slices at a time.  With every system built whole,
+# once, in the array its solver reduces, they peaked at 0.59 MB and 0.50 MB;
+# at 0.78 MB with the rows built beside the solver's copy of them.
+@pytest.mark.parametrize("strategy, bound", [("constr", 459_000), ("proj", 409_000)])
+def test_large_s_fit_peak_memory(strategy, bound):
     J, F, pts = f2_s1000()
     cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy=strategy,
                        min_iters=2, max_iters=2, rng_seed=1)
-    assert traced_peak(lambda: fit(cfg, J, F, pts)) < 650_000
+    assert traced_peak(lambda: fit(cfg, J, F, pts)) < bound
 
 
 def test_last_layer_proj_update_peak_memory():
-    # 0.388 MB, with X a view of its entries in the coefficient solve's
-    # stacked matrix; 0.452 MB, set by that solve, while X was held beside
-    # it; with X and Y built before the G-row reduction and held across it,
-    # 0.460 MB, set by that reduction
+    # 341.6 KB: from this unbalanced state the coefficient systems truncate,
+    # and are solved one neuron at a time from rows built whole; 387.9 KB
+    # with one SVD of the stack, which holds U beside the rows, and with X a
+    # view of its entries in the stacked matrix; 0.452 MB, set by that solve,
+    # while X was held beside it
     J, F, pts = f2_s1000()
     st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
-    assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 392_000
+    assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 348_000
 
 
 def test_middle_w_update_peak_memory():
+    # 245.5 KB with the Kronecker stack built and reduced three panels of
+    # slices at a time; 0.40 MB built whole, with build_MW's columns written
+    # by one einsum each, 0.52 MB with one einsum into a C-ordered matrix and
+    # 0.67 MB when its reshape copied
     J, F, pts = f2_s1000()
     st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
-    assert traced_peak(lambda: update_W(st, 1, J, F, 1e-6)) < 450_000
+    assert traced_peak(lambda: update_W(st, 1, J, F, 1e-6)) < 250_000
 
 
 def test_start_search_peak_memory(monkeypatch):

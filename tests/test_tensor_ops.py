@@ -311,8 +311,9 @@ def test_large_stack_without_rows_takes_the_svd_and_keeps_its_inputs(monkeypatch
 
 def test_reduce_planes_peak_memory():
     # the f2 G-row planes at S = 1000 (144 KB) and their right-hand side
-    # (72 KB), reduced in place: the reduction holds one p x K temporary
-    # (72 KB) and a few rows of K entries, 115 KB
+    # (72 KB), reduced in place: the reduction holds a temporary of half a
+    # p x K plane (40 KB) and a few rows of K entries, 83.0 KB; 115 KB with
+    # a whole plane's temporary
     rng = np.random.default_rng(18)
     a, b = rng.normal(size=(2, 9, 1000)), rng.normal(size=(9, 1000))
     tracemalloc.start()
@@ -321,7 +322,7 @@ def test_reduce_planes_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 130_000
+    assert peak < 85_000
 
 
 def test_reduce_planes_reduces_each_system():
@@ -373,3 +374,110 @@ def test_cpd_unfolding_identity_property(I, J, r, seed):
     rhs = A @ np.einsum("kj,lj->klj", C, B).reshape(-1, r).T
     scale = max(1.0, np.abs(lhs).max())
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13 * scale)
+
+
+class TestPanelSolve:
+    """A tall system built per slice is reduced one panel of slices at a time."""
+
+    @staticmethod
+    def system(rng, S, p, q, k):
+        """Per-slice rows [a | b], p rows of q columns and k right-hand sides."""
+        return rng.normal(size=(S * p, q + k)) * rng.uniform(0.1, 10.0, size=q + k)
+
+    @staticmethod
+    def rows(ab, p, built=None):
+        """The rows of slice panels of ab, or of all of it for None, as new arrays."""
+        def rows(sl):
+            if built is not None:
+                built.append(sl)
+            return (ab if sl is None else ab[sl.start * p : sl.stop * p]).copy()
+
+        return rows
+
+    def solve(self, ab, panels, q, p, unit=False):
+        return top.lstsq_panels(self.rows(ab, p), panels, q, unit)
+
+    @pytest.mark.parametrize("n, slice_bytes", [
+        (30, 10**6), (199, 10**6), (1000, 8), (1000, 600), (1000, 2000), (250, 2000),
+    ])
+    def test_slice_panels_split_near_evenly_within_the_budget(self, n, slice_bytes):
+        panels = top.slice_panels(n, slice_bytes)
+        lengths = [sl.stop - sl.start for sl in panels]
+        assert panels[0].start == 0 and panels[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(panels, panels[1:]))
+        assert max(lengths) - min(lengths) <= 1
+        if n < 2 * top._QR_MIN_STACK:
+            assert len(panels) == 1
+        else:
+            assert min(lengths) >= top._QR_MIN_STACK
+            # as few panels as keep each within the budget, where that leaves
+            # each as long as a stacked solve's QR path needs
+            fits = -(-n * slice_bytes // top._PANEL_BYTES)
+            assert len(panels) == min(max(1, fits), n // top._QR_MIN_STACK)
+
+    @pytest.mark.parametrize("q, k, unit", [(4, 1, False), (8, 1, True), (2, 3, False)])
+    def test_panels_solve_as_the_whole_system(self, q, k, unit):
+        rng = np.random.default_rng(20)
+        S, p = 1000, 4
+        ab = self.system(rng, S, p, q, k)
+        whole, trunc_whole = self.solve(ab, [None], q, p, unit)
+        x, trunc = self.solve(ab, top.slice_panels(S, 1000), q, p, unit)
+        assert len(top.slice_panels(S, 1000)) > 2
+        assert trunc == trunc_whole == 0
+        assert np.linalg.norm(x - whole) <= 1e-12 * np.linalg.norm(whole)
+
+    def test_stack_panels_solve_as_the_whole_stack(self):
+        rng = np.random.default_rng(21)
+        S, K, q = 1000, 3, 4
+        ab = rng.normal(size=(K, S, q + 1))
+
+        def rows(sl):
+            return (ab if sl is None else ab[:, sl]).copy()
+
+        whole, trunc_whole = top.lstsq_panels(rows, [None], q)
+        x, trunc = top.lstsq_panels(rows, top.slice_panels(S, 1000), q)
+        assert trunc == trunc_whole == 0
+        assert np.linalg.norm(x - whole) <= 1e-12 * np.linalg.norm(whole)
+
+    def test_deficient_stack_truncates_as_the_whole_stack(self):
+        # one system of the stack has a repeated column: the whole stack is
+        # built again and solved one system at a time by np.linalg.lstsq,
+        # which truncates as the stack's batched SVD does
+        rng = np.random.default_rng(24)
+        S, K, q = 1000, 3, 4
+        ab = rng.normal(size=(K, S, q + 1))
+        ab[1, :, 2] = ab[1, :, 0]
+
+        def rows(sl):
+            return (ab if sl is None else ab[:, sl]).copy()
+
+        x, trunc = top.lstsq_panels(rows, top.slice_panels(S, 1000), q)
+        want, want_trunc = top.lstsq_panels(rows, [None], q)
+        assert trunc == want_trunc == 1
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_deficient_system_truncates_as_the_whole_system(self, unit):
+        # a zero column and a repeated one: the reduced system cannot be
+        # certified, and the whole system is solved from rows built again
+        rng = np.random.default_rng(22)
+        S, p, q = 1000, 4, 5
+        ab = self.system(rng, S, p, q, 1)
+        ab[:, 1] = 0.0
+        ab[:, 3] = ab[:, 2]
+        built = []
+        panels = top.slice_panels(S, 1000)
+        x, trunc = top.lstsq_panels(self.rows(ab, p, built), panels, q, unit)
+        want, want_trunc = self.solve(ab, [None], q, p, unit)
+        assert built == panels + [None]
+        assert trunc == want_trunc == 2
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, value):
+        rng = np.random.default_rng(23)
+        S, p, q = 1000, 4, 3
+        ab = self.system(rng, S, p, q, 1)
+        ab[-1, 0] = value
+        with pytest.raises(top.NonFiniteError):
+            self.solve(ab, top.slice_panels(S, 1000), q, p)
