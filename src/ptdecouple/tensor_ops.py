@@ -289,9 +289,9 @@ def _lstsq_qr(a, b, rows):
 # of G-row planes cost 0.1-0.3 ms per coefficient update.  With 320 KiB an
 # f2 S = 1000 sweep splits the middle W system in three and the last
 # layer's constr and proj systems in four and two, and keeps the G-row
-# planes, the last W system and the layer-1 systems whole: a 2-sweep fit of
-# both strategies peaks at 0.454 MB against 0.584 MB with every system
-# whole, at the same time per sweep.
+# planes, the last W system and the layer-1 systems whole: the benchmark's
+# 2-sweep fits of both strategies peak at 0.454 MB against 0.584 MB with
+# every system whole, at 1.06 times the time per sweep.
 _PANEL_BYTES = 5 << 16
 
 

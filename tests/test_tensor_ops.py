@@ -322,7 +322,7 @@ def test_reduce_planes_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 85_000
+    assert peak < 88_000
 
 
 def test_reduce_planes_reduces_each_system():
