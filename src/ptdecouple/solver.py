@@ -23,13 +23,14 @@ the coefficient updates come in two flavours:
 Both start from one build of the layer's per-slice G-row planes,
 ``_coeff_problem``, and read the structure matrices of ``_coeff_bases``.
 
-At large S the tall systems of a sweep (the middle and last W systems,
-both coefficient systems and the G-row planes) are built and reduced one
-panel of slices at a time (``tensor_ops.slice_panels`` and
-``tensor_ops.lstsq_panels``), so that their memory follows a byte budget
-rather than S; a system within the budget is built and solved whole, as
-before, so no fit of fewer than 200 slices splits one and every S = 30 fit
-keeps its bits.  On f2 at S = 1000 the benchmark's 2-sweep fits peak at
+At large S the tall systems of a sweep (the middle and last W systems and
+both coefficient systems) are built and reduced one panel of slices at a
+time (``tensor_ops.slice_panels`` and ``tensor_ops.lstsq_panels``), so that
+their memory follows a byte budget rather than S; a system within the
+budget is built and solved whole, as before, so no fit of fewer than 200
+slices splits one and every S = 30 fit keeps its bits.  The G-row planes
+are built whole, the chains around the layer one chunk of slices at a
+time.  On f2 at S = 1000 the benchmark's 2-sweep fits peak at
 454 traced bytes per sampling point, against 584 with every system whole,
 at 1.06 times the time per sweep.
 
@@ -294,12 +295,27 @@ def build_MW(state, layer):
         M = left_chain(w, G, 1) * G[0][:, None, :]
         return M.reshape(-1, M.shape[2])
     if layer == L:
-        M = G[L - 1][:, :, None] * right_chains(w, G, L)[-1]
-        return M.transpose(1, 0, 2).reshape(M.shape[1], -1)
+        M = np.empty((w[L].shape[1], G[0].shape[0] * w[0].shape[1]))
+        _last_rows(w, G, M.T)
+        return M
     # column-major, each column one contiguous block (see _kron_rows)
     M = np.empty((w[layer].size, G[0].shape[0] * w[0].shape[1] * w[-1].shape[0])).T
     _kron_rows(w, G, layer, M)
     return M
+
+
+def _last_rows(weights, G, out):
+    """The rows of ``build_MW(state, L).T`` for the slices of G, written into out.
+
+    out is S*m x r_L, S the slices G holds and m the inputs; row (s, j),
+    column i holds G_L[s, i] * V_L[s, i, j], V_L the right chain of the last
+    layer (one slice for all at L = 1, where it is W_0).  Written one column
+    at a time: numpy buffers a product written across rows of r_L entries.
+    """
+    V = right_chains(weights, G, len(weights) - 1)[-1]
+    S, (r, m) = len(G[-1]), V.shape[1:]
+    for i in range(r):
+        np.multiply(G[-1][:, i, None], V[:, i], out=out[:, i].reshape(S, m))
 
 
 def _kron_rows(weights, G, layer, out):
@@ -416,12 +432,9 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
         # column-major, written one column at a time: numpy buffers a
         # product written across rows of r + n entries
         ab = np.empty((r_this + n, (m + 1) * k)).T
-        V = right_chains(w, G, L)[-1]
+        _last_rows(w, G, ab[: m * k, :r_this])
         for i in range(r_this):
-            # row (s, j) of M.T holds G_L[s, i] * V_L[s, i, j] in column i
-            np.multiply(G[-1][:, i, None], V[:, i], out=ab[: m * k, i].reshape(k, m))
             np.multiply(np.sqrt(lam), state.R[sl, i], out=ab[m * k :, i])
-        del V
         for c in range(n):
             ab[: m * k, r_this + c].reshape(k, m)[...] = j_tensor[c, :, sl].T
             np.multiply(np.sqrt(lam), f_matrix[c, sl], out=ab[m * k :, r_this + c])
@@ -487,15 +500,6 @@ def _row_panels(S, first, second=None, held=0, stack=False):
     return panels
 
 
-def _plane_panels(state, layer, j_tensor):
-    """The slice panels in which the coefficient updates build the G-row planes."""
-    n, m, S = j_tensor.shape
-    r = state.G[layer - 1].shape[1]
-    # per slice, the planes and half a plane of each reflection's temporary
-    # (the planes are written in chunks that bound the chains around them)
-    return slice_panels(S, 4 * (2 * r + 3) * m * n)
-
-
 def _coeff_bases(state, layer, points):
     """``(X, Y)``: the structure matrices of the layer's fresh inputs U.
 
@@ -543,13 +547,10 @@ def _write_factors(state, layer, X, Y):
 def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
-    All rows of G_layer are updated by unconstrained least squares in
-    stacked solves against the G-row matrices of :func:`_coeff_problem`,
-    built one panel of slices at a time (:func:`slice_panels`, each panel
-    as long as the stacked solve's QR path needs, so every row keeps the
-    bits of one solve of the whole stack) and reduced in the planes they
-    were built in; a system that the solve re-solves by the SVD comes from
-    rows rebuilt for that slice alone.
+    All rows of G_layer are updated by unconstrained least squares in one
+    stacked solve against the G-row matrices of :func:`_coeff_problem`,
+    reduced in the planes they were built in; a system that the solve
+    re-solves by the SVD comes from rows rebuilt for that slice alone.
     For the last layer R is fit as a whole too, from F.  Every neuron's
     coefficients are then fit to its updated factor column through the
     structure matrices of the fresh layer inputs (:func:`_coeff_bases`,
@@ -561,13 +562,11 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     of the layers below the last stay frozen.  Finally the factors are
     overwritten by their structured versions.
     """
-    G = []
-    for sl in _plane_panels(state, layer, j_tensor):
-        C, i0 = _coeff_problem(state, layer, j_tensor, sl)
-        G.append(_lstsq(state, *_planes_stack(C),
-                        lambda idx, o=sl.start: _slice_rows(state, layer, j_tensor, idx + o)))
-        del C  # before the next panel's planes exist
-    G = state.G[layer - 1] = G[0] if len(G) == 1 else np.concatenate(G)
+    C, i0 = _coeff_problem(state, layer, j_tensor)
+    G = state.G[layer - 1] = _lstsq(
+        state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
+    )
+    del C
     X, Y = _coeff_bases(state, layer, points)
     if Y is not None:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
@@ -643,10 +642,10 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     With K_s = Q_s R_s, the r rows R_s D_s against
     (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
-    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, the slices are
-    reduced by stacked QR in the planes :func:`_coeff_problem` builds, one
-    panel of slices at a time (:func:`reduce_planes`), and R and Q^T b
-    leave the planes; the reduced rows are built from them in the order
+    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
+    reduced by one stacked QR in the planes :func:`_coeff_problem` built
+    (:func:`reduce_planes`), and R and Q^T b leave the planes; the
+    reduced rows are built from them in the order
     (row of R, slice), and at the last layer the F block W_L E_s is reduced
     alike by one QR of W_L when n > r.  A reduction with a non-finite entry
     is dropped for the full system, built from rows built again, where the
@@ -668,15 +667,11 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             # the QR of W_L cuts the coupling block from n*S to r*S rows
             Q, Wq = np.linalg.qr(W)
             W, fb = Wq, Q.T @ fb
-        Rs, ys = [], []
-        for sl in _plane_panels(state, layer, j_tensor):
-            C, _ = _coeff_problem(state, layer, j_tensor, sl)
-            R, y = reduce_planes(C[:r], C[r])
-            # R and Q^T b leave the planes, which go before the next exist
-            Rs.append(R.copy())
-            ys.append(y.copy())
-            del C, R, y
-        Rs, ys = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in (Rs, ys))
+        C, _ = _coeff_problem(state, layer, j_tensor)
+        Rs, ys = reduce_planes(C[:r], C[r])
+        # R and Q^T b leave the planes, which go before the system is built
+        Rs, ys = Rs.copy(), ys.copy()
+        del C
         if not all(np.all(np.isfinite(x)) for x in (Rs, ys, W, fb)):
             reduced, Rs, ys = False, None, None
             W = state.weights[-1][: n if last else 0]

@@ -288,10 +288,10 @@ def _lstsq_qr(a, b, rows):
 # panel costs a fixed number of numpy calls: at f2 S = 1000 a second panel
 # of G-row planes cost 0.1-0.3 ms per coefficient update.  With 320 KiB an
 # f2 S = 1000 sweep splits the middle W system in three and the last
-# layer's constr and proj systems in four and two, and keeps the G-row
-# planes, the last W system and the layer-1 systems whole: the benchmark's
-# 2-sweep fits of both strategies peak at 0.454 MB against 0.584 MB with
-# every system whole, at 1.06 times the time per sweep.
+# layer's constr and proj systems in four and two, and keeps the last W
+# system and the layer-1 systems whole: the benchmark's 2-sweep fits of
+# both strategies peak at 0.454 MB against 0.584 MB with every system
+# whole, at 1.06 times the time per sweep.
 _PANEL_BYTES = 5 << 16
 
 
@@ -300,11 +300,11 @@ def slice_panels(n, slice_bytes):
 
     ``slice_bytes`` is what one slice takes while its panel is built and
     solved.  The panels are of near-equal length, as few as keep each
-    within ``_PANEL_BYTES``, but
-    never shorter than ``_QR_MIN_STACK`` slices: a stack of independent
-    per-slice systems then takes the same path of :func:`lstsq_info` in
-    every panel as it would whole, with the same bits, and a system of
-    fewer than 2 * ``_QR_MIN_STACK`` slices is never split.
+    within ``_PANEL_BYTES``, but never shorter than ``_QR_MIN_STACK``
+    slices, so a system of fewer than 2 * ``_QR_MIN_STACK`` slices is never
+    split, and a stack of independent per-slice systems takes the same
+    path of :func:`lstsq_info` in every panel as it would whole, where
+    :func:`reduce_planes` gives each slice the same bits.
     """
     size = max(_QR_MIN_STACK, _PANEL_BYTES // slice_bytes)
     k = max(1, min(-(-n // size), n // _QR_MIN_STACK))
