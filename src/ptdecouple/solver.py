@@ -30,9 +30,11 @@ their memory follows a byte budget rather than S; a system within the
 budget is built and solved whole, as before, so no fit of fewer than 200
 slices splits one and every S = 30 fit keeps its bits.  The G-row planes
 are built whole, the chains around the layer one chunk of slices at a
-time.  On f2 at S = 1000 the benchmark's 2-sweep fits peak at
-454 traced bytes per sampling point, against 584 with every system whole,
-at 1.06 times the time per sweep.
+time.  A fit keeps its best sweep as weights and coefficients, not as a
+second copy of the factors (:func:`fit`).  On f2 at S = 1000 the
+benchmark's 2-sweep fits peak at 398 traced bytes per sampling point: 584
+with every system whole, and 454 with the panels while a fit copied its
+best state, G and R included, at every improving sweep.
 
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
@@ -801,6 +803,14 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
     against the best value so far) for ``patience`` consecutive sweeps after
     ``min_iters``, or at ``max_iters``.  The report carries the state with
     the lowest recorded objective, which need not be the last one.
+
+    The best sweep is kept as parameters only: copies of W_0..W_L and the
+    coefficients, and its ``n_truncated``.  Its G_1..G_L and R are the
+    structured factors of those parameters, so when a later sweep ends the
+    fit they are written once, into the live state's arrays, by the calls
+    that wrote them in that sweep (:func:`_coeff_bases`,
+    :func:`_write_factors`), and the returned state holds the best sweep's
+    bytes.  The report's ``n_truncated`` counts every sweep's truncations.
     """
     j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
     n, m, S = j_tensor.shape
@@ -811,7 +821,8 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
     L = cfg.n_layers
     lam = cfg.lam
 
-    best = state.copy()
+    # (sweep, weights, coefficients, n_truncated) of the best sweep so far
+    best = None
     best_total = np.inf
     best_terms = None
     stall = 0
@@ -845,7 +856,9 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
             improved = not np.isfinite(best_total) or (
                 best_total - total > _IMPROVE_RTOL * abs(best_total)
             )
-            best = state.copy()
+            # in their own layouts, which the passes that rebuild G and R read
+            best = (it, [w.copy(order="K") for w in state.weights],
+                    [c.copy(order="K") for c in state.coeffs], state.n_truncated)
             best_total = total
             best_terms = j_term, f_term
         else:
@@ -855,15 +868,28 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
             stop_reason = "patience"
             break
 
-    best.trace = list(state.trace)
+    n_truncated = state.n_truncated
+    it, weights, coeffs, best_truncated = best
+    if it < iterations:
+        # the live arrays take the best sweep's factors: each G_l (and R) is
+        # a function of the weights below layer l and the coefficients
+        state = SolverState(weights=weights, G=state.G, R=state.R, coeffs=coeffs,
+                            trace=state.trace, n_truncated=best_truncated)
+        for layer in range(1, L + 1):
+            _write_factors(state, layer, *_coeff_bases(state, layer, points))
+    # C-ordered, as a copy of the state is: the solves leave W_1..W_L, and R
+    # in proj, in Fortran order, and the model's passes read the layout
+    for arrays in (state.weights, state.G, state.coeffs):
+        arrays[:] = [np.ascontiguousarray(a) for a in arrays]
+    state.R = np.ascontiguousarray(state.R)
     return FitReport(
-        state=best,
+        state=state,
         error_j=best_terms[0] / fro_norm(j_tensor) ** 2,
         error_f=best_terms[1] / fro_norm(f_matrix) ** 2,
         iterations=iterations,
         stop_reason=stop_reason,
         config=cfg,
-        n_truncated=state.n_truncated,
+        n_truncated=n_truncated,
     )
 
 

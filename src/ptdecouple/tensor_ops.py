@@ -42,6 +42,8 @@ use needs no synchronization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -129,7 +131,7 @@ def fro_norm(x):
 _RTOL = 1e-12
 
 
-def lstsq_info(a, b, rows=None):
+def lstsq_info(a, b, rows=None, *, finite=False):
     """Minimum-norm least-squares solution of ``a @ x = b`` and its truncation count.
 
     Singular values at or below ``_RTOL`` times their system's largest are
@@ -148,6 +150,10 @@ def lstsq_info(a, b, rows=None):
     slices-last planes (``a.transpose(2, 1, 0)`` and ``b.T``
     C-contiguous), and hold scratch afterwards.  The two paths give the
     same truncations and agree to round-off.
+
+    A non-finite entry raises :class:`NonFiniteError`.  ``finite`` says that
+    the caller has checked a and b already, as :func:`lstsq_panels` does on
+    the one array they are views of.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -159,8 +165,8 @@ def lstsq_info(a, b, rows=None):
         fits = b.ndim in (1, 2) and b.shape[0] == a.shape[0]
     if not fits:
         raise ValueError(f"rhs of shape {b.shape} does not fit lhs of shape {a.shape}")
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        raise NonFiniteError("non-finite entries in least-squares system")
+    if not finite:
+        _check_finite(a, b)
     if a.ndim == 2:
         x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RTOL)
         return x, min(a.shape) - int(rank)
@@ -168,6 +174,20 @@ def lstsq_info(a, b, rows=None):
     if rows is not None and K >= _QR_MIN_STACK and p >= q:
         return _lstsq_qr(a.transpose(2, 1, 0), b.T, rows)
     return _lstsq_svd(a, b)
+
+
+def _check_finite(*arrays):
+    """Raise :class:`NonFiniteError` unless every entry of the arrays is finite.
+
+    An array's min and max are both finite exactly when all its entries
+    are (they propagate NaN), and unlike np.isfinite they allocate nothing
+    of the array's size.  Over a view whose rows are strided numpy buffers
+    either, 64 KB at a time, so a caller checks the array a system's views
+    share where it can.
+    """
+    for x in arrays:
+        if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+            raise NonFiniteError("non-finite entries in least-squares system")
 
 
 # Stacks of at least this many tall systems, given rows, take the QR path.
@@ -233,15 +253,15 @@ def reduce_planes(a, b):
             v[0] -= s
             t = np.einsum("cpk,pk->ck", a[j + 1 :, j:], v) * tau
             tb = np.einsum("pk,pk->k", b[j:], v) * tau
-            # one column at a time and in two blocks of rows: a temporary of
-            # half the column, and operands of one shape, for which numpy
-            # allocates no iteration buffers
-            h = (len(v) + 1) // 2
-            for c, tc in enumerate(t, start=j + 1):
-                a[c, j : j + h] -= np.einsum("pk,k->pk", v[:h], tc)
-                a[c, j + h :] -= np.einsum("pk,k->pk", v[h:], tc)
-            b[j : j + h] -= np.einsum("pk,k->pk", v[:h], tb)
-            b[j + h :] -= np.einsum("pk,k->pk", v[h:], tb)
+            # one column at a time and in three blocks of rows: a temporary of
+            # a third of the column, and operands of one shape, for which
+            # numpy allocates no iteration buffers
+            h = -(-len(v) // 3)
+            for i in range(0, len(v), h):
+                vi = v[i : i + h]
+                for c, tc in enumerate(t, start=j + 1):
+                    a[c, j + i : j + i + h] -= np.einsum("pk,k->pk", vi, tc)
+                b[j + i : j + i + h] -= np.einsum("pk,k->pk", vi, tb)
             # column j of R: s on the diagonal and zeros below it
             v[0] = s
             v[1 : q - j] = 0.0
@@ -333,7 +353,9 @@ def lstsq_panels(rows, panels, q, unit=False):
     systems) exceed ``_QR_MARGIN * _RTOL`` of its largest, so that an SVD
     of the whole system would truncate none of them either; otherwise the
     whole system is built again and solved, a stack one system at a time,
-    since the stack's SVD would hold U beside the rows.
+    since the stack's SVD would hold U beside the rows.  A non-finite
+    entry of the whole system raises :class:`NonFiniteError`; it is found in
+    [a | b], which is contiguous where the views a and b are not.
     """
     if panels != [None]:
         # each panel's rows are freed once their triangle is taken
@@ -344,19 +366,21 @@ def lstsq_panels(rows, panels, q, unit=False):
         if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
             sv = np.linalg.svd(a, compute_uv=False)
             if np.all(sv[..., -1] > _QR_MARGIN * _RTOL * sv[..., 0]):
-                x, trunc = lstsq_info(a, b)
+                x, trunc = lstsq_info(a, b, finite=True)
                 return (x * scale[:, None] if unit else x), trunc
-    a, b = _split(rows(None), q)
+    ab = rows(None)
+    a, b = _split(ab, q)
     if unit:
         scale = _unit_scale(a)
         # one column at a time: a broadcast product would allocate
         # iteration buffers as large as the system
         for j, u in enumerate(scale.tolist()):
             a[:, j] *= u
+    _check_finite(ab)
     if a.ndim == 3 and panels != [None]:
-        solved = [lstsq_info(a_k, b_k) for a_k, b_k in zip(a, b)]
+        solved = [lstsq_info(a_k, b_k, finite=True) for a_k, b_k in zip(a, b)]
         return np.array([x for x, _ in solved]), sum(t for _, t in solved)
-    x, trunc = lstsq_info(a, b)
+    x, trunc = lstsq_info(a, b, finite=True)
     return (x * scale[:, None] if unit else x), trunc
 
 

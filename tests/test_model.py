@@ -15,12 +15,14 @@ from ptdecouple.model import (
     eval_model,
     internal_inputs,
     jacobian,
+    left_chain,
     load_model,
     model_from_json,
     model_to_json,
     pt_reconstruct,
     random_ambiguity,
     remove_bias,
+    right_chains,
     save_model,
     true_pt_factors,
 )
@@ -207,6 +209,70 @@ class TestTrueFactors:
         A, B, C = f.weights[1], f.weights[0].T, f.G[0]
         for k in range(6):
             assert np.allclose(t[:, :, k], A @ np.diag(C[k]) @ B.T, rtol=1e-12, atol=1e-12)
+
+
+class TestChains:
+    """The chains around a layer, every slice at once, as their broadcast products gave them."""
+
+    @staticmethod
+    def factors(S):
+        # f2's exact factors with signed zeros: -0.0 and +0.0 entries in W
+        # and G give -0.0 products, and a zero row of W_L whole sums of them
+        target = builtin_system("f2")
+        pts = np.random.Generator(np.random.Philox(7)).uniform(-1, 1, (S, 3))
+        factors = true_pt_factors(target, pts)
+        w, G = [np.array(a) for a in factors.weights], [np.array(g) for g in factors.G]
+        w[2][0] = -0.0
+        w[1][:, 0] = 0.0
+        G[0][::3, 1] = -0.0
+        G[1][::5] = 0.0
+        return w, G
+
+    @staticmethod
+    def left_reference(w, G, l):
+        acc = w[-1][None]
+        for k in range(len(G) - 1, l - 1, -1):
+            acc = (acc * G[k][:, None, :]) @ w[k]
+        return acc
+
+    @staticmethod
+    def right_reference(w, G, l):
+        chain = [w[0][None]]
+        for k in range(1, l):
+            chain.append((w[k] * G[k - 1][:, None, :]) @ chain[-1])
+        return chain
+
+    @pytest.mark.parametrize("S", [30, 1000])
+    def test_chains_keep_the_bits_of_broadcast_products(self, S):
+        w, G = self.factors(S)
+        for l in range(3):
+            got, want = left_chain(w, G, l), self.left_reference(w, G, l)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for l in range(1, 4):
+            got, want = right_chains(w, G, l), self.right_reference(w, G, l)
+            assert [c.shape for c in got] == [c.shape for c in want]
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_chain_peak_memory(self):
+        # f2 at S = 1000: left_chain(.., 1) 96.8 KB for its 48 KB result, and
+        # left_chain(.., 0) 120.8 KB for 72 KB, holding a step's products
+        # and its matmul's result; right_chains(.., 3) 169.0 KB for 120 KB of
+        # chains.  A broadcast np.multiply per step read 145.5 KB, 168.9 KB
+        # and 193.7 KB: numpy buffered its broadcast operands.
+        import tracemalloc
+
+        w, G = self.factors(1000)
+        for run, bound in [(lambda: left_chain(w, G, 1), 99_000),
+                           (lambda: left_chain(w, G, 0), 123_500),
+                           (lambda: right_chains(w, G, 3), 172_500)]:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestPTReconstruct:

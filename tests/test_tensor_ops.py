@@ -311,9 +311,9 @@ def test_large_stack_without_rows_takes_the_svd_and_keeps_its_inputs(monkeypatch
 
 def test_reduce_planes_peak_memory():
     # the f2 G-row planes at S = 1000 (144 KB) and their right-hand side
-    # (72 KB), reduced in place: the reduction holds a temporary of half a
-    # p x K plane (40 KB) and a few rows of K entries, 83.0 KB; 115 KB with
-    # a whole plane's temporary
+    # (72 KB), reduced in place: the reduction holds a temporary of a third
+    # of a p x K plane (24 KB) and a few rows of K entries, 67.1 KB; 83.0 KB
+    # with half a plane's temporary, 115 KB with a whole plane's
     rng = np.random.default_rng(18)
     a, b = rng.normal(size=(2, 9, 1000)), rng.normal(size=(9, 1000))
     tracemalloc.start()
@@ -322,7 +322,7 @@ def test_reduce_planes_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 88_000
+    assert peak < 68_500
 
 
 def test_reduce_planes_reduces_each_system():
@@ -481,3 +481,39 @@ class TestPanelSolve:
         ab[-1, 0] = value
         with pytest.raises(top.NonFiniteError):
             self.solve(ab, top.slice_panels(S, 1000), q, p)
+
+    @pytest.mark.parametrize("column", [0, -1])
+    @pytest.mark.parametrize("stack, split, unit", [
+        (False, False, False), (False, False, True), (False, True, True),
+        (True, False, False), (True, True, False),
+    ])
+    def test_whole_system_checks_its_rows(self, column, stack, split, unit):
+        # a NaN in a or in b of the whole system, one system or a stack of
+        # them, raises from the check of [a | b], solved as built or after
+        # the panels' triangles
+        rng = np.random.default_rng(25)
+        S, p, q = 1000, 4, 3
+        ab = self.system(rng, S, p, q, 1)
+        ab = np.stack([ab, 2.0 * ab]) if stack else ab
+        ab[..., S * p - 1, column] = np.nan
+
+        def rows(sl):
+            return (ab if sl is None else ab[..., sl.start * p : sl.stop * p, :]).copy()
+
+        with pytest.raises(top.NonFiniteError):
+            top.lstsq_panels(rows, top.slice_panels(S, 1000) if split else [None], q, unit)
+
+    def test_whole_system_check_peak_memory(self):
+        # the whole system [a | b], 2000 x 5, built before the solve: its
+        # finiteness is checked in the array itself, with min and max, and
+        # nothing of the system's size is allocated, 2.7 KB; checking the
+        # strided views a and b with np.isfinite made numpy buffer a, 73.3 KB
+        ab = self.system(np.random.default_rng(26), 500, 4, 4, 1)
+        top.lstsq_panels(lambda sl: ab, [None], 4)
+        tracemalloc.start()
+        try:
+            top.lstsq_panels(lambda sl: ab, [None], 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000
