@@ -19,22 +19,25 @@ coefficient vectors:
   matrix whose column j holds neuron j's coefficients in block j.
 
 Every builder takes the degree d as a plain int; ``build_X`` and ``build_Y``
-return one r x S x (d+1) array whose entry j is neuron j's S x (d+1) block.
-Their rows come from ``model.power_rows`` and ``model.derivative_rows``, so
-they are bit for bit the rows of the model's layer pass.
+return one r x S x (d+1) array whose entry j is neuron j's S x (d+1) block,
+held as d+1 planes of r x S.  Their rows are the cumulative products of
+``model.power_rows`` and the single products of ``model.derivative_rows``,
+so they are bit for bit the rows of the model's layer pass; ``write_X``
+writes the same rows into an array the caller holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import derivative_rows, power_rows
+from .model import power_rows
 from .tensor_ops import NonFiniteError
 
 __all__ = [
     "build_X",
     "build_Y",
     "build_per_slice_X",
+    "write_X",
 ]
 
 
@@ -63,8 +66,27 @@ def build_X(u_samples, degree):
         ``u = u_samples[s, j]``.
     """
     u = _check_inputs(u_samples, 2)
-    rows = derivative_rows(power_rows(u.T, degree))
-    return np.concatenate([np.zeros(rows.shape[:2] + (1,)), rows], axis=2)
+    return write_X(u, degree, np.empty((degree + 1,) + u.T.shape).transpose(1, 2, 0))
+
+
+def write_X(u, degree, out):
+    """The rows of ``build_X(u, degree)`` written into out, which is returned.
+
+    out is r x S x w with w = degree + 1, or w = degree for the rows
+    without their leading zero column.  The power rows 1, u, ..., u**(d-1)
+    go into the derivative columns, each of which is then scaled in place
+    by its power's exponent: the products of ``model.derivative_rows``.  Each
+    plane out[:, :, i] is best contiguous, as numpy buffers an update that
+    iterates short strided rows.
+    """
+    planes = out.transpose(2, 0, 1)
+    if len(planes) > degree:
+        planes[0] = 0.0
+        planes = planes[1:]
+    power_rows(u.T, degree - 1, out=planes)
+    for i in range(2, degree + 1):
+        np.multiply(planes[i - 1], i, out=planes[i - 1])
+    return out
 
 
 def build_Y(u_samples, degree):

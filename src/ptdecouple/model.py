@@ -198,15 +198,16 @@ class PTFactors:
         return tuple(g.shape[1] for g in self.G)
 
 
-def power_rows(u, degree):
+def power_rows(u, degree, out=None):
     """Rows (1, u, u**2, ..., u**degree) along a new last axis.
 
     The powers are cumulative products, never ``u ** k``, so the layer pass
     and the structure matrices of ``basis`` see the same bits for the same u.
-    Each power is built as one contiguous plane; the rows are a view across
-    the planes.
+    Each power is built as one plane, of ``out`` ((degree+1) x u.shape) when
+    given, else of a fresh contiguous array; the rows are a view across the
+    planes.
     """
-    planes = np.empty((degree + 1,) + u.shape)
+    planes = np.empty((degree + 1,) + u.shape) if out is None else out
     planes[0] = 1.0
     for i in range(1, degree + 1):
         np.multiply(planes[i - 1], u, out=planes[i])

@@ -21,20 +21,28 @@ the coefficient updates come in two flavours:
   constraints satisfied by construction.
 
 Both start from one build of the layer's per-slice G-row planes,
-``_coeff_problem``, and read the structure matrices of ``_coeff_bases``.
+``_coeff_problem``, and read the structure rows of the layer inputs that
+``_coeff_bases`` gives.
 
 At large S the tall systems of a sweep (the middle and last W systems and
 both coefficient systems) are built and reduced one panel of slices at a
 time (``tensor_ops.slice_panels`` and ``tensor_ops.lstsq_panels``), so that
 their memory follows a byte budget rather than S; a system within the
 budget is built and solved whole, as before, so no fit of fewer than 200
-slices splits one and every S = 30 fit keeps its bits.  The G-row planes
-are built whole, the chains around the layer one chunk of slices at a
-time.  A fit keeps its best sweep as weights and coefficients, not as a
-second copy of the factors (:func:`fit`).  On f2 at S = 1000 the
-benchmark's 2-sweep fits peak at 398 traced bytes per sampling point: 584
-with every system whole, and 454 with the panels while a fit copied its
-best state, G and R included, at every improving sweep.
+slices splits one and every S = 30 fit keeps its bits.  Every coefficient
+update holds its subproblem at rank size: the G-row planes take the
+chains at the first and last layers through the QR of the weight matrix
+that all slices share, W_0 or W_L, where it is the taller (9 rows per
+slice become 6 on f2), and they are built whole, the chains around the
+layer one chunk of slices at a time; a panelled coefficient system writes
+each panel's structure rows from the layer inputs, so that X and Y are
+built whole only for a system solved whole or once the panels are gone.
+A fit keeps its best sweep as weights and coefficients, not as a second
+copy of the factors (:func:`fit`).  On f2 at S = 1000 the benchmark's
+2-sweep fits peak at 350 traced bytes per sampling point, set by the
+middle W update: 584 with every system whole, 454 with the panels while a
+fit copied its best state at every improving sweep, and 398 with 9 plane
+rows per slice and X and Y held beside the panels.
 
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
@@ -81,7 +89,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .basis import build_X, build_Y
+from .basis import build_X, build_Y, write_X
 from .model import (
     DecoupledModel,
     _der,
@@ -89,6 +97,7 @@ from .model import (
     internal_inputs_batch,
     layer_pass,
     left_chain,
+    power_rows,
     right_chains,
 )
 from .tensor_ops import (
@@ -311,13 +320,17 @@ def _last_rows(weights, G, out):
 
     out is S*m x r_L, S the slices G holds and m the inputs; row (s, j),
     column i holds G_L[s, i] * V_L[s, i, j], V_L the right chain of the last
-    layer (one slice for all at L = 1, where it is W_0).  Written one column
-    at a time: numpy buffers a product written across rows of r_L entries.
+    layer (one slice for all at L = 1, where it is W_0).  Written one input
+    j of one column at a time by np.multiply, which keeps its -0.0
+    products: numpy buffers a broadcast product, and one written across
+    rows of r_L entries.
     """
     V = right_chains(weights, G, len(weights) - 1)[-1]
     S, (r, m) = len(G[-1]), V.shape[1:]
     for i in range(r):
-        np.multiply(G[-1][:, i, None], V[:, i], out=out[:, i].reshape(S, m))
+        col = out[:, i].reshape(S, m)
+        for j in range(m):
+            np.multiply(G[-1][:, i], V[:, i, j], out=col[:, j])
 
 
 def _kron_rows(weights, G, layer, out):
@@ -453,31 +466,74 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     return state
 
 
+def _rank_size(weights, layer):
+    """The weights that give a layer's G-row planes at rank size, and the Q factors taken out.
+
+    Every slice shares the right chain of the first layer, W_0, and the
+    left chain of the last, W_L.  Where W_0 (r_1 x m) has more columns than
+    rows, W_0^T = Q_in R and R^T takes W_0's place; where W_L (n x r_L) has
+    more rows than columns, W_L = Q_out R and R takes W_L's place.  Returns
+    ``(weights, q_in, q_out)``, a q None where its factor is kept.  A
+    slice's G-row matrix is then (Q_in kron Q_out) times the one the new
+    weights give, with orthonormal columns, so the smaller system has the
+    same minimizer and singular values against (Q_in kron Q_out)^T vec(J_s)
+    (Van Loan, "The ubiquitous Kronecker product", 2000).
+    """
+    weights = list(weights)
+    q_in = q_out = None
+    if layer == 1 and weights[0].shape[1] > weights[0].shape[0]:
+        q_in, R = np.linalg.qr(weights[0].T)
+        weights[0] = R.T
+    if layer == len(weights) - 1 and weights[-1].shape[0] > weights[-1].shape[1]:
+        q_out, weights[-1] = np.linalg.qr(weights[-1])
+    return weights, q_in, q_out
+
+
 def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     """The per-slice G-row planes that both coefficient updates of a layer start from.
 
     Returns ``(C, i0)`` for the slices sl (all by default): C
-    ((r+1) x m*n x k, k slices) holds the slices' G-row matrices K_s
-    (:func:`_g_rows`) as r column planes, then the vec(J_s) as one more,
-    so that vec(J_s) = K_s G_layer[s] for exact factors;
-    ``_planes_stack(C)`` gives the stack K (k x m*n x r) and jb
-    (k x m*n) as views, and :func:`_slice_rows` rebuilds any slices of
+    ((r+1) x p x k, k slices) holds the slices' G-row matrices K_s
+    (:func:`_g_rows`) as r column planes, then their targets b_s as one
+    more, so that b_s = K_s G_layer[s] for exact factors.  They are at rank
+    size (:func:`_rank_size`): p = m'n', with m' = r_1 in place of m at the
+    first layer and n' = r_L in place of n at the last where the shared
+    weight matrix is the taller, so that f2's planes hold 6 rows per slice,
+    not 9, and b_s = (Q_in kron Q_out)^T vec(J_s); elsewhere K_s and b_s are
+    the slice's Khatri-Rao rows and vec(J_s) themselves.  Each K_s keeps
+    the minimizer, the singular values and so the truncations of the
+    unreduced system.  ``_planes_stack(C)`` gives the stack K (k x p x r)
+    and jb (k x p) as views, and :func:`_slice_rows` rebuilds any slices of
     them bit for bit.  A slice's planes do not depend on the others.  i0 is
     the first fitted coefficient column (1 below the last layer, where the
     constants are frozen, else 0).  The rows of (M_C)_0 are K_s times the
-    structure rows X[:, s, i0:] of :func:`_coeff_bases`.
+    structure rows X[:, s, i0:] of the layer inputs of :func:`_coeff_bases`.
     """
     n, m, _ = j_tensor.shape
+    weights, q_in, q_out = _rank_size(state.weights, layer)
+    p = weights[0].shape[1] * weights[-1].shape[0]
     G = [g[sl] for g in state.G]
     r, S = G[layer - 1].shape[1], len(G[0])
-    C = np.empty((r + 1, m * n, S))
-    planes = C[:r].reshape(r, m, n, S)
+    C = np.empty((r + 1, p, S))
+    planes = C[:r].reshape(r, weights[0].shape[1], -1, S)
     # the planes are written one chunk of slices at a time, so that the
     # chains around the layer and their temporaries, up to three arrays of a
     # chain's size, exist for one chunk only
-    for ch in slice_panels(S, 8 * ((r + 1) * m * n + 3 * r * max(m, n))):
-        _g_rows(state.weights, [g[ch] for g in G], layer, out=planes[..., ch])
-    C[r].reshape(m, n, S)[...] = j_tensor[:, :, sl].transpose(1, 0, 2)
+    for ch in slice_panels(S, 8 * ((r + 1) * p + 3 * r * max(m, n))):
+        _g_rows(weights, [g[ch] for g in G], layer, out=planes[..., ch])
+    J, jb = j_tensor[:, :, sl], C[r].reshape(planes.shape[1:])
+    if q_in is None and q_out is None:
+        jb[...] = J.transpose(1, 0, 2)
+    elif q_out is None:
+        # row (t, b) holds sum_a Q_in[a, t] J[b, a, s]
+        np.einsum("at,bas->tbs", q_in, J, out=jb)
+    else:
+        if q_in is not None:  # L = 1, where both chains are shared
+            J = np.einsum("at,bas->bts", q_in, J)
+        # row (a, u) holds sum_b Q_out[b, u] J[b, a, s], one column u per
+        # einsum: one einsum over all of them buffers J, 97.5 KB at f2 S = 1000
+        for u, q in enumerate(q_out.T):
+            np.einsum("b,bas->as", q, J, out=jb[:, u])
     return C, 0 if layer == state.n_layers else 1
 
 
@@ -491,7 +547,9 @@ def _row_panels(S, first, second=None, held=0, stack=False):
     :func:`slice_panels`: a solve of one system holds its rows once, of a
     stack (``stack``) twice, its SVD holding U.  Otherwise each part is
     split on its own, the first part's panels first, a panel's QR holding
-    its rows twice.
+    its rows twice.  These are the bytes that tracemalloc sees, which the
+    gated peak is: the work copies that LAPACK's least-squares routine makes
+    of a system are not traced, while those of ``np.linalg.qr`` are.
     """
     rows = first + (second or 0)
     if len(slice_panels(S, rows * (1 + stack) + held)) == 1:
@@ -503,43 +561,50 @@ def _row_panels(S, first, second=None, held=0, stack=False):
 
 
 def _coeff_bases(state, layer, points):
-    """``(X, Y)``: the structure matrices of the layer's fresh inputs U.
+    """U (S x r): the layer's fresh inputs, from which its structure rows are built.
 
-    ``X = build_X(U, d)`` and, at the last layer only, ``Y = build_Y(U, d)``
-    (else None), so that column j of G_layer (R) is X[j] @ c_j
-    (Y[j] @ c_j).  U depends only on the weights and coefficients of the
-    layers below, which a G-row solve does not change, so the pass stops
-    there and the matrices are built where they are first read.
+    Column j of G_layer (R) is X[j] @ c_j (Y[j] @ c_j), with X and Y the
+    structure matrices of U (:func:`_structure`).  U depends only on the
+    weights and coefficients of the layers below, which a G-row solve does
+    not change, so the pass stops there.  A coefficient system built whole
+    reads X and Y built whole; a system built one panel at a time writes
+    each panel's X or Y rows from U, and X and Y are built whole once the
+    panels are gone, for :func:`_write_factors`.
     """
-    U = internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
+    return internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
+
+
+def _structure(state, layer, U):
+    """``(X, Y)``: ``build_X(U, d)``, and ``build_Y(U, d)`` at the last layer, else None."""
     d = state.coeffs[layer - 1].shape[1] - 1
     return build_X(U, d), build_Y(U, d) if layer == state.n_layers else None
 
 
 def _planes_stack(C):
-    """The stack K (S x m*n x r) and jb (S x m*n) held in C's planes, as views."""
+    """The stack K (S x p x r) and jb (S x p) held in C's planes, as views."""
     return C[:-1].transpose(2, 1, 0), C[-1].T
 
 
 def _slice_rows(state, layer, j_tensor, idx):
     """Slices idx of ``_planes_stack`` of :func:`_coeff_problem`, rebuilt.
 
-    Each entry is the same single product as in the planes, so the rows
-    are bit for bit the ones the planes held before a reduction.
+    Each entry is the same computation as in the planes, so the rows are
+    bit for bit the ones the planes held before a reduction.
     """
-    n, m, _ = j_tensor.shape
-    K = _g_rows(state.weights, [g[idx] for g in state.G], layer)
-    k = K.shape[0]
-    return K.reshape(k, m * n, -1), j_tensor[:, :, idx].transpose(2, 1, 0).reshape(k, m * n)
+    return _planes_stack(_coeff_problem(state, layer, j_tensor, idx)[0])
 
 
-def _write_factors(state, layer, X, Y):
-    """Overwrite G_layer, and R when Y is given, with their structured versions.
+def _write_factors(state, layer, U, bases=None):
+    """Overwrite G_layer, and R at the last layer, with their structured versions.
 
-    Column j becomes X[j] @ c_j (Y[j] @ c_j).  The stacked matmul gives the
-    bits of those per-neuron products, and the results go into the existing
-    arrays, which keeps their memory layout.
+    Column j becomes X[j] @ c_j (Y[j] @ c_j), the structure matrices of the
+    layer inputs U: ``bases`` when the update built them whole, else built
+    here (:func:`_structure`), in the same layout, which the matmul's bits
+    follow.  The stacked matmul gives the bits of those per-neuron
+    products, and the results go into the existing arrays, which keeps
+    their memory layout.
     """
+    X, Y = _structure(state, layer, U) if bases is None else bases
     c = state.coeffs[layer - 1][:, :, None]
     state.G[layer - 1][...] = (X @ c)[:, :, 0].T
     if Y is not None:
@@ -551,28 +616,36 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
 
     All rows of G_layer are updated by unconstrained least squares in one
     stacked solve against the G-row matrices of :func:`_coeff_problem`,
-    reduced in the planes they were built in; a system that the solve
-    re-solves by the SVD comes from rows rebuilt for that slice alone.
-    For the last layer R is fit as a whole too, from F.  Every neuron's
-    coefficients are then fit to its updated factor column through the
-    structure matrices of the fresh layer inputs (:func:`_coeff_bases`,
-    built once the planes are gone), all neurons in one
-    stacked solve; the last layer stacks the sqrt(lam)-scaled R column and
-    function-value rows below.  That stack is built one panel of slices at
-    a time (:func:`lstsq_panels`), its X rows and its Y rows as separate
-    panels, and whole, X rows then Y rows, within the budget.  The constants
-    of the layers below the last stay frozen.  Finally the factors are
-    overwritten by their structured versions.
+    at rank size and reduced in the planes they were built in; a system
+    that the solve re-solves by the SVD comes from rows rebuilt for that
+    slice alone.  For the last layer R is fit as a whole too, from F.
+    Every neuron's coefficients are then fit to its updated factor column
+    through the structure rows of the fresh layer inputs
+    (:func:`_coeff_bases`, computed once the planes are gone), all neurons
+    in one stacked solve; the last layer stacks the sqrt(lam)-scaled R
+    column and function-value rows below.  That stack is built one panel
+    of slices at a time (:func:`lstsq_panels`), its X rows and its Y rows
+    as separate panels, each written from U into the panel's array, and
+    whole, X rows then Y rows, from X and Y built whole, within the budget.
+    The constants of the layers below the last stay frozen.  Finally the
+    factors are overwritten by their structured versions.
     """
     C, i0 = _coeff_problem(state, layer, j_tensor)
     G = state.G[layer - 1] = _lstsq(
         state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
     )
     del C
-    X, Y = _coeff_bases(state, layer, points)
-    if Y is not None:
+    U = _coeff_bases(state, layer, points)
+    last = layer == state.n_layers
+    if last:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
-    w, R = X.shape[2] - i0, state.R
+    d = state.coeffs[layer - 1].shape[1] - 1
+    r, w, R = U.shape[1], d + 1 - i0, state.R
+    # a system built whole holds X and Y beside its rows
+    part = 8 * r * (w + 1)
+    panels = _row_panels(len(G), part, part if last else None, stack=True,
+                         held=8 * r * (d + 1) * (1 + last))
+    bases = _structure(state, layer, U) if panels == [None] else None
 
     def rows(panel):
         # neuron j's rows: X_j against G[:, j], then sqrt(lam) Y_j against
@@ -582,24 +655,27 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
         n_x = k if with_x else 0
         # column-major per neuron: numpy buffers what it reads or writes
         # across rows of w + 1 entries, 64 KB a call
-        ab = np.empty((len(X), w + 1, n_x + (k if with_y and Y is not None else 0)))
+        ab = np.empty((r, w + 1, n_x + (k if with_y and last else 0)))
         ab = ab.transpose(0, 2, 1)
         if with_x:
-            ab[:, :k, :w] = X[:, sl, i0:]
+            if bases is None:
+                write_X(U[sl], d, ab[:, :k, :w])
+            else:
+                ab[:, :k, :w] = bases[0][:, sl, i0:]
             ab[:, :k, w] = G[sl].T
-        if with_y and Y is not None:
+        if with_y and last:
+            if bases is None:
+                power_rows(U[sl].T, d, out=ab[:, n_x:, :w].transpose(2, 0, 1))
+            else:
+                ab[:, n_x:, :w] = bases[1][:, sl]
             # one column at a time, as ab's columns lie
             for t in range(w):
-                np.multiply(np.sqrt(lam), Y[:, sl, t], out=ab[:, n_x:, t])
+                np.multiply(np.sqrt(lam), ab[:, n_x:, t], out=ab[:, n_x:, t])
             np.multiply(np.sqrt(lam), R[sl].T, out=ab[:, n_x:, w])
         return ab
 
-    # X and Y are held beside the rows
-    part = 8 * len(X) * (w + 1)
-    panels = _row_panels(len(G), part, None if Y is None else part, stack=True,
-                         held=(X.nbytes + (0 if Y is None else Y.nbytes)) // len(G))
     state.coeffs[layer - 1][:, i0:] = _counted(state, lstsq_panels(rows, panels, w))
-    _write_factors(state, layer, X, Y)
+    _write_factors(state, layer, U, bases)
     return state
 
 
@@ -616,7 +692,8 @@ def _structured_rows(K, X, out=None):
 
 
 # The constr update reduces each slice's rows by QR once that removes at
-# least this many rows, S * (m*n - r).  Time of a 5-sweep constr fit,
+# least this many rows, S * (m*n - r), counted on the unreduced G-row
+# matrices, which it was calibrated on.  Time of a 5-sweep constr fit,
 # reduced / full rows (rows removed), median of 41 interleaved pairs, one
 # BLAS thread: f1 shape S = 100 1.22 (200), S = 300 1.14 (600), S = 500
 # 1.03 (1000), S = 700 1.00 (1400), S = 1000 0.76 (2000); f2 shape S = 100
@@ -634,36 +711,38 @@ _CONSTR_QR_MIN_ROWS = 2000
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """Direct coefficient update with the constraints satisfied by construction.
 
-    Solves for the coefficient vector against vec(J) through the pruned
-    structure-incorporated system (M_C)_0, whose rows of slice s are K_s D_s
-    with D_s the slice's structure rows (:func:`_coeff_bases`); the last
+    Solves for the coefficient vector against the targets b_s through the
+    pruned structure-incorporated system (M_C)_0, whose rows of slice s are
+    K_s D_s with K_s and b_s the slice's rank-size G-row matrix and target
+    (:func:`_coeff_problem`) and D_s the slice's structure rows; the last
     layer stacks the sqrt(lam)-scaled F factorization block below.  G (and
     R) are then written from the coefficients, so they satisfy the
     constraints exactly.
 
     With K_s = Q_s R_s, the r rows R_s D_s against
-    (Q_s^T vec(J_s))[:r] have the same minimizer and the same singular
+    (Q_s^T b_s)[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
-    that removes at least ``_CONSTR_QR_MIN_ROWS`` rows, every slice is
-    reduced by one stacked QR in the planes :func:`_coeff_problem` built
-    (:func:`reduce_planes`), and R and Q^T b leave the planes; the
-    reduced rows are built from them in the order
-    (row of R, slice), and at the last layer the F block W_L E_s is reduced
-    alike by one QR of W_L when n > r.  A reduction with a non-finite entry
-    is dropped for the full system, built from rows built again, where the
-    solve reports it.  The structure matrices are built once the planes
-    are gone.  The system's J rows and F rows are then built one panel of
-    slices at a time (:func:`lstsq_panels`; a system within the budget is
-    built whole, J rows then F rows), each block written into the panel's
-    one array; the solve scales the columns to unit norm.
+    that would remove at least ``_CONSTR_QR_MIN_ROWS`` rows of the
+    unreduced matrices, every slice is reduced by one stacked QR in the
+    planes :func:`_coeff_problem` built (:func:`reduce_planes`), and R and
+    Q^T b leave the planes; the reduced rows are built from them in the
+    order (row of R, slice), and at the last layer the F block W_L E_s is
+    reduced alike by one QR of W_L when n > r.  A reduction with a
+    non-finite entry is dropped for the full system, built from rows built
+    again, where the solve reports it.  The system's J rows and F rows are
+    built one panel of slices at a time (:func:`lstsq_panels`), each block
+    written into the panel's one array from the panel's structure rows,
+    computed from the layer inputs; a system within the budget is built
+    whole, J rows then F rows, from X and Y built whole.  The solve scales
+    the columns to unit norm.
     """
     n, m, S = j_tensor.shape
-    p, r = m * n, state.G[layer - 1].shape[1]
+    r = state.G[layer - 1].shape[1]
     last = layer == state.n_layers
     # the F block's W_L E_s rows at the last layer, none below it
     W = state.weights[-1][: n if last else 0]
     fb = f_matrix[: len(W)]
-    reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
+    reduced = S * (m * n - r) >= _CONSTR_QR_MIN_ROWS
     if reduced:
         if len(W) > r:
             # the QR of W_L cuts the coupling block from n*S to r*S rows
@@ -678,14 +757,27 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             reduced, Rs, ys = False, None, None
             W = state.weights[-1][: n if last else 0]
             fb = f_matrix[: len(W)]
-    X, Y = _coeff_bases(state, layer, points)
+    if reduced:
+        p = r
+    else:
+        # the rows per slice of the planes the system is built from
+        weights = _rank_size(state.weights, layer)[0]
+        p = weights[0].shape[1] * weights[-1].shape[0]
+    U = _coeff_bases(state, layer, points)
+    d = state.coeffs[layer - 1].shape[1] - 1
     i0 = 0 if last else 1
-    q = r * (X.shape[2] - i0)
+    w = d + 1 - i0
+    q = r * w
+    # X, Y and the reduced slices are held beside the rows of a system
+    # built whole; a panel holds its own slices' structure rows
+    held = 8 * r * (d + 1) * (1 + last) + (8 * r * (r + 1) if reduced else 0)
+    panels = _row_panels(S, 8 * p * (q + 1), 8 * len(W) * (q + 1) if last else None, held=held)
+    bases = _structure(state, layer, U) if panels == [None] else None
 
     def rows(panel):
         sl, with_j, with_f = (slice(None), True, True) if panel is None else panel
-        k = X[0, sl].shape[0]
-        n_j = ((r if reduced else p) * k) if with_j else 0
+        k = len(U[sl])
+        n_j = p * k if with_j else 0
         ab = np.empty((n_j + (len(W) * k if with_f else 0), q + 1))
         a, b = ab[:, :-1], ab[:, -1]
         # Blocks are written by einsum, whose single products land in a
@@ -693,26 +785,32 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
         # see the sign, so compare bytes, not values.  A call that writes a
         # strided block allocates iteration buffers as large as the block,
         # so the large blocks are written one panel of k rows per call.
+        if with_j:
+            if bases is None:
+                X = write_X(U[sl], d, np.empty((w, r, k)).transpose(1, 2, 0))
+            else:
+                X = bases[0][:, sl, i0:]
         if with_j and reduced:
             # row (t, s), column (j, i) holds R_s[t, j] * X[j, s, i]
-            blocks = a[:n_j].reshape(r, k, r, q // r)
+            blocks = a[:n_j].reshape(r, k, r, w)
             for t in range(r):
-                np.einsum("js,jsi->sji", Rs[:, t, sl], X[:, sl, i0:], out=blocks[t])
+                np.einsum("js,jsi->sji", Rs[:, t, sl], X, out=blocks[t])
             b[:n_j] = ys[:, sl].ravel()
         elif with_j:
             # the full rows, from planes built again where a failed
             # reduction overwrote them
             C, _ = _coeff_problem(state, layer, j_tensor, sl)
             K, jb = _planes_stack(C)
-            _structured_rows(K, X[:, sl, i0:], out=a[:n_j])
+            _structured_rows(K, X, out=a[:n_j])
             b[:n_j].reshape(jb.shape)[...] = jb
             del C, K, jb
-        if with_f:
+        if with_f and last:
+            Y = power_rows(U[sl].T, d) if bases is None else bases[1][:, sl]
             # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, t) holds
             # sqrt(lam) * W_L[i, j] * Y_j[s, t]
-            blocks = a[n_j:].reshape(len(W), k, r, q // r)
+            blocks = a[n_j:].reshape(len(W), k, r, w)
             for i in range(len(W)):
-                np.einsum("j,jst->sjt", W[i], Y[:, sl], out=blocks[i])
+                np.einsum("j,jst->sjt", W[i], Y, out=blocks[i])
             # one column at a time: numpy copies a strided block that it
             # scales in place
             for j in range(q):
@@ -720,16 +818,12 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             np.multiply(np.sqrt(lam), fb[:, sl], out=b[n_j:].reshape(len(W), k))
         return ab
 
-    # X, Y and the reduced slices are held beside the rows
-    held = (X.nbytes + (0 if Y is None else Y.nbytes)) // S + (8 * r * (r + 1) if reduced else 0)
-    panels = _row_panels(S, 8 * (r if reduced else p) * (q + 1),
-                         8 * len(W) * (q + 1) if last else None, held=held)
     # the truncation rule applies to the system with unit columns: at the
     # last layer the constants' columns sit in the sqrt(lam) F rows alone,
     # and at lam <= 1e-12 the unscaled system truncated them
     c = _counted(state, lstsq_panels(rows, panels, q, unit=True))
-    state.coeffs[layer - 1][:, i0:] = c.reshape(len(X), -1)
-    _write_factors(state, layer, X, Y)
+    state.coeffs[layer - 1][:, i0:] = c.reshape(r, -1)
+    _write_factors(state, layer, U, bases)
     return state
 
 
@@ -764,11 +858,17 @@ def _normalize_inputs(state, points):
 
 
 def _j_term(state, j_tensor):
-    """||J - PT(W, G)||^2, all slices at once."""
-    diff = np.transpose(j_tensor, (2, 0, 1)) - right_chains(
-        state.weights, state.G, state.n_layers + 1
-    )[-1]
-    return float(np.sum(diff * diff))
+    """||J - PT(W, G)||^2, all slices at once.
+
+    The residual is written over the last chain and squared in place, once
+    the other chains are gone, so that it is the one stack held; the sum
+    reads the same products in the same layout as that of J - chain and
+    its square.
+    """
+    diff = right_chains(state.weights, state.G, state.n_layers + 1)[-1]
+    np.subtract(np.transpose(j_tensor, (2, 0, 1)), diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return float(np.sum(diff))
 
 
 def objective(state, j_tensor, f_matrix, lam):
@@ -876,7 +976,7 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
         state = SolverState(weights=weights, G=state.G, R=state.R, coeffs=coeffs,
                             trace=state.trace, n_truncated=best_truncated)
         for layer in range(1, L + 1):
-            _write_factors(state, layer, *_coeff_bases(state, layer, points))
+            _write_factors(state, layer, _coeff_bases(state, layer, points))
     # C-ordered, as a copy of the state is: the solves leave W_1..W_L, and R
     # in proj, in Fortran order, and the model's passes read the layout
     for arrays in (state.weights, state.G, state.coeffs):
@@ -1099,13 +1199,17 @@ class _LMProblem:
         r_pts = np.concatenate([r[:nj].reshape(len(self.points), -1),
                                 r[nj:].reshape(self.f_rows.shape)], axis=1)
         P = self.layout[-1][1]
-        H = np.zeros((P, P))
-        g = np.zeros(P)
+        H = g = None
         for sl in self.chunks:
             M = self._rows(tape, sl, seeds).reshape(-1, P)
-            # one P x P temporary at a time
-            H += M.T @ M
-            g += M.T @ r_pts[sl].ravel()
+            if H is None:
+                # the first chunk's products are the sums so far, so no
+                # P x P zeros sit beside the first kernel pass
+                H, g = M.T @ M, M.T @ r_pts[sl].ravel()
+            else:
+                # one P x P temporary at a time
+                H += M.T @ M
+                g += M.T @ r_pts[sl].ravel()
             del M  # before the next chunk's rows exist
         return H, g
 

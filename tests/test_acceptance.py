@@ -27,7 +27,13 @@ from ptdecouple.model import (
     true_pt_factors,
 )
 from ptdecouple.solver import SolverConfig, build_MG, build_MW, fit
-from ptdecouple.solver import _coeff_bases, _coeff_problem, _planes_stack, _structured_rows
+from ptdecouple.solver import (
+    _coeff_bases,
+    _coeff_problem,
+    _planes_stack,
+    _structure,
+    _structured_rows,
+)
 from ptdecouple.tensor_ops import fro_norm, unfold, vec, vec3
 
 
@@ -210,12 +216,15 @@ def test_criterion_6_update_matrix_identities():
             for s in range(9):
                 M = build_MG(st, l, s)
                 worst = max(worst, fro_norm(vec(J[:, :, s]) - M @ st.G[l - 1][s]) / nJ)
-            # the rows (M_C)_0 that the constr update solves on
+            # the rows (M_C)_0 that the constr update solves on, at rank size
+            # against the planes' targets; their residual is that of the
+            # full rows against vec3(J), up to a term free of c
             C, i0 = _coeff_problem(st, l, J)
-            X, _ = _coeff_bases(st, l, pts)
-            M0 = _structured_rows(_planes_stack(C)[0], X[:, :, i0:])
+            X, _ = _structure(st, l, _coeff_bases(st, l, pts))
+            K, jb = _planes_stack(C)
+            M0 = _structured_rows(K, X[:, :, i0:])
             c = np.concatenate([st.coeffs[l - 1][j, i0:] for j in range(ranks[l - 1])])
-            worst = max(worst, fro_norm(vec3(J) - M0 @ c) / nJ)
+            worst = max(worst, fro_norm(jb.ravel() - M0 @ c) / nJ)
     ok = worst <= 1e-10
     report(6, "update-matrix identities", ok, f"worst residual={worst:.2e} (L=1,2,3)")
     assert worst <= 1e-10

@@ -30,6 +30,7 @@ from ptdecouple.solver import (
     _coeff_problem,
     _planes_stack,
     _slice_rows,
+    _structure,
     _structured_rows,
 )
 from ptdecouple.tensor_ops import (
@@ -56,8 +57,13 @@ def problem(seed=0, m=2, n=2, ranks=(2, 2), degrees=(3, 2), S=20):
 def constr_rows(st, layer, J, pts):
     """The rows (M_C)_0 that the constr update solves on, with the first fitted column."""
     C, i0 = _coeff_problem(st, layer, J)
-    X, _ = _coeff_bases(st, layer, pts)
+    X, _ = bases(st, layer, pts)
     return _structured_rows(_planes_stack(C)[0], X[:, :, i0:]), i0
+
+
+def bases(st, layer, pts):
+    """The layer's structure matrices (X, Y) at its fresh inputs."""
+    return _structure(st, layer, _coeff_bases(st, layer, pts))
 
 
 class TestConfig:
@@ -406,7 +412,7 @@ class TestReducedConstrRows:
         the same full system differ there by 1e-11 to 1e-9 unweighted.
         """
         C, i0 = _coeff_problem(st, layer, J)
-        X, Y = _coeff_bases(st, layer, pts)
+        X, Y = bases(st, layer, pts)
         M0 = _structured_rows(_planes_stack(C)[0], X[:, :, i0:])
         sq = np.sum(M0 * M0, axis=0).reshape(len(X), -1)
         if Y is not None:
@@ -424,9 +430,13 @@ class TestReducedConstrRows:
         n, m, _ = J.shape
         r = st.G[layer - 1].shape[1]
         assert S * (m * n - r) >= _CONSTR_QR_MIN_ROWS
+        # the full system's G-row matrices are at rank size: f2's W_0 and
+        # W_L give 6 rows per slice, not 9
+        p = (min(m, r) if layer == 1 else m) * (min(n, r) if layer == 2 else n)
+        assert _coeff_problem(st, layer, J)[0].shape[1] == p == {"f1": 4, "f2": 6}[name]
         reduced, full, rows = self.both_paths(monkeypatch, st, layer, J, F, pts)
         f_rows = (0, 0) if layer == 1 else (S * min(n, r), S * n)
-        assert rows == [S * r + f_rows[0], S * m * n + f_rows[1]]
+        assert rows == [S * r + f_rows[0], S * p + f_rows[1]]
         self.assert_same_solution(st, layer, J, pts, reduced, full)
         assert reduced.n_truncated == full.n_truncated == 0
 
@@ -539,7 +549,7 @@ class TestCoeffProblem:
         st = truth_state(model, pts, perturb=0.1, seed=4)
         for layer in (1, 2, 3):
             C, i0 = _coeff_problem(st, layer, J)
-            _, Y = _coeff_bases(st, layer, pts)
+            _, Y = bases(st, layer, pts)
             K, jb = _planes_stack(C)
             for s in range(7):
                 assert np.array_equal(K[s], build_MG(st, layer, s))
@@ -1329,7 +1339,7 @@ class TestInPlaceReduction:
     def untouched_rows(self, st, J, pts):
         C, i0 = _coeff_problem(st, 1, J)
         K, jb = _planes_stack(C)
-        return K.copy(), jb.copy(), _coeff_bases(st, 1, pts)[0], i0
+        return K.copy(), jb.copy(), bases(st, 1, pts)[0], i0
 
     @staticmethod
     def planes_of(K, jb):
@@ -1396,7 +1406,10 @@ class TestInPlaceReduction:
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
         S, p, r = K.shape
-        assert S * (p - r) >= _CONSTR_QR_MIN_ROWS
+        # the gate counts the rows of the unreduced G-row matrices, m*n = 9
+        # per slice; the planes hold them at rank size, r_1*n = 6
+        n, m, _ = J.shape
+        assert S * (m * n - r) >= _CONSTR_QR_MIN_ROWS and p == 6
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
         # the update solves the system with its columns scaled to unit norm
@@ -1410,6 +1423,199 @@ class TestInPlaceReduction:
         assert got.G[0].tobytes() == np.ascontiguousarray((X @ coeffs[:, :, None])[:, :, 0].T).tobytes()
         assert got.n_truncated - st.n_truncated == trunc
 
+
+
+class TestRankSizePlanes:
+    """The G-row planes are built at rank size through the weight matrices
+    that every slice shares, W_0 at the first layer and W_L at the last;
+    a panelled coefficient system writes its structure rows from the layer
+    inputs."""
+
+    S, DEFICIENT, NEAR = 300, 7, 11
+
+    def problem(self, layer):
+        """f2 at S = 300 near the truth, where the layer's G-row matrix of one
+        slice is zero and that of another has singular values 1e-11 apart."""
+        from ptdecouple.harness import builtin_system
+
+        model = builtin_system("f2")
+        pts = np.random.Generator(np.random.Philox(8)).uniform(-1, 1, (self.S, model.n_inputs))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        st = truth_state(model, pts, perturb=1e-2, seed=9)
+        if layer == 1:
+            # as in TestInPlaceReduction
+            st.weights[1][0, 1] = 1e-11 * st.weights[1][0, 0]
+            st.G[1][self.DEFICIENT] = 0.0
+            st.G[1][self.NEAR] = (1.0, 0.0)
+        else:
+            # layer 2's matrix of slice s has column j equal to
+            # (W_1[j] diag(G_1[s]) W_0) kron W_2[:, j]: a zero G_1 row zeroes
+            # it, and with G_1[s] = (1, 0) column 2 is W_1[1, 0] / W_1[0, 0]
+            # = 1e-11 times a vector of about column 1's length
+            st.weights[1][1, 0] = 1e-11 * st.weights[1][0, 0]
+            st.G[0][self.DEFICIENT] = 0.0
+            st.G[0][self.NEAR] = (1.0, 0.0)
+        return pts, J, F, st
+
+    @staticmethod
+    def unreduced(st, layer, J):
+        """Every slice's Khatri-Rao G-row matrix and vec(J_s), m*n rows each."""
+        S = J.shape[2]
+        K = np.stack([build_MG(st, layer, s) for s in range(S)])
+        return K, np.ascontiguousarray(J.transpose(2, 1, 0)).reshape(S, -1)
+
+    @pytest.mark.parametrize("strategy", ["proj", "constr"])
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_g_row_solves_match_the_unreduced_systems(self, layer, strategy):
+        from ptdecouple.tensor_ops import _RTOL
+
+        pts, J, F, st = self.problem(layer)
+        K0, b0 = self.unreduced(st, layer, J)
+        assert K0.shape[1] == 9
+        sv = np.linalg.svd(K0, compute_uv=False)
+        assert np.all(K0[self.DEFICIENT] == 0.0)
+        assert _RTOL < sv[self.NEAR, 1] / sv[self.NEAR, 0] < 1e-10
+        want, trunc_want = lstsq_info(K0, b0)
+        C, _ = _coeff_problem(st, layer, J)
+        assert C.shape[1] == 6
+        if strategy == "proj":
+            # update_c_proj's solve: QR in the planes, the deficient and
+            # near-threshold slices again by the SVD from rebuilt rows
+            got, trunc = lstsq_info(*_planes_stack(C), lambda idx: _slice_rows(st, layer, J, idx))
+        else:
+            # update_c_constr's reduction: the slices' R and Q^T b
+            R, y = reduce_planes(C[:-1], C[-1])
+            got, trunc = lstsq_info(R.transpose(2, 1, 0), y.T)
+        assert trunc == trunc_want == 2
+        # the fitted values K_s x to round-off of vec(J_s) on every slice,
+        # the minimizers themselves where the slice is well conditioned
+        fits = np.einsum("spj,sj->sp", K0, got - want)
+        assert np.all(np.linalg.norm(fits, axis=1) <= 1e-12 * np.linalg.norm(b0, axis=1))
+        good = sv[:, 1] > 1e-6 * sv[:, 0]
+        assert good.sum() == self.S - 2
+        err = np.linalg.norm(got - want, axis=1)[good]
+        assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1)[good])
+
+    def test_gram_of_both_shared_factors(self):
+        # L = 1 with m = n = 3 > r = 2: the rows go through Q_in and Q_out,
+        # 4 per slice, with the Gram matrix and the minimizer of the 9
+        model, pts, J, F = problem(21, m=3, n=3, ranks=(2,), degrees=(3,), S=120)
+        st = truth_state(model, pts, perturb=1e-2, seed=2)
+        K0, b0 = self.unreduced(st, 1, J)
+        C, _ = _coeff_problem(st, 1, J)
+        K, jb = _planes_stack(C)
+        assert K.shape == (120, 4, 2)
+        gram0, gram = (np.einsum("spi,spj->sij", k, k) for k in (K0, K))
+        assert fro_norm(gram - gram0) <= 1e-13 * fro_norm(gram0)
+        x0, x = lstsq_info(K0, b0)[0], lstsq_info(K, jb)[0]
+        assert fro_norm(x - x0) <= 1e-12 * fro_norm(x0)
+
+    # f2 on both layers, L = 1 with both factors shared
+    @pytest.mark.parametrize("shape, layer", [
+        (((2, 2), (3, 3), 3, 3), 1), (((2, 2), (3, 3), 3, 3), 2), (((2,), (3,), 3, 3), 1),
+    ])
+    def test_rebuilt_rows_carry_the_planes_bytes(self, shape, layer):
+        ranks, degrees, m, n = shape
+        model, pts, J, F = problem(22, m=m, n=n, ranks=ranks, degrees=degrees, S=150)
+        st = truth_state(model, pts, perturb=0.1, seed=4)
+        C, _ = _coeff_problem(st, layer, J)
+        K, jb = _planes_stack(C)
+        assert K.shape[1] < m * n
+        idx = np.array([5, 0, 3, 149])
+        Ki, jbi = _slice_rows(st, layer, J, idx)
+        assert Ki.tobytes() == np.ascontiguousarray(K[idx]).tobytes()
+        assert jbi.tobytes() == np.ascontiguousarray(jb[idx]).tobytes()
+
+    # the shapes of f1 and deep-cli, where no shared factor is taller
+    @pytest.mark.parametrize("ranks, degrees, m, n", [
+        ((2, 2), (5, 2), 2, 2), ((3, 2, 2), (2, 3, 2), 3, 2),
+    ])
+    def test_planes_without_a_taller_factor_keep_their_bytes(self, ranks, degrees, m, n):
+        from ptdecouple.solver import _g_rows, _rank_size
+
+        model, pts, J, F = problem(23, m=m, n=n, ranks=ranks, degrees=degrees, S=30)
+        st = truth_state(model, pts, perturb=0.1, seed=5)
+        for layer in range(1, len(ranks) + 1):
+            weights, q_in, q_out = _rank_size(st.weights, layer)
+            assert q_in is None and q_out is None
+            C, _ = _coeff_problem(st, layer, J)
+            # the Khatri-Rao planes of the model's own weights, and vec(J_s)
+            r = len(C) - 1
+            want = _g_rows(st.weights, st.G, layer).transpose(3, 1, 2, 0)
+            assert C[:r].tobytes() == np.ascontiguousarray(want).reshape(r, m * n, -1).tobytes()
+            assert C[r].tobytes() == np.ascontiguousarray(J.transpose(1, 0, 2)).tobytes()
+
+    def test_structure_rows_written_in_place_are_slices_of_build_x_and_y(self):
+        from ptdecouple.basis import build_X, build_Y, write_X
+        from ptdecouple.model import power_rows
+
+        U = np.random.Generator(np.random.Philox(3)).uniform(-2, 2, (1000, 2))
+        U[4, 0], U[9, 1] = 0.0, -0.0
+        d = 3
+        X, Y = build_X(U, d), build_Y(U, d)
+        for sl in (slice(0, 500), slice(500, 1000), slice(None)):
+            k = len(U[sl])
+            # with and without the constant column, in the column-major
+            # layout of a proj panel, and in planes
+            for w in (d + 1, d):
+                out = np.empty((2, w + 1, k)).transpose(0, 2, 1)[:, :, :w]
+                got = write_X(U[sl], d, out)
+                assert got is out
+                assert np.ascontiguousarray(got).tobytes() == \
+                    np.ascontiguousarray(X[:, sl, d + 1 - w :]).tobytes()
+                got = write_X(U[sl], d, np.empty((w, 2, k)).transpose(1, 2, 0))
+                assert np.ascontiguousarray(got).tobytes() == \
+                    np.ascontiguousarray(X[:, sl, d + 1 - w :]).tobytes()
+            out = np.empty((2, d + 2, k)).transpose(0, 2, 1)[:, :, : d + 1]
+            power_rows(U[sl].T, d, out=np.moveaxis(out, 2, 0))
+            assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(Y[:, sl]).tobytes()
+
+    # the package's budget, which splits the last layer's systems, and one
+    # that splits both layers' systems
+    @pytest.mark.parametrize("panel_bytes", [None, 1 << 15])
+    @pytest.mark.parametrize("strategy", ["proj", "constr"])
+    def test_panels_hold_the_whole_systems_rows(self, monkeypatch, strategy, panel_bytes):
+        # each panel's rows, written from the layer inputs, are bytes of the
+        # whole system's, built from X and Y built whole
+        import ptdecouple.tensor_ops as top
+
+        pts, J, F, st = TestPanelSolves.case("f2")
+        update = update_c_proj if strategy == "proj" else update_c_constr
+        seen = []
+        solve = solver_mod.lstsq_panels
+
+        def spied(rows, panels, *a, **k):
+            seen.append([(p, rows(p).copy()) for p in panels])
+            return solve(rows, panels, *a, **k)
+
+        monkeypatch.setattr(solver_mod, "lstsq_panels", spied)
+        budget = top._PANEL_BYTES if panel_bytes is None else panel_bytes
+        split = 0
+        for layer in (1, 2):
+            monkeypatch.setattr(top, "_PANEL_BYTES", budget)
+            update(st.copy(), layer, J, F, pts, 1e-6)
+            monkeypatch.setattr(top, "_PANEL_BYTES", 1 << 40)
+            update(st.copy(), layer, J, F, pts, 1e-6)
+            panels, [(whole_p, whole)] = seen[-2:]
+            assert whole_p is None
+            if panels[0][0] is None:
+                assert panels[0][1].tobytes() == whole.tobytes()
+                continue
+            split += 1
+            S = J.shape[2]
+            for (sl, first, second), ab in panels:
+                if strategy == "proj":
+                    # neuron-major: X rows of all slices, then Y rows
+                    rows = whole[:, sl] if first else whole[:, S:][:, sl]
+                else:
+                    # J rows (t, s), then the F block's rows (i, s)
+                    k = sl.stop - sl.start
+                    n = len(ab) // k * S
+                    part = whole[:n] if first else whole[len(whole) - n :]
+                    rows = part.reshape(-1, S, part.shape[1])[:, sl]
+                    ab = ab.reshape(-1, k, ab.shape[-1])
+                assert np.ascontiguousarray(ab).tobytes() == np.ascontiguousarray(rows).tobytes()
+        assert split == (1 if panel_bytes is None else 2)
 
 
 class TestPanelSolves:
@@ -1509,13 +1715,16 @@ def traced_peak(run):
 
 
 # Peak memory above the fit's inputs at f2 S = 1000.  A 2-sweep fit peaks
-# at 401.5 KB (constr) and 345.4 KB (proj), keeping its best sweep as
-# weights and coefficients and reducing the G-row planes in three blocks of
-# rows; 450.1 KB and 401.2 KB with a copy of the best state, G and R
-# included, and two blocks.  With every system built whole, once, in the
-# array its solver reduces, they peaked at 0.59 MB and 0.50 MB; at 0.78 MB
-# with the rows built beside the solver's copy of them.
-@pytest.mark.parametrize("strategy, bound", [("constr", 409_500), ("proj", 352_500)])
+# at 303.8 KB (constr) and 298.3 KB (proj) with the G-row planes at rank
+# size and the structure rows of a panelled system written per panel;
+# 401.5 KB and 345.4 KB with 9 plane rows per slice and X and Y held whole
+# beside the panels, keeping its best sweep as weights and coefficients and
+# reducing the G-row planes in three blocks of rows; 450.1 KB and 401.2 KB
+# with a copy of the best state, G and R included, and two blocks.  With
+# every system built whole, once, in the array its solver reduces, they
+# peaked at 0.59 MB and 0.50 MB; at 0.78 MB with the rows built beside the
+# solver's copy of them.
+@pytest.mark.parametrize("strategy, bound", [("constr", 310_000), ("proj", 304_500)])
 def test_large_s_fit_peak_memory(strategy, bound):
     J, F, pts = f2_s1000()
     cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy=strategy,
@@ -1524,14 +1733,15 @@ def test_large_s_fit_peak_memory(strategy, bound):
 
 
 def test_last_layer_proj_update_peak_memory():
-    # 341.6 KB: from this unbalanced state the coefficient systems truncate,
-    # and are solved one neuron at a time from rows built whole; 387.9 KB
+    # 231.2 KB: from this unbalanced state the coefficient systems truncate,
+    # and are solved one neuron at a time from rows built whole, written
+    # from the layer inputs; 342.7 KB with X and Y held beside them; 387.9 KB
     # with one SVD of the stack, which holds U beside the rows, and with X a
     # view of its entries in the stacked matrix; 0.452 MB, set by that solve,
     # while X was held beside it
     J, F, pts = f2_s1000()
     st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
-    assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 348_000
+    assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 236_000
 
 
 def test_middle_w_update_peak_memory():
@@ -1544,25 +1754,77 @@ def test_middle_w_update_peak_memory():
     assert traced_peak(lambda: update_W(st, 1, J, F, 1e-6)) < 250_000
 
 
+def test_last_w_update_peak_memory():
+    # 242.3 KB with M.T's columns written one input at a time; 259.0 KB with
+    # a broadcast product per column, which numpy buffers
+    J, F, pts = f2_s1000()
+    st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
+    assert traced_peak(lambda: update_W(st, 2, J, F, 1e-6)) < 247_000
+
+
+def test_objective_peak_memory():
+    # 169.0 KB with the residual written over the last chain and squared in
+    # place; 211.0 KB with J - chain and its square as new arrays, set while
+    # the chains, the residual and, after them, its square were held
+    J, F, pts = f2_s1000()
+    st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
+    assert traced_peak(lambda: objective(st, J, F, 1e-6)) < 172_500
+
+
+@pytest.mark.parametrize("name, S", [("f1", 30), ("f2", 1000)])
+def test_objective_keeps_the_bytes_of_the_squared_residual(name, S):
+    from ptdecouple.harness import builtin_system
+    from ptdecouple.model import right_chains
+
+    model = builtin_system(name)
+    pts = np.random.Generator(np.random.Philox(7)).uniform(-1, 1, (S, model.n_inputs))
+    J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+    for st in (truth_state(model, pts, perturb=1e-2, seed=3),
+               init_state(SolverConfig(ranks=(2, 2), degrees=model.degrees, rng_seed=1), J.shape)):
+        diff = np.transpose(J, (2, 0, 1)) - right_chains(st.weights, st.G, 3)[-1]
+        want = np.float64(np.sum(diff * diff))
+        assert np.float64(objective(st, J, F, 1e-6)[0]).tobytes() == want.tobytes()
+
+
+def test_last_rows_keep_the_broadcast_products():
+    # np.multiply's products, -0.0 included, as a product broadcast per column
+    from ptdecouple.model import right_chains
+    from ptdecouple.solver import _last_rows
+
+    model, pts, J, F = problem(24, m=3, n=2, S=40)
+    st = truth_state(model, pts, perturb=0.1, seed=6)
+    st.G[1][:5] = -0.0
+    st.G[1][5:9, 0] = 0.0
+    got = np.empty((40 * 3, 2))
+    _last_rows(st.weights, st.G, got)
+    V = right_chains(st.weights, st.G, 2)[-1]
+    want = np.stack([np.multiply(st.G[1][:, i, None], V[:, i]).ravel() for i in range(2)], axis=1)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).sum() == np.signbit(want).sum() > 0
+
+
 def test_start_search_peak_memory(monkeypatch):
-    # 76.5-77.5 KB above the inputs for this f1 S = 30 search in process,
+    # 72.0-73.0 KB above the inputs for this f1 S = 30 search in process,
     # after a first search has made numpy's one-time allocations; a
     # descent's linearization sets it, with one 16-point chunk's rows of M
     # from the adjoint kernel (21.5 KB) and the kernel's temporaries
-    # (about 17 KB) live.  The forward-mode derivatives it replaced read
+    # (about 17 KB) live.  76.5-77.5 KB with the normal matrix and the
+    # gradient summed from zeros, which sat beside the first chunk's rows.
+    # The forward-mode derivatives it replaced read
     # 77.2-78.3 KB; kernels that broadcast ufuncs or einsums across the
     # seeds read 84-105 KB, and a stored LM Jacobian 110-125 KB.
     cfg, J, F, pts = _search_case("f1")
     monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
-    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 79_000
+    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 74_500
 
 
 def test_deep_start_search_peak_memory(monkeypatch):
-    # 136.4-138.7 KB for this L = 3 search, whose 8 descents all stall,
-    # measured as the f1 search above; 138.2-139.5 KB with the forward-mode
-    # derivatives.  The bound leaves the f1 test's margin of about 2 %.
+    # 127.0-127.1 KB for this L = 3 search, whose 8 descents all stall,
+    # measured as the f1 search above; 136.4-138.7 KB with the normal matrix
+    # summed from zeros, 138.2-139.5 KB with the forward-mode derivatives.
+    # The bound leaves a margin of about 2 %, as the f1 test's.
     cfg, J, F, pts = _search_case("L3")
     monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
-    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 141_000
+    assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 129_700
