@@ -75,7 +75,8 @@ def write_X(u, degree, out):
     out is r x S x w with w = degree + 1, or w = degree for the rows
     without their leading zero column.  The power rows 1, u, ..., u**(d-1)
     go into the derivative columns, each of which is then scaled in place
-    by its power's exponent: the products of ``model.derivative_rows``.  Each
+    by its power's exponent: the products of ``model.derivative_rows``; at
+    degree 0 there are none, and the rows are the zero column.  Each
     plane out[:, :, i] is best contiguous, as numpy buffers an update that
     iterates short strided rows.
     """
@@ -83,7 +84,8 @@ def write_X(u, degree, out):
     if len(planes) > degree:
         planes[0] = 0.0
         planes = planes[1:]
-    power_rows(u.T, degree - 1, out=planes)
+    if degree:
+        power_rows(u.T, degree - 1, out=planes)
     for i in range(2, degree + 1):
         np.multiply(planes[i - 1], i, out=planes[i - 1])
     return out

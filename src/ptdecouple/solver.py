@@ -34,9 +34,9 @@ update holds its subproblem at rank size: the G-row planes take the
 chains at the first and last layers through the QR of the weight matrix
 that all slices share, W_0 or W_L, where it is the taller (9 rows per
 slice become 6 on f2), and they are built whole, the chains around the
-layer one chunk of slices at a time; a panelled coefficient system writes
-each panel's structure rows from the layer inputs, so that X and Y are
-built whole only for a system solved whole or once the panels are gone.
+layer one chunk of slices at a time; a coefficient system writes its
+structure rows from the layer inputs, one panel at a time or whole, so
+that X and Y are built whole only once the system is gone.
 A fit keeps its best sweep as weights and coefficients, not as a second
 copy of the factors (:func:`fit`).  On f2 at S = 1000 the benchmark's
 2-sweep fits peak at 350 traced bytes per sampling point, set by the
@@ -489,6 +489,16 @@ def _rank_size(weights, layer):
     return weights, q_in, q_out
 
 
+def _plane_rows(weights, layer):
+    """p = m'n', the rows per slice of a layer's G-row planes at rank size (:func:`_rank_size`)."""
+    m, n = weights[0].shape[1], weights[-1].shape[0]
+    if layer == 1:
+        m = min(m, len(weights[0]))
+    if layer == len(weights) - 1:
+        n = min(n, weights[-1].shape[1])
+    return m * n
+
+
 def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     """The per-slice G-row planes that both coefficient updates of a layer start from.
 
@@ -511,7 +521,7 @@ def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     """
     n, m, _ = j_tensor.shape
     weights, q_in, q_out = _rank_size(state.weights, layer)
-    p = weights[0].shape[1] * weights[-1].shape[0]
+    p = _plane_rows(state.weights, layer)
     G = [g[sl] for g in state.G]
     r, S = G[layer - 1].shape[1], len(G[0])
     C = np.empty((r + 1, p, S))
@@ -566,10 +576,10 @@ def _coeff_bases(state, layer, points):
     Column j of G_layer (R) is X[j] @ c_j (Y[j] @ c_j), with X and Y the
     structure matrices of U (:func:`_structure`).  U depends only on the
     weights and coefficients of the layers below, which a G-row solve does
-    not change, so the pass stops there.  A coefficient system built whole
-    reads X and Y built whole; a system built one panel at a time writes
-    each panel's X or Y rows from U, and X and Y are built whole once the
-    panels are gone, for :func:`_write_factors`.
+    not change, so the pass stops there.  A coefficient system writes its
+    X and Y rows from U, one panel or the whole system at a time, and X
+    and Y are built whole only once the system is gone, for
+    :func:`_write_factors`.
     """
     return internal_inputs_batch(state.weights[: layer + 1], state.coeffs[:layer], points)[-1]
 
@@ -594,17 +604,17 @@ def _slice_rows(state, layer, j_tensor, idx):
     return _planes_stack(_coeff_problem(state, layer, j_tensor, idx)[0])
 
 
-def _write_factors(state, layer, U, bases=None):
+def _write_factors(state, layer, U):
     """Overwrite G_layer, and R at the last layer, with their structured versions.
 
     Column j becomes X[j] @ c_j (Y[j] @ c_j), the structure matrices of the
-    layer inputs U: ``bases`` when the update built them whole, else built
-    here (:func:`_structure`), in the same layout, which the matmul's bits
-    follow.  The stacked matmul gives the bits of those per-neuron
-    products, and the results go into the existing arrays, which keeps
-    their memory layout.
+    layer inputs U, built whole here (:func:`_structure`) once the
+    coefficient system is gone, in the layout of ``build_X``, which the
+    matmul's bits follow.  The stacked matmul gives the bits of those
+    per-neuron products, and the results go into the existing arrays,
+    which keeps their memory layout.
     """
-    X, Y = _structure(state, layer, U) if bases is None else bases
+    X, Y = _structure(state, layer, U)
     c = state.coeffs[layer - 1][:, :, None]
     state.G[layer - 1][...] = (X @ c)[:, :, 0].T
     if Y is not None:
@@ -626,7 +636,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     column and function-value rows below.  That stack is built one panel
     of slices at a time (:func:`lstsq_panels`), its X rows and its Y rows
     as separate panels, each written from U into the panel's array, and
-    whole, X rows then Y rows, from X and Y built whole, within the budget.
+    whole, X rows then Y rows, within the budget.
     The constants of the layers below the last stay frozen.  Finally the
     factors are overwritten by their structured versions.
     """
@@ -641,11 +651,15 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
     d = state.coeffs[layer - 1].shape[1] - 1
     r, w, R = U.shape[1], d + 1 - i0, state.R
-    # a system built whole holds X and Y beside its rows
     part = 8 * r * (w + 1)
+    # The rows are written from U, so no X or Y is held beside them; their
+    # bytes are charged all the same, on purpose, as a margin for what the
+    # update holds beyond the budget (G, U, R): without it f2's last layer
+    # at S = 1000, its stack and the SVD's U 320 KB, is solved whole and
+    # the fit's traced peak rises from 352 to 446 KB.  Panels are sized
+    # with the charge too: at f2's last layer at most 1137 slices, not 2048.
     panels = _row_panels(len(G), part, part if last else None, stack=True,
                          held=8 * r * (d + 1) * (1 + last))
-    bases = _structure(state, layer, U) if panels == [None] else None
 
     def rows(panel):
         # neuron j's rows: X_j against G[:, j], then sqrt(lam) Y_j against
@@ -658,16 +672,10 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
         ab = np.empty((r, w + 1, n_x + (k if with_y and last else 0)))
         ab = ab.transpose(0, 2, 1)
         if with_x:
-            if bases is None:
-                write_X(U[sl], d, ab[:, :k, :w])
-            else:
-                ab[:, :k, :w] = bases[0][:, sl, i0:]
+            write_X(U[sl], d, ab[:, :k, :w])
             ab[:, :k, w] = G[sl].T
         if with_y and last:
-            if bases is None:
-                power_rows(U[sl].T, d, out=ab[:, n_x:, :w].transpose(2, 0, 1))
-            else:
-                ab[:, n_x:, :w] = bases[1][:, sl]
+            power_rows(U[sl].T, d, out=ab[:, n_x:, :w].transpose(2, 0, 1))
             # one column at a time, as ab's columns lie
             for t in range(w):
                 np.multiply(np.sqrt(lam), ab[:, n_x:, t], out=ab[:, n_x:, t])
@@ -675,7 +683,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
         return ab
 
     state.coeffs[layer - 1][:, i0:] = _counted(state, lstsq_panels(rows, panels, w))
-    _write_factors(state, layer, U, bases)
+    _write_factors(state, layer, U)
     return state
 
 
@@ -692,20 +700,19 @@ def _structured_rows(K, X, out=None):
 
 
 # The constr update reduces each slice's rows by QR once that removes at
-# least this many rows, S * (m*n - r), counted on the unreduced G-row
-# matrices, which it was calibrated on.  Time of a 5-sweep constr fit,
-# reduced / full rows (rows removed), median of 41 interleaved pairs, one
-# BLAS thread: f1 shape S = 100 1.22 (200), S = 300 1.14 (600), S = 500
-# 1.03 (1000), S = 700 1.00 (1400), S = 1000 0.76 (2000); f2 shape S = 100
-# 1.20 (700), S = 200 1.01 (1400), S = 300 0.95 (2100), S = 500 0.71
-# (3500), S = 1000 0.65 (7000); L = 3 (m = 3, n = 2, ranks 3, 2, 2) S = 100
-# 1.21 (300-400), S = 300 1.07 (900-1200), S = 500 1.00 (1500-2000),
-# S = 700 0.97 (2100-2800), S = 1000 0.95 (3000-4000).  The stacked QR
-# costs a fixed number of numpy calls, which fewer removed rows do not
-# repay: _QR_MIN_STACK's cut at S = 100 would slow the f1 and L = 3 fits
-# at S = 100-300.  The S = 30 fits remove at most 210 rows and keep the
-# full system.
-_CONSTR_QR_MIN_ROWS = 2000
+# least this many rows, S * (p - r), counted on the G-row planes at rank
+# size (_plane_rows).  Time of a 5-sweep constr fit, reduced / full rows
+# (rows removed per layer), median of 41 interleaved pairs, one BLAS
+# thread, 2 shared x86-64 vCPUs: f2 shape (p = 6, r = 2) S = 100 1.13
+# (400), S = 200 1.02 (800), S = 300 0.94 (1200), S = 500 0.86 (2000),
+# S = 1000 0.74 (4000); f1 shape (p = 4, r = 2) S = 300 1.01 (600), S = 500
+# 0.94 (1000), S = 700 0.91 (1400), S = 1000 0.88 (2000); L = 3 (m = 3,
+# n = 2, ranks 3, 2, 2) S = 300 1.01 (900-1200), S = 500 0.90 (1500-2000),
+# S = 1000 0.84 (3000-4000).  The stacked QR costs a fixed number of numpy
+# calls, which fewer removed rows do not repay: _QR_MIN_STACK's cut at
+# S = 100 would slow the fits at S = 100-200.  The S = 30 fits remove at
+# most 210 rows and keep the full system.
+_CONSTR_QR_MIN_ROWS = 1000
 
 
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
@@ -722,8 +729,8 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     With K_s = Q_s R_s, the r rows R_s D_s against
     (Q_s^T b_s)[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
-    that would remove at least ``_CONSTR_QR_MIN_ROWS`` rows of the
-    unreduced matrices, every slice is reduced by one stacked QR in the
+    that would remove at least ``_CONSTR_QR_MIN_ROWS`` rows of the planes,
+    every slice is reduced by one stacked QR in the
     planes :func:`_coeff_problem` built (:func:`reduce_planes`), and R and
     Q^T b leave the planes; the reduced rows are built from them in the
     order (row of R, slice), and at the last layer the F block W_L E_s is
@@ -733,16 +740,17 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     built one panel of slices at a time (:func:`lstsq_panels`), each block
     written into the panel's one array from the panel's structure rows,
     computed from the layer inputs; a system within the budget is built
-    whole, J rows then F rows, from X and Y built whole.  The solve scales
-    the columns to unit norm.
+    whole, J rows then F rows, the same way.  The solve scales the columns
+    to unit norm.
     """
-    n, m, S = j_tensor.shape
+    n, _, S = j_tensor.shape
     r = state.G[layer - 1].shape[1]
     last = layer == state.n_layers
     # the F block's W_L E_s rows at the last layer, none below it
     W = state.weights[-1][: n if last else 0]
     fb = f_matrix[: len(W)]
-    reduced = S * (m * n - r) >= _CONSTR_QR_MIN_ROWS
+    p = _plane_rows(state.weights, layer)
+    reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
     if reduced:
         if len(W) > r:
             # the QR of W_L cuts the coupling block from n*S to r*S rows
@@ -757,12 +765,8 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             reduced, Rs, ys = False, None, None
             W = state.weights[-1][: n if last else 0]
             fb = f_matrix[: len(W)]
-    if reduced:
-        p = r
-    else:
-        # the rows per slice of the planes the system is built from
-        weights = _rank_size(state.weights, layer)[0]
-        p = weights[0].shape[1] * weights[-1].shape[0]
+    # the rows per slice of the system: R_s's, or the planes'
+    p = r if reduced else p
     U = _coeff_bases(state, layer, points)
     d = state.coeffs[layer - 1].shape[1] - 1
     i0 = 0 if last else 1
@@ -772,7 +776,6 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     # built whole; a panel holds its own slices' structure rows
     held = 8 * r * (d + 1) * (1 + last) + (8 * r * (r + 1) if reduced else 0)
     panels = _row_panels(S, 8 * p * (q + 1), 8 * len(W) * (q + 1) if last else None, held=held)
-    bases = _structure(state, layer, U) if panels == [None] else None
 
     def rows(panel):
         sl, with_j, with_f = (slice(None), True, True) if panel is None else panel
@@ -786,10 +789,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
         # strided block allocates iteration buffers as large as the block,
         # so the large blocks are written one panel of k rows per call.
         if with_j:
-            if bases is None:
-                X = write_X(U[sl], d, np.empty((w, r, k)).transpose(1, 2, 0))
-            else:
-                X = bases[0][:, sl, i0:]
+            X = write_X(U[sl], d, np.empty((w, r, k)).transpose(1, 2, 0))
         if with_j and reduced:
             # row (t, s), column (j, i) holds R_s[t, j] * X[j, s, i]
             blocks = a[:n_j].reshape(r, k, r, w)
@@ -805,7 +805,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             b[:n_j].reshape(jb.shape)[...] = jb
             del C, K, jb
         if with_f and last:
-            Y = power_rows(U[sl].T, d) if bases is None else bases[1][:, sl]
+            Y = power_rows(U[sl].T, d)
             # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, t) holds
             # sqrt(lam) * W_L[i, j] * Y_j[s, t]
             blocks = a[n_j:].reshape(len(W), k, r, w)
@@ -823,7 +823,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     # and at lam <= 1e-12 the unscaled system truncated them
     c = _counted(state, lstsq_panels(rows, panels, q, unit=True))
     state.coeffs[layer - 1][:, i0:] = c.reshape(r, -1)
-    _write_factors(state, layer, U, bases)
+    _write_factors(state, layer, U)
     return state
 
 

@@ -5,6 +5,7 @@ from ptdecouple.basis import (
     build_per_slice_X,
     build_X,
     build_Y,
+    write_X,
 )
 from ptdecouple.harness import builtin_system, generate_system, SyntheticSpec
 from ptdecouple.model import (
@@ -29,6 +30,15 @@ class TestBuildX:
     def test_row_degree3_at_two(self):
         xb = build_X(np.full((1, 1), 2.0), 3)
         assert np.array_equal(xb[0], [[0.0, 1.0, 4.0, 12.0]])
+
+    def test_degree_zero_is_the_zero_column(self):
+        u = np.random.default_rng(1).normal(size=(4, 3))
+        xb = build_X(u, 0)
+        assert xb.shape == (3, 4, 1) and np.all(xb == 0.0)
+        assert np.all(build_per_slice_X(u[0], 0) == 0.0)
+        # without the zero column there is nothing to write
+        out = np.empty((3, 4, 0))
+        assert write_X(u, 0, out) is out
 
     def test_first_column_zero(self):
         rng = np.random.default_rng(0)

@@ -429,16 +429,28 @@ class TestReducedConstrRows:
         pts, J, F, st = self.problem(name, S)
         n, m, _ = J.shape
         r = st.G[layer - 1].shape[1]
-        assert S * (m * n - r) >= _CONSTR_QR_MIN_ROWS
         # the full system's G-row matrices are at rank size: f2's W_0 and
-        # W_L give 6 rows per slice, not 9
+        # W_L give 6 rows per slice, not 9; the gate counts the rows that
+        # the reduction removes from them
         p = (min(m, r) if layer == 1 else m) * (min(n, r) if layer == 2 else n)
         assert _coeff_problem(st, layer, J)[0].shape[1] == p == {"f1": 4, "f2": 6}[name]
+        assert S * (p - r) >= _CONSTR_QR_MIN_ROWS
         reduced, full, rows = self.both_paths(monkeypatch, st, layer, J, F, pts)
         f_rows = (0, 0) if layer == 1 else (S * min(n, r), S * n)
         assert rows == [S * r + f_rows[0], S * p + f_rows[1]]
         self.assert_same_solution(st, layer, J, pts, reduced, full)
         assert reduced.n_truncated == full.n_truncated == 0
+
+    # the gate counts the rows that the reduction removes from the planes at
+    # rank size, 6 - 2 = 4 a slice on f2, not the 9 - 2 of its Khatri-Rao rows
+    @pytest.mark.parametrize("S, reduced", [(249, False), (250, True)])
+    def test_the_gate_counts_the_rows_removed_from_the_planes(self, monkeypatch, S, reduced):
+        from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
+
+        assert 250 * 4 == _CONSTR_QR_MIN_ROWS
+        pts, J, F, st = self.problem("f2", S)
+        rows = self.both_paths(monkeypatch, st, 1, J, F, pts)[2]
+        assert rows == [S * (2 if reduced else 6), S * 6]
 
     # the reduced system solved whole, and split into panels, which cannot
     # be certified and fall back to the whole system
@@ -1406,10 +1418,9 @@ class TestInPlaceReduction:
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
         S, p, r = K.shape
-        # the gate counts the rows of the unreduced G-row matrices, m*n = 9
-        # per slice; the planes hold them at rank size, r_1*n = 6
-        n, m, _ = J.shape
-        assert S * (m * n - r) >= _CONSTR_QR_MIN_ROWS and p == 6
+        # the planes hold r_1*n = 6 rows per slice at rank size, not m*n = 9;
+        # the gate counts the rows that the reduction removes from them
+        assert p == 6 and S * (p - r) >= _CONSTR_QR_MIN_ROWS
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
         # the update solves the system with its columns scaled to unit norm
