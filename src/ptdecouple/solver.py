@@ -101,10 +101,12 @@ from .model import (
     right_chains,
 )
 from .tensor_ops import (
+    _QR_MIN_STACK,
     NonFiniteError,
     fro_norm,
     lstsq_info,
     lstsq_panels,
+    lstsq_reduced,
     reduce_planes,
     slice_panels,
     unfold,
@@ -395,9 +397,9 @@ def build_MG(state, layer, s):
     return M.reshape(-1, M.shape[-1])
 
 
-def _lstsq(state, a, b, rows=None):
+def _lstsq(state, a, b):
     """``lstsq_info`` of one system or a stack, its truncations counted in the state."""
-    return _counted(state, lstsq_info(a, b, rows))
+    return _counted(state, lstsq_info(a, b))
 
 
 def _counted(state, solved):
@@ -513,11 +515,11 @@ def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     the slice's Khatri-Rao rows and vec(J_s) themselves.  Each K_s keeps
     the minimizer, the singular values and so the truncations of the
     unreduced system.  ``_planes_stack(C)`` gives the stack K (k x p x r)
-    and jb (k x p) as views, and :func:`_slice_rows` rebuilds any slices of
-    them bit for bit.  A slice's planes do not depend on the others.  i0 is
-    the first fitted coefficient column (1 below the last layer, where the
-    constants are frozen, else 0).  The rows of (M_C)_0 are K_s times the
-    structure rows X[:, s, i0:] of the layer inputs of :func:`_coeff_bases`.
+    and jb (k x p) as views.  A slice's planes do not depend on the others.
+    i0 is the first fitted coefficient column (1 below the last layer, where
+    the constants are frozen, else 0).  The rows of (M_C)_0 are K_s times
+    the structure rows X[:, s, i0:] of the layer inputs of
+    :func:`_coeff_bases`.
     """
     n, m, _ = j_tensor.shape
     weights, q_in, q_out = _rank_size(state.weights, layer)
@@ -595,13 +597,16 @@ def _planes_stack(C):
     return C[:-1].transpose(2, 1, 0), C[-1].T
 
 
-def _slice_rows(state, layer, j_tensor, idx):
-    """Slices idx of ``_planes_stack`` of :func:`_coeff_problem`, rebuilt.
+def _reduced_planes(state, layer, j_tensor):
+    """Every slice's R_s and (Q_s^T b_s)[:r] of the G-row planes of :func:`_coeff_problem`.
 
-    Each entry is the same computation as in the planes, so the rows are
-    bit for bit the ones the planes held before a reduction.
+    The planes are reduced in place (:func:`reduce_planes`) and R and Q^T b
+    copied out of them, so the planes are gone once this returns and no
+    solve is held beside them.
     """
-    return _planes_stack(_coeff_problem(state, layer, j_tensor, idx)[0])
+    C, _ = _coeff_problem(state, layer, j_tensor)
+    R, y = reduce_planes(C[:-1], C[-1])
+    return R.copy(), y.copy()
 
 
 def _write_factors(state, layer, U):
@@ -625,10 +630,11 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
     All rows of G_layer are updated by unconstrained least squares in one
-    stacked solve against the G-row matrices of :func:`_coeff_problem`,
-    at rank size and reduced in the planes they were built in; a system
-    that the solve re-solves by the SVD comes from rows rebuilt for that
-    slice alone.  For the last layer R is fit as a whole too, from F.
+    stacked solve against the G-row matrices of :func:`_coeff_problem`, at
+    rank size; a stack of at least ``_QR_MIN_STACK`` tall systems is
+    reduced in the planes it was built in and solved from its triangles
+    (:func:`_reduced_planes`, :func:`lstsq_reduced`), a smaller one by the
+    SVD.  For the last layer R is fit as a whole too, from F.
     Every neuron's coefficients are then fit to its updated factor column
     through the structure rows of the fresh layer inputs
     (:func:`_coeff_bases`, computed once the planes are gone), all neurons
@@ -640,17 +646,19 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     The constants of the layers below the last stay frozen.  Finally the
     factors are overwritten by their structured versions.
     """
-    C, i0 = _coeff_problem(state, layer, j_tensor)
-    G = state.G[layer - 1] = _lstsq(
-        state, *_planes_stack(C), lambda idx: _slice_rows(state, layer, j_tensor, idx)
-    )
-    del C
+    S, r = state.G[layer - 1].shape
+    if S >= _QR_MIN_STACK and _plane_rows(state.weights, layer) >= r:
+        solved = lstsq_reduced(*_reduced_planes(state, layer, j_tensor))
+    else:
+        solved = lstsq_info(*_planes_stack(_coeff_problem(state, layer, j_tensor)[0]))
+    G = state.G[layer - 1] = _counted(state, solved)
     U = _coeff_bases(state, layer, points)
     last = layer == state.n_layers
+    i0 = 0 if last else 1
     if last:
         state.R = _lstsq(state, state.weights[-1], f_matrix).T
     d = state.coeffs[layer - 1].shape[1] - 1
-    r, w, R = U.shape[1], d + 1 - i0, state.R
+    w, R = d + 1 - i0, state.R
     part = 8 * r * (w + 1)
     # The rows are written from U, so no X or Y is held beside them; their
     # bytes are charged all the same, on purpose, as a margin for what the
@@ -730,14 +738,12 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     (Q_s^T b_s)[:r] have the same minimizer and the same singular
     values: the system is block-diagonal(Q_s) times the reduced one.  Once
     that would remove at least ``_CONSTR_QR_MIN_ROWS`` rows of the planes,
-    every slice is reduced by one stacked QR in the
-    planes :func:`_coeff_problem` built (:func:`reduce_planes`), and R and
-    Q^T b leave the planes; the reduced rows are built from them in the
-    order (row of R, slice), and at the last layer the F block W_L E_s is
-    reduced alike by one QR of W_L when n > r.  A reduction with a
-    non-finite entry is dropped for the full system, built from rows built
-    again, where the solve reports it.  The system's J rows and F rows are
-    built one panel of slices at a time (:func:`lstsq_panels`), each block
+    every slice is reduced by one stacked QR in the planes
+    (:func:`_reduced_planes`); the reduced rows are built from R and Q^T b
+    in the order (row of R, slice), and at the last layer the F block
+    W_L E_s is reduced alike by one QR of W_L when n > r.  A non-finite
+    plane raises :class:`NonFiniteError`.  The system's J rows and F rows
+    are built one panel of slices at a time (:func:`lstsq_panels`), each block
     written into the panel's one array from the panel's structure rows,
     computed from the layer inputs; a system within the budget is built
     whole, J rows then F rows, the same way.  The solve scales the columns
@@ -756,17 +762,9 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             # the QR of W_L cuts the coupling block from n*S to r*S rows
             Q, Wq = np.linalg.qr(W)
             W, fb = Wq, Q.T @ fb
-        C, _ = _coeff_problem(state, layer, j_tensor)
-        Rs, ys = reduce_planes(C[:r], C[r])
-        # R and Q^T b leave the planes, which go before the system is built
-        Rs, ys = Rs.copy(), ys.copy()
-        del C
-        if not all(np.all(np.isfinite(x)) for x in (Rs, ys, W, fb)):
-            reduced, Rs, ys = False, None, None
-            W = state.weights[-1][: n if last else 0]
-            fb = f_matrix[: len(W)]
-    # the rows per slice of the system: R_s's, or the planes'
-    p = r if reduced else p
+        Rs, ys = _reduced_planes(state, layer, j_tensor)
+        # the rows per slice of the system: R_s's, not the planes'
+        p = r
     U = _coeff_bases(state, layer, points)
     d = state.coeffs[layer - 1].shape[1] - 1
     i0 = 0 if last else 1
@@ -797,8 +795,7 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
                 np.einsum("js,jsi->sji", Rs[:, t, sl], X, out=blocks[t])
             b[:n_j] = ys[:, sl].ravel()
         elif with_j:
-            # the full rows, from planes built again where a failed
-            # reduction overwrote them
+            # the full rows, from the panel's planes
             C, _ = _coeff_problem(state, layer, j_tensor, sl)
             K, jb = _planes_stack(C)
             _structured_rows(K, X, out=a[:n_j])

@@ -19,25 +19,21 @@ Conventions used throughout the package:
   axis on both sides), returns minimum-norm solutions with singular values
   at or below 1e-12 of their system's largest truncated, and counts the
   truncations, so a caller that wraps it sees every one of them.  A stack
-  is solved by one batched SVD, or, when it holds at least
-  ``_QR_MIN_STACK`` tall systems and its caller passes a way to build them
-  again, by Householder QR run across the whole stack in the array the
-  systems were built in (``reduce_planes``, column planes with the slice
-  axis last and contiguous, q x p x K); a system that QR cannot certify as
-  clear of the truncation threshold is re-solved by the SVD from rows built
-  again, so both paths truncate the same singular values.
-* Tall systems whose rows come per slice: ``slice_panels`` splits the
-  slices into panels from a byte budget, and ``lstsq_panels`` builds and
-  reduces one panel of rows at a time (TSQR: Demmel, Grigori, Hoemmen &
-  Langou, SIAM J. Sci. Comput. 2012), so that memory follows the panel, not
-  the slice count.  It solves the small reduced system through
-  ``lstsq_info``, and re-solves the whole system from rows built again when
-  the reduction cannot be certified clear of the truncation threshold.  A
-  system given as one panel, ``[None]``, is built and solved whole.
+  is solved by one batched SVD.
+* A tall system is solved from the triangle of its QR, which has its
+  minimizer and, to round-off, its singular values, so a singular value
+  within round-off of the threshold may truncate differently than an SVD
+  of its full rows would.  A stack of per-slice systems held as column
+  planes, slices last (q x p x K), is reduced in place by Householder QR
+  across the stack (``reduce_planes``) and its triangles solved by
+  ``lstsq_reduced``.  ``slice_panels`` splits slices into panels from a
+  byte budget, and ``lstsq_panels`` builds and reduces one panel of rows
+  at a time (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+  Comput. 2012), so that memory follows the panel, not the slice count;
+  a system given as one panel, ``[None]``, is built and solved whole.
 
-Apart from ``reduce_planes`` and a ``lstsq_info`` call given ``rows``,
-every function here is pure and never mutates its inputs, so concurrent
-use needs no synchronization.
+Apart from ``reduce_planes`` every function here is pure and never mutates
+its inputs, so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ __all__ = [
     "fro_norm",
     "lstsq_info",
     "reduce_planes",
+    "lstsq_reduced",
     "slice_panels",
     "lstsq_panels",
 ]
@@ -131,7 +128,7 @@ def fro_norm(x):
 _RTOL = 1e-12
 
 
-def lstsq_info(a, b, rows=None, *, finite=False):
+def lstsq_info(a, b, *, finite=False):
     """Minimum-norm least-squares solution of ``a @ x = b`` and its truncation count.
 
     Singular values at or below ``_RTOL`` times their system's largest are
@@ -140,20 +137,11 @@ def lstsq_info(a, b, rows=None, *, finite=False):
     with ``b`` of length p or p x k, or a stack of K systems, K x p x q
     with ``b`` K x p, each solved on its own; a stack returns the K x q
     solutions and the truncations of all its systems summed, solved by
-    :func:`_lstsq_svd`, which never writes a or b.
-
-    A caller that can build systems again may pass ``rows``, where
-    ``rows(idx)`` returns systems idx of the stack and their right-hand
-    sides as they are now.  A stack of at least ``_QR_MIN_STACK`` systems
-    with p >= q then goes through :func:`_lstsq_qr`, which reduces a and b
-    in place and re-solves from those rows; a and b are best views of
-    slices-last planes (``a.transpose(2, 1, 0)`` and ``b.T``
-    C-contiguous), and hold scratch afterwards.  The two paths give the
-    same truncations and agree to round-off.
+    :func:`_lstsq_svd`.  Neither a nor b is written.
 
     A non-finite entry raises :class:`NonFiniteError`.  ``finite`` says that
     the caller has checked a and b already, as :func:`lstsq_panels` does on
-    the one array they are views of.
+    the arrays they come from.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -170,9 +158,6 @@ def lstsq_info(a, b, rows=None, *, finite=False):
     if a.ndim == 2:
         x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_RTOL)
         return x, min(a.shape) - int(rank)
-    K, p, q = a.shape
-    if rows is not None and K >= _QR_MIN_STACK and p >= q:
-        return _lstsq_qr(a.transpose(2, 1, 0), b.T, rows)
     return _lstsq_svd(a, b)
 
 
@@ -190,7 +175,8 @@ def _check_finite(*arrays):
             raise NonFiniteError("non-finite entries in least-squares system")
 
 
-# Stacks of at least this many tall systems, given rows, take the QR path.
+# Stacks of at least this many tall per-slice systems are reduced by
+# reduce_planes and solved by lstsq_reduced, fewer by one batched SVD.
 # Median time of one stacked solve, QR / SVD, K x p x q on one BLAS thread,
 # the stack a view of slices-last planes as the sweep passes it: 30x9x2
 # 0.89, 30x4x2 0.96, 30x9x3 0.82, 50x9x2 0.72, 64x9x2 0.56, 100x9x2 0.37,
@@ -201,12 +187,17 @@ def _check_finite(*arrays):
 # it gains little, and 100 keeps the S = 30 stacks on the SVD with room to
 # spare.
 _QR_MIN_STACK = 100
-# QR keeps a system's solution only when its bound on sigma_min / sigma_max
-# exceeds _RTOL by this factor.  The computed R is the exact factor of rows
-# perturbed at round-off, and R^-1 of a kept system is accurate to about
-# 1e-6, so the bound is off by far less than this factor: every kept
-# system is one whose singular values the SVD would all keep.
+# A triangle's back-substitution solution is kept only when its bound on
+# sigma_min / sigma_max exceeds _RTOL by this factor.  The computed R is
+# the exact factor of rows perturbed at round-off, and R^-1 of a kept
+# system is accurate to about 1e-6, so the bound is off by far less than
+# this factor: every kept system is one whose singular values the SVD
+# would all keep.
 _QR_MARGIN = 100.0
+# The range of a column's sum of squares within which its reflection is
+# formed unscaled: beyond it the sum, or the product that 2 / (v^T v) is
+# formed from, over- or underflows.
+_SS_MIN, _SS_MAX = 2.0 ** -1022, 2.0 ** 1022
 
 
 def _lstsq_svd(a, b):
@@ -237,16 +228,33 @@ def reduce_planes(a, b):
     b give Q^T b (Golub & Van Loan, *Matrix Computations*, 5.1-5.2).  A
     column that is zero below row j gets the identity reflection.  Every
     update reads and writes whole rows of K entries, so a and b are best
-    C-contiguous.  Over- and underflow are not trapped: where alpha**2
-    underflows, 2 / (v^T v) overflows and turns that system's entries of
-    Q^T b non-finite, which a caller must check.
+    C-contiguous.
+
+    A non-finite entry raises :class:`NonFiniteError`, and finite planes
+    give finite R and Q^T b: as in LAPACK's dlarfg, a system whose column
+    has a sum of squares outside [2^-1022, 2^1022] forms its reflection
+    from the column scaled by a power of 2, taken from the column's max
+    and min, which is exact and leaves the reflection as it is.
     """
+    _check_finite(a, b)
     q = len(a)
     with np.errstate(all="ignore"):
         for j in range(q):
             v = a[j, j:]
+            ss = np.einsum("pk,pk->k", v, v)
+            odd = (ss < _SS_MIN) | (ss > _SS_MAX)
+            e = 0
+            if odd.any():
+                # zero columns are odd too, and keep e = 0
+                e = np.where(odd, np.frexp(np.maximum(v.max(axis=0), -v.min(axis=0)))[1], 0)
+                # one row at a time, which numpy does not buffer
+                for row in v:
+                    np.ldexp(row, -e, out=row)
+                ss = np.einsum("pk,pk->k", v, v)
+            # freed before the reflection's temporaries, which set the peak
+            del odd
             x0 = v[0]
-            alpha = np.sqrt(np.einsum("pk,pk->k", v, v))
+            alpha = np.sqrt(ss, out=ss)
             s = np.copysign(alpha, -x0)
             tau = 1.0 / (alpha * (alpha + np.abs(x0)))  # 2 / (v^T v)
             tau[alpha == 0.0] = 0.0
@@ -262,45 +270,44 @@ def reduce_planes(a, b):
                 for c, tc in enumerate(t, start=j + 1):
                     a[c, j + i : j + i + h] -= np.einsum("pk,k->pk", vi, tc)
                 b[j + i : j + i + h] -= np.einsum("pk,k->pk", vi, tb)
-            # column j of R: s on the diagonal and zeros below it
-            v[0] = s
+            # column j of R: s, unscaled, on the diagonal and zeros below it
+            v[0] = np.ldexp(s, e)
             v[1 : q - j] = 0.0
     return a[:, :q], b[:q]
 
 
-def _lstsq_qr(a, b, rows):
-    """Solutions of the K systems held in planes a and b by Householder QR.
+def lstsq_reduced(R, y):
+    """Minimum-norm solutions of the K systems that :func:`reduce_planes` reduced, and their truncations.
 
-    a is q x p x K and b p x K, laid out as in :func:`reduce_planes`;
-    :func:`reduce_planes` reduces them in place to R and Q^T b, with the
-    slice axis last; R^-1 comes from back-substitution across the stack and
-    x = R^-1 (Q^T b)[:q].  R has the singular values of its system, so
-    1 / (||R||_F ||R^-1||_F) is a lower bound on sigma_min / sigma_max.  A
+    R (q x q x K) and y (q x K) are laid out as :func:`reduce_planes`
+    returns them; R_k x = y_k has system k's minimizer and, to round-off,
+    its singular values.  Returns x (K x q) and the truncation count.
+    R^-1 comes from back-substitution across the stack and x = R^-1 y.
+    1 / (||R||_F ||R^-1||_F) is a lower bound on sigma_min / sigma_max; a
     system whose bound is not finite or not above ``_QR_MARGIN * _RTOL``,
-    or whose solution is not finite, is re-solved by :func:`_lstsq_svd`
-    from its original rows, ``rows(idx)``: rank-deficient and
-    near-threshold systems, and those whose reflections over- or
-    underflow.  Every kept system is one the SVD would not truncate, so
-    the count is the SVD path's.
+    or whose solution is not finite, is solved again by :func:`lstsq_info`
+    from its own triangle: rank-deficient and near-threshold systems, and
+    those whose entries square beyond the floating-point range.  Every kept
+    system is one the SVD would not truncate.  R and y are not written.
     """
-    Rc, y = reduce_planes(a, b)
-    q, _, K = Rc.shape
-    R = Rc.transpose(1, 0, 2)  # R[i, j] is entry (i, j) of every system
+    q, _, K = R.shape
+    Rt = R.transpose(1, 0, 2)  # Rt[i, j] is entry (i, j) of every system
     with np.errstate(all="ignore"):
         Rinv = np.zeros((q, q, K))
         for i in range(q - 1, -1, -1):
-            Rinv[i, i] = 1.0 / R[i, i]
+            Rinv[i, i] = 1.0 / Rt[i, i]
             Rinv[i, i + 1 :] = -np.einsum(
-                "tk,tjk->jk", R[i, i + 1 :], Rinv[i + 1 :, i + 1 :]
+                "tk,tjk->jk", Rt[i, i + 1 :], Rinv[i + 1 :, i + 1 :]
             ) * Rinv[i, i]
         x = np.einsum("ijk,jk->ik", Rinv, y)
-        kappa = np.sqrt(np.einsum("ijk,ijk->k", R, R) * np.einsum("ijk,ijk->k", Rinv, Rinv))
-        ok = (kappa < 1.0 / (_QR_MARGIN * _RTOL)) & np.all(np.isfinite(x), axis=0)
+        kappa = np.sqrt(np.einsum("ijk,ijk->k", Rt, Rt) * np.einsum("ijk,ijk->k", Rinv, Rinv))
+        redo = ~((kappa < 1.0 / (_QR_MARGIN * _RTOL)) & np.all(np.isfinite(x), axis=0))
+    del Rinv, kappa
     x = np.ascontiguousarray(x.T)
-    redo = np.flatnonzero(~ok)
-    if not redo.size:
+    if not redo.any():
         return x, 0
-    x[redo], trunc = _lstsq_svd(*rows(redo))
+    # y.T[redo] is a C-contiguous copy, which _lstsq_svd reads as it is
+    x[redo], trunc = lstsq_info(R.transpose(2, 1, 0)[redo], y.T[redo], finite=True)
     return x, trunc
 
 
@@ -322,9 +329,9 @@ def slice_panels(n, slice_bytes):
     solved.  The panels are of near-equal length, as few as keep each
     within ``_PANEL_BYTES``, but never shorter than ``_QR_MIN_STACK``
     slices, so a system of fewer than 2 * ``_QR_MIN_STACK`` slices is never
-    split, and a stack of independent per-slice systems takes the same
-    path of :func:`lstsq_info` in every panel as it would whole, where
-    :func:`reduce_planes` gives each slice the same bits.
+    split, and a stack of per-slice systems built in panels reduces in
+    every panel as it would whole, where :func:`reduce_planes` gives each
+    slice the same bits.
     """
     size = max(_QR_MIN_STACK, _PANEL_BYTES // slice_bytes)
     k = max(1, min(-(-n // size), n // _QR_MIN_STACK))
@@ -338,7 +345,7 @@ def lstsq_panels(rows, panels, q, unit=False):
     ``rows(panel)`` returns the rows of one panel as one matrix [a | b]: q
     columns of the system, then its right-hand sides; or as a stack of K
     such matrices, one per independent system, each with one right-hand
-    side.  ``panels`` lists what ``rows`` takes, and ``rows(None)`` returns
+    side.  ``panels`` lists what ``rows`` takes; ``[None]`` asks it for
     the whole system.  Returns what :func:`lstsq_info` returns for the
     whole system or stack: x, q x k or K x q, and the truncation count.
     With ``unit`` set, the columns of a single system are first scaled to
@@ -348,27 +355,19 @@ def lstsq_panels(rows, panels, q, unit=False):
     panel is replaced by the triangle of its QR as it is built, so that the
     triangles stacked, [a' | b'], have the Gram matrix of [a | b]: a' has
     the singular values and the column norms of a, and a' x = b' the
-    minimizer of a x = b.  That small system goes to :func:`lstsq_info`
-    when it is finite and the singular values of a' (of each of its
-    systems) exceed ``_QR_MARGIN * _RTOL`` of its largest, so that an SVD
-    of the whole system would truncate none of them either; otherwise the
-    whole system is built again and solved, a stack one system at a time,
-    since the stack's SVD would hold U beside the rows.  A non-finite
-    entry of the whole system raises :class:`NonFiniteError`; it is found in
-    [a | b], which is contiguous where the views a and b are not.
+    minimizer of a x = b.  That small system goes to :func:`lstsq_info`,
+    whose truncation rule so applies to the system's singular values as
+    the QR carries them, to round-off.  A non-finite entry raises
+    :class:`NonFiniteError`; it is found in the [a | b] of the whole system
+    or of each panel before its QR, which is contiguous where the views a
+    and b are not.
     """
-    if panels != [None]:
+    if panels == [None]:
+        ab = rows(None)
+        _check_finite(ab)
+    else:
         # each panel's rows are freed once their triangle is taken
-        a, b = _split(np.concatenate(
-            [np.linalg.qr(rows(p), mode="r") for p in panels], axis=-2), q)
-        scale = _unit_scale(a) if unit else 1.0
-        a = a * scale
-        if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
-            sv = np.linalg.svd(a, compute_uv=False)
-            if np.all(sv[..., -1] > _QR_MARGIN * _RTOL * sv[..., 0]):
-                x, trunc = lstsq_info(a, b, finite=True)
-                return (x * scale[:, None] if unit else x), trunc
-    ab = rows(None)
+        ab = np.concatenate([_triangle(rows(p)) for p in panels], axis=-2)
     a, b = _split(ab, q)
     if unit:
         scale = _unit_scale(a)
@@ -376,12 +375,14 @@ def lstsq_panels(rows, panels, q, unit=False):
         # iteration buffers as large as the system
         for j, u in enumerate(scale.tolist()):
             a[:, j] *= u
-    _check_finite(ab)
-    if a.ndim == 3 and panels != [None]:
-        solved = [lstsq_info(a_k, b_k, finite=True) for a_k, b_k in zip(a, b)]
-        return np.array([x for x, _ in solved]), sum(t for _, t in solved)
     x, trunc = lstsq_info(a, b, finite=True)
     return (x * scale[:, None] if unit else x), trunc
+
+
+def _triangle(ab):
+    """The triangle R of the QR of one panel's rows [a | b], its entries checked first."""
+    _check_finite(ab)
+    return np.linalg.qr(ab, mode="r")
 
 
 def _split(ab, q):

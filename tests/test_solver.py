@@ -29,16 +29,16 @@ from ptdecouple.solver import (
     _coeff_bases,
     _coeff_problem,
     _planes_stack,
-    _slice_rows,
     _structure,
     _structured_rows,
 )
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
-    _lstsq_qr,
+    NonFiniteError,
     fro_norm,
     lstsq_info,
     lstsq_panels,
+    lstsq_reduced,
     reduce_planes,
     unfold,
     vec,
@@ -452,8 +452,8 @@ class TestReducedConstrRows:
         rows = self.both_paths(monkeypatch, st, 1, J, F, pts)[2]
         assert rows == [S * (2 if reduced else 6), S * 6]
 
-    # the reduced system solved whole, and split into panels, which cannot
-    # be certified and fall back to the whole system
+    # the reduced system solved whole, and split into panels, whose stacked
+    # triangles truncate as the whole system
     @pytest.mark.parametrize("name, S, split", [("f2", 300, False), ("f1", 1000, True),
                                                 ("f2", 1000, True)])
     def test_zero_column_of_w_l_truncates_as_the_full_system(self, monkeypatch, name, S, split):
@@ -466,25 +466,16 @@ class TestReducedConstrRows:
         assert reduced.n_truncated == full.n_truncated == st.coeffs[1].shape[1]
         self.assert_same_solution(st, 2, J, pts, reduced, full)
 
-    # at S = 1000 the full system is split into panels
+    # both updates reduce the planes at S = 300 and at S = 1000
     @pytest.mark.parametrize("S", [300, 1000])
-    def test_non_finite_reduction_falls_back_to_the_full_system(self, monkeypatch, S):
-        import ptdecouple.solver as solver_mod
-
+    @pytest.mark.parametrize("update", [update_c_constr, update_c_proj])
+    def test_non_finite_plane_raises(self, S, update):
+        # a non-finite G_1 row makes the layer-2 planes of its slice
+        # non-finite: the reduction raises, as the full system's check does
         pts, J, F, st = self.problem("f2", S)
-
-        def poisoned(a, b):
-            R, y = reduce_planes(a, b)
-            R[0, 0, -1] = np.inf
-            return R, y
-
-        # the reduction has overwritten the planes, so the full system comes
-        # from rows built again, with the bits of the unreduced update's
-        monkeypatch.setattr(solver_mod, "reduce_planes", poisoned)
-        fallback, full, rows = self.both_paths(monkeypatch, st, 2, J, F, pts, S == 1000)
-        assert rows[0] == rows[1]
-        assert fallback.coeffs[1].tobytes() == full.coeffs[1].tobytes()
-        assert fallback.G[1].tobytes() == full.G[1].tobytes()
+        st.G[0][S // 2, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            update(st, 2, J, F, pts, 1e-6)
 
     def test_reduction_never_writes_into_its_inputs(self):
         # with J in Fortran order the vec(J_s) rows that the reduction starts
@@ -554,7 +545,8 @@ class TestCoeffProblem:
             calls.clear()
             update(st, layer, J, F, pts, lam=1e-6)
             assert sorted(calls) == (["build_X", "build_Y"] if layer == L else ["build_X"])
-        assert len(reduced) == (L if strategy == "constr" and S > 30 else 0)
+        # both strategies reduce every layer's planes at the larger S
+        assert len(reduced) == (L if S > 30 else 0)
 
     def test_rows_match_the_slice_matrices_of_build_mg(self):
         model, pts, J, F = problem(20, ranks=(3, 2, 2), degrees=(2, 3, 2), m=3, n=2, S=7)
@@ -568,7 +560,7 @@ class TestCoeffProblem:
                 assert np.array_equal(jb[s], vec(J[:, :, s]))
             # rows built again for some slices carry the planes' bytes
             idx = np.array([5, 0, 3])
-            Ki, jbi = _slice_rows(st, layer, J, idx)
+            Ki, jbi = _planes_stack(_coeff_problem(st, layer, J, idx)[0])
             assert Ki.tobytes() == np.ascontiguousarray(K[idx]).tobytes()
             assert jbi.tobytes() == np.ascontiguousarray(jb[idx]).tobytes()
             assert (Y is None, i0) == ((False, 0) if layer == 3 else (True, 1))
@@ -1327,8 +1319,8 @@ class TestParallelSearch:
 
 class TestInPlaceReduction:
     """At large S the G-row systems are reduced in the planes they were built
-    in; the systems the QR path cannot certify are solved again from rows
-    rebuilt for those slices alone, with the bits of a solve on copies."""
+    in; the systems the triangle solve cannot certify are solved again by
+    the SVD of their own triangles, with the bits of a solve on copies."""
 
     S, DEFICIENT, NEAR = 300, 7, 11
 
@@ -1360,7 +1352,7 @@ class TestInPlaceReduction:
 
     def qr_on_copies(self, K, jb):
         """The in-place QR of the large-S G-row solve, run on copies of K and jb."""
-        return _lstsq_qr(*self.planes_of(K, jb), lambda idx: (K[idx], jb[idx]))
+        return lstsq_reduced(*reduce_planes(*self.planes_of(K, jb)))
 
     def test_the_stack_holds_a_deficient_and_a_near_threshold_slice(self):
         from ptdecouple.tensor_ops import _QR_MARGIN, _RTOL
@@ -1397,18 +1389,20 @@ class TestInPlaceReduction:
 
     def test_the_g_rows_of_proj_match_a_solve_on_copies(self, monkeypatch):
         import ptdecouple.solver as solver_mod
+        import ptdecouple.tensor_ops as top
 
         pts, J, F, st = self.problem()
         K, jb, _, _ = self.untouched_rows(st, J, pts)
         want, trunc = self.qr_on_copies(K, jb)
-        seen, rebuilt = [], []
+        seen, resolved = [], []
         # the structured write that follows the G-row solve is bypassed here
         monkeypatch.setattr(solver_mod, "_write_factors", lambda st, *a: seen.append(st.G[0]))
-        slice_rows = solver_mod._slice_rows
-        monkeypatch.setattr(solver_mod, "_slice_rows",
-                            lambda *a: rebuilt.append(a[-1].tolist()) or slice_rows(*a))
+        svd = top._lstsq_svd
+        monkeypatch.setattr(top, "_lstsq_svd", lambda a, b: resolved.append(len(a)) or svd(a, b))
         got = self.check_inputs_kept(update_c_proj, st, J, F, pts)
-        assert rebuilt == [[self.DEFICIENT, self.NEAR]]
+        # the deficient and the near-threshold slice, and the coefficients'
+        # stack of the r neurons
+        assert resolved == [2, len(st.G[0].T)]
         assert seen[0].tobytes() == want.tobytes()
         assert got.n_truncated - st.n_truncated >= trunc == 2
 
@@ -1489,13 +1483,13 @@ class TestRankSizePlanes:
         want, trunc_want = lstsq_info(K0, b0)
         C, _ = _coeff_problem(st, layer, J)
         assert C.shape[1] == 6
+        R, y = reduce_planes(C[:-1], C[-1])
         if strategy == "proj":
-            # update_c_proj's solve: QR in the planes, the deficient and
-            # near-threshold slices again by the SVD from rebuilt rows
-            got, trunc = lstsq_info(*_planes_stack(C), lambda idx: _slice_rows(st, layer, J, idx))
+            # update_c_proj's solve of the slices' triangles, the deficient
+            # and near-threshold slices again by the SVD of theirs
+            got, trunc = lstsq_reduced(R, y)
         else:
             # update_c_constr's reduction: the slices' R and Q^T b
-            R, y = reduce_planes(C[:-1], C[-1])
             got, trunc = lstsq_info(R.transpose(2, 1, 0), y.T)
         assert trunc == trunc_want == 2
         # the fitted values K_s x to round-off of vec(J_s) on every slice,
@@ -1533,7 +1527,7 @@ class TestRankSizePlanes:
         K, jb = _planes_stack(C)
         assert K.shape[1] < m * n
         idx = np.array([5, 0, 3, 149])
-        Ki, jbi = _slice_rows(st, layer, J, idx)
+        Ki, jbi = _planes_stack(_coeff_problem(st, layer, J, idx)[0])
         assert Ki.tobytes() == np.ascontiguousarray(K[idx]).tobytes()
         assert jbi.tobytes() == np.ascontiguousarray(jb[idx]).tobytes()
 
@@ -1734,19 +1728,32 @@ def traced_peak(run):
 # with a copy of the best state, G and R included, and two blocks.  With
 # every system built whole, once, in the array its solver reduces, they
 # peaked at 0.59 MB and 0.50 MB; at 0.78 MB with the rows built beside the
-# solver's copy of them.
+# solver's copy of them.  From a start with a zero column of W_L they peak
+# at 297.2 KB and 299.8 KB, every deficient system solved from its
+# triangles with the planes gone; 608.7 KB and 653.9 KB while such a
+# system was built again whole, or slice by slice, to be solved.
 @pytest.mark.parametrize("strategy, bound", [("constr", 310_000), ("proj", 304_500)])
-def test_large_s_fit_peak_memory(strategy, bound):
+@pytest.mark.parametrize("start", ["init", "zero_column"])
+def test_large_s_fit_peak_memory(strategy, bound, start):
     J, F, pts = f2_s1000()
     cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy=strategy,
                        min_iters=2, max_iters=2, rng_seed=1)
-    assert traced_peak(lambda: fit(cfg, J, F, pts)) < bound
+    st = None
+    if start == "zero_column":
+        # W_L's second column is zero: every slice's last-layer G-row system
+        # and the constr last-layer system are rank deficient, and both are
+        # solved from their triangles within the plain start's bound
+        st = init_state(cfg, J.shape)
+        st.weights[-1][:, 1] = 0.0
+    assert traced_peak(lambda: fit(cfg, J, F, pts, st)) < bound
 
 
 def test_last_layer_proj_update_peak_memory():
-    # 231.2 KB: from this unbalanced state the coefficient systems truncate,
-    # and are solved one neuron at a time from rows built whole, written
-    # from the layer inputs; 342.7 KB with X and Y held beside them; 387.9 KB
+    # 227.1 KB: from this unbalanced state a coefficient system truncates,
+    # and the stack is solved from the triangles of its panels; 230.7 KB
+    # when a truncating stack was solved again one neuron at a time from
+    # rows built whole, written from the layer inputs; 342.7 KB with X and
+    # Y held beside them; 387.9 KB
     # with one SVD of the stack, which holds U beside the rows, and with X a
     # view of its entries in the stacked matrix; 0.452 MB, set by that solve,
     # while X was held beside it

@@ -200,17 +200,21 @@ class TestLstsq:
 
 
 class TestStackedQR:
-    """Stacks of at least ``_QR_MIN_STACK`` tall systems given rows take the QR path."""
+    """Stacks of tall systems reduced in place and solved from their triangles."""
 
     @staticmethod
     def svd_path(a, b):
         return top._lstsq_svd(a, b)
 
     @staticmethod
-    def qr_path(a, b):
-        """``lstsq_info`` given rows, reducing slices-last copies of a and b in place."""
-        planes, rhs = np.ascontiguousarray(a.transpose(2, 1, 0)), np.ascontiguousarray(b.T)
-        return top.lstsq_info(planes.transpose(2, 1, 0), rhs.T, lambda idx: (a[idx], b[idx]))
+    def triangles(a, b):
+        """R and Q^T b of slices-last copies of a and b, reduced in place."""
+        return top.reduce_planes(np.ascontiguousarray(a.transpose(2, 1, 0)),
+                                 np.ascontiguousarray(b.T))
+
+    def qr_path(self, a, b):
+        """``lstsq_reduced`` of the triangles of a and b."""
+        return top.lstsq_reduced(*self.triangles(a, b))
 
     @staticmethod
     def assert_close(x, want):
@@ -241,20 +245,32 @@ class TestStackedQR:
         monkeypatch.undo()
         want, want_trunc = self.svd_path(a, b)
         # the deficient systems and those within the margin of the threshold
-        # are re-solved by the SVD, and only they
+        # are re-solved by the SVD of their own triangles, and only they
         assert resolved == [2 + len(ratios)]
         assert trunc == want_trunc == 2 + int(np.sum(ratios <= 1e-12))
-        assert np.array_equal(x[: 2 + len(ratios)], want[: 2 + len(ratios)])
-        self.assert_close(x, want)
+        # the SVD of a triangle has the singular values of the system's rows
+        # to round-off, and a near-threshold system's solution moves with
+        # them by about 1e-16 / (sigma_min / sigma_max) of its norm, so the
+        # systems whose bound is certified are compared with the rows' SVD
+        R, y = self.triangles(a, b)
+        redo = 2 + len(ratios)
+        own, _ = self.svd_path(R.transpose(2, 1, 0)[:redo], y.T[:redo])
+        assert np.array_equal(x[:redo], own)
+        self.assert_close(x[redo:], want[redo:])
 
     def test_all_fallback_stack_has_the_svd_bits(self):
+        # every system is deficient: the stack's solutions are the SVD's of
+        # its triangles, bit for bit, and those of its rows to round-off
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(BIG_STACK, 6, 3)), rng.normal(size=(BIG_STACK, 6))
         a[:, :, 2] = a[:, :, 0] - a[:, :, 1]
         x, trunc = self.qr_path(a, b)
         want, want_trunc = self.svd_path(a, b)
-        assert trunc == want_trunc == BIG_STACK
-        assert np.array_equal(x, want)
+        R, y = self.triangles(a, b)
+        own, own_trunc = self.svd_path(R.transpose(2, 1, 0), y.T)
+        assert trunc == own_trunc == want_trunc == BIG_STACK
+        assert np.array_equal(x, own)
+        self.assert_close(x, want)
 
     @pytest.mark.parametrize("a_scale, b_scale", [
         (1e200, 1.0), (1e-200, 1.0), (1.0, 1e200), (1.0, 1e-200), (1e200, 1e200), (1e-200, 1e-200),
@@ -278,25 +294,22 @@ class TestStackedQR:
             self.qr_path(a, b)
 
 
-def test_reflections_never_write_into_the_callers_arrays():
-    # the QR path reduces the planes it is passed, slices-last as
-    # solver._g_rows builds them, and re-solves system 0, which has a zero
-    # column, by the SVD from the rows the caller builds again; those rows
-    # come from arrays the reflections never write
+def test_the_triangle_solve_never_writes_its_triangles():
+    # lstsq_reduced re-solves system 0, which has a zero column, by the SVD
+    # of its own triangle, and writes neither R nor Q^T b
     rng = np.random.default_rng(17)
     planes, rows = rng.normal(size=(2, 9, BIG_STACK)), rng.normal(size=(9, BIG_STACK))
     planes[1, :, 0] = 0.0
-    kept_planes, kept_rows = planes.copy(), rows.copy()
-    a, b = planes.transpose(2, 1, 0), rows.T
-    x, trunc = top.lstsq_info(planes.copy().transpose(2, 1, 0), rows.copy().T,
-                              lambda idx: (a[idx], b[idx]))
-    assert np.array_equal(planes, kept_planes) and np.array_equal(rows, kept_rows)
-    want, want_trunc = top._lstsq_svd(kept_planes.transpose(2, 1, 0)[:1], kept_rows.T[:1])
+    R, y = top.reduce_planes(planes, rows)
+    kept = R.tobytes(), y.tobytes()
+    x, trunc = top.lstsq_reduced(R, y)
+    assert (R.tobytes(), y.tobytes()) == kept
+    want, want_trunc = top._lstsq_svd(R.transpose(2, 1, 0)[:1], y.T[:1])
     assert trunc == want_trunc == 1
     assert np.array_equal(x[0], want[0])
 
 
-def test_large_stack_without_rows_takes_the_svd_and_keeps_its_inputs(monkeypatch):
+def test_large_stack_takes_the_svd_and_keeps_its_inputs(monkeypatch):
     rng = np.random.default_rng(19)
     planes, rows = rng.normal(size=(2, 9, BIG_STACK)), rng.normal(size=(9, BIG_STACK))
     kept = planes.tobytes(), rows.tobytes()
@@ -323,6 +336,28 @@ def test_reduce_planes_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 68_500
+
+
+# every column of each system scaled: its sum of squares overflows, underflows
+# to zero or to a subnormal; the last two gave the identity reflection or a
+# non-finite Q^T b, unscaled
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+def test_reduce_planes_is_safe_at_extreme_scales(scale):
+    rng = np.random.default_rng(27)
+    K, p, q = 7, 9, 3
+    planes, rows = rng.normal(size=(q, p, K)), rng.normal(size=(p, K))
+    planes[:, :, ::2] *= scale  # every other system, beside unscaled ones
+    Rc, y = top.reduce_planes(planes.copy(), rows.copy())
+    assert np.all(np.isfinite(Rc)) and np.all(np.isfinite(y))
+    # R^T R = a^T a and R^T Q^T b = a^T b, each system taken at unit scale
+    unit = np.where(np.arange(K) % 2, 1.0, 1.0 / scale)
+    a, R = planes.transpose(2, 1, 0) * unit[:, None, None], Rc.transpose(2, 1, 0) * unit[:, None, None]
+    b, Qtb = rows.T, y.T
+    assert np.all(np.tril(R, -1) == 0.0)
+    assert np.allclose(R.transpose(0, 2, 1) @ R, a.transpose(0, 2, 1) @ a, rtol=0, atol=1e-12)
+    assert np.allclose(
+        np.einsum("kji,kj->ki", R, Qtb), np.einsum("kpi,kp->ki", a, b), rtol=0, atol=1e-12
+    )
 
 
 def test_reduce_planes_reduces_each_system():
@@ -440,9 +475,8 @@ class TestPanelSolve:
         assert np.linalg.norm(x - whole) <= 1e-12 * np.linalg.norm(whole)
 
     def test_deficient_stack_truncates_as_the_whole_stack(self):
-        # one system of the stack has a repeated column: the whole stack is
-        # built again and solved one system at a time by np.linalg.lstsq,
-        # which truncates as the stack's batched SVD does
+        # one system of the stack has a repeated column: the SVD of its
+        # stacked triangles truncates as that of its whole rows
         rng = np.random.default_rng(24)
         S, K, q = 1000, 3, 4
         ab = rng.normal(size=(K, S, q + 1))
@@ -458,8 +492,9 @@ class TestPanelSolve:
 
     @pytest.mark.parametrize("unit", [False, True])
     def test_deficient_system_truncates_as_the_whole_system(self, unit):
-        # a zero column and a repeated one: the reduced system cannot be
-        # certified, and the whole system is solved from rows built again
+        # a zero column and a repeated one: the SVD of the stacked triangles
+        # truncates both, as that of the whole system does, and no row is
+        # built twice
         rng = np.random.default_rng(22)
         S, p, q = 1000, 4, 5
         ab = self.system(rng, S, p, q, 1)
@@ -469,9 +504,9 @@ class TestPanelSolve:
         panels = top.slice_panels(S, 1000)
         x, trunc = top.lstsq_panels(self.rows(ab, p, built), panels, q, unit)
         want, want_trunc = self.solve(ab, [None], q, p, unit)
-        assert built == panels + [None]
+        assert built == panels
         assert trunc == want_trunc == 2
-        assert np.array_equal(x, want)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_raises(self, value):
@@ -489,8 +524,8 @@ class TestPanelSolve:
     ])
     def test_whole_system_checks_its_rows(self, column, stack, split, unit):
         # a NaN in a or in b of the whole system, one system or a stack of
-        # them, raises from the check of [a | b], solved as built or after
-        # the panels' triangles
+        # them, raises from the check of [a | b], of the whole system or of
+        # the panel that holds it, before its QR
         rng = np.random.default_rng(25)
         S, p, q = 1000, 4, 3
         ab = self.system(rng, S, p, q, 1)
