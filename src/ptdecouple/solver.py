@@ -27,11 +27,10 @@ Both start from one build of the layer's per-slice G-row planes,
 At large S the tall systems of a sweep (the middle and last W systems and
 both coefficient systems) are built and reduced one panel of slices at a
 time (``tensor_ops.slice_panels`` and ``tensor_ops.lstsq_panels``), so that
-their memory follows a byte budget rather than S; a system within the
-budget is built and solved whole, as before, so no fit of fewer than 200
-slices splits one and every S = 30 fit keeps its bits.  Every coefficient
-update holds its subproblem at rank size: the G-row planes take the
-chains at the first and last layers through the QR of the weight matrix
+their memory follows a byte budget rather than S; a system of fewer than
+200 slices, which ``slice_panels`` never splits, is built and solved whole,
+so every S = 30 fit keeps its bits.  Every coefficient update holds its
+subproblem at rank size: the G-row planes take the chains at the first and last layers through the QR of the weight matrix
 that all slices share, W_0 or W_L, where it is the taller (9 rows per
 slice become 6 on f2), and they are built whole, the chains around the
 layer one chunk of slices at a time; a coefficient system writes its
@@ -39,7 +38,7 @@ structure rows from the layer inputs, one panel at a time or whole, so
 that X and Y are built whole only once the system is gone.
 A fit keeps its best sweep as weights and coefficients, not as a second
 copy of the factors (:func:`fit`).  On f2 at S = 1000 the benchmark's
-2-sweep fits peak at 350 traced bytes per sampling point, set by the
+2-sweep fits peak at 297 traced bytes per sampling point, set by the
 middle W update: 584 with every system whole, 454 with the panels while a
 fit copied its best state at every improving sweep, and 398 with 9 plane
 rows per slice and X and Y held beside the panels.
@@ -419,7 +418,7 @@ def update_W(state, layer, j_tensor, f_matrix, lam):
     of :func:`build_MW` and vec3(J) for its slices, from chains computed
     for those slices alone, and a last-layer panel its slices' rows of M.T
     and unfold(J, 1).T, then their sqrt(lam) R and F.T rows, each written
-    in place.  A system within the budget is built whole, in that order.
+    in place.  Below 200 slices it is built whole, in that order.
     """
     L = state.n_layers
     if not 0 <= layer <= L:
@@ -549,22 +548,18 @@ def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     return C, 0 if layer == state.n_layers else 1
 
 
-def _row_panels(S, first, second=None, held=0, stack=False):
+def _row_panels(S, first, second=None, held=0):
     """Panels ``(slices, first, second)`` for :func:`lstsq_panels` of a system built per slice.
 
-    ``first`` and ``second`` are the bytes of one slice's rows in the
-    system's two parts (None: one part), ``held`` what the update holds
-    beside them per slice.  The system is solved whole, ``[None]``, both
-    parts of every slice in that order, when it fits one of
-    :func:`slice_panels`: a solve of one system holds its rows once, of a
-    stack (``stack``) twice, its SVD holding U.  Otherwise each part is
+    A system that :func:`slice_panels` never splits is built and solved
+    whole, ``[None]``, both parts of every slice in that order.  Any other
+    is built and reduced in panels: ``first`` and ``second`` are the bytes
+    of one slice's rows in the system's two parts (None: one part),
+    ``held`` what the update holds beside them per slice, and each part is
     split on its own, the first part's panels first, a panel's QR holding
-    its rows twice.  These are the bytes that tracemalloc sees, which the
-    gated peak is: the work copies that LAPACK's least-squares routine makes
-    of a system are not traced, while those of ``np.linalg.qr`` are.
+    its rows twice.  A part that fits one panel is reduced by its QR too.
     """
-    rows = first + (second or 0)
-    if len(slice_panels(S, rows * (1 + stack) + held)) == 1:
+    if S < 2 * _QR_MIN_STACK:
         return [None]
     panels = [(sl, True, False) for sl in slice_panels(S, 2 * first + held)]
     if second is not None:
@@ -642,7 +637,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     column and function-value rows below.  That stack is built one panel
     of slices at a time (:func:`lstsq_panels`), its X rows and its Y rows
     as separate panels, each written from U into the panel's array, and
-    whole, X rows then Y rows, within the budget.
+    whole, X rows then Y rows, below 200 slices.
     The constants of the layers below the last stay frozen.  Finally the
     factors are overwritten by their structured versions.
     """
@@ -660,14 +655,7 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     d = state.coeffs[layer - 1].shape[1] - 1
     w, R = d + 1 - i0, state.R
     part = 8 * r * (w + 1)
-    # The rows are written from U, so no X or Y is held beside them; their
-    # bytes are charged all the same, on purpose, as a margin for what the
-    # update holds beyond the budget (G, U, R): without it f2's last layer
-    # at S = 1000, its stack and the SVD's U 320 KB, is solved whole and
-    # the fit's traced peak rises from 352 to 446 KB.  Panels are sized
-    # with the charge too: at f2's last layer at most 1137 slices, not 2048.
-    panels = _row_panels(len(G), part, part if last else None, stack=True,
-                         held=8 * r * (d + 1) * (1 + last))
+    panels = _row_panels(len(G), part, part if last else None)
 
     def rows(panel):
         # neuron j's rows: X_j against G[:, j], then sqrt(lam) Y_j against
@@ -719,7 +707,10 @@ def _structured_rows(K, X, out=None):
 # S = 1000 0.84 (3000-4000).  The stacked QR costs a fixed number of numpy
 # calls, which fewer removed rows do not repay: _QR_MIN_STACK's cut at
 # S = 100 would slow the fits at S = 100-200.  The S = 30 fits remove at
-# most 210 rows and keep the full system.
+# most 210 rows and keep the full system: reducing every slice, 20-sweep
+# constr fits there take 1.28 (f1), 1.33 (L = 3) and 1.27 (f2) times the
+# CPU time (median of 21 interleaved runs), 1.11-1.13 with one batched
+# np.linalg.qr in place of reduce_planes.
 _CONSTR_QR_MIN_ROWS = 1000
 
 
@@ -745,9 +736,9 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     plane raises :class:`NonFiniteError`.  The system's J rows and F rows
     are built one panel of slices at a time (:func:`lstsq_panels`), each block
     written into the panel's one array from the panel's structure rows,
-    computed from the layer inputs; a system within the budget is built
-    whole, J rows then F rows, the same way.  The solve scales the columns
-    to unit norm.
+    computed from the layer inputs; below 200 slices it is built whole, J
+    rows then F rows, the same way.  The solve scales the columns to unit
+    norm.
     """
     n, _, S = j_tensor.shape
     r = state.G[layer - 1].shape[1]
@@ -770,8 +761,8 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     i0 = 0 if last else 1
     w = d + 1 - i0
     q = r * w
-    # X, Y and the reduced slices are held beside the rows of a system
-    # built whole; a panel holds its own slices' structure rows
+    # held beside a panel's rows, per slice: its structure rows X and Y,
+    # and the reduced slices
     held = 8 * r * (d + 1) * (1 + last) + (8 * r * (r + 1) if reduced else 0)
     panels = _row_panels(S, 8 * p * (q + 1), 8 * len(W) * (q + 1) if last else None, held=held)
 

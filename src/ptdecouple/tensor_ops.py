@@ -30,7 +30,8 @@ Conventions used throughout the package:
   byte budget, and ``lstsq_panels`` builds and reduces one panel of rows
   at a time (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
   Comput. 2012), so that memory follows the panel, not the slice count;
-  a system given as one panel, ``[None]``, is built and solved whole.
+  a single panel is reduced by its QR too, and only a system given as
+  ``[None]`` is built and solved whole.
 
 Apart from ``reduce_planes`` every function here is pure and never mutates
 its inputs, so concurrent use needs no synchronization.
@@ -314,11 +315,9 @@ def lstsq_reduced(R, y):
 # What one panel of a system built per slice may take, in bytes.  Each
 # panel costs a fixed number of numpy calls: at f2 S = 1000 a second panel
 # of G-row planes cost 0.1-0.3 ms per coefficient update.  With 320 KiB an
-# f2 S = 1000 sweep splits the middle W system in three and the last
-# layer's constr and proj systems in four and two, and keeps the last W
-# system and the layer-1 systems whole: the benchmark's 2-sweep fits of
-# both strategies peak at 0.454 MB against 0.584 MB with every system
-# whole, at 1.06 times the time per sweep.
+# f2 S = 1000 sweep splits the middle W system in three, the last W and
+# layer-1 constr systems in two, and the last layer's constr and proj
+# systems in four and two.
 _PANEL_BYTES = 5 << 16
 
 
@@ -328,10 +327,9 @@ def slice_panels(n, slice_bytes):
     ``slice_bytes`` is what one slice takes while its panel is built and
     solved.  The panels are of near-equal length, as few as keep each
     within ``_PANEL_BYTES``, but never shorter than ``_QR_MIN_STACK``
-    slices, so a system of fewer than 2 * ``_QR_MIN_STACK`` slices is never
-    split, and a stack of per-slice systems built in panels reduces in
-    every panel as it would whole, where :func:`reduce_planes` gives each
-    slice the same bits.
+    slices, so that a system of fewer than 2 * ``_QR_MIN_STACK`` = 200
+    slices is never split and is built and solved whole: its fits keep
+    the bits of whole solves.
     """
     size = max(_QR_MIN_STACK, _PANEL_BYTES // slice_bytes)
     k = max(1, min(-(-n // size), n // _QR_MIN_STACK))
@@ -351,7 +349,7 @@ def lstsq_panels(rows, panels, q, unit=False):
     With ``unit`` set, the columns of a single system are first scaled to
     unit norm, and x is returned in the unscaled unknowns.
 
-    ``[None]``: the whole system is solved as built.  Several panels: each
+    ``[None]``: the whole system is solved as built.  One panel or more: each
     panel is replaced by the triangle of its QR as it is built, so that the
     triangles stacked, [a' | b'], have the Gram matrix of [a | b]: a' has
     the singular values and the column norms of a, and a' x = b' the
@@ -391,7 +389,15 @@ def _split(ab, q):
 
 
 def _unit_scale(a):
-    """1 / the norm of each column of a, 1 for a zero column."""
-    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    """1 / the norm of each column of a, 1 for a zero column.
+
+    The norm of a column whose sum of squares leaves [2^-1022, 2^1022] is
+    taken from the column scaled, exactly, by a power of 2 from its max.
+    """
+    ss = np.einsum("ij,ij->j", a, a)
+    norms = np.sqrt(ss)
+    for j in np.flatnonzero((ss < _SS_MIN) | (ss > _SS_MAX)).tolist():
+        e = np.frexp(np.max(np.abs(a[:, j])))[1]
+        norms[j] = np.ldexp(np.linalg.norm(np.ldexp(a[:, j], -e)), e)
     norms[norms == 0.0] = 1.0
     return 1.0 / norms

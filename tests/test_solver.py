@@ -452,9 +452,9 @@ class TestReducedConstrRows:
         rows = self.both_paths(monkeypatch, st, 1, J, F, pts)[2]
         assert rows == [S * (2 if reduced else 6), S * 6]
 
-    # the reduced system solved whole, and split into panels, whose stacked
-    # triangles truncate as the whole system
-    @pytest.mark.parametrize("name, S, split", [("f2", 300, False), ("f1", 1000, True),
+    # the reduced system built in panels, whose stacked triangles truncate
+    # as the whole system: at f2 S = 300 each of its two parts in one panel
+    @pytest.mark.parametrize("name, S, split", [("f2", 300, True), ("f1", 1000, True),
                                                 ("f2", 1000, True)])
     def test_zero_column_of_w_l_truncates_as_the_full_system(self, monkeypatch, name, S, split):
         # the neuron's coefficient columns vanish from every row: the
@@ -1374,11 +1374,19 @@ class TestInPlaceReduction:
         assert [x.tobytes() for x in inputs] == kept
         return got
 
+    @staticmethod
+    def triangle(a, b):
+        """The QR triangle of one panel's rows [a | b], a system or a stack, as its (a', b')."""
+        R = np.linalg.qr(np.concatenate([a, b[..., None]], axis=-1), mode="r")
+        return R[..., :-1], R[..., -1]
+
     def test_proj_matches_a_solve_on_copies(self):
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
         G, trunc_g = self.qr_on_copies(K, jb)
-        c, trunc_c = lstsq_info(X[:, :, i0:], G.T)
+        # the coefficients' stack of 300 slices is built as one panel and
+        # solved from its triangles
+        c, trunc_c = lstsq_info(*self.triangle(X[:, :, i0:], G.T))
         assert trunc_g == 2
         got = self.check_inputs_kept(update_c_proj, st, J, F, pts)
         coeffs = st.coeffs[0].copy()
@@ -1417,9 +1425,11 @@ class TestInPlaceReduction:
         assert p == 6 and S * (p - r) >= _CONSTR_QR_MIN_ROWS
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
-        # the update solves the system with its columns scaled to unit norm
+        # the system of 300 slices is built as one panel, and its triangle
+        # solved with its columns scaled to unit norm
+        a, b = self.triangle(a, y.flatten())
         unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", a, a))
-        c, trunc = lstsq_info(a * unit, y.flatten())
+        c, trunc = lstsq_info(a * unit, b)
         c *= unit
         got = self.check_inputs_kept(update_c_constr, st, J, F, pts)
         coeffs = st.coeffs[0].copy()
@@ -1575,18 +1585,20 @@ class TestRankSizePlanes:
             power_rows(U[sl].T, d, out=np.moveaxis(out, 2, 0))
             assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(Y[:, sl]).tobytes()
 
-    # the package's budget, which splits the last layer's systems, and one
-    # that splits both layers' systems
+    # the package's budget and one that splits every part of both layers'
+    # systems into more panels
     @pytest.mark.parametrize("panel_bytes", [None, 1 << 15])
     @pytest.mark.parametrize("strategy", ["proj", "constr"])
     def test_panels_hold_the_whole_systems_rows(self, monkeypatch, strategy, panel_bytes):
         # each panel's rows, written from the layer inputs, are bytes of the
-        # whole system's, built from X and Y built whole
+        # whole system's, built densely from X and Y built whole
         import ptdecouple.tensor_ops as top
 
         pts, J, F, st = TestPanelSolves.case("f2")
-        update = update_c_proj if strategy == "proj" else update_c_constr
-        seen = []
+        S, lam = J.shape[2], 1e-6
+        if panel_bytes is not None:
+            monkeypatch.setattr(top, "_PANEL_BYTES", panel_bytes)
+        seen, fitted = [], []
         solve = solver_mod.lstsq_panels
 
         def spied(rows, panels, *a, **k):
@@ -1594,33 +1606,53 @@ class TestRankSizePlanes:
             return solve(rows, panels, *a, **k)
 
         monkeypatch.setattr(solver_mod, "lstsq_panels", spied)
-        budget = top._PANEL_BYTES if panel_bytes is None else panel_bytes
-        split = 0
+        # the G and R that the proj rows fit the coefficients to; the
+        # structured write that follows is bypassed
+        monkeypatch.setattr(solver_mod, "_write_factors",
+                            lambda s, layer, U: fitted.append((s.G[layer - 1], s.R)))
+        counts = []
         for layer in (1, 2):
-            monkeypatch.setattr(top, "_PANEL_BYTES", budget)
-            update(st.copy(), layer, J, F, pts, 1e-6)
-            monkeypatch.setattr(top, "_PANEL_BYTES", 1 << 40)
-            update(st.copy(), layer, J, F, pts, 1e-6)
-            panels, [(whole_p, whole)] = seen[-2:]
-            assert whole_p is None
-            if panels[0][0] is None:
-                assert panels[0][1].tobytes() == whole.tobytes()
-                continue
-            split += 1
-            S = J.shape[2]
-            for (sl, first, second), ab in panels:
-                if strategy == "proj":
-                    # neuron-major: X rows of all slices, then Y rows
-                    rows = whole[:, sl] if first else whole[:, S:][:, sl]
-                else:
-                    # J rows (t, s), then the F block's rows (i, s)
-                    k = sl.stop - sl.start
-                    n = len(ab) // k * S
-                    part = whole[:n] if first else whole[len(whole) - n :]
-                    rows = part.reshape(-1, S, part.shape[1])[:, sl]
-                    ab = ab.reshape(-1, k, ab.shape[-1])
-                assert np.ascontiguousarray(ab).tobytes() == np.ascontiguousarray(rows).tobytes()
-        assert split == (1 if panel_bytes is None else 2)
+            X, Y = bases(st, layer, pts)
+            i0 = 0 if Y is not None else 1
+            if strategy == "proj":
+                update_c_proj(st.copy(), layer, J, F, pts, lam)
+                G, R = fitted[-1]
+                # neuron-major: X rows against G, then sqrt(lam) Y rows
+                # against sqrt(lam) R
+                parts = [np.concatenate([X[:, :, i0:], G.T[:, :, None]], axis=2)]
+                if Y is not None:
+                    parts.append(np.sqrt(lam) * np.concatenate([Y, R.T[:, :, None]], axis=2))
+            else:
+                update_c_constr(st.copy(), layer, J, F, pts, lam)
+                # reduced J rows (t, s), column (j, i): R_s[t, j] X[j, s, i]
+                C, _ = _coeff_problem(st, layer, J)
+                Rs, ys = reduce_planes(C[:-1], C[-1])
+                r = len(Rs)
+                a = np.einsum("jts,jsi->tsji", Rs, X[:, :, i0:]).reshape(r, S, -1)
+                parts = [np.concatenate([a, ys[:, :, None]], axis=2)]
+                if Y is not None:
+                    # F rows (i, s), column (j, t): sqrt(lam) W[i, j] Y[j, s, t],
+                    # W_L reduced by its QR where n > r
+                    Q, W = np.linalg.qr(st.weights[-1])
+                    a = np.einsum("ij,jst->isjt", W, Y).reshape(r, S, -1) * np.sqrt(lam)
+                    b = np.sqrt(lam) * (Q.T @ F)
+                    parts.append(np.concatenate([a, b[:, :, None]], axis=2))
+            panels = seen[-1]
+            assert None not in [p for p, _ in panels]
+            assert sum(sum(which[: len(parts)]) for (_, *which), _ in panels) == len(panels)
+            for i, part in enumerate(parts):
+                # the part's panels, which cover its slices in order
+                own = [(sl, ab) for (sl, *which), ab in panels if which[i]]
+                assert [sl.start for sl, _ in own] + [S] == [0] + [sl.stop for sl, _ in own]
+                for sl, ab in own:
+                    rows = part[:, sl]
+                    assert np.ascontiguousarray(ab.reshape(rows.shape)).tobytes() == \
+                        np.ascontiguousarray(rows).tobytes()
+            counts.append(len(panels))
+        if panel_bytes is None:
+            assert counts == {"proj": [1, 2], "constr": [2, 4]}[strategy]
+        else:
+            assert counts[0] > 1 and counts[1] > 2
 
 
 class TestPanelSolves:
@@ -1641,6 +1673,59 @@ class TestPanelSolves:
         J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
         return pts, J, F, truth_state(model, pts, perturb=1e-2, seed=5)
 
+    @staticmethod
+    def dense_update(kind, st, layer, J, F, pts, lam):
+        """The update ``kind`` of ``st`` from dense rows solved by np.linalg.lstsq, and the ranks' deficits."""
+        def solve(a, b):
+            x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            deficit.append(a.shape[1] - rank)
+            return x
+
+        st, deficit = st.copy(), []
+        n, m, S = J.shape
+        L = st.n_layers
+        if kind == "W" and layer < L:
+            r_next, r_this = st.weights[layer].shape
+            x = solve(build_MW(st, layer), vec3(J))
+            st.weights[layer] = x.reshape((r_next, r_this), order="F")
+            return st, deficit
+        if kind == "W":
+            a = np.vstack([build_MW(st, L).T, np.sqrt(lam) * st.R])
+            b = np.vstack([unfold(J, 1).T, np.sqrt(lam) * F.T])
+            st.weights[L] = solve(a, b).T
+            return st, deficit
+        # the unreduced Khatri-Rao rows of every slice, against vec(J_s)
+        K = solver_mod._g_rows(st.weights, st.G, layer)
+        K = K.reshape(S, m * n, -1)
+        jb = J.transpose(2, 1, 0).reshape(S, m * n)
+        X, Y = bases(st, layer, pts)
+        r, i0 = K.shape[2], 0 if layer == L else 1
+        if kind == "proj":
+            G = np.array([solve(k, b) for k, b in zip(K, jb)])
+            if layer == L:
+                st.R = solve(st.weights[-1], F).T
+            for j in range(r):
+                a, b = X[j, :, i0:], G[:, j]
+                if layer == L:
+                    a = np.vstack([a, np.sqrt(lam) * Y[j]])
+                    b = np.concatenate([b, np.sqrt(lam) * st.R[:, j]])
+                st.coeffs[layer - 1][j, i0:] = solve(a, b)
+        else:
+            a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
+            if layer == L:
+                W = np.einsum("ij,jst->isjt", st.weights[-1], Y).reshape(n * S, -1)
+                a = np.vstack([a, np.sqrt(lam) * W])
+                b = np.concatenate([b, np.sqrt(lam) * F.ravel()])
+            # with unit columns: at lam = 1e-6 the constants' columns sit in
+            # the sqrt(lam) F rows alone
+            unit = 1.0 / np.linalg.norm(a, axis=0)
+            st.coeffs[layer - 1][:, i0:] = (solve(a * unit, b) * unit).reshape(r, -1)
+        c = st.coeffs[layer - 1][:, :, None]
+        st.G[layer - 1] = (X @ c)[:, :, 0].T
+        if layer == L:
+            st.R = (Y @ c)[:, :, 0].T
+        return st, deficit
+
     @pytest.mark.parametrize("name", ["f2", "L3"])
     # the package's budget, and one that splits every system
     @pytest.mark.parametrize("panel_bytes", [None, 1 << 14])
@@ -1648,31 +1733,31 @@ class TestPanelSolves:
         import ptdecouple.tensor_ops as top
 
         pts, J, F, st = self.case(name)
-        L = st.n_layers
-        updates = [lambda s, l=l: update_W(s, l, J, F, 1e-6) for l in range(1, L + 1)]
-        updates += [lambda s, l=l, u=u: u(s, l, J, F, pts, 1e-6)
-                    for u in (update_c_constr, update_c_proj) for l in range(1, L + 1)]
+        L, lam = st.n_layers, 1e-6
+        run = {"W": lambda s, l: update_W(s, l, J, F, lam),
+               "constr": lambda s, l: update_c_constr(s, l, J, F, pts, lam),
+               "proj": lambda s, l: update_c_proj(s, l, J, F, pts, lam)}
         splits = []
         solve = solver_mod.lstsq_panels
         monkeypatch.setattr(solver_mod, "lstsq_panels",
                             lambda rows, p, *a, **k: splits.append(len(p)) or solve(rows, p, *a, **k))
-        budget = top._PANEL_BYTES if panel_bytes is None else panel_bytes
-        for update in updates:
-            monkeypatch.setattr(top, "_PANEL_BYTES", budget)
-            got = update(st.copy())
-            monkeypatch.setattr(top, "_PANEL_BYTES", 1 << 40)
-            want = update(st.copy())
-            assert got.n_truncated == want.n_truncated == 0
-            for x, y in zip(got.weights + got.G + [got.R], want.weights + want.G + [want.R]):
-                assert fro_norm(x - y) <= 1e-10 * fro_norm(y)
-            g, w = objective(got, J, F, 1e-6)[2], objective(want, J, F, 1e-6)[2]
-            assert abs(g - w) <= 1e-11 * w
-        panelled = splits[::2]
         if panel_bytes is not None:
-            assert min(panelled) > 1
+            monkeypatch.setattr(top, "_PANEL_BYTES", panel_bytes)
+        for kind in ("W", "constr", "proj"):
+            for layer in range(1, L + 1):
+                got = run[kind](st.copy(), layer)
+                want, deficit = self.dense_update(kind, st, layer, J, F, pts, lam)
+                assert got.n_truncated == 0 and not any(deficit)
+                for x, y in zip(got.weights + got.G + [got.R], want.weights + want.G + [want.R]):
+                    assert fro_norm(x - y) <= 1e-10 * fro_norm(y)
+                g, w = objective(got, J, F, lam)[2], objective(want, J, F, lam)[2]
+                assert abs(g - w) <= 1e-11 * w
+        if panel_bytes is not None:
+            assert min(splits) > 1
         elif name == "f2":
-            # the middle W system, and the last layer's constr and proj systems
-            assert panelled == [3, 1, 1, 4, 1, 2]
+            # the middle and last W systems, and the constr and proj systems
+            # of both layers; every system of the sweep is built in panels
+            assert splits == [3, 2, 2, 4, 1, 2]
 
     # budgets that split f2's 1000 slices into panels of 142-143 and of
     # 333-334 slices
@@ -1731,13 +1816,24 @@ def traced_peak(run):
 # solver's copy of them.  From a start with a zero column of W_L they peak
 # at 297.2 KB and 299.8 KB, every deficient system solved from its
 # triangles with the planes gone; 608.7 KB and 653.9 KB while such a
-# system was built again whole, or slice by slice, to be solved.
-@pytest.mark.parametrize("strategy, bound", [("constr", 310_000), ("proj", 304_500)])
-@pytest.mark.parametrize("start", ["init", "zero_column"])
+# system was built again whole, or slice by slice, to be solved.  On the
+# deep-cli shape (L = 3, m = 3, n = 2, ranks 3, 2, 2) at S = 700 they peak
+# at 302.1 KB and 296.4 KB with every system of 200 slices or more built in
+# panels; at 471.2 KB and 468.3 KB while a system whose rows fit one panel
+# was solved whole, the middle W system tracing 412 KB against 242 KB.
+@pytest.mark.parametrize("start, strategy, bound", [
+    (start, strategy, bound) for start in ("init", "zero_column")
+    for strategy, bound in (("constr", 310_000), ("proj", 304_500))
+] + [("deep_cli_shape", strategy, 310_000) for strategy in ("constr", "proj")])
 def test_large_s_fit_peak_memory(strategy, bound, start):
-    J, F, pts = f2_s1000()
-    cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy=strategy,
-                       min_iters=2, max_iters=2, rng_seed=1)
+    if start == "deep_cli_shape":
+        pts, J, F, _ = TestPanelSolves.case("L3")
+        shape = dict(ranks=(3, 2, 2), degrees=(2, 3, 2))
+    else:
+        J, F, pts = f2_s1000()
+        shape = dict(ranks=(2, 2), degrees=(3, 3))
+    cfg = SolverConfig(**shape, lam=1e-6, strategy=strategy, min_iters=2, max_iters=2,
+                       rng_seed=1)
     st = None
     if start == "zero_column":
         # W_L's second column is zero: every slice's last-layer G-row system

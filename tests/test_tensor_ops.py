@@ -508,6 +508,23 @@ class TestPanelSolve:
         assert trunc == want_trunc == 2
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_unit_columns_of_extreme_magnitude(self, scale, split):
+        # a column of magnitude 1e200 (1e-200), whose sum of squares
+        # overflows (underflows): the unit-column solve neither zeroes nor
+        # truncates it, and x is the minimizer of the unscaled system
+        rng = np.random.default_rng(27)
+        S, q = 400, 3
+        a, b = rng.normal(size=(S, q)), rng.normal(size=S)
+        ab = np.column_stack([a * [scale, 1.0, 1.0], b])
+        panels = top.slice_panels(S, 1000) if split else [None]
+        assert len(panels) == (2 if split else 1)
+        x, trunc = self.solve(ab, panels, q, 1, unit=True)
+        want, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        assert trunc == 0 and rank == q
+        assert np.allclose(x[:, 0] * [scale, 1.0, 1.0], want, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_raises(self, value):
         rng = np.random.default_rng(23)
