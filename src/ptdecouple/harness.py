@@ -38,7 +38,14 @@ from .model import (
     eval_batch,
     load_model,
 )
-from .solver import SolverConfig, SolverDivergenceError, seeded_rng, state_to_model
+from .solver import (
+    SolverConfig,
+    SolverDivergenceError,
+    _as_int,
+    _layer_sizes,
+    seeded_rng,
+    state_to_model,
+)
 from .tuner import TunerConfig, rrmse, tune
 
 __all__ = [
@@ -149,17 +156,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(self, "seed", int(self.seed))
-        if len(self.ranks) != len(self.degrees) or not self.ranks:
-            raise ValueError("ranks and degrees must be non-empty and equally long")
+        ranks, degrees = _layer_sizes(self.ranks, self.degrees)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "degrees", degrees)
+        for name in ("n_inputs", "n_outputs", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise ValueError("need positive input and output dims")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError(f"ranks must be positive, got {list(self.ranks)}")
-        if any(d < 1 for d in self.degrees):
-            raise ValueError(f"degrees must be positive, got {list(self.degrees)}")
         if np.isnan(self.collinearity_max):
             raise ValueError("collinearity_max must be a number, got nan")
 

@@ -30,60 +30,44 @@ time (``tensor_ops.slice_panels`` and ``tensor_ops.lstsq_panels``), so that
 their memory follows a byte budget rather than S; a system of fewer than
 200 slices, which ``slice_panels`` never splits, is built and solved whole,
 so every S = 30 fit keeps its bits.  Every coefficient update holds its
-subproblem at rank size: the G-row planes take the chains at the first and last layers through the QR of the weight matrix
-that all slices share, W_0 or W_L, where it is the taller (9 rows per
-slice become 6 on f2), and they are built whole, the chains around the
-layer one chunk of slices at a time; a coefficient system writes its
-structure rows from the layer inputs, one panel at a time or whole, so
-that X and Y are built whole only once the system is gone.
-A fit keeps its best sweep as weights and coefficients, not as a second
-copy of the factors (:func:`fit`).  On f2 at S = 1000 the benchmark's
-2-sweep fits peak at 297 traced bytes per sampling point, set by the
-middle W update: 584 with every system whole, 454 with the panels while a
-fit copied its best state at every improving sweep, and 398 with 9 plane
-rows per slice and X and Y held beside the panels.
+subproblem at rank size: the G-row planes take the chains at the first and
+last layers through the QR of the weight matrix that all slices share, W_0
+or W_L, where it is the taller (9 rows per slice become 6 on f2), and they
+are built whole, the chains around the layer one chunk of slices at a
+time; a coefficient system writes its structure rows from the layer
+inputs, one panel at a time or whole, so that X and Y are built whole only
+once the system is gone.  A fit keeps its best sweep as weights and
+coefficients, not as a second copy of the factors (:func:`fit`).  On f2 at
+S = 1000 the benchmark's 2-sweep fits peak at 297 traced bytes per
+sampling point, set by the middle W update.
 
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
 are frozen at their initial values and reported in the fit report.  The
 last layer's constants are estimated through the coupled F term.
 
-The sweeps descend from wherever they start and stop at stationary points
-that need not be the global minimum.  ``start_search`` provides starts: a
-Levenberg-Marquardt descent of the same objective over the model
-parameters (weights and coefficients, with the analytic Jacobian through
-the layer inputs), run from several seeded random draws; the tuner starts
-every stage's sweeps from its best descent.
+Everything a sweep evaluates comes from the model's layer pass and chain
+kernel (``model.internal_inputs_batch``, ``model.left_chain``,
+``model.right_chains``): the subproblem matrices of all slices at once and
+the objective.
 
-Everything the solver evaluates comes from the model's layer pass and chain
-kernel (``model.layer_pass``, ``model.left_chain``, ``model.right_chains``):
-the subproblem matrices of all slices at once, the objective, the states
-that a descent hands to the sweeps, and the descent's residual.  A
-descent evaluates each trial point once; the pass of an accepted point is
-its tape, and one adjoint (reverse-mode) kernel over the tape gives every
-derivative of the descent: seeded with unit vectors, the rows of the
-residual's Jacobian chunk by chunk of sampling points, from which the
-normal matrix is summed; seeded with a residual, its product with the
-Jacobian's transpose.  Its cost is set by the n(m+1) fitted values per
-point, not by the parameter count.  On f1 at S = 30 a search peaks at
-76.5-77.5 KB above its inputs, against 77.2-78.3 KB with the forward-mode
-derivatives it replaced, and takes 0.88-0.97 of their CPU time per LM
-iteration (median ratios of two sets of 6 alternating runs).
+This module owns the sweeps, :func:`fit` and :func:`state_to_model`, and
+the helpers that the other two parts of the method import from it:
+:class:`SolverState`, :class:`SolverDivergenceError`, :func:`seeded_rng`,
+the input checks and the neuron-input normalization.  The sweeps descend
+from wherever they start; the Levenberg-Marquardt descent over the model
+parameters is :mod:`.descent`, and the seeded start search that runs it
+from several draws, and from which the tuner starts every stage's sweeps,
+is :mod:`.search`.
 
 A fit is single-threaded and deterministic given its configuration;
-separate fits share no mutable state and may run concurrently.  A start
-search runs its descents on every usable core, in the calling process and
-forked helpers, and returns the same bits as on one core; the searches of
-a tuned run's stages run as one :class:`StartSearch`, whose helpers
-descend the next stage's starts while the caller sweeps.  Every
+separate fits share no mutable state and may run concurrently.  Every
 generator the package makes comes from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -91,10 +75,7 @@ import numpy as np
 from .basis import build_X, build_Y, write_X
 from .model import (
     DecoupledModel,
-    _der,
-    derivative_rows,
     internal_inputs_batch,
-    layer_pass,
     left_chain,
     power_rows,
     right_chains,
@@ -126,11 +107,6 @@ __all__ = [
     "update_c_constr",
     "objective",
     "fit",
-    "LMResult",
-    "lm_pack",
-    "lm_descent",
-    "StartSearch",
-    "start_search",
     "state_to_model",
 ]
 
@@ -148,6 +124,27 @@ class SolverDivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _as_int(name, value):
+    """value as an int; ValueError for a float, a bool or any other non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _layer_sizes(ranks, degrees):
+    """Per-layer ranks and degrees as tuples of ints, once both are
+    non-empty, equally long and positive."""
+    ranks = tuple(_as_int("ranks", r) for r in ranks)
+    degrees = tuple(_as_int("degrees", d) for d in degrees)
+    if len(ranks) != len(degrees) or not ranks:
+        raise ValueError("ranks and degrees must be non-empty and equally long")
+    if any(r < 1 for r in ranks):
+        raise ValueError(f"ranks must be positive, got {list(ranks)}")
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"degrees must be positive, got {list(degrees)}")
+    return ranks, degrees
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for one alternating fit.
@@ -157,7 +154,7 @@ class SolverConfig:
     :func:`init_state` draws the starting factor entries uniformly from
     [0.1, 10) with a seeded Philox generator; that is how a bare :func:`fit`
     starts.  Tuned stages (``tuner.tune``) start instead from
-    :func:`start_search`, which draws from N(0, 1).
+    :func:`.search.start_search`, which draws from N(0, 1).
     """
 
     ranks: tuple
@@ -170,13 +167,11 @@ class SolverConfig:
     strategy: str = "constr"
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        if len(self.ranks) != len(self.degrees) or not self.ranks:
-            raise ValueError("ranks and degrees must be non-empty and equally long")
-        if any(r < 1 for r in self.ranks) or any(d < 1 for d in self.degrees):
-            raise ValueError("ranks and degrees must be positive")
+        ranks, degrees = _layer_sizes(self.ranks, self.degrees)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "degrees", degrees)
+        for name in ("min_iters", "max_iters", "patience", "rng_seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not 0 < self.min_iters <= self.max_iters:
             raise ValueError("need 0 < min_iters <= max_iters")
         if self.patience < 1:
@@ -979,717 +974,6 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
         config=cfg,
         n_truncated=n_truncated,
     )
-
-
-# Levenberg-Marquardt descent over the model parameters ---------------------
-
-# relative objective at which a descent has fit the data to round-off
-_LM_TOL = 1e-20
-# iteration cap of one descent inside the start search
-_LM_MAX_ITERS = 150
-# a descent stops as stalled once its objective fell by less than this
-# factor over the last window of iterations
-_LM_STALL_WINDOW = 15
-_LM_STALL_FACTOR = 0.9
-# damping of the normal matrix scaled to unit diagonal
-_LM_MU0 = 1e-3
-_LM_MU_MIN = 1e-12
-_LM_MU_MAX = 1e10
-# geodesic acceleration: probe length and largest accepted |a| / |v|
-_LM_GEO_H = 0.1
-_LM_GEO_ALPHA = 0.75
-# sampling points per chunk of the normal-matrix accumulation
-_LM_CHUNK_ROWS = 16
-# sampling points per pass of the adjoint kernel in _LMProblem.apply_t, a
-# whole number of chunks: the kernel's fixed cost is paid once per pass, its
-# temporaries grow with the pass.  The protocols' S = 30 runs one pass.  A
-# serial f2 search peaks at 179 KB at S = 100 and 1.30 MB at S = 1000, as
-# with a pass per chunk; passes of 128 points raised the first to 210 KB, one
-# pass over all points the second to 1.81 MB.
-_LM_PASS_ROWS = 4 * _LM_CHUNK_ROWS
-
-
-@dataclass
-class LMResult:
-    """Outcome of one Levenberg-Marquardt descent.
-
-    ``state`` is consistent (G and R evaluated from the coefficients),
-    ``objective`` is its j_term + lam * f_term and ``stop_reason`` one of
-    "converged" (fit to round-off), "stalled" or "max_iters".
-    """
-
-    state: SolverState
-    objective: float
-    iterations: int
-    stop_reason: str
-
-
-def lm_pack(weights, coeffs):
-    """Free model parameters as one vector, in the order W_0, c_1, W_1, ..., c_L, W_L.
-
-    Every block is flattened row-major; c_l drops its constant column for
-    l < L (those constants are frozen), the last layer keeps all of its
-    coefficients.  This is the order in which the blocks enter the model.
-    """
-    L = len(coeffs)
-    parts = [np.ravel(weights[0])]
-    for l in range(1, L + 1):
-        c = coeffs[l - 1]
-        parts.append(np.ravel(c if l == L else c[:, 1:]))
-        parts.append(np.ravel(weights[l]))
-    return np.concatenate(parts)
-
-
-def _lm_layout(weights, coeffs):
-    """(start, stop, shape) of every block of the :func:`lm_pack` vector, in order."""
-    shapes = [weights[0].shape]
-    for l, (c, W) in enumerate(zip(coeffs, weights[1:]), 1):
-        shapes += [(c.shape[0], c.shape[1] - (l < len(coeffs))), W.shape]
-    stops = np.cumsum([a * b for a, b in shapes]).tolist()
-    return [(stop - a * b, stop, (a, b)) for stop, (a, b) in zip(stops, shapes)]
-
-
-def _lm_unpack(theta, layout, coeffs):
-    """Inverse of :func:`lm_pack` along its :func:`_lm_layout`: (weights, coeffs) lists.
-
-    The frozen constants of the layers below the last are copied from
-    ``coeffs``.
-    """
-    blocks = [theta[a:b].reshape(shape) for a, b, shape in layout]
-    inner = [np.concatenate([c[:, :1], b], axis=1) for c, b in zip(coeffs, blocks[1:-2:2])]
-    return blocks[::2], inner + [blocks[-2]]
-
-
-class _LMProblem:
-    """Residual r = [vec(J - Jhat); sqrt(lam) vec(F - Fhat)] of the model
-    with parameters theta (see :func:`lm_pack`), entries in slice-major order, and
-    products with M = -dr/dθ, the derivative of the fitted values.
-
-    A point theta is evaluated once: ``residual(theta, keep=True)`` keeps
-    its pass and ``tape`` turns that pass into the tape.  One adjoint
-    kernel over the tape, ``_rows``, serves every derivative: seeded with
-    unit vectors it gives the rows of M, which ``linearize`` sums into the
-    normal matrix one chunk of ``_LM_CHUNK_ROWS`` points at a time and
-    ``jacobian`` stacks; seeded with y it gives M.T y (``apply_t``, and so
-    ``curvature``).  A 16-point chunk of f1's rows is 21.5 KB, and the
-    kernel's temporaries stay under 18 KB beside it.
-    """
-
-    def __init__(self, weights, coeffs, j_tensor, f_matrix, points, lam):
-        self.coeffs = coeffs
-        self.layout = _lm_layout(weights, coeffs)
-        self.j_slices = np.transpose(j_tensor, (2, 0, 1))
-        self.f_rows = f_matrix.T
-        self.points = points
-        self.root_lam = np.sqrt(lam)
-        # the normal matrix is accumulated over chunks of sampling points,
-        # which bounds the memory of the derivative arrays whatever S is
-        self.chunks = [
-            slice(i, i + _LM_CHUNK_ROWS) for i in range(0, points.shape[0], _LM_CHUNK_ROWS)
-        ]
-        self.passes = [
-            slice(i, i + _LM_PASS_ROWS) for i in range(0, points.shape[0], _LM_PASS_ROWS)
-        ]
-
-    def model(self, theta):
-        return _lm_unpack(theta, self.layout, self.coeffs)
-
-    def residual(self, theta, keep=False):
-        """r at theta; with ``keep=True`` also the pass it came from, for ``tape``."""
-        weights, coeffs = self.model(theta)
-        layers, f_hat = layer_pass(weights, coeffs, self.points)
-        chain = right_chains(weights, [t.dg for t in layers], len(weights))
-        r = np.concatenate([
-            (self.j_slices - chain[-1]).ravel(), self.root_lam * (self.f_rows - f_hat).ravel()
-        ])
-        return (r, (weights, coeffs, layers, chain)) if keep else r
-
-    @staticmethod
-    def tape(kept):
-        """The tape of a kept pass: per layer the power rows, g_l, g_l',
-        g_l'', V_l, the derivative rows and g_l' V_l at every point."""
-        weights, coeffs, layers, chain = kept
-        return weights, [
-            (t.powers, t.g, t.dg, np.einsum("sji,ji->sj", t.powers[..., :-2], _der(_der(c))),
-             V, derivative_rows(t.powers), t.dg[:, :, None] * V)
-            for t, c, V in zip(layers, coeffs, chain)
-        ]
-
-    def _rows(self, tape, sl, seeds):
-        """The kernel: rows of M at the points sl for K seeds per point, cs x K x P.
-
-        Per point, X_1 = W_0 [x | I] and X_{l+1} = W_l Z_l with
-        Z_l = [g_l | g_l' V_l], so that X_{L+1} = [Fhat | Jhat].  Seed k at
-        point s is an adjoint of X_{L+1}[s] (``seeds``: cs x n x K x (1+m),
-        or 1 x n x K x (1+m) for seeds common to all points), and row (s, k)
-        is the gradient of <seed, X_{L+1}[s]> over theta, by one adjoint
-        pass of the tape's rows.  Every step is a stacked matmul of one
-        point's matrices, over all K seeds at once, which allocates no
-        iteration buffers; no point's rows depend on another point.
-        """
-        weights, steps = tape
-        x = self.points[sl]
-        cs, m = x.shape
-        out = np.empty((cs, seeds.shape[2], self.layout[-1][1]))
-        Y = seeds  # the adjoint of X_{l+1}, a K x (1+m) matrix per point and row
-        L = len(steps)
-        for l in range(L, 0, -1):
-            # V_1 = W_0 is one matrix for all points; every other array has
-            # a row per point
-            powers, g, g1, ddg, V, dpw, Vd = (a if len(a) == 1 else a[sl] for a in steps[l - 1])
-            W = weights[l]
-            r = W.shape[1]
-            i0 = 0 if l == L else 1
-            w = powers.shape[2] - i0
-            Z_t = np.concatenate([g[:, None], np.swapaxes(Vd, 1, 2)], axis=1)
-            np.matmul(Y, Z_t[:, None], out=self._block(out, 2 * l))
-            del Z_t
-            # then the adjoint of Z_l.  Its row j, [g_j | g_j' V_j], is linear
-            # in the power rows p_j and the derivative rows d_j of u_j, with
-            # weights c_j, so T_j = [[g_j', 0, p_j], [g_j'' V_j^T, g_j' I, V_j^T d_j]]
-            # maps the row's adjoint to [u_bar_j | V_bar_j] and c_bar_j
-            Y = (W.T @ Y.reshape(len(Y), len(W), -1)).reshape(len(Y), r, -1, 1 + m)
-            T = np.zeros((cs, r, 1 + m, 1 + m + w))
-            np.einsum("...ii->...i", T[..., : 1 + m])[...] = g1[..., None]
-            T[:, :, 0, 1 + m :] = powers[..., i0:]
-            np.matmul(V[..., None], ddg[..., None, None], out=T[:, :, 1:, :1])
-            np.matmul(V[..., None], dpw[:, :, None], out=T[:, :, 1:, 2 + m - i0 :])
-            np.matmul(Y, T[..., 1 + m :], out=self._block(out, 2 * l - 1))
-            Y = Y @ T[..., : 1 + m]
-            del T  # before the next layer's arrays exist
-        X_t = np.empty((cs, 1 + m, m))
-        X_t[:, 0] = x
-        X_t[:, 1:] = np.eye(m)
-        np.matmul(Y, X_t[:, None], out=self._block(out, 0))
-        return out
-
-    def _block(self, out, block):
-        """The columns of ``out`` that hold a block of theta, as a view cs x rows x K x cols."""
-        a, b, shape = self.layout[block]
-        return out[..., a:b].reshape(out.shape[:2] + shape).swapaxes(1, 2)
-
-    def _unit_seeds(self):
-        """The kernel's seeds for the rows of M: the unit vectors of a point's
-        n*m Jacobian entries and then of its n values, the latter scaled by
-        sqrt(lam), in the order of r's entries at each point."""
-        n, m = self.j_slices.shape[1:]
-        seeds = np.zeros((1, n, n * m + n, 1 + m))
-        seeds[0, :, : n * m, 1:] = np.eye(n * m).reshape(-1, n, m).swapaxes(0, 1)
-        seeds[0, :, n * m :, 0] = self.root_lam * np.eye(n)
-        return seeds
-
-    def linearize(self, tape, r):
-        """(H, g): the normal matrix M.T M and the gradient M.T r at the tape's point,
-        summed over chunks of the kernel's rows of M."""
-        seeds = self._unit_seeds()
-        nj = self.j_slices.size
-        # r's entries at each point, in the order of its rows of M
-        r_pts = np.concatenate([r[:nj].reshape(len(self.points), -1),
-                                r[nj:].reshape(self.f_rows.shape)], axis=1)
-        P = self.layout[-1][1]
-        H = g = None
-        for sl in self.chunks:
-            M = self._rows(tape, sl, seeds).reshape(-1, P)
-            if H is None:
-                # the first chunk's products are the sums so far, so no
-                # P x P zeros sit beside the first kernel pass
-                H, g = M.T @ M, M.T @ r_pts[sl].ravel()
-            else:
-                # one P x P temporary at a time
-                H += M.T @ M
-                g += M.T @ r_pts[sl].ravel()
-            del M  # before the next chunk's rows exist
-        return H, g
-
-    def jacobian(self, theta):
-        """M = -dr/dθ as a dense (S*n*m + S*n) x P matrix: the kernel's rows, stacked."""
-        tape, seeds = self.tape(self.residual(theta, keep=True)[1]), self._unit_seeds()
-        rows = np.concatenate([self._rows(tape, sl, seeds) for sl in self.chunks])
-        nm = self.j_slices[0].size
-        return np.concatenate([rows[:, :nm].reshape(-1, theta.size),
-                               rows[:, nm:].reshape(-1, theta.size)])
-
-    def curvature(self, theta, v, tape, g, Hv):
-        """M.T f_vv, f_vv the second directional derivative of the fitted values along v.
-
-        r(theta + h v) = r - h M v - (h^2/2) f_vv + O(h^3) with M.T r = g and
-        M.T M v = H v, so M.T f_vv ~ (2/h) ((g - M.T r(theta + h v)) / h - H v).
-        """
-        r_probe = self.residual(theta + _LM_GEO_H * v)
-        return (2.0 / _LM_GEO_H) * ((g - self.apply_t(tape, r_probe)) / _LM_GEO_H - Hv)
-
-    def apply_t(self, tape, y):
-        """M.T @ y: the kernel seeded with y, in one pass over up to
-        ``_LM_PASS_ROWS`` points.
-
-        Its rows, one per point, are summed chunk by chunk in the order of
-        ``linearize``'s chunks, which keeps the bits of running the kernel
-        chunk by chunk: a point's row does not depend on the other points.
-        """
-        nj = self.j_slices.size
-        seeds = np.concatenate([self.root_lam * y[nj:].reshape(self.f_rows.shape)[..., None],
-                                y[:nj].reshape(self.j_slices.shape)], axis=2)[:, :, None]
-        total = np.zeros(self.layout[-1][1])
-        for sl in self.passes:
-            rows = self._rows(tape, sl, seeds[sl])
-            for i in range(0, len(rows), _LM_CHUNK_ROWS):
-                total += rows[i : i + _LM_CHUNK_ROWS].sum(axis=(0, 1))
-        return total
-
-
-def _consistent_state(weights, coeffs, points):
-    """Solver state whose G and R are evaluated from the coefficients."""
-    layers = layer_pass(weights, coeffs, points)[0]
-    return SolverState(
-        weights=[np.array(w, dtype=float) for w in weights],
-        G=[t.dg for t in layers],
-        R=layers[-1].g,
-        coeffs=[np.array(c, dtype=float) for c in coeffs],
-    )
-
-
-def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
-    """Levenberg-Marquardt descent of the objective over the model parameters.
-
-    The parameters are W_0..W_L and every coefficient except the frozen
-    constants of the layers below the last (see :func:`lm_pack`); the
-    residual is r = [vec(J - Jhat); sqrt(lam) vec(F - Fhat)] with Jhat and
-    Fhat evaluated from the weights and coefficients, so that on a
-    consistent state r @ r equals ``objective(...)[2]``; its Jacobian is
-    analytic.
-
-    Each step solves the damped Gauss-Newton system on the normal matrix
-    scaled to unit diagonal, with Nielsen's damping update and geodesic
-    acceleration (Transtrum & Sethna), which carries the descent through
-    the narrow curved valleys that leave plain LM crawling near an exact
-    fit.  The damping never drops below 1e-12, which keeps the steps off
-    the directions of the model's scaling ambiguities.  A trial step that
-    overflows counts as a failed step.
-
-    An iteration runs two layer passes, the acceleration's probe and the
-    trial point, and one adjoint pass (see ``_LMProblem.curvature``).  An
-    accepted trial's pass becomes the tape of the next linearization, so
-    an accepted point is never evaluated again; a rejected one builds no
-    tape, and neither does the point at which the descent stops.
-
-    Stops once the objective is at most 1e-20 of ||J||^2 + lam ||F||^2
-    ("converged"), once it fell by less than 10% over 15 iterations or the
-    damping ran away ("stalled"), or after 150 iterations ("max_iters").
-    A non-finite objective or Jacobian at an accepted point raises
-    SolverDivergenceError.  ``poll``, if given, is called after each
-    iteration that does not stop the descent; once it returns true the
-    descent is dropped and returns None.
-
-    Invariant, which the start search's pick relies on: a descent ends
-    "converged" exactly when the objective it returns is at most 1e-20 of
-    a scale set by the data and lam alone, so below every start's that
-    ends otherwise.
-    """
-    prob = _LMProblem(state.weights, state.coeffs, j_tensor, f_matrix, points, lam)
-    theta = lm_pack(state.weights, state.coeffs)
-    del state  # its G and R are not read; a caller that drops the state frees them
-    scale = float(np.sum(j_tensor * j_tensor) + lam * np.sum(f_matrix * f_matrix))
-    with np.errstate(all="ignore"):
-        r, trial = prob.residual(theta, keep=True)
-    f = float(r @ r)
-    history = [f]
-    mu, nu = _LM_MU0, 2.0
-    stop_reason = "max_iters"
-    iterations = 0
-    for it in range(1, _LM_MAX_ITERS + 1):
-        iterations = it
-        if trial is not None:
-            # the descent goes on from a new point, the start or an accepted
-            # trial: linearize it, after dropping the old system and tape,
-            # which would add to the peak memory of the new linearization
-            H = g = inv = tape = None
-            with np.errstate(all="ignore"):
-                tape, trial = prob.tape(trial), None
-                H, g = prob.linearize(tape, r)
-            if not (np.isfinite(f) and np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
-                raise SolverDivergenceError(
-                    f"LM descent became non-finite at iteration {it}", []
-                )
-            d = np.sqrt(np.diag(H))
-            d[d == 0.0] = 1.0
-        damped = H / np.outer(d, d)
-        damped.flat[:: theta.size + 1] += mu
-        inv = np.linalg.inv(damped)
-        del damped
-        v = (inv @ (g / d)) / d
-        Hv = H @ v
-        pred = 2.0 * (v @ g) - v @ Hv
-        step = v
-        with np.errstate(all="ignore"):
-            a = -(inv @ (prob.curvature(theta, v, tape, g, Hv) / d)) / d
-            if np.all(np.isfinite(a)) and (
-                2.0 * np.linalg.norm(a * d) <= _LM_GEO_ALPHA * np.linalg.norm(v * d)
-            ):
-                step = v + 0.5 * a
-            r_new, trial = prob.residual(theta + step, keep=True)
-            f_new = float(r_new @ r_new)
-        rho = (f - f_new) / pred if pred > 0 else -1.0
-        if np.isfinite(f_new) and rho > 0:
-            theta = theta + step
-            r, f = r_new, f_new
-            mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), _LM_MU_MIN)
-            nu = 2.0
-        else:
-            trial = None  # a rejected trial point builds no tape
-            mu *= nu
-            nu *= 2.0
-        history.append(f)
-        if f <= _LM_TOL * scale:
-            stop_reason = "converged"
-            break
-        if mu > _LM_MU_MAX or (
-            it >= _LM_STALL_WINDOW and f > _LM_STALL_FACTOR * history[-1 - _LM_STALL_WINDOW]
-        ):
-            stop_reason = "stalled"
-            break
-        if poll is not None and poll():
-            return None
-    return LMResult(
-        state=_consistent_state(*prob.model(theta), points),
-        objective=f,
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
-
-
-# LM descents of one start search at most
-_SEARCH_STARTS = 8
-
-
-def _helper_cpus():
-    """CPUs of the helpers a start search forks: each usable one but the caller's.
-
-    At most ``_SEARCH_STARTS - 1``, and none inside a multiprocessing child
-    (a harness run with jobs > 1 already uses the cores), in a process with
-    other Python threads (a fork copies the locks they hold), and where
-    fork, the CPU affinity or the caller's CPU is not to be had.
-    """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return []
-    try:
-        with open("/proc/self/stat") as fh:  # field 39: the CPU this process runs on
-            own = int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return []
-    cpus = sorted(os.sched_getaffinity(0) - {own})[: _SEARCH_STARTS - 1]
-    if not cpus:
-        return []
-    # imported here: it costs every import of the CLI about 10 ms
-    import multiprocessing
-
-    if multiprocessing.parent_process() is not None:
-        return []
-    return cpus if "fork" in multiprocessing.get_all_start_methods() else []
-
-
-def _start_state(cfg, dims, points, k):
-    """Rebalanced consistent state of start k, the k-th draw of the search's stream."""
-    rng = seeded_rng(cfg.rng_seed)
-    for _ in range(k + 1):
-        weights = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(cfg.n_layers + 1)]
-        coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(cfg.ranks, cfg.degrees)]
-    for c in coeffs[:-1]:
-        c[:, 0] = 0.0
-    with np.errstate(all="ignore"):
-        return _normalize_inputs(_consistent_state(weights, coeffs, points), points)
-
-
-def _start_outcome(cfg, j_tensor, f_matrix, points, k, poll=None):
-    """LMResult of start k's descent, None if it diverged or was dropped, or the exception it raised."""
-    n, m, _ = j_tensor.shape
-    try:
-        # the descent holds the only reference to its start: the draws, G
-        # and R are freed before it linearizes
-        return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], points, k),
-                          j_tensor, f_matrix, points, cfg.lam, poll)
-    except (SolverDivergenceError, np.linalg.LinAlgError):
-        return None
-    except Exception as exc:  # raised once the pick reaches start k
-        return exc
-
-
-def _rank(k, outcome):
-    """Key of start k's outcome, the least being picked; None for a dropped one.
-
-    A stop (a converged descent or an exception) keys as (0, k), any other
-    finite descent as (1, objective, k).  By :func:`lm_descent`'s
-    invariant a converged descent's objective is below every other's.
-    """
-    if isinstance(outcome, Exception):
-        return (0, k)
-    if not (isinstance(outcome, LMResult) and np.isfinite(outcome.objective)):
-        return None
-    return (0, k) if outcome.stop_reason == "converged" else (1, outcome.objective, k)
-
-
-class _Pick:
-    """A search's pick from descent outcomes that arrive in any order.
-
-    It holds one outcome, the least under :func:`_rank` so far, and is
-    final once that is a stop whose earlier starts have all come in, or
-    once every start has.  So it picks what one descent after another
-    does: the first strictly lowest finite objective, up to the first
-    converged descent or the first exception, which the search raises.
-    """
-
-    def __init__(self):
-        self._seen, self._key, self.best = set(), None, None
-
-    @property
-    def done(self):
-        key = self._key
-        return len(self._seen) == _SEARCH_STARTS or (
-            key is not None and key[0] == 0 and self._seen.issuperset(range(key[1])))
-
-    def add(self, k, outcome):
-        """Take start k's outcome; returns whether the pick is final."""
-        if not self.done:
-            self._seen.add(k)
-            key = _rank(k, outcome)
-            if key is not None and (self._key is None or key < self._key):
-                self._key, self.best = key, outcome
-        return self.done
-
-
-class _PipeLock:
-    """A lock that forked processes share: a pipe that holds one byte while it is free.
-
-    A multiprocessing lock would keep about 1.5 KB of Python objects alive
-    through a search, at the peak memory of its descents.
-    """
-
-    __slots__ = ("fds",)
-
-    def __init__(self):
-        self.fds = os.pipe()
-        os.write(self.fds[1], b"\0")
-
-    def __enter__(self):
-        os.read(self.fds[0], 1)
-
-    def __exit__(self, *exc):
-        os.write(self.fds[1], b"\0")
-
-
-class StartSearch:
-    """The start searches of a tuned run's stages, one :func:`start_search` per config.
-
-    ``next()`` returns the next stage's start, the consistent state of its
-    best descent or None, and raises the exception its pick reaches.  The
-    descents run in the caller and in one forked helper on each further
-    usable core (:func:`_helper_cpus`), forked once, when the search
-    opens.  The caller descends starts of the stage it is on; the helpers
-    do too, and once that stage has no start left to claim they claim
-    starts of the next stage, which so descend while the caller sweeps,
-    and never of a stage beyond it.  Outcomes feed one
-    :class:`_Pick` per stage as they arrive, and a final pick is raised
-    only by the ``next()`` of its stage, so a stage never reached raises
-    nothing.  A descent is dropped between its LM iterations once an
-    earlier start of its stage has stopped (converged or raised), since it
-    cannot be picked then: the process whose descent stops marks that on a
-    board of shared memory, which every process reads between iterations
-    and before it claims a start.  So no descent of a stage goes on once
-    the stage's pick is final.
-
-    Close it (or use it as a context manager) to terminate and join the
-    helpers; a helper whose caller has gone exits at its next send or
-    wait.  A helper is bound to its CPU: a forked process starts on its
-    parent's, and where the kernel does not balance the load it stays
-    there.
-    """
-
-    # no instance dict: a search is live at the peak memory of its descents
-    __slots__ = ("_cfgs", "_data", "_picks", "_board", "_t", "_procs", "_results",
-                 "_wake", "_lock", "_held")
-
-    def __init__(self, cfgs, j_tensor, f_matrix, points):
-        import mmap
-
-        self._cfgs = list(cfgs)
-        self._data = _check_fit_inputs(j_tensor, f_matrix, points)
-        n = len(self._cfgs)
-        self._picks = [_Pick() for _ in range(n)]
-        # the board, shared with the helpers: [0] the stage the caller is
-        # on, then for stage s [1 + 2s] the starts claimed, which are
-        # claimed in order, and [2 + 2s] the end of the starts that can
-        # still be picked, which only falls
-        self._board = memoryview(mmap.mmap(-1, 8 * (1 + 2 * n))).cast("q")
-        for s in range(n):
-            self._board[2 + 2 * s] = _SEARCH_STARTS
-        self._t = -1  # the caller's stage
-        self._procs, self._results, self._wake = [], [], None
-        self._lock = threading.Lock()
-        # the caller takes start 0 before any helper can
-        self._held = self._claim([0])
-        cpus = _helper_cpus()
-        if cpus:
-            self._fork(cpus)
-
-    def _fork(self, cpus):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        # an idle helper waits for a byte, which the caller writes to each
-        # helper as it enters a stage; EOF tells it the caller has gone
-        woken, self._wake = os.pipe()
-        try:
-            self._lock = _PipeLock()
-            for cpu in cpus:
-                recv, send = ctx.Pipe(duplex=False)
-                self._results.append(recv)
-                proc = ctx.Process(target=self._serve, args=(send, woken, cpu), daemon=True)
-                try:
-                    proc.start()
-                except OSError:  # no process to be had: go on with those started
-                    self._results.pop().close()
-                    break
-                finally:
-                    send.close()
-                self._procs.append(proc)
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            os.close(woken)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self):
-        """Terminate and join the helpers; idempotent."""
-        for proc in self._procs:
-            proc.terminate()
-        for proc in self._procs:
-            proc.join()
-        for conn in self._results:
-            conn.close()
-        if self._wake is not None:
-            os.close(self._wake)
-        for fd in getattr(self._lock, "fds", ()):
-            os.close(fd)
-        self._procs, self._results, self._wake = [], [], None
-        self._lock = threading.Lock()
-
-    def _claim(self, stages):
-        """(s, k): start k of the first of the stages with a start left to claim, or None."""
-        board = self._board
-        with self._lock:
-            for s in stages:
-                k = board[1 + 2 * s]
-                if k < board[2 + 2 * s]:
-                    board[1 + 2 * s] = k + 1
-                    return s, k
-        return None
-
-    def _descend(self, s, k):
-        """Outcome of start k of stage s, dropped once a stop of an earlier start is on the board."""
-        board, end = self._board, 2 + 2 * s
-        outcome = _start_outcome(self._cfgs[s], *self._data, k, lambda: k >= board[end])
-        key = _rank(k, outcome)
-        if key is not None and key[0] == 0:  # a stop: no later start can be picked
-            with self._lock:
-                board[end] = min(board[end], k + 1)
-        return outcome
-
-    def _collect(self, timeout):
-        """Feed the picks every outcome the helpers have sent, waiting up to timeout for one."""
-        import select
-
-        for conn in select.select(self._results, [], [], timeout)[0]:
-            while True:
-                try:
-                    s, k, outcome, trace = conn.recv()
-                except EOFError:  # a helper exits early only when it fails
-                    raise RuntimeError(
-                        "a start-search helper exited without its outcome") from None
-                if trace is not None:  # shown above the caller's traceback
-                    outcome.__cause__ = RuntimeError("in a start-search helper:\n" + trace)
-                self._picks[s].add(k, outcome)
-                if not conn.poll():
-                    break
-
-    def _serve(self, conn, woken, cpu):
-        import signal
-        import traceback
-
-        os.sched_setaffinity(0, {cpu})
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-        # the caller's ends: the pipes must break when the caller goes
-        for c in self._results:
-            c.close()
-        os.close(self._wake)
-        while True:
-            t = self._board[0]
-            claim = self._claim(range(t, min(t + 2, len(self._cfgs))))
-            if claim is None:
-                if not os.read(woken, 1):
-                    return
-                continue
-            s, k = claim
-            outcome = self._descend(s, k)
-            failed = isinstance(outcome, Exception)
-            trace = "".join(traceback.format_exception(
-                type(outcome), outcome, outcome.__traceback__)) if failed else None
-            try:
-                conn.send((s, k, outcome, trace))
-            except BrokenPipeError:
-                return
-
-    def __next__(self):
-        t = self._t + 1
-        if t == len(self._cfgs):
-            raise StopIteration
-        self._t = self._board[0] = t
-        if self._wake is not None:
-            os.write(self._wake, bytes(len(self._procs)))
-        pick = self._picks[t]
-        while not pick.done:
-            claim, self._held = self._held or self._claim([t]), None
-            if claim is not None:
-                pick.add(claim[1], self._descend(*claim))
-                self._collect(0)
-            elif self._results:
-                self._collect(None)
-            else:  # every start is claimed, so the pick is final without helpers
-                raise RuntimeError("a start search ran out of starts before its pick")
-        if isinstance(pick.best, Exception):
-            raise pick.best
-        return None if pick.best is None else pick.best.state
-
-
-def start_search(cfg, j_tensor, f_matrix, points):
-    """Best of ``_SEARCH_STARTS`` seeded LM descents by the training objective at cfg.lam.
-
-    Start k draws W_0..W_L and the coefficients (in that order, start after
-    start) from the standard normal distribution N(0, 1) with
-    ``seeded_rng(cfg.rng_seed)``, sets the frozen constants of the
-    layers below the last to 0 (a constant shift of a layer's output is
-    absorbed by the next layer's polynomials), rebalances the neuron input
-    scales (:func:`rebalance`) and runs :func:`lm_descent`.  The search
-    stops early at a start that fits the data to round-off, since no other
-    start can beat it by more than round-off.  Starts that diverge are
-    dropped; returns None when no start gave a finite objective, and the
-    consistent state of the best descent otherwise.
-
-    This is the one-stage case of :class:`StartSearch`: the descents run
-    in the calling process and in one forked helper on each further
-    usable core (:func:`_helper_cpus`), each process taking the next start
-    as it becomes free, and a descent is dropped once it cannot be picked.
-    The pick holds the least outcome so far by :func:`_rank`, which by
-    :func:`lm_descent`'s invariant is the pick of one descent after
-    another: the result, bit for bit, and any exception raised are those
-    of the caller alone, on any core count.
-    """
-    with StartSearch([cfg], j_tensor, f_matrix, points) as starts:
-        return next(starts)
 
 
 def state_to_model(state):

@@ -206,13 +206,17 @@ def _lstsq_svd(a, b):
 
     b is read as a C-contiguous K x p array: einsum's order of summation
     follows the layout of its operands, so this keeps a system's bits
-    whatever the layout of the b it came in.
+    whatever the layout of the b it came in.  U is dropped before the
+    second product, and the coefficients are scaled and truncated in place.
     """
     b = np.ascontiguousarray(b)
     U, sv, Vt = np.linalg.svd(a, full_matrices=False)
     keep = sv > _RTOL * sv[:, :1]
-    coef = np.einsum("kpi,kp->ki", U, b) / np.where(keep, sv, 1.0)
-    return np.einsum("kiq,ki->kq", Vt, np.where(keep, coef, 0.0)), int(np.sum(~keep))
+    coef = np.einsum("kpi,kp->ki", U, b)
+    del U
+    np.divide(coef, sv, out=coef, where=keep)
+    coef[~keep] = 0.0
+    return np.einsum("kiq,ki->kq", Vt, coef), int(np.sum(~keep))
 
 
 def reduce_planes(a, b):

@@ -10,14 +10,14 @@ validation set: the loop continues while the metric is non-increasing
 Each stage starts from its own seeded start search with seed
 ``base_seed XOR stage``: the best, by that stage's training objective, of
 8 Levenberg-Marquardt descents over the model parameters from
-standard-normal draws (``solver.start_search``).  The alternating solver
+standard-normal draws (``search.start_search``).  The alternating solver
 then runs from that state; only where every descent diverged does it start
 from ``solver.init_state``, as a bare ``fit`` does.  A non-finite validation
 metric counts as a worsening, so it is never selected.
 
 A stage's search needs only the data, its lam and its seed, not the fit of
 the stage before.  So a tuned run's searches run as one pipelined
-``solver.StartSearch``: its helper processes, forked once per run, descend
+``search.StartSearch``: its helper processes, forked once per run, descend
 starts of the next stage while the caller runs this stage's sweeps, and
 never of a stage beyond it.  Each stage picks, bit for bit, what its own
 ``start_search`` picks; a stage the tuner never reaches is dropped
@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DecoupledModel, eval_batch
-from .solver import SolverConfig, SolverDivergenceError, StartSearch, fit, state_to_model
+from .search import StartSearch
+from .solver import SolverConfig, SolverDivergenceError, _as_int, fit, state_to_model
 
 __all__ = [
     "TunerConfig",
@@ -58,6 +59,7 @@ class TunerConfig:
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
         if not 1 < self.beta < math.inf:
             raise ValueError(f"beta must exceed 1 and be finite, got {self.beta}")
+        object.__setattr__(self, "max_stages", _as_int("max_stages", self.max_stages))
         if self.max_stages < 1:
             raise ValueError("max_stages must be >= 1")
 
@@ -184,9 +186,10 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         is not finite (there is no earlier stage to fall back to).
     ValueError
         Before any fit: with fewer than two validation points, validation
-        points and targets not shaped S_val x m and n x S_val, or a target
-        output that is non-finite or constant (see :func:`rrmse`).  Also
-        when the escalation reaches a stage whose lam overflows.
+        points and targets not shaped S_val x m and n x S_val, a non-finite
+        validation point, or a target output that is non-finite or
+        constant (see :func:`rrmse`).  Also when the escalation reaches a
+        stage whose lam overflows.
     """
     val_points, val_targets = validation
     val_points = np.asarray(val_points, dtype=float)
@@ -196,6 +199,8 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     n, m = np.shape(j_tensor)[:2]
     if val_points.shape != (len(val_points), m) or val_targets.shape != (n, len(val_points)):
         raise ValueError(f"validation needs S_val x {m} points and {n} x S_val targets")
+    if not np.all(np.isfinite(val_points)):
+        raise ValueError("non-finite validation points")
     _spread(val_targets)
 
     # lam by repeated products, as each stage multiplies the last; a lam

@@ -87,6 +87,21 @@ class TestGenerator:
         model = generate_system(spec)
         assert collinearity(model.weights[0]) == -np.inf
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_inputs", 2.0), ("n_outputs", True), ("ranks", (2, 2.5)), ("degrees", (3.0, 2)),
+        ("seed", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        given = dict(n_inputs=2, n_outputs=2, ranks=(2, 2), degrees=(3, 2), seed=0)
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{**given, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = SyntheticSpec(n_inputs=np.int64(2), n_outputs=np.int32(2), ranks=np.array([2, 2]),
+                             degrees=(np.int8(3), 2), seed=np.uint16(5))
+        assert (spec.n_inputs, spec.n_outputs, spec.ranks, spec.degrees, spec.seed) == (
+            2, 2, (2, 2), (3, 2), 5)
+
     def test_infeasible_cap_raises(self):
         spec = SyntheticSpec(
             n_inputs=1, n_outputs=2, ranks=(4,), degrees=(2,), seed=3,

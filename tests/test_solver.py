@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import make_system, state_bytes, truth_state, wait_readable
 
+import ptdecouple.search as search_mod
 import ptdecouple.solver as solver_mod
 
 from ptdecouple.model import PTFactors, build_f_matrix, build_jacobian_tensor, pt_reconstruct
@@ -19,12 +20,12 @@ from ptdecouple.solver import (
     init_state,
     objective,
     rebalance,
-    start_search,
     state_to_model,
     update_c_constr,
     update_c_proj,
     update_W,
 )
+from ptdecouple.search import start_search
 from ptdecouple.solver import (
     _coeff_bases,
     _coeff_problem,
@@ -81,6 +82,24 @@ class TestConfig:
                 SolverConfig(ranks=(2,), degrees=(2,), lam=lam)
         with pytest.raises(ValueError):
             SolverConfig(ranks=(2,), degrees=(2,), strategy="newton")
+
+    @pytest.mark.parametrize("field, value", [
+        ("ranks", (2.7, 2)), ("ranks", (True, 2)), ("degrees", (5, 2.0)),
+        ("min_iters", 1.0), ("max_iters", 2.5), ("patience", True), ("rng_seed", 3.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # a float or a bool where a count is meant is refused at construction,
+        # not truncated or met by a TypeError inside fit
+        given = dict(ranks=(2, 2), degrees=(5, 2), min_iters=1, max_iters=2)
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{**given, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = SolverConfig(ranks=np.array([2, 2]), degrees=(np.int32(5), 2),
+                           min_iters=np.int64(1), max_iters=np.uint8(2),
+                           patience=np.int16(3), rng_seed=np.int64(7))
+        assert (cfg.ranks, cfg.degrees) == ((2, 2), (5, 2))
+        assert (cfg.min_iters, cfg.max_iters, cfg.patience, cfg.rng_seed) == (1, 2, 3, 7)
 
 
 class TestInitState:
@@ -840,7 +859,7 @@ def test_fit_report_json():
 
 
 def _random_model_state(rng, ranks, degrees, m, n, S):
-    from ptdecouple.solver import _consistent_state
+    from ptdecouple.descent import _consistent_state
 
     dims = [m, *ranks, n]
     weights = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(ranks) + 1)]
@@ -854,7 +873,7 @@ class TestLevenbergMarquardt:
 
     @staticmethod
     def _residual(state, J, F, pts, lam):
-        from ptdecouple.solver import _LMProblem, lm_pack
+        from ptdecouple.descent import _LMProblem, lm_pack
 
         prob = _LMProblem(state.weights, state.coeffs, J, F, pts, lam)
         return prob, lm_pack(state.weights, state.coeffs)
@@ -891,7 +910,7 @@ class TestLevenbergMarquardt:
         # the descent never forms the Jacobian: its products come from an
         # adjoint pass and the chunked normal matrix, and the geodesic
         # acceleration term M.T f_vv takes the place of a tangent pass
-        from ptdecouple.solver import _LM_GEO_H
+        from ptdecouple.descent import _LM_GEO_H
 
         rng = np.random.default_rng(20 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
@@ -920,7 +939,7 @@ class TestLevenbergMarquardt:
         # that equals a fresh evaluation at the same point bit for bit, and
         # each chunk's rows of M from the adjoint kernel equal those of a
         # pass over its points alone
-        from ptdecouple.solver import _consistent_state, _LMProblem, lm_pack
+        from ptdecouple.descent import _consistent_state, _LMProblem, lm_pack
 
         rng = np.random.default_rng(30 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
@@ -954,7 +973,7 @@ class TestLevenbergMarquardt:
         # point's row equals the row of the kernel run over its chunk alone,
         # and the rows are summed chunk by chunk, so M.T y has the bits of
         # one kernel run per chunk
-        from ptdecouple.solver import _LM_PASS_ROWS
+        from ptdecouple.descent import _LM_PASS_ROWS
 
         rng = np.random.default_rng(40 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=S)
@@ -974,7 +993,7 @@ class TestLevenbergMarquardt:
         assert prob.apply_t(tape, y).tobytes() == want.tobytes()
 
     def test_descent_recovers_truth_from_perturbed_start(self):
-        from ptdecouple.solver import _consistent_state, lm_descent
+        from ptdecouple.descent import _consistent_state, lm_descent
 
         model, pts, J, F = problem(32, S=30)
         start = _consistent_state(
@@ -987,7 +1006,7 @@ class TestLevenbergMarquardt:
         assert res.objective <= 1e-20 * (fro_norm(J) ** 2 + 1e-2 * fro_norm(F) ** 2)
 
     def test_descent_does_not_linearize_its_stop_point(self, monkeypatch):
-        from ptdecouple.solver import _consistent_state, _LMProblem, lm_descent
+        from ptdecouple.descent import _consistent_state, _LMProblem, lm_descent
 
         model, pts, J, F = problem(32, S=30)
         start = _consistent_state(
@@ -1008,8 +1027,9 @@ class TestLevenbergMarquardt:
         assert min(linearized) > res.objective
 
     def test_search_picks_best_finite_and_is_seeded(self, monkeypatch):
-        import ptdecouple.solver as solver_mod
-        from ptdecouple.solver import LMResult, start_search
+        import ptdecouple.search as search_mod
+        from ptdecouple.descent import LMResult
+        from ptdecouple.search import start_search
 
         model, pts, J, F = problem(33)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=7)
@@ -1021,10 +1041,10 @@ class TestLevenbergMarquardt:
             return LMResult(state=state, objective=next(scripted), iterations=1,
                             stop_reason="stalled")
 
-        monkeypatch.setattr(solver_mod, "lm_descent", fake_descent)
-        monkeypatch.setattr(solver_mod, "_SEARCH_STARTS", 5)
+        monkeypatch.setattr(search_mod, "lm_descent", fake_descent)
+        monkeypatch.setattr(search_mod, "_SEARCH_STARTS", 5)
         # in process: a forked helper would read its own copy of the script
-        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
+        monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
         picked = start_search(cfg, J, F, pts)
         assert picked is seen[3]
         # same seed, same draws; the frozen constants of inner layers are 0
@@ -1033,14 +1053,14 @@ class TestLevenbergMarquardt:
         assert all(np.array_equal(a, b) for a, b in zip(picked.weights, again.weights))
         assert np.all(picked.coeffs[0][:, 0] == 0.0)
         scripted = iter([np.nan, np.inf])
-        monkeypatch.setattr(solver_mod, "_SEARCH_STARTS", 2)
+        monkeypatch.setattr(search_mod, "_SEARCH_STARTS", 2)
         assert start_search(cfg, J, F, pts) is None
 
     def test_search_reaches_exact_fits(self):
         # a search is not certain to find the global minimum, but on noise-free
         # data from inside the model class it does so for most data sets, and
         # the alternating sweeps keep an exact start exact
-        from ptdecouple.solver import start_search
+        from ptdecouple.search import start_search
 
         exact = []
         for seed in range(30, 40):
@@ -1074,7 +1094,7 @@ def _search_case(case, seed=0):
 
 
 def _search_in_worker(case):
-    from ptdecouple.solver import start_search
+    from ptdecouple.search import start_search
 
     forks = []
     os.register_at_fork(before=lambda: forks.append(1))
@@ -1086,7 +1106,8 @@ def test_descent_converges_exactly_below_the_search_scale(case):
     # the pick ranks every converged start below every other descent; that
     # holds because "converged" means an objective at or below one scale,
     # common to all starts of a search, and every other stop ends above it
-    from ptdecouple.solver import _LM_TOL, LMResult, _start_outcome
+    from ptdecouple.descent import _LM_TOL, LMResult
+    from ptdecouple.search import _start_outcome
 
     cfg, J, F, pts = _search_case(case)
     bound = _LM_TOL * float(np.sum(J * J) + cfg.lam * np.sum(F * F))
@@ -1110,7 +1131,7 @@ class TestParallelSearch:
         Returns the ends of a pipe that gets each start a helper descends from.
         """
         read, write = os.pipe()
-        caller, real = os.getpid(), solver_mod._start_outcome
+        caller, real = os.getpid(), search_mod._start_outcome
 
         def outcome(*args):
             if os.getpid() != caller:
@@ -1119,14 +1140,14 @@ class TestParallelSearch:
                 raise AssertionError("no helper began a descent")
             return real(*args)
 
-        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(search_mod, "_start_outcome", outcome)
         return read, write
 
     @pytest.mark.parametrize("helpers", [1, 3])
     @pytest.mark.parametrize("case", ["f1", "L3"])
     def test_parallel_search_returns_the_in_process_bytes(self, monkeypatch, case, helpers):
         cfg, J, F, pts = _search_case(case)
-        real, stops = solver_mod._start_outcome, []
+        real, stops = search_mod._start_outcome, []
 
         def spied(*args):
             out = real(*args)
@@ -1134,8 +1155,8 @@ class TestParallelSearch:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_helper_cpus", lambda: [])
-            m.setattr(solver_mod, "_start_outcome", spied)
+            m.setattr(search_mod, "_helper_cpus", lambda: [])
+            m.setattr(search_mod, "_start_outcome", spied)
             expected = start_search(cfg, J, F, pts)
         if case == "f1":
             assert stops == ["stalled", "stalled", "converged"]
@@ -1143,7 +1164,7 @@ class TestParallelSearch:
             assert stops == ["stalled"] * 8
         # every helper on one core: with three, more processes than cores
         cpu = max(os.sched_getaffinity(0))
-        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu] * helpers)
+        monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [cpu] * helpers)
         read, write = self.hold_for_helpers(monkeypatch)
         try:
             got = start_search(cfg, J, F, pts)
@@ -1161,11 +1182,11 @@ class TestParallelSearch:
         # the board, and the pick is that of the search in process
         cfg, J, F, pts = _search_case("f1", seed=2)
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            m.setattr(search_mod, "_helper_cpus", lambda: [])
             expected = start_search(cfg, J, F, pts)
-        alone = solver_mod._start_outcome(cfg, J, F, pts, 2)
+        alone = search_mod._start_outcome(cfg, J, F, pts, 2)
         assert alone.stop_reason == "stalled" and alone.iterations == 60
-        caller, real = os.getpid(), solver_mod._start_outcome
+        caller, real = os.getpid(), search_mod._start_outcome
         began, go = os.pipe(), os.pipe()
         polls, dropped = [], []
 
@@ -1195,8 +1216,8 @@ class TestParallelSearch:
             return real(cfg, J, F, pts, k, poll)
 
         cpu = max(os.sched_getaffinity(0))
-        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu])
-        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [cpu])
+        monkeypatch.setattr(search_mod, "_start_outcome", outcome)
         try:
             got = start_search(cfg, J, F, pts)
             ran = set(os.read(began[0], 64))
@@ -1211,7 +1232,8 @@ class TestParallelSearch:
         # whatever order the outcomes arrive in, the pick is that of one
         # descent after another: the first strictly lowest finite objective,
         # up to the first converged descent, or the first exception
-        from ptdecouple.solver import LMResult, _Pick
+        from ptdecouple.descent import LMResult
+        from ptdecouple.search import _Pick
 
         def result(objective, stop_reason="stalled"):
             return LMResult(state=None, objective=objective, iterations=1,
@@ -1263,7 +1285,7 @@ class TestParallelSearch:
                 assert pick.done and pick.best is expected
 
     def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
-        from ptdecouple.solver import LMResult
+        from ptdecouple.descent import LMResult
 
         cfg, J, F, pts = _search_case("f1")
         read, write = os.pipe()
@@ -1277,9 +1299,9 @@ class TestParallelSearch:
                 raise AssertionError("no helper began a descent")
             return LMResult(state=state, objective=1.0, iterations=1, stop_reason="stalled")
 
-        monkeypatch.setattr(solver_mod, "lm_descent", descent)
+        monkeypatch.setattr(search_mod, "lm_descent", descent)
         cpu = max(os.sched_getaffinity(0))
-        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu])
+        monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [cpu])
         try:
             with pytest.raises(TypeError, match="scripted helper error") as info:
                 start_search(cfg, J, F, pts)
@@ -1296,7 +1318,7 @@ class TestParallelSearch:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert solver_mod._helper_cpus() == []
+            assert search_mod._helper_cpus() == []
         finally:
             release.set()
             thread.join(timeout=60)
@@ -1309,7 +1331,7 @@ class TestParallelSearch:
 
         case = _search_case("f1")
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            m.setattr(search_mod, "_helper_cpus", lambda: [])
             expected = start_search(*case)
         with ProcessPoolExecutor(max_workers=1) as pool:
             forks, got = pool.submit(_search_in_worker, case).result(timeout=120)
@@ -1928,7 +1950,7 @@ def test_start_search_peak_memory(monkeypatch):
     # 77.2-78.3 KB; kernels that broadcast ufuncs or einsums across the
     # seeds read 84-105 KB, and a stored LM Jacobian 110-125 KB.
     cfg, J, F, pts = _search_case("f1")
-    monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
     assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 74_500
 
@@ -1939,6 +1961,6 @@ def test_deep_start_search_peak_memory(monkeypatch):
     # summed from zeros, 138.2-139.5 KB with the forward-mode derivatives.
     # The bound leaves a margin of about 2 %, as the f1 test's.
     cfg, J, F, pts = _search_case("L3")
-    monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [])
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
     assert traced_peak(lambda: start_search(cfg, J, F, pts)) < 129_700

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import make_system, state_bytes, truth_state, wait_readable
 
-import ptdecouple.solver as solver_mod
+import ptdecouple.descent as descent_mod
+import ptdecouple.search as search_mod
 import ptdecouple.tuner as tuner_mod
 from ptdecouple.model import build_f_matrix, build_jacobian_tensor, eval_batch
 from ptdecouple.solver import SolverConfig, SolverDivergenceError
@@ -66,6 +67,14 @@ class TestConfig:
             TunerConfig(solver=sc, beta=1.0)
         with pytest.raises(ValueError):
             TunerConfig(solver=sc, max_stages=0)
+
+    def test_max_stages_must_be_an_integer(self):
+        # tune's stage loop compares against max_stages, so 2.5 built three stages
+        sc = quick_solver()
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="max_stages"):
+                TunerConfig(solver=sc, max_stages=value)
+        assert TunerConfig(solver=sc, max_stages=np.int64(2)).max_stages == 2
 
 
 class TestValidationMetric:
@@ -258,6 +267,19 @@ class TestTuneProperties:
                 tune(cfg, J, F, train, (val, bad))
         assert calls == []
 
+    def test_non_finite_validation_points_rejected_before_any_fit(self, monkeypatch):
+        # a non-finite point makes stage 0's metric NaN, which would read as a
+        # numerical failure after the stage's search and sweeps
+        calls, _ = fake_searches(monkeypatch)
+        model, train, val, J, F, targets = small_problem(14)
+        cfg = TunerConfig(solver=quick_solver())
+        for value in (np.nan, np.inf):
+            bad = val.copy()
+            bad[3, 1] = value
+            with pytest.raises(ValueError, match="non-finite validation points"):
+                tune(cfg, J, F, train, (bad, targets))
+        assert calls == []
+
     def test_report_json(self):
         model, train, val, J, F, targets = small_problem(15)
         cfg = TunerConfig(solver=quick_solver(seed=6), max_stages=2)
@@ -300,7 +322,7 @@ class TestPipelinedSearches:
     def helpers(monkeypatch, count):
         """Fork count helpers, all on one core, from here on."""
         cpu = max(os.sched_getaffinity(0))
-        monkeypatch.setattr(solver_mod, "_helper_cpus", lambda: [cpu] * count)
+        monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [cpu] * count)
 
     @staticmethod
     def stage_of(cfg, inner):
@@ -310,13 +332,13 @@ class TestPipelinedSearches:
     def test_a_tuned_run_keeps_its_bytes_and_forks_once(self, monkeypatch, case):
         cfg, J, F, pts, validation = tuned_case(case)
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_helper_cpus", lambda: [])
+            m.setattr(search_mod, "_helper_cpus", lambda: [])
             expected = tune(cfg, J, F, pts, validation)
         assert len(expected.stages) == 3
         # each stage's sweeps wait until a helper has begun a start of the
         # next stage, which the caller has not reached
         read, write = os.pipe()
-        caller, real, real_fit = os.getpid(), solver_mod._start_outcome, tuner_mod.fit
+        caller, real, real_fit = os.getpid(), search_mod._start_outcome, tuner_mod.fit
         ahead = set()
 
         def outcome(inner, *args):
@@ -334,7 +356,7 @@ class TestPipelinedSearches:
         forks = []
         os.register_at_fork(after_in_parent=lambda: forks.append(1))
         self.helpers(monkeypatch, 2)
-        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(search_mod, "_start_outcome", outcome)
         monkeypatch.setattr(tuner_mod, "fit", fit)
         try:
             got = tune(cfg, J, F, pts, validation)
@@ -350,7 +372,7 @@ class TestPipelinedSearches:
     def scripted_errors(self, monkeypatch, cfg, stage):
         """Descents of the stage raise TypeError in the helpers and stall in
         the caller; returns the outcomes the caller's picks take."""
-        caller, real = os.getpid(), solver_mod.lm_descent
+        caller, real = os.getpid(), search_mod.lm_descent
         lam = cfg.lambda0
         for _ in range(stage):  # by the tuner's products
             lam *= cfg.beta
@@ -360,17 +382,17 @@ class TestPipelinedSearches:
                 return real(state, *args)
             if os.getpid() != caller:
                 raise TypeError(f"scripted error in stage {stage}")
-            return solver_mod.LMResult(state=state, objective=1.0, iterations=1,
+            return descent_mod.LMResult(state=state, objective=1.0, iterations=1,
                                        stop_reason="stalled")
 
-        picked, add = [], solver_mod._Pick.add
+        picked, add = [], search_mod._Pick.add
 
         def spied(pick, k, outcome):
             picked.append(outcome)
             return add(pick, k, outcome)
 
-        monkeypatch.setattr(solver_mod, "lm_descent", descent)
-        monkeypatch.setattr(solver_mod._Pick, "add", spied)
+        monkeypatch.setattr(search_mod, "lm_descent", descent)
+        monkeypatch.setattr(search_mod._Pick, "add", spied)
         return picked
 
     def test_an_error_of_a_stage_never_run_is_not_raised(self, monkeypatch):
@@ -382,7 +404,7 @@ class TestPipelinedSearches:
         picked = self.scripted_errors(monkeypatch, cfg, 2)
         # the helper descends stage 1 only once the caller is in it, and the
         # caller's first descent of stage 1 ends once stage 2's error is sent
-        caller, real, real_fit = os.getpid(), solver_mod._start_outcome, tuner_mod.fit
+        caller, real, real_fit = os.getpid(), search_mod._start_outcome, tuner_mod.fit
         entered, sent = os.pipe(), os.pipe()
         send = multiprocessing.connection.Connection.send
 
@@ -409,7 +431,7 @@ class TestPipelinedSearches:
         sent_seen = []
         self.helpers(monkeypatch, 1)
         monkeypatch.setattr(multiprocessing.connection.Connection, "send", sending)
-        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(search_mod, "_start_outcome", outcome)
         monkeypatch.setattr(tuner_mod, "fit", fit)
         try:
             report = tune(cfg, J, F, pts, validation)
@@ -424,7 +446,7 @@ class TestPipelinedSearches:
         self.scripted_errors(monkeypatch, cfg, 1)
         # the caller's descents of stage 1 wait until a helper has begun one
         read, write = os.pipe()
-        caller, real = os.getpid(), solver_mod._start_outcome
+        caller, real = os.getpid(), search_mod._start_outcome
 
         def outcome(inner, *args):
             if self.stage_of(cfg, inner) == 1:
@@ -435,7 +457,7 @@ class TestPipelinedSearches:
             return real(inner, *args)
 
         self.helpers(monkeypatch, 1)
-        monkeypatch.setattr(solver_mod, "_start_outcome", outcome)
+        monkeypatch.setattr(search_mod, "_start_outcome", outcome)
         try:
             with pytest.raises(TypeError, match="scripted error in stage 1") as info:
                 tune(cfg, J, F, pts, validation)
