@@ -291,7 +291,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("runs", "n_samples", "n_validation", "n_test", "seed", "jobs"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         picked = [x for x in (self.builtin, self.model_file, self.generate) if x is not None]
         if len(picked) != 1:
             raise ValueError("exactly one of builtin, model_file or generate must be set")

@@ -20,9 +20,11 @@ the coefficient updates come in two flavours:
 * ``constr`` - direct least-squares update of the coefficients with the
   constraints satisfied by construction.
 
-Both start from one build of the layer's per-slice G-row planes,
-``_coeff_problem``, and read the structure rows of the layer inputs that
-``_coeff_bases`` gives.
+Both take the layer's per-slice G-row systems from one helper,
+``_slice_systems``, which builds their planes once and, by one rule,
+reduces every slice's system to its QR triangle once the layer has at
+least ``_QR_MIN_STACK`` = 100 slices and the planes are tall; both read
+the structure rows of the layer inputs that ``_coeff_bases`` gives.
 
 At large S the tall systems of a sweep (the middle and last W systems and
 both coefficient systems) are built and reduced one panel of slices at a
@@ -485,22 +487,11 @@ def _rank_size(weights, layer):
     return weights, q_in, q_out
 
 
-def _plane_rows(weights, layer):
-    """p = m'n', the rows per slice of a layer's G-row planes at rank size (:func:`_rank_size`)."""
-    m, n = weights[0].shape[1], weights[-1].shape[0]
-    if layer == 1:
-        m = min(m, len(weights[0]))
-    if layer == len(weights) - 1:
-        n = min(n, weights[-1].shape[1])
-    return m * n
-
-
-def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
+def _coeff_problem(state, layer, j_tensor):
     """The per-slice G-row planes that both coefficient updates of a layer start from.
 
-    Returns ``(C, i0)`` for the slices sl (all by default): C
-    ((r+1) x p x k, k slices) holds the slices' G-row matrices K_s
-    (:func:`_g_rows`) as r column planes, then their targets b_s as one
+    Returns ``(C, i0)``: C ((r+1) x p x S) holds every slice's G-row matrix
+    K_s (:func:`_g_rows`) as r column planes, then their targets b_s as one
     more, so that b_s = K_s G_layer[s] for exact factors.  They are at rank
     size (:func:`_rank_size`): p = m'n', with m' = r_1 in place of m at the
     first layer and n' = r_L in place of n at the last where the shared
@@ -508,26 +499,23 @@ def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
     not 9, and b_s = (Q_in kron Q_out)^T vec(J_s); elsewhere K_s and b_s are
     the slice's Khatri-Rao rows and vec(J_s) themselves.  Each K_s keeps
     the minimizer, the singular values and so the truncations of the
-    unreduced system.  ``_planes_stack(C)`` gives the stack K (k x p x r)
-    and jb (k x p) as views.  A slice's planes do not depend on the others.
+    unreduced system.  A slice's planes do not depend on the others.
     i0 is the first fitted coefficient column (1 below the last layer, where
     the constants are frozen, else 0).  The rows of (M_C)_0 are K_s times
     the structure rows X[:, s, i0:] of the layer inputs of
     :func:`_coeff_bases`.
     """
-    n, m, _ = j_tensor.shape
+    n, m, S = j_tensor.shape
     weights, q_in, q_out = _rank_size(state.weights, layer)
-    p = _plane_rows(state.weights, layer)
-    G = [g[sl] for g in state.G]
-    r, S = G[layer - 1].shape[1], len(G[0])
-    C = np.empty((r + 1, p, S))
+    r = state.G[layer - 1].shape[1]
+    C = np.empty((r + 1, weights[0].shape[1] * weights[-1].shape[0], S))
     planes = C[:r].reshape(r, weights[0].shape[1], -1, S)
     # the planes are written one chunk of slices at a time, so that the
     # chains around the layer and their temporaries, up to three arrays of a
     # chain's size, exist for one chunk only
-    for ch in slice_panels(S, 8 * ((r + 1) * p + 3 * r * max(m, n))):
-        _g_rows(weights, [g[ch] for g in G], layer, out=planes[..., ch])
-    J, jb = j_tensor[:, :, sl], C[r].reshape(planes.shape[1:])
+    for ch in slice_panels(S, 8 * ((r + 1) * C.shape[1] + 3 * r * max(m, n))):
+        _g_rows(weights, [g[ch] for g in state.G], layer, out=planes[..., ch])
+    J, jb = j_tensor, C[r].reshape(planes.shape[1:])
     if q_in is None and q_out is None:
         jb[...] = J.transpose(1, 0, 2)
     elif q_out is None:
@@ -541,6 +529,28 @@ def _coeff_problem(state, layer, j_tensor, sl=slice(None)):
         for u, q in enumerate(q_out.T):
             np.einsum("b,bas->as", q, J, out=jb[:, u])
     return C, 0 if layer == state.n_layers else 1
+
+
+def _slice_systems(state, layer, j_tensor):
+    """``(P, y, reduced)``: every slice's G-row system, QR-reduced from ``_QR_MIN_STACK`` slices.
+
+    P[j, :, s] is column j of slice s's matrix and y[:, s] its right-hand
+    side.  The planes of :func:`_coeff_problem` are built once; a layer of
+    at least ``_QR_MIN_STACK`` slices whose planes are tall (p >= r) has
+    them reduced in place (:func:`reduce_planes`), and R_s (P, r x r x S)
+    and (Q_s^T b_s)[:r] (y, r x S) copied out of them, so the planes are
+    gone once this returns.  Any other layer gets the planes themselves,
+    K_s (P, r x p x S) and b_s (y, p x S).  Either way each slice's system
+    has the minimizer and, to round-off, the singular values of K_s
+    against b_s.
+    """
+    C, _ = _coeff_problem(state, layer, j_tensor)
+    P, y = C[:-1], C[-1]
+    r, p, S = P.shape
+    if S < _QR_MIN_STACK or p < r:
+        return P, y, False
+    R, y = reduce_planes(P, y)
+    return R.copy(), y.copy(), True
 
 
 def _row_panels(S, first, second=None, held=0):
@@ -582,23 +592,6 @@ def _structure(state, layer, U):
     return build_X(U, d), build_Y(U, d) if layer == state.n_layers else None
 
 
-def _planes_stack(C):
-    """The stack K (S x p x r) and jb (S x p) held in C's planes, as views."""
-    return C[:-1].transpose(2, 1, 0), C[-1].T
-
-
-def _reduced_planes(state, layer, j_tensor):
-    """Every slice's R_s and (Q_s^T b_s)[:r] of the G-row planes of :func:`_coeff_problem`.
-
-    The planes are reduced in place (:func:`reduce_planes`) and R and Q^T b
-    copied out of them, so the planes are gone once this returns and no
-    solve is held beside them.
-    """
-    C, _ = _coeff_problem(state, layer, j_tensor)
-    R, y = reduce_planes(C[:-1], C[-1])
-    return R.copy(), y.copy()
-
-
 def _write_factors(state, layer, U):
     """Overwrite G_layer, and R at the last layer, with their structured versions.
 
@@ -620,11 +613,10 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     """Projection update: free factor rows first, then fit coefficients.
 
     All rows of G_layer are updated by unconstrained least squares in one
-    stacked solve against the G-row matrices of :func:`_coeff_problem`, at
-    rank size; a stack of at least ``_QR_MIN_STACK`` tall systems is
-    reduced in the planes it was built in and solved from its triangles
-    (:func:`_reduced_planes`, :func:`lstsq_reduced`), a smaller one by the
-    SVD.  For the last layer R is fit as a whole too, from F.
+    stacked solve of the slices' G-row systems at rank size
+    (:func:`_slice_systems`): from ``_QR_MIN_STACK`` slices on, when they
+    are tall, from their QR triangles (:func:`lstsq_reduced`), else by the
+    SVD of the stack.  For the last layer R is fit as a whole too, from F.
     Every neuron's coefficients are then fit to its updated factor column
     through the structure rows of the fresh layer inputs
     (:func:`_coeff_bases`, computed once the planes are gone), all neurons
@@ -636,11 +628,10 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     The constants of the layers below the last stay frozen.  Finally the
     factors are overwritten by their structured versions.
     """
-    S, r = state.G[layer - 1].shape
-    if S >= _QR_MIN_STACK and _plane_rows(state.weights, layer) >= r:
-        solved = lstsq_reduced(*_reduced_planes(state, layer, j_tensor))
-    else:
-        solved = lstsq_info(*_planes_stack(_coeff_problem(state, layer, j_tensor)[0]))
+    r = state.G[layer - 1].shape[1]
+    P, y, reduced = _slice_systems(state, layer, j_tensor)
+    solved = lstsq_reduced(P, y) if reduced else lstsq_info(P.transpose(2, 1, 0), y.T)
+    del P, y
     G = state.G[layer - 1] = _counted(state, solved)
     U = _coeff_bases(state, layer, points)
     last = layer == state.n_layers
@@ -678,37 +669,6 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
     return state
 
 
-def _structured_rows(K, X, out=None):
-    """Rows (s, k), columns (j, i) holding K[s, k, j] * X[j, s, i], stacked over s.
-
-    Written into ``out`` (S*p x r*w, C-contiguous; a fresh array when None).
-    """
-    S, p, r = K.shape
-    if out is None:
-        out = np.empty((S * p, r * X.shape[2]))
-    np.einsum("skj,jsi->skji", K, X, out=out.reshape(S, p, r, -1))
-    return out
-
-
-# The constr update reduces each slice's rows by QR once that removes at
-# least this many rows, S * (p - r), counted on the G-row planes at rank
-# size (_plane_rows).  Time of a 5-sweep constr fit, reduced / full rows
-# (rows removed per layer), median of 41 interleaved pairs, one BLAS
-# thread, 2 shared x86-64 vCPUs: f2 shape (p = 6, r = 2) S = 100 1.13
-# (400), S = 200 1.02 (800), S = 300 0.94 (1200), S = 500 0.86 (2000),
-# S = 1000 0.74 (4000); f1 shape (p = 4, r = 2) S = 300 1.01 (600), S = 500
-# 0.94 (1000), S = 700 0.91 (1400), S = 1000 0.88 (2000); L = 3 (m = 3,
-# n = 2, ranks 3, 2, 2) S = 300 1.01 (900-1200), S = 500 0.90 (1500-2000),
-# S = 1000 0.84 (3000-4000).  The stacked QR costs a fixed number of numpy
-# calls, which fewer removed rows do not repay: _QR_MIN_STACK's cut at
-# S = 100 would slow the fits at S = 100-200.  The S = 30 fits remove at
-# most 210 rows and keep the full system: reducing every slice, 20-sweep
-# constr fits there take 1.28 (f1), 1.33 (L = 3) and 1.27 (f2) times the
-# CPU time (median of 21 interleaved runs), 1.11-1.13 with one batched
-# np.linalg.qr in place of reduce_planes.
-_CONSTR_QR_MIN_ROWS = 1000
-
-
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """Direct coefficient update with the constraints satisfied by construction.
 
@@ -722,12 +682,12 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
 
     With K_s = Q_s R_s, the r rows R_s D_s against
     (Q_s^T b_s)[:r] have the same minimizer and the same singular
-    values: the system is block-diagonal(Q_s) times the reduced one.  Once
-    that would remove at least ``_CONSTR_QR_MIN_ROWS`` rows of the planes,
-    every slice is reduced by one stacked QR in the planes
-    (:func:`_reduced_planes`); the reduced rows are built from R and Q^T b
-    in the order (row of R, slice), and at the last layer the F block
-    W_L E_s is reduced alike by one QR of W_L when n > r.  A non-finite
+    values: the system is block-diagonal(Q_s) times the reduced one.  The
+    rows come from the slices' systems of :func:`_slice_systems`, by the
+    rule the proj update follows: from ``_QR_MIN_STACK`` slices on, when
+    the planes are tall, the reduced ones, in the order (row of R, slice),
+    and at the last layer the F block W_L E_s is reduced alike by one QR
+    of W_L when n > r; else the full ones, slice by slice.  A non-finite
     plane raises :class:`NonFiniteError`.  The system's J rows and F rows
     are built one panel of slices at a time (:func:`lstsq_panels`), each block
     written into the panel's one array from the panel's structure rows,
@@ -741,24 +701,21 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     # the F block's W_L E_s rows at the last layer, none below it
     W = state.weights[-1][: n if last else 0]
     fb = f_matrix[: len(W)]
-    p = _plane_rows(state.weights, layer)
-    reduced = S * (p - r) >= _CONSTR_QR_MIN_ROWS
-    if reduced:
-        if len(W) > r:
-            # the QR of W_L cuts the coupling block from n*S to r*S rows
-            Q, Wq = np.linalg.qr(W)
-            W, fb = Wq, Q.T @ fb
-        Rs, ys = _reduced_planes(state, layer, j_tensor)
-        # the rows per slice of the system: R_s's, not the planes'
-        p = r
+    P, y, reduced = _slice_systems(state, layer, j_tensor)
+    if reduced and len(W) > r:
+        # the QR of W_L cuts the coupling block from n*S to r*S rows
+        Q, W = np.linalg.qr(W)
+        fb = Q.T @ fb
+    # the rows per slice of the system: R_s's where reduced, else the planes'
+    p = P.shape[1]
     U = _coeff_bases(state, layer, points)
     d = state.coeffs[layer - 1].shape[1] - 1
     i0 = 0 if last else 1
     w = d + 1 - i0
     q = r * w
     # held beside a panel's rows, per slice: its structure rows X and Y,
-    # and the reduced slices
-    held = 8 * r * (d + 1) * (1 + last) + (8 * r * (r + 1) if reduced else 0)
+    # and its G-row system
+    held = 8 * r * (d + 1) * (1 + last) + 8 * p * (r + 1)
     panels = _row_panels(S, 8 * p * (q + 1), 8 * len(W) * (q + 1) if last else None, held=held)
 
     def rows(panel):
@@ -774,19 +731,15 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
         # so the large blocks are written one panel of k rows per call.
         if with_j:
             X = write_X(U[sl], d, np.empty((w, r, k)).transpose(1, 2, 0))
-        if with_j and reduced:
-            # row (t, s), column (j, i) holds R_s[t, j] * X[j, s, i]
-            blocks = a[:n_j].reshape(r, k, r, w)
-            for t in range(r):
-                np.einsum("js,jsi->sji", Rs[:, t, sl], X, out=blocks[t])
-            b[:n_j] = ys[:, sl].ravel()
-        elif with_j:
-            # the full rows, from the panel's planes
-            C, _ = _coeff_problem(state, layer, j_tensor, sl)
-            K, jb = _planes_stack(C)
-            _structured_rows(K, X, out=a[:n_j])
-            b[:n_j].reshape(jb.shape)[...] = jb
-            del C, K, jb
+            # row t of slice s, column (j, i) holds P[j, t, s] * X[j, s, i]:
+            # reduced rows in the order (t, s), full ones (s, t), the order
+            # whose bits the fits below _QR_MIN_STACK slices keep
+            blocks, jb = a[:n_j].reshape(p, k, r, w), b[:n_j].reshape(p, k)
+            if not reduced:
+                blocks, jb = a[:n_j].reshape(k, p, r, w).swapaxes(0, 1), b[:n_j].reshape(k, p).T
+            for t in range(p):
+                np.einsum("js,jsi->sji", P[:, t, sl], X, out=blocks[t])
+            jb[...] = y[:, sl]
         if with_f and last:
             Y = power_rows(U[sl].T, d)
             # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, t) holds

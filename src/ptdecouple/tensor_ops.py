@@ -266,10 +266,14 @@ def reduce_planes(a, b):
             v[0] -= s
             t = np.einsum("cpk,pk->ck", a[j + 1 :, j:], v) * tau
             tb = np.einsum("pk,pk->k", b[j:], v) * tau
-            # one column at a time and in three blocks of rows: a temporary of
-            # a third of the column, and operands of one shape, for which
-            # numpy allocates no iteration buffers
-            h = -(-len(v) // 3)
+            # one column at a time, and in three blocks of rows once the
+            # column takes more than 16 KiB: a temporary of a third of the
+            # column, and operands of one shape, for which numpy allocates no
+            # iteration buffers.  Each entry is updated alone, so the blocks
+            # change no bit; a smaller column is updated whole, which saves a
+            # quarter of the reduction's numpy calls (at f2 S = 1000 a column
+            # takes 48 KB, and its blocks keep the fit's peak)
+            h = len(v) if v.nbytes <= 1 << 14 else -(-len(v) // 3)
             for i in range(0, len(v), h):
                 vi = v[i : i + h]
                 for c, tc in enumerate(t, start=j + 1):

@@ -90,3 +90,17 @@ def truth_state(model, points, perturb=0.0, seed=0):
         R=wig(R),
         coeffs=[wig(c) for c in model.coeffs],
     )
+
+
+def planes_stack(C):
+    """The stack K (S x p x r) and the targets jb (S x p) of the G-row planes
+    C that ``solver._coeff_problem`` returns, as views."""
+    return C[:-1].transpose(2, 1, 0), C[-1].T
+
+
+def structured_rows(K, X):
+    """The constr rows (M_C)_0 of the stacked G-row matrices K (S x p x r) and
+    the structure rows X (r x S x w): row (s, k), column (j, i) holds
+    K[s, k, j] * X[j, s, i]."""
+    S, p, r = K.shape
+    return np.einsum("skj,jsi->skji", K, X).reshape(S * p, -1)

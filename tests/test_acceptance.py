@@ -8,7 +8,7 @@ experiments each and take a few minutes combined.
 import time
 
 import numpy as np
-from conftest import make_system, truth_state
+from conftest import make_system, planes_stack, structured_rows, truth_state
 
 from ptdecouple.harness import ExperimentConfig, run_experiment
 from ptdecouple.model import (
@@ -27,13 +27,7 @@ from ptdecouple.model import (
     true_pt_factors,
 )
 from ptdecouple.solver import SolverConfig, build_MG, build_MW, fit
-from ptdecouple.solver import (
-    _coeff_bases,
-    _coeff_problem,
-    _planes_stack,
-    _structure,
-    _structured_rows,
-)
+from ptdecouple.solver import _coeff_bases, _coeff_problem, _structure
 from ptdecouple.tensor_ops import fro_norm, unfold, vec, vec3
 
 
@@ -221,8 +215,8 @@ def test_criterion_6_update_matrix_identities():
             # full rows against vec3(J), up to a term free of c
             C, i0 = _coeff_problem(st, l, J)
             X, _ = _structure(st, l, _coeff_bases(st, l, pts))
-            K, jb = _planes_stack(C)
-            M0 = _structured_rows(K, X[:, :, i0:])
+            K, jb = planes_stack(C)
+            M0 = structured_rows(K, X[:, :, i0:])
             c = np.concatenate([st.coeffs[l - 1][j, i0:] for j in range(ranks[l - 1])])
             worst = max(worst, fro_norm(jb.ravel() - M0 @ c) / nJ)
     ok = worst <= 1e-10

@@ -169,6 +169,25 @@ class TestExperimentConfig:
                 quick_config(builtin="f1", n_test=n_test)
         assert quick_config(builtin="f1", n_test=2).n_test == 2
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("runs", "n_samples", "n_validation", "n_test", "seed", "jobs")
+        for value in (1.5, True)
+    ] + [("n_test", 2.5)])
+    def test_counts_must_be_integers(self, field, value):
+        # a float seed ran as its integer part, a float count failed only
+        # inside run_experiment; n_test's range check alone rejects 1.5 and
+        # True (1), not 2.5
+        with pytest.raises(ValueError, match=field):
+            quick_config(builtin="f1", **{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = quick_config(builtin="f1", runs=np.int64(2), n_samples=np.int32(15),
+                           n_validation=np.uint8(10), n_test=np.int16(0), seed=np.uint64(5),
+                           jobs=np.int8(1))
+        counts = (cfg.runs, cfg.n_samples, cfg.n_validation, cfg.n_test, cfg.seed, cfg.jobs)
+        assert counts == (2, 15, 10, 0, 5, 1)
+        assert all(type(x) is int for x in counts)
+
     def test_from_dict_inverts_to_dict(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(path, builtin_system("f2"))

@@ -5,7 +5,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_system, state_bytes, truth_state, wait_readable
+from conftest import (
+    make_system,
+    planes_stack,
+    state_bytes,
+    structured_rows,
+    truth_state,
+    wait_readable,
+)
 
 import ptdecouple.search as search_mod
 import ptdecouple.solver as solver_mod
@@ -26,13 +33,7 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.search import start_search
-from ptdecouple.solver import (
-    _coeff_bases,
-    _coeff_problem,
-    _planes_stack,
-    _structure,
-    _structured_rows,
-)
+from ptdecouple.solver import _coeff_bases, _coeff_problem, _structure
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
     NonFiniteError,
@@ -59,7 +60,24 @@ def constr_rows(st, layer, J, pts):
     """The rows (M_C)_0 that the constr update solves on, with the first fitted column."""
     C, i0 = _coeff_problem(st, layer, J)
     X, _ = bases(st, layer, pts)
-    return _structured_rows(_planes_stack(C)[0], X[:, :, i0:]), i0
+    return structured_rows(planes_stack(C)[0], X[:, :, i0:]), i0
+
+
+def full_constr_system(st, layer, J, F, pts, lam):
+    """The constr update's system unreduced, ``(a, b, i0)``: (M_C)_0 of the
+    whole planes against their targets, slice by slice, and at the last layer
+    the sqrt(lam)-scaled F rows below, row (i, s) and column (j, t) holding
+    sqrt(lam) * W_L[i, j] * Y[j, s, t] against sqrt(lam) * F[i, s]."""
+    C, i0 = _coeff_problem(st, layer, J)
+    K, jb = planes_stack(C)
+    X, Y = bases(st, layer, pts)
+    a, b = structured_rows(K, X[:, :, i0:]), jb.ravel()
+    if Y is not None:
+        n, S = F.shape
+        W = np.einsum("ij,jst->isjt", st.weights[-1], Y).reshape(n * S, -1)
+        a = np.vstack([a, np.sqrt(lam) * W])
+        b = np.concatenate([b, np.sqrt(lam) * F.ravel()])
+    return a, b, i0
 
 
 def bases(st, layer, pts):
@@ -385,8 +403,9 @@ class TestUpdateCConstr:
 
 
 class TestReducedConstrRows:
-    """Above ``_CONSTR_QR_MIN_ROWS`` removed rows the constr update solves on
-    per-slice QR-reduced rows; below it, on the full (M_C)_0."""
+    """From ``_QR_MIN_STACK`` slices on the constr update solves on per-slice
+    QR-reduced rows, as the proj update solves its G rows from their
+    triangles; below, on the full (M_C)_0."""
 
     @staticmethod
     def problem(name, S):
@@ -399,13 +418,14 @@ class TestReducedConstrRows:
 
     @staticmethod
     def both_paths(monkeypatch, st, layer, J, F, pts, split=None):
-        """(reduced, full) updated states and the row count of each solve.
+        """(reduced, full) coefficient sets and the row count of each solve.
 
-        With ``split`` given, checks that the reduced system was (True) or
-        was not (False) split into panels.
+        ``reduced`` is the update's, ``full`` that of the full system
+        (:func:`full_constr_system`) solved whole with unit columns, as the
+        update solves; each state counts its solve's truncations.  With
+        ``split`` given, checks that the reduced system was (True) or was
+        not (False) split into panels.
         """
-        import ptdecouple.solver as solver_mod
-
         rows, splits = [], []
 
         def spied(build, panels, *args, **kwargs):
@@ -415,9 +435,13 @@ class TestReducedConstrRows:
 
         monkeypatch.setattr(solver_mod, "lstsq_panels", spied)
         reduced = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
-        monkeypatch.setattr(solver_mod, "_CONSTR_QR_MIN_ROWS", np.inf)
-        full = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
         assert split is None or splits[0] == split
+        a, b, i0 = full_constr_system(st, layer, J, F, pts, 1e-6)
+        c, trunc = lstsq_panels(lambda _: np.column_stack([a, b]), [None], a.shape[1], unit=True)
+        full = st.copy()
+        full.coeffs[layer - 1][:, i0:] = c.reshape(len(full.coeffs[layer - 1]), -1)
+        full.n_truncated += trunc
+        rows.append(len(a))
         return reduced, full, rows
 
     @staticmethod
@@ -430,9 +454,8 @@ class TestReducedConstrRows:
         1e9 and falls to about 60 once its columns are scaled; two solvers of
         the same full system differ there by 1e-11 to 1e-9 unweighted.
         """
-        C, i0 = _coeff_problem(st, layer, J)
+        M0, i0 = constr_rows(st, layer, J, pts)
         X, Y = bases(st, layer, pts)
-        M0 = _structured_rows(_planes_stack(C)[0], X[:, :, i0:])
         sq = np.sum(M0 * M0, axis=0).reshape(len(X), -1)
         if Y is not None:
             sq += 1e-6 * np.sum(st.weights[-1] ** 2, axis=0)[:, None] * np.sum(Y * Y, axis=1)
@@ -443,33 +466,40 @@ class TestReducedConstrRows:
     @pytest.mark.parametrize("name, S", [("f1", 1000), ("f2", 300)])
     @pytest.mark.parametrize("layer", [1, 2])
     def test_reduced_rows_solve_as_the_full_system(self, monkeypatch, name, S, layer):
-        from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
-
         pts, J, F, st = self.problem(name, S)
         n, m, _ = J.shape
         r = st.G[layer - 1].shape[1]
         # the full system's G-row matrices are at rank size: f2's W_0 and
-        # W_L give 6 rows per slice, not 9; the gate counts the rows that
-        # the reduction removes from them
+        # W_L give 6 rows per slice, not 9; the rule reduces such tall
+        # planes from _QR_MIN_STACK slices on
         p = (min(m, r) if layer == 1 else m) * (min(n, r) if layer == 2 else n)
         assert _coeff_problem(st, layer, J)[0].shape[1] == p == {"f1": 4, "f2": 6}[name]
-        assert S * (p - r) >= _CONSTR_QR_MIN_ROWS
+        assert S >= _QR_MIN_STACK and p > r
         reduced, full, rows = self.both_paths(monkeypatch, st, layer, J, F, pts)
         f_rows = (0, 0) if layer == 1 else (S * min(n, r), S * n)
         assert rows == [S * r + f_rows[0], S * p + f_rows[1]]
         self.assert_same_solution(st, layer, J, pts, reduced, full)
         assert reduced.n_truncated == full.n_truncated == 0
 
-    # the gate counts the rows that the reduction removes from the planes at
-    # rank size, 6 - 2 = 4 a slice on f2, not the 9 - 2 of its Khatri-Rao rows
-    @pytest.mark.parametrize("S, reduced", [(249, False), (250, True)])
-    def test_the_gate_counts_the_rows_removed_from_the_planes(self, monkeypatch, S, reduced):
-        from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
-
-        assert 250 * 4 == _CONSTR_QR_MIN_ROWS
+    # one rule for both updates, on the slice count: every layer's planes
+    # (2 x 6 x S on f2, at rank size) are reduced from _QR_MIN_STACK slices on
+    @pytest.mark.parametrize("S", [_QR_MIN_STACK - 1, _QR_MIN_STACK])
+    @pytest.mark.parametrize("update", [update_c_constr, update_c_proj])
+    def test_the_rule_counts_the_slices(self, monkeypatch, update, S):
         pts, J, F, st = self.problem("f2", S)
-        rows = self.both_paths(monkeypatch, st, 1, J, F, pts)[2]
-        assert rows == [S * (2 if reduced else 6), S * 6]
+        reduced, rows = [], []
+        qr = solver_mod.reduce_planes
+        monkeypatch.setattr(solver_mod, "reduce_planes",
+                            lambda a, b: reduced.append(a.shape) or qr(a, b))
+        solve = solver_mod.lstsq_panels
+        monkeypatch.setattr(solver_mod, "lstsq_panels",
+                            lambda build, p, *a, **k: rows.append(build(None).shape[-2])
+                            or solve(build, p, *a, **k))
+        update(st.copy(), 1, J, F, pts, 1e-6)
+        assert reduced == ([(2, 6, S)] if S >= _QR_MIN_STACK else [])
+        if update is update_c_constr:
+            # the system's rows: R_s's 2 a slice, or the planes' 6
+            assert rows == [S * (2 if S >= _QR_MIN_STACK else 6)]
 
     # the reduced system built in panels, whose stacked triangles truncate
     # as the whole system: at f2 S = 300 each of its two parts in one panel
@@ -567,21 +597,25 @@ class TestCoeffProblem:
         # both strategies reduce every layer's planes at the larger S
         assert len(reduced) == (L if S > 30 else 0)
 
-    def test_rows_match_the_slice_matrices_of_build_mg(self):
+    def test_rows_match_the_slice_matrices_of_build_mg(self, monkeypatch):
         model, pts, J, F = problem(20, ranks=(3, 2, 2), degrees=(2, 3, 2), m=3, n=2, S=7)
         st = truth_state(model, pts, perturb=0.1, seed=4)
+        seen = []
+        solve = solver_mod.lstsq_panels
+        monkeypatch.setattr(solver_mod, "lstsq_panels",
+                            lambda rows, p, *a, **k: seen.append(rows(None)) or solve(rows, p, *a, **k))
         for layer in (1, 2, 3):
             C, i0 = _coeff_problem(st, layer, J)
             _, Y = bases(st, layer, pts)
-            K, jb = _planes_stack(C)
+            K, jb = planes_stack(C)
             for s in range(7):
                 assert np.array_equal(K[s], build_MG(st, layer, s))
                 assert np.array_equal(jb[s], vec(J[:, :, s]))
-            # rows built again for some slices carry the planes' bytes
-            idx = np.array([5, 0, 3])
-            Ki, jbi = _planes_stack(_coeff_problem(st, layer, J, idx)[0])
-            assert Ki.tobytes() == np.ascontiguousarray(K[idx]).tobytes()
-            assert jbi.tobytes() == np.ascontiguousarray(jb[idx]).tobytes()
+            # the constr update's rows, written from the planes of its slices'
+            # systems, carry the bytes of the full system built from them
+            update_c_constr(st.copy(), layer, J, F, pts, 1e-6)
+            a, b, _ = full_constr_system(st, layer, J, F, pts, 1e-6)
+            assert seen[-1].tobytes() == np.column_stack([a, b]).tobytes()
             assert (Y is None, i0) == ((False, 0) if layer == 3 else (True, 1))
 
 
@@ -1364,7 +1398,7 @@ class TestInPlaceReduction:
 
     def untouched_rows(self, st, J, pts):
         C, i0 = _coeff_problem(st, 1, J)
-        K, jb = _planes_stack(C)
+        K, jb = planes_stack(C)
         return K.copy(), jb.copy(), bases(st, 1, pts)[0], i0
 
     @staticmethod
@@ -1437,14 +1471,12 @@ class TestInPlaceReduction:
         assert got.n_truncated - st.n_truncated >= trunc == 2
 
     def test_reduced_constr_matches_a_solve_on_copies(self):
-        from ptdecouple.solver import _CONSTR_QR_MIN_ROWS
-
         pts, J, F, st = self.problem()
         K, jb, X, i0 = self.untouched_rows(st, J, pts)
         S, p, r = K.shape
-        # the planes hold r_1*n = 6 rows per slice at rank size, not m*n = 9;
-        # the gate counts the rows that the reduction removes from them
-        assert p == 6 and S * (p - r) >= _CONSTR_QR_MIN_ROWS
+        # the planes hold r_1*n = 6 rows per slice at rank size, not m*n = 9,
+        # and the stack of 300 slices is reduced
+        assert p == 6 and S >= _QR_MIN_STACK
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
         # the system of 300 slices is built as one panel, and its triangle
@@ -1540,28 +1572,12 @@ class TestRankSizePlanes:
         st = truth_state(model, pts, perturb=1e-2, seed=2)
         K0, b0 = self.unreduced(st, 1, J)
         C, _ = _coeff_problem(st, 1, J)
-        K, jb = _planes_stack(C)
+        K, jb = planes_stack(C)
         assert K.shape == (120, 4, 2)
         gram0, gram = (np.einsum("spi,spj->sij", k, k) for k in (K0, K))
         assert fro_norm(gram - gram0) <= 1e-13 * fro_norm(gram0)
         x0, x = lstsq_info(K0, b0)[0], lstsq_info(K, jb)[0]
         assert fro_norm(x - x0) <= 1e-12 * fro_norm(x0)
-
-    # f2 on both layers, L = 1 with both factors shared
-    @pytest.mark.parametrize("shape, layer", [
-        (((2, 2), (3, 3), 3, 3), 1), (((2, 2), (3, 3), 3, 3), 2), (((2,), (3,), 3, 3), 1),
-    ])
-    def test_rebuilt_rows_carry_the_planes_bytes(self, shape, layer):
-        ranks, degrees, m, n = shape
-        model, pts, J, F = problem(22, m=m, n=n, ranks=ranks, degrees=degrees, S=150)
-        st = truth_state(model, pts, perturb=0.1, seed=4)
-        C, _ = _coeff_problem(st, layer, J)
-        K, jb = _planes_stack(C)
-        assert K.shape[1] < m * n
-        idx = np.array([5, 0, 3, 149])
-        Ki, jbi = _planes_stack(_coeff_problem(st, layer, J, idx)[0])
-        assert Ki.tobytes() == np.ascontiguousarray(K[idx]).tobytes()
-        assert jbi.tobytes() == np.ascontiguousarray(jb[idx]).tobytes()
 
     # the shapes of f1 and deep-cli, where no shared factor is taller
     @pytest.mark.parametrize("ranks, degrees, m, n", [
@@ -1733,7 +1749,7 @@ class TestPanelSolves:
                     b = np.concatenate([b, np.sqrt(lam) * st.R[:, j]])
                 st.coeffs[layer - 1][j, i0:] = solve(a, b)
         else:
-            a, b = _structured_rows(K, X[:, :, i0:]), jb.ravel()
+            a, b = structured_rows(K, X[:, :, i0:]), jb.ravel()
             if layer == L:
                 W = np.einsum("ij,jst->isjt", st.weights[-1], Y).reshape(n * S, -1)
                 a = np.vstack([a, np.sqrt(lam) * W])
@@ -1788,8 +1804,8 @@ class TestPanelSolves:
     ])
     def test_g_row_panels_keep_the_whole_stack_bits(self, monkeypatch, slices, lengths):
         # per-slice systems reduced in panels of at least _QR_MIN_STACK
-        # slices, of near-equal and odd lengths: each slice's R and Q^T b
-        # are those of the whole stack bit for bit
+        # slices, of near-equal and odd lengths, cut from the whole planes:
+        # each slice's R and Q^T b are those of the whole stack bit for bit
         import ptdecouple.tensor_ops as top
 
         pts, J, F, st = self.case("f2")
@@ -1798,20 +1814,21 @@ class TestPanelSolves:
             S = C.shape[-1]
             monkeypatch.setattr(top, "_PANEL_BYTES", slices * C.nbytes // S)
             panels = top.slice_panels(S, C.nbytes // S)
+            Cp = [np.ascontiguousarray(C[..., sl]) for sl in panels]
             R, y = reduce_planes(C[:-1], C[-1])
             assert [sl.stop - sl.start for sl in panels] == lengths
-            for sl in panels:
-                Cp, _ = _coeff_problem(st, layer, J, sl)
-                Rp, yp = reduce_planes(Cp[:-1], Cp[-1])
+            for sl, c in zip(panels, Cp):
+                Rp, yp = reduce_planes(c[:-1], c[-1])
                 assert Rp.tobytes() == np.ascontiguousarray(R[:, :, sl]).tobytes()
                 assert yp.tobytes() == np.ascontiguousarray(y[:, sl]).tobytes()
 
 
-def f2_s1000():
+def f2_s1000(S=1000):
+    """J, F and the points of f2 at S = 1000, or at the first S of those points."""
     from ptdecouple.harness import builtin_system
 
     model = builtin_system("f2")
-    pts = np.random.Generator(np.random.Philox(7)).uniform(-1, 1, (1000, model.n_inputs))
+    pts = np.random.Generator(np.random.Philox(7)).uniform(-1, 1, (S, model.n_inputs))
     return build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
 
 
@@ -1864,6 +1881,20 @@ def test_large_s_fit_peak_memory(strategy, bound, start):
         st = init_state(cfg, J.shape)
         st.weights[-1][:, 1] = 0.0
     assert traced_peak(lambda: fit(cfg, J, F, pts, st)) < bound
+
+
+# Below 200 slices every system is solved whole; from 100 slices on the
+# constr update solves the slices' QR-reduced rows, 2 a slice on f2, not
+# the planes' 6.  A 2-sweep constr fit at the points and seed of the test
+# above peaks at 100.1, 129.5 and 202.3 KB at S = 150, 199 and 249; at
+# 321.9, 389.9 and 382.5 KB, above that test's S = 1000 bound, while the
+# full rows were solved below 1000 removed rows.
+@pytest.mark.parametrize("S", [150, 199, 249])
+def test_constr_fit_below_the_panels_peak_memory(S):
+    J, F, pts = f2_s1000(S)
+    cfg = SolverConfig(ranks=(2, 2), degrees=(3, 3), lam=1e-6, strategy="constr", min_iters=2,
+                       max_iters=2, rng_seed=1)
+    assert traced_peak(lambda: fit(cfg, J, F, pts)) < 310_000
 
 
 def test_last_layer_proj_update_peak_memory():
