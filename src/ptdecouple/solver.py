@@ -46,7 +46,9 @@ sampling point, set by the middle W update.
 Constant coefficients of layers below the last multiply a structurally zero
 column of the derivative structure, so they are unidentifiable from J; they
 are frozen at their initial values and reported in the fit report.  The
-last layer's constants are estimated through the coupled F term.
+last layer's constants are estimated through the coupled F term; the
+constr update takes them out of its F rows by centring those over the
+slices, and fits them to the slice means once the rest is solved.
 
 Everything a sweep evaluates comes from the model's layer pass and chain
 kernel (``model.internal_inputs_batch``, ``model.left_chain``,
@@ -672,28 +674,36 @@ def update_c_proj(state, layer, j_tensor, f_matrix, points, lam):
 def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     """Direct coefficient update with the constraints satisfied by construction.
 
-    Solves for the coefficient vector against the targets b_s through the
-    pruned structure-incorporated system (M_C)_0, whose rows of slice s are
-    K_s D_s with K_s and b_s the slice's rank-size G-row matrix and target
-    (:func:`_coeff_problem`) and D_s the slice's structure rows; the last
-    layer stacks the sqrt(lam)-scaled F factorization block below.  G (and
-    R) are then written from the coefficients, so they satisfy the
+    Solves for the coefficients c_{j,1..d} against the targets b_s through
+    the pruned structure-incorporated system (M_C)_0, whose rows of slice s
+    are K_s D_s with K_s and b_s the slice's rank-size G-row matrix and
+    target (:func:`_coeff_problem`) and D_s the slice's structure rows; the
+    last layer stacks the sqrt(lam)-scaled F factorization block below.  G
+    (and R) are then written from the coefficients, so they satisfy the
     constraints exactly.
 
-    With K_s = Q_s R_s, the r rows R_s D_s against
-    (Q_s^T b_s)[:r] have the same minimizer and the same singular
-    values: the system is block-diagonal(Q_s) times the reduced one.  The
-    rows come from the slices' systems of :func:`_slice_systems`, by the
-    rule the proj update follows: from ``_QR_MIN_STACK`` slices on, when
-    the planes are tall, the reduced ones, in the order (row of R, slice),
-    and at the last layer the F block W_L E_s is reduced alike by one QR
-    of W_L when n > r; else the full ones, slice by slice.  A non-finite
-    plane raises :class:`NonFiniteError`.  The system's J rows and F rows
-    are built one panel of slices at a time (:func:`lstsq_panels`), each block
-    written into the panel's one array from the panel's structure rows,
-    computed from the layer inputs; below 200 slices it is built whole, J
-    rows then F rows, the same way.  The solve scales the columns to unit
-    norm.
+    The last layer's constants c_{j,0} enter only the F block, as the same
+    column in every slice, so they are taken out exactly (Golub & Pereyra,
+    SIAM J. Numer. Anal. 1973): the F rows are centred over the slices,
+    sqrt(lam) W_L[i, j] (Y_j[s, t] - Ybar[j, t]) against
+    sqrt(lam) (f[i, s] - fbar[i]), with Ybar and fbar the slice means of
+    the power rows and of the targets, and once c_{j,1..d} is solved the
+    constants are the least-squares solution of
+    W_L c_0 = fbar - W_L (sum_t Ybar[:, t] c[:, t]), its truncations counted.
+    The centred rows carry the rest of the objective, so the minimizer is
+    that of the system with the constants' columns.  When n > r the F block
+    is reduced by one QR of W_L, to r rows per slice against Q^T F.
+
+    The J rows come from the slices' systems of :func:`_slice_systems`,
+    R_s and (Q_s^T b_s)[:r] from ``_QR_MIN_STACK`` slices on, when the
+    planes are tall, else K_s and b_s; either way they are written in the
+    order (row, slice), and have the minimizer and the singular values of
+    the full rows, since the system is block-diagonal(Q_s) times the
+    reduced one.  A non-finite plane raises :class:`NonFiniteError`.  The
+    system's J rows and F rows are built one panel of slices at a time
+    (:func:`lstsq_panels`), each block written into the panel's one array
+    from the panel's structure rows, computed from the layer inputs; below
+    200 slices it is built whole, J rows then F rows, the same way.
     """
     n, _, S = j_tensor.shape
     r = state.G[layer - 1].shape[1]
@@ -701,8 +711,8 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     # the F block's W_L E_s rows at the last layer, none below it
     W = state.weights[-1][: n if last else 0]
     fb = f_matrix[: len(W)]
-    P, y, reduced = _slice_systems(state, layer, j_tensor)
-    if reduced and len(W) > r:
+    P, y, _ = _slice_systems(state, layer, j_tensor)
+    if len(W) > r:
         # the QR of W_L cuts the coupling block from n*S to r*S rows
         Q, W = np.linalg.qr(W)
         fb = Q.T @ fb
@@ -710,9 +720,12 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     p = P.shape[1]
     U = _coeff_bases(state, layer, points)
     d = state.coeffs[layer - 1].shape[1] - 1
-    i0 = 0 if last else 1
-    w = d + 1 - i0
-    q = r * w
+    q = r * d
+    if last:
+        # the slice means that the constants fit, taken out of the F rows
+        Ybar = np.mean(power_rows(U.T, d)[:, :, 1:], axis=1)
+        fbar = np.mean(fb, axis=1)
+        fb = fb - fbar[:, None]
     # held beside a panel's rows, per slice: its structure rows X and Y,
     # and its G-row system
     held = 8 * r * (d + 1) * (1 + last) + 8 * p * (r + 1)
@@ -730,21 +743,17 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
         # strided block allocates iteration buffers as large as the block,
         # so the large blocks are written one panel of k rows per call.
         if with_j:
-            X = write_X(U[sl], d, np.empty((w, r, k)).transpose(1, 2, 0))
-            # row t of slice s, column (j, i) holds P[j, t, s] * X[j, s, i]:
-            # reduced rows in the order (t, s), full ones (s, t), the order
-            # whose bits the fits below _QR_MIN_STACK slices keep
-            blocks, jb = a[:n_j].reshape(p, k, r, w), b[:n_j].reshape(p, k)
-            if not reduced:
-                blocks, jb = a[:n_j].reshape(k, p, r, w).swapaxes(0, 1), b[:n_j].reshape(k, p).T
+            X = write_X(U[sl], d, np.empty((d, r, k)).transpose(1, 2, 0))
+            # row t of slice s, column (j, i) holds P[j, t, s] * X[j, s, i]
+            blocks = a[:n_j].reshape(p, k, r, d)
             for t in range(p):
                 np.einsum("js,jsi->sji", P[:, t, sl], X, out=blocks[t])
-            jb[...] = y[:, sl]
+            b[:n_j].reshape(p, k)[...] = y[:, sl]
         if with_f and last:
-            Y = power_rows(U[sl].T, d)
-            # kron(W_L, I_S) @ blockdiag(Y_j): row (i, s), column (j, t) holds
-            # sqrt(lam) * W_L[i, j] * Y_j[s, t]
-            blocks = a[n_j:].reshape(len(W), k, r, w)
+            Y = power_rows(U[sl].T, d)[:, :, 1:] - Ybar[:, None]
+            # kron(W_L, I_S) @ blockdiag(Y_j), centred: row (i, s), column
+            # (j, t) holds sqrt(lam) * W_L[i, j] * (Y_j[s, t] - Ybar[j, t])
+            blocks = a[n_j:].reshape(len(W), k, r, d)
             for i in range(len(W)):
                 np.einsum("j,jst->sjt", W[i], Y, out=blocks[i])
             # one column at a time: numpy copies a strided block that it
@@ -754,11 +763,10 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
             np.multiply(np.sqrt(lam), fb[:, sl], out=b[n_j:].reshape(len(W), k))
         return ab
 
-    # the truncation rule applies to the system with unit columns: at the
-    # last layer the constants' columns sit in the sqrt(lam) F rows alone,
-    # and at lam <= 1e-12 the unscaled system truncated them
-    c = _counted(state, lstsq_panels(rows, panels, q, unit=True))
-    state.coeffs[layer - 1][:, i0:] = c.reshape(r, -1)
+    c = _counted(state, lstsq_panels(rows, panels, q)).reshape(r, d)
+    state.coeffs[layer - 1][:, 1:] = c
+    if last:
+        state.coeffs[-1][:, 0] = _lstsq(state, W, fbar - W @ np.sum(Ybar * c, axis=1))
     _write_factors(state, layer, U)
     return state
 

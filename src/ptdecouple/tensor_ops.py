@@ -345,7 +345,7 @@ def slice_panels(n, slice_bytes):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def lstsq_panels(rows, panels, q, unit=False):
+def lstsq_panels(rows, panels, q):
     """Least-squares solution of a tall system built one panel at a time, and its truncations.
 
     ``rows(panel)`` returns the rows of one panel as one matrix [a | b]: q
@@ -354,16 +354,14 @@ def lstsq_panels(rows, panels, q, unit=False):
     side.  ``panels`` lists what ``rows`` takes; ``[None]`` asks it for
     the whole system.  Returns what :func:`lstsq_info` returns for the
     whole system or stack: x, q x k or K x q, and the truncation count.
-    With ``unit`` set, the columns of a single system are first scaled to
-    unit norm, and x is returned in the unscaled unknowns.
 
     ``[None]``: the whole system is solved as built.  One panel or more: each
     panel is replaced by the triangle of its QR as it is built, so that the
     triangles stacked, [a' | b'], have the Gram matrix of [a | b]: a' has
-    the singular values and the column norms of a, and a' x = b' the
-    minimizer of a x = b.  That small system goes to :func:`lstsq_info`,
-    whose truncation rule so applies to the system's singular values as
-    the QR carries them, to round-off.  A non-finite entry raises
+    the singular values of a, and a' x = b' the minimizer of a x = b.
+    That small system goes to :func:`lstsq_info`, whose truncation rule so
+    applies to the system's singular values as the QR carries them, to
+    round-off.  A non-finite entry raises
     :class:`NonFiniteError`; it is found in the [a | b] of the whole system
     or of each panel before its QR, which is contiguous where the views a
     and b are not.
@@ -374,15 +372,7 @@ def lstsq_panels(rows, panels, q, unit=False):
     else:
         # each panel's rows are freed once their triangle is taken
         ab = np.concatenate([_triangle(rows(p)) for p in panels], axis=-2)
-    a, b = _split(ab, q)
-    if unit:
-        scale = _unit_scale(a)
-        # one column at a time: a broadcast product would allocate
-        # iteration buffers as large as the system
-        for j, u in enumerate(scale.tolist()):
-            a[:, j] *= u
-    x, trunc = lstsq_info(a, b, finite=True)
-    return (x * scale[:, None] if unit else x), trunc
+    return lstsq_info(*_split(ab, q), finite=True)
 
 
 def _triangle(ab):
@@ -395,17 +385,3 @@ def _split(ab, q):
     """The views a and b of rows [a | b]: b one column per system of a stack."""
     return ab[..., :q], ab[..., q:] if ab.ndim == 2 else ab[..., q]
 
-
-def _unit_scale(a):
-    """1 / the norm of each column of a, 1 for a zero column.
-
-    The norm of a column whose sum of squares leaves [2^-1022, 2^1022] is
-    taken from the column scaled, exactly, by a power of 2 from its max.
-    """
-    ss = np.einsum("ij,ij->j", a, a)
-    norms = np.sqrt(ss)
-    for j in np.flatnonzero((ss < _SS_MIN) | (ss > _SS_MAX)).tolist():
-        e = np.frexp(np.max(np.abs(a[:, j])))[1]
-        norms[j] = np.ldexp(np.linalg.norm(np.ldexp(a[:, j], -e)), e)
-    norms[norms == 0.0] = 1.0
-    return 1.0 / norms

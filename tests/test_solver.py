@@ -63,11 +63,12 @@ def constr_rows(st, layer, J, pts):
     return structured_rows(planes_stack(C)[0], X[:, :, i0:]), i0
 
 
-def full_constr_system(st, layer, J, F, pts, lam):
-    """The constr update's system unreduced, ``(a, b, i0)``: (M_C)_0 of the
-    whole planes against their targets, slice by slice, and at the last layer
-    the sqrt(lam)-scaled F rows below, row (i, s) and column (j, t) holding
-    sqrt(lam) * W_L[i, j] * Y[j, s, t] against sqrt(lam) * F[i, s]."""
+def dense_constr_system(st, layer, J, F, pts, lam):
+    """The constr system as the method states it, ``(a, b, i0)``: (M_C)_0 of
+    the whole planes against their targets, slice by slice, and at the last
+    layer the sqrt(lam)-scaled F rows below, row (i, s) and column (j, t)
+    holding sqrt(lam) * W_L[i, j] * Y[j, s, t] against sqrt(lam) * F[i, s],
+    the constants' columns included."""
     C, i0 = _coeff_problem(st, layer, J)
     K, jb = planes_stack(C)
     X, Y = bases(st, layer, pts)
@@ -78,6 +79,27 @@ def full_constr_system(st, layer, J, F, pts, lam):
         a = np.vstack([a, np.sqrt(lam) * W])
         b = np.concatenate([b, np.sqrt(lam) * F.ravel()])
     return a, b, i0
+
+
+def full_constr_system(st, layer, J, F, pts, lam):
+    """The system the constr update solves, written from the whole planes,
+    ``(a, b)``: (M_C)_0 without the constants' columns, in the order (row,
+    slice), and at the last layer the F rows centred over the slices below,
+    row (i, s) and column (j, t), t >= 1, holding
+    sqrt(lam) * W_L[i, j] * (Y[j, s, t] - Ybar[j, t]) against
+    sqrt(lam) * (F[i, s] - Fbar[i]), the bars the slice means."""
+    C, _ = _coeff_problem(st, layer, J)
+    K, jb = planes_stack(C)
+    S, p, _ = K.shape
+    X, Y = bases(st, layer, pts)
+    a = structured_rows(K, X[:, :, 1:]).reshape(S, p, -1).swapaxes(0, 1).reshape(S * p, -1)
+    b = jb.T.ravel()
+    if Y is not None:
+        Y = Y[:, :, 1:] - np.mean(Y[:, :, 1:], axis=1)[:, None]
+        W = np.einsum("ij,jst->isjt", st.weights[-1], Y).reshape(len(F) * S, -1)
+        a = np.vstack([a, W * np.sqrt(lam)])
+        b = np.concatenate([b, ((F - np.mean(F, axis=1)[:, None]) * np.sqrt(lam)).ravel()])
+    return a, b
 
 
 def bases(st, layer, pts):
@@ -384,12 +406,14 @@ class TestUpdateCConstr:
         assert abs(obj_p - obj_c) <= 1e-6 * max(1.0, fro_norm(J) ** 2)
         assert min(obj_p, obj_c) >= floor - 1e-9
 
-    @pytest.mark.parametrize("update", [update_c_constr, update_c_proj])
-    def test_last_layer_keeps_the_constants_at_lambda_1e_12(self, update):
-        # the last layer's constants sit in the sqrt(lam) F rows alone; at
-        # lam = 1e-12 the unscaled constr system truncated them, counting one
-        # truncation and moving f1's constants from [-0.19, -1.93] to
-        # [0.87, -1.03].  Its unit-column system keeps them to 6e-5.
+    # constr takes the constants out of the centred F rows and fits them to
+    # the slice means, within 4e-12; solved with their columns in the
+    # sqrt(lam) F rows alone, all columns scaled to unit norm, they were off
+    # by 5.9e-7, 3.9e-5, 5.9e-5 and 5.5e-3.  proj fits them to the free R,
+    # 3.4e-8 off at lam = 1e-14
+    @pytest.mark.parametrize("update, atol", [(update_c_constr, 1e-9), (update_c_proj, 1e-7)])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-10, 1e-12, 1e-14])
+    def test_last_layer_keeps_the_constants(self, update, atol, lam):
         from ptdecouple.harness import builtin_system
         from ptdecouple.solver import seeded_rng
 
@@ -397,9 +421,51 @@ class TestUpdateCConstr:
         pts = seeded_rng(0, 0).uniform(-1, 1, (30, 2))
         J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
         st = truth_state(model, pts)
-        update(st, 2, J, F, pts, 1e-12)
+        update(st, 2, J, F, pts, lam)
         assert st.n_truncated == 0
-        assert np.allclose(st.coeffs[-1][:, 0], model.coeffs[-1][:, 0], rtol=0, atol=1e-3)
+        assert np.allclose(st.coeffs[-1][:, 0], model.coeffs[-1][:, 0], rtol=0, atol=atol)
+
+    @staticmethod
+    def inexact(name, S):
+        """A near-truth state of the model, and its J and F with noise added."""
+        from ptdecouple.harness import builtin_system
+
+        model = builtin_system(name) if name else make_system(
+            29, m=2, n=1, ranks=(2, 2), degrees=(3, 2))
+        rng = np.random.Generator(np.random.Philox(12))
+        pts = rng.uniform(-1, 1, (S, model.n_inputs))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        J = J + 1e-2 * rng.normal(size=J.shape)
+        F = F + 1e-2 * rng.normal(size=F.shape)
+        return pts, J, F, truth_state(model, pts, perturb=0.1, seed=3)
+
+    # whole below 200 slices, in panels at 250; f2 has n = 3 > r_L = 2,
+    # where the F block is reduced by the QR of W_L
+    @pytest.mark.parametrize("S", [40, 250])
+    @pytest.mark.parametrize("name", ["f1", "f2"])
+    def test_matches_the_dense_system(self, name, S):
+        pts, J, F, st = self.inexact(name, S)
+        for layer in (1, 2):
+            a, b, i0 = dense_constr_system(st, layer, J, F, pts, 1.0)
+            want, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            got = update_c_constr(st.copy(), layer, J, F, pts, 1.0)
+            assert rank == a.shape[1] and got.n_truncated == 0
+            c = got.coeffs[layer - 1][:, i0:].ravel()
+            assert fro_norm(c - want) <= 1e-10 * fro_norm(want)
+
+    # n = 1 with r_L = 2: the constants' two columns are one column of F
+    # rows times W_L's two entries, so only their combination is fitted
+    @pytest.mark.parametrize("S", [40, 250])
+    def test_one_output_fits_the_values_of_the_dense_system(self, S):
+        pts, J, F, st = self.inexact(None, S)
+        a, b, i0 = dense_constr_system(st, 2, J, F, pts, 1.0)
+        want, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        assert (len(F), i0, rank) == (1, 0, a.shape[1] - 1)
+        got = update_c_constr(st.copy(), 2, J, F, pts, 1.0)
+        # the minimum-norm constants of the 1 x 2 W_L, whose row is not cut
+        assert got.n_truncated == 0
+        fit = a @ got.coeffs[1].ravel()
+        assert fro_norm(fit - a @ want) <= 1e-10 * fro_norm(a @ want)
 
 
 class TestReducedConstrRows:
@@ -420,9 +486,9 @@ class TestReducedConstrRows:
     def both_paths(monkeypatch, st, layer, J, F, pts, split=None):
         """(reduced, full) coefficient sets and the row count of each solve.
 
-        ``reduced`` is the update's, ``full`` that of the full system
-        (:func:`full_constr_system`) solved whole with unit columns, as the
-        update solves; each state counts its solve's truncations.  With
+        ``reduced`` is the update's, ``full`` that of the dense system with
+        the constants' columns (:func:`dense_constr_system`) solved whole;
+        each state counts its solve's truncations.  With
         ``split`` given, checks that the reduced system was (True) or was
         not (False) split into panels.
         """
@@ -436,8 +502,8 @@ class TestReducedConstrRows:
         monkeypatch.setattr(solver_mod, "lstsq_panels", spied)
         reduced = update_c_constr(st.copy(), layer, J, F, pts, lam=1e-6)
         assert split is None or splits[0] == split
-        a, b, i0 = full_constr_system(st, layer, J, F, pts, 1e-6)
-        c, trunc = lstsq_panels(lambda _: np.column_stack([a, b]), [None], a.shape[1], unit=True)
+        a, b, i0 = dense_constr_system(st, layer, J, F, pts, 1e-6)
+        c, trunc = lstsq_panels(lambda _: np.column_stack([a, b]), [None], a.shape[1])
         full = st.copy()
         full.coeffs[layer - 1][:, i0:] = c.reshape(len(full.coeffs[layer - 1]), -1)
         full.n_truncated += trunc
@@ -612,9 +678,9 @@ class TestCoeffProblem:
                 assert np.array_equal(K[s], build_MG(st, layer, s))
                 assert np.array_equal(jb[s], vec(J[:, :, s]))
             # the constr update's rows, written from the planes of its slices'
-            # systems, carry the bytes of the full system built from them
+            # systems, carry the bytes of the centred system built from them
             update_c_constr(st.copy(), layer, J, F, pts, 1e-6)
-            a, b, _ = full_constr_system(st, layer, J, F, pts, 1e-6)
+            a, b = full_constr_system(st, layer, J, F, pts, 1e-6)
             assert seen[-1].tobytes() == np.column_stack([a, b]).tobytes()
             assert (Y is None, i0) == ((False, 0) if layer == 3 else (True, 1))
 
@@ -1480,11 +1546,8 @@ class TestInPlaceReduction:
         R, y = reduce_planes(*self.planes_of(K, jb))
         a = np.einsum("jks,jsi->ksji", R, X[:, :, i0:], order="C").reshape(r * S, -1)
         # the system of 300 slices is built as one panel, and its triangle
-        # solved with its columns scaled to unit norm
-        a, b = self.triangle(a, y.flatten())
-        unit = 1.0 / np.sqrt(np.einsum("ij,ij->j", a, a))
-        c, trunc = lstsq_info(a * unit, b)
-        c *= unit
+        # solved
+        c, trunc = lstsq_info(*self.triangle(a, y.flatten()))
         got = self.check_inputs_kept(update_c_constr, st, J, F, pts)
         coeffs = st.coeffs[0].copy()
         coeffs[:, i0:] = c.reshape(r, -1)
@@ -1662,18 +1725,21 @@ class TestRankSizePlanes:
                     parts.append(np.sqrt(lam) * np.concatenate([Y, R.T[:, :, None]], axis=2))
             else:
                 update_c_constr(st.copy(), layer, J, F, pts, lam)
-                # reduced J rows (t, s), column (j, i): R_s[t, j] X[j, s, i]
+                # reduced J rows (t, s), column (j, i), i >= 1: R_s[t, j] X[j, s, i]
                 C, _ = _coeff_problem(st, layer, J)
                 Rs, ys = reduce_planes(C[:-1], C[-1])
                 r = len(Rs)
-                a = np.einsum("jts,jsi->tsji", Rs, X[:, :, i0:]).reshape(r, S, -1)
+                a = np.einsum("jts,jsi->tsji", Rs, X[:, :, 1:]).reshape(r, S, -1)
                 parts = [np.concatenate([a, ys[:, :, None]], axis=2)]
                 if Y is not None:
-                    # F rows (i, s), column (j, t): sqrt(lam) W[i, j] Y[j, s, t],
+                    # F rows (i, s), column (j, t), t >= 1, centred over the
+                    # slices: sqrt(lam) W[i, j] (Y[j, s, t] - Ybar[j, t]),
                     # W_L reduced by its QR where n > r
                     Q, W = np.linalg.qr(st.weights[-1])
+                    Y = Y[:, :, 1:] - np.mean(Y[:, :, 1:], axis=1)[:, None]
                     a = np.einsum("ij,jst->isjt", W, Y).reshape(r, S, -1) * np.sqrt(lam)
-                    b = np.sqrt(lam) * (Q.T @ F)
+                    b = Q.T @ F
+                    b = (b - np.mean(b, axis=1)[:, None]) * np.sqrt(lam)
                     parts.append(np.concatenate([a, b[:, :, None]], axis=2))
             panels = seen[-1]
             assert None not in [p for p, _ in panels]

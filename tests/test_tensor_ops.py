@@ -429,8 +429,8 @@ class TestPanelSolve:
 
         return rows
 
-    def solve(self, ab, panels, q, p, unit=False):
-        return top.lstsq_panels(self.rows(ab, p), panels, q, unit)
+    def solve(self, ab, panels, q, p):
+        return top.lstsq_panels(self.rows(ab, p), panels, q)
 
     @pytest.mark.parametrize("n, slice_bytes", [
         (30, 10**6), (199, 10**6), (1000, 8), (1000, 600), (1000, 2000), (250, 2000),
@@ -450,13 +450,13 @@ class TestPanelSolve:
             fits = -(-n * slice_bytes // top._PANEL_BYTES)
             assert len(panels) == min(max(1, fits), n // top._QR_MIN_STACK)
 
-    @pytest.mark.parametrize("q, k, unit", [(4, 1, False), (8, 1, True), (2, 3, False)])
-    def test_panels_solve_as_the_whole_system(self, q, k, unit):
+    @pytest.mark.parametrize("q, k", [(4, 1), (2, 3)])
+    def test_panels_solve_as_the_whole_system(self, q, k):
         rng = np.random.default_rng(20)
         S, p = 1000, 4
         ab = self.system(rng, S, p, q, k)
-        whole, trunc_whole = self.solve(ab, [None], q, p, unit)
-        x, trunc = self.solve(ab, top.slice_panels(S, 1000), q, p, unit)
+        whole, trunc_whole = self.solve(ab, [None], q, p)
+        x, trunc = self.solve(ab, top.slice_panels(S, 1000), q, p)
         assert len(top.slice_panels(S, 1000)) > 2
         assert trunc == trunc_whole == 0
         assert np.linalg.norm(x - whole) <= 1e-12 * np.linalg.norm(whole)
@@ -490,8 +490,7 @@ class TestPanelSolve:
         assert trunc == want_trunc == 1
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("unit", [False, True])
-    def test_deficient_system_truncates_as_the_whole_system(self, unit):
+    def test_deficient_system_truncates_as_the_whole_system(self):
         # a zero column and a repeated one: the SVD of the stacked triangles
         # truncates both, as that of the whole system does, and no row is
         # built twice
@@ -502,28 +501,11 @@ class TestPanelSolve:
         ab[:, 3] = ab[:, 2]
         built = []
         panels = top.slice_panels(S, 1000)
-        x, trunc = top.lstsq_panels(self.rows(ab, p, built), panels, q, unit)
-        want, want_trunc = self.solve(ab, [None], q, p, unit)
+        x, trunc = top.lstsq_panels(self.rows(ab, p, built), panels, q)
+        want, want_trunc = self.solve(ab, [None], q, p)
         assert built == panels
         assert trunc == want_trunc == 2
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_unit_columns_of_extreme_magnitude(self, scale, split):
-        # a column of magnitude 1e200 (1e-200), whose sum of squares
-        # overflows (underflows): the unit-column solve neither zeroes nor
-        # truncates it, and x is the minimizer of the unscaled system
-        rng = np.random.default_rng(27)
-        S, q = 400, 3
-        a, b = rng.normal(size=(S, q)), rng.normal(size=S)
-        ab = np.column_stack([a * [scale, 1.0, 1.0], b])
-        panels = top.slice_panels(S, 1000) if split else [None]
-        assert len(panels) == (2 if split else 1)
-        x, trunc = self.solve(ab, panels, q, 1, unit=True)
-        want, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        assert trunc == 0 and rank == q
-        assert np.allclose(x[:, 0] * [scale, 1.0, 1.0], want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_raises(self, value):
@@ -535,11 +517,10 @@ class TestPanelSolve:
             self.solve(ab, top.slice_panels(S, 1000), q, p)
 
     @pytest.mark.parametrize("column", [0, -1])
-    @pytest.mark.parametrize("stack, split, unit", [
-        (False, False, False), (False, False, True), (False, True, True),
-        (True, False, False), (True, True, False),
+    @pytest.mark.parametrize("stack, split", [
+        (False, False), (False, True), (True, False), (True, True),
     ])
-    def test_whole_system_checks_its_rows(self, column, stack, split, unit):
+    def test_whole_system_checks_its_rows(self, column, stack, split):
         # a NaN in a or in b of the whole system, one system or a stack of
         # them, raises from the check of [a | b], of the whole system or of
         # the panel that holds it, before its QR
@@ -553,7 +534,7 @@ class TestPanelSolve:
             return (ab if sl is None else ab[..., sl.start * p : sl.stop * p, :]).copy()
 
         with pytest.raises(top.NonFiniteError):
-            top.lstsq_panels(rows, top.slice_panels(S, 1000) if split else [None], q, unit)
+            top.lstsq_panels(rows, top.slice_panels(S, 1000) if split else [None], q)
 
     def test_whole_system_check_peak_memory(self):
         # the whole system [a | b], 2000 x 5, built before the solve: its
