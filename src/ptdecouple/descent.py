@@ -121,21 +121,17 @@ class _LMProblem:
     kernel's temporaries stay under 18 KB beside it.
     """
 
-    def __init__(self, weights, coeffs, j_tensor, f_matrix, points, lam):
+    def __init__(self, weights, coeffs, data, lam):
         self.coeffs = coeffs
         self.layout = _lm_layout(weights, coeffs)
-        self.j_slices = np.transpose(j_tensor, (2, 0, 1))
-        self.f_rows = f_matrix.T
-        self.points = points
+        # the slice-first J, F's rows and the points, of a ``solver.FitData``
+        self.j_slices, self.f_rows, self.points = data.j_slices, data.f_matrix.T, data.points
         self.root_lam = np.sqrt(lam)
         # the normal matrix is accumulated over chunks of sampling points,
         # which bounds the memory of the derivative arrays whatever S is
-        self.chunks = [
-            slice(i, i + _LM_CHUNK_ROWS) for i in range(0, points.shape[0], _LM_CHUNK_ROWS)
-        ]
-        self.passes = [
-            slice(i, i + _LM_PASS_ROWS) for i in range(0, points.shape[0], _LM_PASS_ROWS)
-        ]
+        S = data.shape[2]
+        self.chunks = [slice(i, i + _LM_CHUNK_ROWS) for i in range(0, S, _LM_CHUNK_ROWS)]
+        self.passes = [slice(i, i + _LM_PASS_ROWS) for i in range(0, S, _LM_PASS_ROWS)]
 
     def model(self, theta):
         return _lm_unpack(theta, self.layout, self.coeffs)
@@ -294,7 +290,7 @@ def _consistent_state(weights, coeffs, points):
     )
 
 
-def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
+def lm_descent(state, data, lam, poll=None):
     """Levenberg-Marquardt descent of the objective over the model parameters.
 
     The parameters are W_0..W_L and every coefficient except the frozen
@@ -302,7 +298,8 @@ def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
     residual is r = [vec(J - Jhat); sqrt(lam) vec(F - Fhat)] with Jhat and
     Fhat evaluated from the weights and coefficients, so that on a
     consistent state r @ r equals ``objective(...)[2]``; its Jacobian is
-    analytic.
+    analytic.  ``data`` is the run's ``solver.FitData``, whose slice-first
+    J and sums of squares every descent of the run shares.
 
     Each step solves the damped Gauss-Newton system on the normal matrix
     scaled to unit diagonal, with Nielsen's damping update and geodesic
@@ -331,10 +328,10 @@ def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
     a scale set by the data and lam alone, so below every start's that
     ends otherwise.
     """
-    prob = _LMProblem(state.weights, state.coeffs, j_tensor, f_matrix, points, lam)
+    prob = _LMProblem(state.weights, state.coeffs, data, lam)
     theta = lm_pack(state.weights, state.coeffs)
     del state  # its G and R are not read; a caller that drops the state frees them
-    scale = float(np.sum(j_tensor * j_tensor) + lam * np.sum(f_matrix * f_matrix))
+    scale = data.jj + lam * data.ff
     with np.errstate(all="ignore"):
         r, trial = prob.residual(theta, keep=True)
     f = float(r @ r)
@@ -396,7 +393,7 @@ def lm_descent(state, j_tensor, f_matrix, points, lam, poll=None):
         if poll is not None and poll():
             return None
     return LMResult(
-        state=_consistent_state(*prob.model(theta), points),
+        state=_consistent_state(*prob.model(theta), data.points),
         objective=f,
         iterations=iterations,
         stop_reason=stop_reason,

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 
 from .descent import LMResult, _consistent_state, lm_descent
-from .solver import SolverDivergenceError, _check_fit_inputs, _normalize_inputs, seeded_rng
+from .solver import FitData, SolverDivergenceError, _normalize_inputs, seeded_rng
 
 __all__ = ["StartSearch", "start_search"]
 
@@ -67,14 +67,14 @@ def _start_state(cfg, dims, points, k):
         return _normalize_inputs(_consistent_state(weights, coeffs, points), points)
 
 
-def _start_outcome(cfg, j_tensor, f_matrix, points, k, poll=None):
-    """LMResult of start k's descent, None if it diverged or was dropped, or the exception it raised."""
-    n, m, _ = j_tensor.shape
+def _start_outcome(cfg, data, k, poll=None):
+    """LMResult of start k's descent on data, None if it diverged or was dropped, or the exception it raised."""
+    n, m, _ = data.shape
     try:
         # the descent holds the only reference to its start: the draws, G
         # and R are freed before it linearizes
-        return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], points, k),
-                          j_tensor, f_matrix, points, cfg.lam, poll)
+        return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], data.points, k),
+                          data, cfg.lam, poll)
     except (SolverDivergenceError, np.linalg.LinAlgError):
         return None
     except Exception as exc:  # raised once the pick reaches start k
@@ -147,6 +147,8 @@ class _PipeLock:
 class StartSearch:
     """The start searches of a tuned run's stages, one :func:`start_search` per config.
 
+    Every stage searches the one ``solver.FitData`` it is given, as validated.
+
     ``next()`` returns the next stage's start, the consistent state of its
     best descent or None, and raises the exception its pick reaches.  The
     descents run in the caller and in one forked helper on each further
@@ -175,11 +177,11 @@ class StartSearch:
     __slots__ = ("_cfgs", "_data", "_picks", "_board", "_t", "_procs", "_results",
                  "_wake", "_lock", "_held")
 
-    def __init__(self, cfgs, j_tensor, f_matrix, points):
+    def __init__(self, cfgs, data):
         import mmap
 
         self._cfgs = list(cfgs)
-        self._data = _check_fit_inputs(j_tensor, f_matrix, points)
+        self._data = data
         n = len(self._cfgs)
         self._picks = [_Pick() for _ in range(n)]
         # the board, shared with the helpers: [0] the stage the caller is
@@ -260,7 +262,7 @@ class StartSearch:
     def _descend(self, s, k):
         """Outcome of start k of stage s, dropped once a stop of an earlier start is on the board."""
         board, end = self._board, 2 + 2 * s
-        outcome = _start_outcome(self._cfgs[s], *self._data, k, lambda: k >= board[end])
+        outcome = _start_outcome(self._cfgs[s], self._data, k, lambda: k >= board[end])
         key = _rank(k, outcome)
         if key is not None and key[0] == 0:  # a stop: no later start can be picked
             with self._lock:
@@ -356,5 +358,5 @@ def start_search(cfg, j_tensor, f_matrix, points):
     another: the result, bit for bit, and any exception raised are those
     of the caller alone, on any core count.
     """
-    with StartSearch([cfg], j_tensor, f_matrix, points) as starts:
+    with StartSearch([cfg], FitData(j_tensor, f_matrix, points)) as starts:
         return next(starts)

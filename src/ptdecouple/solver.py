@@ -58,7 +58,8 @@ the objective.
 This module owns the sweeps, :func:`fit` and :func:`state_to_model`, and
 the helpers that the other two parts of the method import from it:
 :class:`SolverState`, :class:`SolverDivergenceError`, :func:`seeded_rng`,
-the input checks and the neuron-input normalization.  The sweeps descend
+the validated data value :class:`FitData` and the neuron-input
+normalization.  The sweeps descend
 from wherever they start; the Levenberg-Marquardt descent over the model
 parameters is :mod:`.descent`, and the seeded start search that runs it
 from several draws, and from which the tuner starts every stage's sweeps,
@@ -72,7 +73,8 @@ generator the package makes comes from :func:`seeded_rng`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,7 +89,6 @@ from .model import (
 from .tensor_ops import (
     _QR_MIN_STACK,
     NonFiniteError,
-    fro_norm,
     lstsq_info,
     lstsq_panels,
     lstsq_reduced,
@@ -100,6 +101,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "FitReport",
+    "FitData",
     "SolverDivergenceError",
     "seeded_rng",
     "init_state",
@@ -823,24 +825,49 @@ def objective(state, j_tensor, f_matrix, lam):
     return resid, f_term, resid + lam * f_term
 
 
-def _check_fit_inputs(j_tensor, f_matrix, points):
-    j = np.asarray(j_tensor, dtype=float)
-    f = np.asarray(f_matrix, dtype=float)
-    p = np.asarray(points, dtype=float)
-    if j.ndim != 3:
-        raise ValueError("j_tensor must be n x m x S")
-    n, m, S = j.shape
-    if f.shape != (n, S):
-        raise ValueError(f"f_matrix must be {n} x {S}, got {f.shape}")
-    if p.shape != (S, m):
-        raise ValueError(f"points must be {S} x {m}, got {p.shape}")
-    if not (np.all(np.isfinite(j)) and np.all(np.isfinite(f)) and np.all(np.isfinite(p))):
-        raise ValueError("non-finite fit inputs")
-    return j, f, p
+@dataclass(frozen=True, eq=False)
+class FitData:
+    """One fit's data, validated once: J (n x m x S), F (n x S) and the points (S x m).
+
+    The arrays are the caller's, as float arrays: converted where they are
+    not, otherwise neither copied nor changed.  Beside them it holds their
+    shape (n, m, S), the slice-first view of J (S x n x m) that every
+    Levenberg-Marquardt descent reads, and the sums of squares of J and F,
+    ``jj`` and ``ff``, each taken once.  ``tuner.tune`` builds one per run
+    and hands it to the start search, to every descent and to every
+    stage's :func:`fit`.  ValueError for a J that is not n x m x S, an F or
+    points of another shape, or a non-finite entry.
+    """
+
+    j_tensor: np.ndarray
+    f_matrix: np.ndarray
+    points: np.ndarray
+    shape: tuple = field(init=False)
+    j_slices: np.ndarray = field(init=False)
+    jj: float = field(init=False)
+    ff: float = field(init=False)
+
+    def __post_init__(self):
+        j, f, p = (np.asarray(a, dtype=float) for a in (self.j_tensor, self.f_matrix, self.points))
+        if j.ndim != 3:
+            raise ValueError("j_tensor must be n x m x S")
+        n, m, S = j.shape
+        for name, a, (rows, cols) in (("f_matrix", f, (n, S)), ("points", p, (S, m))):
+            if a.shape != (rows, cols):
+                raise ValueError(f"{name} must be {rows} x {cols}, got {a.shape}")
+        if not (np.all(np.isfinite(j)) and np.all(np.isfinite(f)) and np.all(np.isfinite(p))):
+            raise ValueError("non-finite fit inputs")
+        derived = j.shape, np.transpose(j, (2, 0, 1)), float(np.sum(j * j)), float(np.sum(f * f))
+        for fld, value in zip(fields(self), (j, f, p, *derived)):
+            object.__setattr__(self, fld.name, value)
 
 
-def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
+def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     """Run the alternating minimization and return the best state seen.
+
+    The data is J, F and the points, or one :class:`FitData` in place of
+    all three (``fit(cfg, data, initial_state=...)``), which is then used
+    as it is validated.
 
     One iteration is a full sweep in the fixed update order; the run stops
     once the objective has not improved (relative decrease above 1e-12
@@ -856,14 +883,11 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
     :func:`_write_factors`), and the returned state holds the best sweep's
     bytes.  The report's ``n_truncated`` counts every sweep's truncations.
     """
-    j_tensor, f_matrix, points = _check_fit_inputs(j_tensor, f_matrix, points)
-    n, m, S = j_tensor.shape
-    state = initial_state.copy() if initial_state is not None else init_state(
-        cfg, (n, m, S)
-    )
+    data = j_tensor if isinstance(j_tensor, FitData) else FitData(j_tensor, f_matrix, points)
+    j_tensor, f_matrix, points = data.j_tensor, data.f_matrix, data.points
+    state = initial_state.copy() if initial_state is not None else init_state(cfg, data.shape)
     update_c = update_c_proj if cfg.strategy == "proj" else update_c_constr
-    L = cfg.n_layers
-    lam = cfg.lam
+    L, lam = cfg.n_layers, cfg.lam
 
     # (sweep, weights, coefficients, n_truncated) of the best sweep so far
     best = None
@@ -928,8 +952,8 @@ def fit(cfg, j_tensor, f_matrix, points, initial_state=None):
     state.R = np.ascontiguousarray(state.R)
     return FitReport(
         state=state,
-        error_j=best_terms[0] / fro_norm(j_tensor) ** 2,
-        error_f=best_terms[1] / fro_norm(f_matrix) ** 2,
+        error_j=best_terms[0] / math.sqrt(data.jj) ** 2,
+        error_f=best_terms[1] / math.sqrt(data.ff) ** 2,
         iterations=iterations,
         stop_reason=stop_reason,
         config=cfg,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import DecoupledModel, eval_batch
 from .search import StartSearch
-from .solver import SolverConfig, SolverDivergenceError, _as_int, fit, state_to_model
+from .solver import FitData, SolverConfig, SolverDivergenceError, _as_int, fit, state_to_model
 
 __all__ = [
     "TunerConfig",
@@ -163,6 +163,8 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     ----------
     cfg : TunerConfig
     j_tensor, f_matrix, points : solver inputs
+        Validated once, as one ``solver.FitData`` that the start search,
+        each of its descents and every stage's ``fit`` read as it is.
     validation : (val_points, val_targets)
         At least two held-out points with the true outputs, n x S_val.
 
@@ -185,18 +187,18 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         When a stage's fit diverges, or the first stage's validation metric
         is not finite (there is no earlier stage to fall back to).
     ValueError
-        Before any fit: with fewer than two validation points, validation
-        points and targets not shaped S_val x m and n x S_val, a non-finite
-        validation point, or a target output that is non-finite or
-        constant (see :func:`rrmse`).  Also when the escalation reaches a
+        Before any fit: with J, F or the points malformed or non-finite
+        (see ``solver.FitData``), with fewer than two validation points,
+        validation points and targets not shaped S_val x m and n x S_val, a
+        non-finite validation point, or a target output that is non-finite
+        or constant (see :func:`rrmse`).  Also when the escalation reaches a
         stage whose lam overflows.
     """
-    val_points, val_targets = validation
-    val_points = np.asarray(val_points, dtype=float)
-    val_targets = np.asarray(val_targets, dtype=float)
+    data = FitData(j_tensor, f_matrix, points)
+    val_points, val_targets = (np.asarray(a, dtype=float) for a in validation)
     if val_points.shape[0] < 2:
         raise ValueError("need at least two validation points")
-    n, m = np.shape(j_tensor)[:2]
+    n, m, _ = data.shape
     if val_points.shape != (len(val_points), m) or val_targets.shape != (n, len(val_points)):
         raise ValueError(f"validation needs S_val x {m} points and {n} x S_val targets")
     if not np.all(np.isfinite(val_points)):
@@ -213,11 +215,11 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
     stages = []
     prev_metric = np.inf  # sentinel for the stage before the first
     selected = None
-    with StartSearch(stage_cfgs, j_tensor, f_matrix, points) as starts:
+    with StartSearch(stage_cfgs, data) as starts:
         for t, inner in enumerate(stage_cfgs):
             start = next(starts)
             try:
-                report = fit(inner, j_tensor, f_matrix, points, initial_state=start)
+                report = fit(inner, data, initial_state=start)
             except SolverDivergenceError as exc:
                 raise SolverDivergenceError(
                     f"stage {t} (lam={inner.lam:g}): {exc}", exc.trace

@@ -19,6 +19,7 @@ import ptdecouple.solver as solver_mod
 
 from ptdecouple.model import PTFactors, build_f_matrix, build_jacobian_tensor, pt_reconstruct
 from ptdecouple.solver import (
+    FitData,
     SolverConfig,
     SolverDivergenceError,
     build_MG,
@@ -975,7 +976,7 @@ class TestLevenbergMarquardt:
     def _residual(state, J, F, pts, lam):
         from ptdecouple.descent import _LMProblem, lm_pack
 
-        prob = _LMProblem(state.weights, state.coeffs, J, F, pts, lam)
+        prob = _LMProblem(state.weights, state.coeffs, FitData(J, F, pts), lam)
         return prob, lm_pack(state.weights, state.coeffs)
 
     @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
@@ -1059,7 +1060,7 @@ class TestLevenbergMarquardt:
         tape, seeds = prob.tape(kept), prob._unit_seeds()
         assert len(prob.chunks) == 3
         for sl in prob.chunks:
-            alone = _LMProblem(weights, coeffs, J[:, :, sl], F[:, sl], pts[sl], 0.3)
+            alone = _LMProblem(weights, coeffs, FitData(J[:, :, sl], F[:, sl], pts[sl]), 0.3)
             (whole,) = alone.chunks
             rows = alone._rows(
                 alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]), whole, seeds)
@@ -1099,7 +1100,7 @@ class TestLevenbergMarquardt:
         start = _consistent_state(
             [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
         )
-        res = lm_descent(start, J, F, pts, 1e-2)
+        res = lm_descent(start, FitData(J, F, pts), 1e-2)
         assert res.stop_reason == "converged"
         assert res.objective == pytest.approx(objective(res.state, J, F, 1e-2)[2],
                                               rel=1e-6, abs=1e-20 * fro_norm(J) ** 2)
@@ -1119,7 +1120,7 @@ class TestLevenbergMarquardt:
             return linearize(self, tape, r)
 
         monkeypatch.setattr(_LMProblem, "linearize", counted)
-        res = lm_descent(start, J, F, pts, 1e-2)
+        res = lm_descent(start, FitData(J, F, pts), 1e-2)
         assert res.stop_reason == "converged"
         # the start and each accepted point the descent went on from, once
         # each; the converged point is the last accepted one and is not among them
@@ -1211,7 +1212,7 @@ def test_descent_converges_exactly_below_the_search_scale(case):
 
     cfg, J, F, pts = _search_case(case)
     bound = _LM_TOL * float(np.sum(J * J) + cfg.lam * np.sum(F * F))
-    outcomes = [_start_outcome(cfg, J, F, pts, k) for k in range(8)]
+    outcomes = [_start_outcome(cfg, FitData(J, F, pts), k) for k in range(8)]
     assert all(isinstance(out, LMResult) for out in outcomes)
     assert [out.stop_reason == "converged" for out in outcomes] == [
         out.objective <= bound for out in outcomes]
@@ -1235,7 +1236,7 @@ class TestParallelSearch:
 
         def outcome(*args):
             if os.getpid() != caller:
-                os.write(write, bytes([args[4]]))  # (cfg, J, F, points, k, poll)
+                os.write(write, bytes([args[2]]))  # (cfg, data, k, poll)
             elif not select.select([read], [], [], 60)[0]:
                 raise AssertionError("no helper began a descent")
             return real(*args)
@@ -1284,16 +1285,16 @@ class TestParallelSearch:
         with monkeypatch.context() as m:
             m.setattr(search_mod, "_helper_cpus", lambda: [])
             expected = start_search(cfg, J, F, pts)
-        alone = search_mod._start_outcome(cfg, J, F, pts, 2)
+        alone = search_mod._start_outcome(cfg, FitData(J, F, pts), 2)
         assert alone.stop_reason == "stalled" and alone.iterations == 60
         caller, real = os.getpid(), search_mod._start_outcome
         began, go = os.pipe(), os.pipe()
         polls, dropped = [], []
 
-        def outcome(cfg, J, F, pts, k, poll):
+        def outcome(cfg, data, k, poll):
             if os.getpid() != caller:
                 os.write(began[1], bytes([k]))
-                out = real(cfg, J, F, pts, k, poll)
+                out = real(cfg, data, k, poll)
                 if k == 1:  # its stop goes on the board once the caller descends start 2
                     wait_readable(go[0], "the caller did not begin start 2")
                 return out
@@ -1310,10 +1311,10 @@ class TestParallelSearch:
                             time.sleep(1e-3)
                     return poll()
 
-                out = real(cfg, J, F, pts, k, counted)
+                out = real(cfg, data, k, counted)
                 dropped.append(out is None)
                 return out
-            return real(cfg, J, F, pts, k, poll)
+            return real(cfg, data, k, poll)
 
         cpu = max(os.sched_getaffinity(0))
         monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [cpu])

@@ -377,8 +377,8 @@ class TestPipelinedSearches:
         for _ in range(stage):  # by the tuner's products
             lam *= cfg.beta
 
-        def descent(state, *args):  # args: J, F, points, lam, poll
-            if args[3] != lam:
+        def descent(state, *args):  # args: data, lam, poll
+            if args[1] != lam:
                 return real(state, *args)
             if os.getpid() != caller:
                 raise TypeError(f"scripted error in stage {stage}")
