@@ -773,6 +773,14 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     return state
 
 
+def _write_all_factors(state, points):
+    """The state, its G_1..G_L and R overwritten by the structured factors
+    of its weights and coefficients, layer by layer (:func:`_write_factors`)."""
+    for layer in range(1, state.n_layers + 1):
+        _write_factors(state, layer, _coeff_bases(state, layer, points))
+    return state
+
+
 def rebalance(state, points):
     """Normalize per-neuron input scales by an exact reparameterization.
 
@@ -875,6 +883,15 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     ``min_iters``, or at ``max_iters``.  The report carries the state with
     the lowest recorded objective, which need not be the last one.
 
+    The start is sweep 0: its weights and coefficients, with the objective
+    of the G_1..G_L and R that they give (:func:`_write_factors`), since
+    those of a state from :func:`init_state` are random draws, not part of
+    the model.  So a fit never returns a state whose objective is above
+    its start's: where no sweep goes below the start, the report carries
+    the start's parameters and structured factors, and a sweep that does
+    not improve on the start counts towards ``patience``.  Only the sweeps
+    are in the trace and in ``iterations``.
+
     The best sweep is kept as parameters only: copies of W_0..W_L and the
     coefficients, and its ``n_truncated``.  Its G_1..G_L and R are the
     structured factors of those parameters, so when a later sweep ends the
@@ -889,10 +906,21 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     update_c = update_c_proj if cfg.strategy == "proj" else update_c_constr
     L, lam = cfg.n_layers, cfg.lam
 
-    # (sweep, weights, coefficients, n_truncated) of the best sweep so far
-    best = None
-    best_total = np.inf
-    best_terms = None
+    # (sweep, weights, coefficients, n_truncated) of the best sweep so far,
+    # from sweep 0, the start, taken in a copy whose G and R its parameters
+    # give, so that the sweeps go on from the state as it is; a start whose
+    # factors or objective overflow is no candidate
+    best, best_total, best_terms, start = None, np.inf, None, state.copy()
+    try:
+        with np.errstate(all="ignore"):
+            j_term, f_term, total = objective(
+                _write_all_factors(start, points), j_tensor, f_matrix, lam)
+    except NonFiniteError:
+        total = np.inf
+    if np.isfinite(total):
+        best = (0, start.weights, start.coeffs, start.n_truncated)
+        best_total, best_terms = total, (j_term, f_term)
+    del start
     stall = 0
     stop_reason = "max_iters"
     iterations = 0
@@ -941,10 +969,9 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     if it < iterations:
         # the live arrays take the best sweep's factors: each G_l (and R) is
         # a function of the weights below layer l and the coefficients
-        state = SolverState(weights=weights, G=state.G, R=state.R, coeffs=coeffs,
-                            trace=state.trace, n_truncated=best_truncated)
-        for layer in range(1, L + 1):
-            _write_factors(state, layer, _coeff_bases(state, layer, points))
+        state = _write_all_factors(SolverState(
+            weights=weights, G=state.G, R=state.R, coeffs=coeffs, trace=state.trace,
+            n_truncated=best_truncated), points)
     # C-ordered, as a copy of the state is: the solves leave W_1..W_L, and R
     # in proj, in Fortran order, and the model's passes read the layout
     for arrays in (state.weights, state.G, state.coeffs):

@@ -34,7 +34,7 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.search import start_search
-from ptdecouple.solver import _coeff_bases, _coeff_problem, _structure
+from ptdecouple.solver import _coeff_bases, _coeff_problem, _structure, _write_all_factors
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
     NonFiniteError,
@@ -796,8 +796,9 @@ class TestFit:
             "deep-proj"])
     def test_returns_the_best_sweeps_state_byte_for_byte(self, monkeypatch, case, last):
         # the state at each sweep's end, recorded where the objective closes
-        # the sweep; the fit keeps the best one as parameters and rebuilds
-        # its G and R at the end unless it is the last
+        # the sweep, after the start's, sweep 0, with the G and R its
+        # parameters give; the fit keeps the best one as parameters and
+        # rebuilds its G and R at the end unless it is the last
         cfg, J, F, pts, st0 = getattr(self, case[0])(*case[1:])
         ends = []
 
@@ -817,8 +818,8 @@ class TestFit:
         assert all(a.flags.c_contiguous for a in arrays)
         assert rep.state.n_truncated == want.n_truncated
         assert rep.n_truncated == ends[-1][0].n_truncated
-        assert rep.state.trace == [(it, *terms) for it, (_, terms) in enumerate(ends, start=1)]
-        assert rep.iterations == len(ends) == cfg.max_iters
+        assert rep.state.trace == [(it, *terms) for it, (_, terms) in enumerate(ends)][1:]
+        assert rep.iterations == len(ends) - 1 == cfg.max_iters
         assert (rep.error_j, rep.error_f) == (ends[best][1][0] / fro_norm(J) ** 2,
                                               ends[best][1][1] / fro_norm(F) ** 2)
 
@@ -1192,6 +1193,29 @@ def _search_case(case, seed=0):
     pts = seeded_rng(seed, 0, 0).uniform(-1, 1, (30, model.n_inputs))
     cfg = SolverConfig(ranks=ranks, degrees=degrees, lam=1e-6, rng_seed=seed)
     return cfg, build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
+
+
+@pytest.mark.parametrize("case, seed, strategy, beaten", [
+    ("f1", 2, "constr", True), ("f1", 2, "proj", False),
+    ("L3", 0, "constr", False), ("L3", 0, "proj", False),
+])
+def test_a_fit_never_ends_above_its_search_start(monkeypatch, case, seed, strategy, beaten):
+    # the start is sweep 0 of the best: a fit from a search's pick returns a
+    # state whose objective is at most that of the pick's parameters with
+    # the G and R they give, and where no sweep goes below it, that state
+    from dataclasses import replace
+
+    cfg, J, F, pts = _search_case(case, seed)
+    cfg = replace(cfg, strategy=strategy, max_iters=60)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    start = start_search(cfg, J, F, pts)
+    structured = _write_all_factors(start.copy(), pts)
+    rep = fit(cfg, J, F, pts, initial_state=start)
+    got, want = (objective(st, J, F, cfg.lam)[2] for st in (rep.state, structured))
+    assert got <= want and (got < want) == beaten
+    assert (state_bytes(rep.state) == state_bytes(structured)) == (not beaten)
+    if not beaten:  # every sweep, the first included, counts towards patience
+        assert (rep.iterations, rep.stop_reason) == (cfg.patience, "patience")
 
 
 def _search_in_worker(case):
