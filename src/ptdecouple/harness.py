@@ -42,6 +42,7 @@ from .solver import (
     SolverConfig,
     SolverDivergenceError,
     _as_int,
+    _as_seed,
     _layer_sizes,
     seeded_rng,
     state_to_model,
@@ -159,8 +160,9 @@ class SyntheticSpec:
         ranks, degrees = _layer_sizes(self.ranks, self.degrees)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
-        for name in ("n_inputs", "n_outputs", "seed"):
+        for name in ("n_inputs", "n_outputs"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _as_seed("seed", self.seed))
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise ValueError("need positive input and output dims")
         if np.isnan(self.collinearity_max):
@@ -291,8 +293,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("runs", "n_samples", "n_validation", "n_test", "seed", "jobs"):
+        for name in ("runs", "n_samples", "n_validation", "n_test", "jobs"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _as_seed("seed", self.seed))
         picked = [x for x in (self.builtin, self.model_file, self.generate) if x is not None]
         if len(picked) != 1:
             raise ValueError("exactly one of builtin, model_file or generate must be set")

@@ -137,6 +137,14 @@ def _as_int(name, value):
     return int(value)
 
 
+def _as_seed(name, value):
+    """value as a non-negative int, a seed ``np.random.SeedSequence`` takes; ValueError otherwise."""
+    seed = _as_int(name, value)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 def _layer_sizes(ranks, degrees):
     """Per-layer ranks and degrees as tuples of ints, once both are
     non-empty, equally long and positive."""
@@ -176,8 +184,9 @@ class SolverConfig:
         ranks, degrees = _layer_sizes(self.ranks, self.degrees)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
-        for name in ("min_iters", "max_iters", "patience", "rng_seed"):
+        for name in ("min_iters", "max_iters", "patience"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "rng_seed", _as_seed("rng_seed", self.rng_seed))
         if not 0 < self.min_iters <= self.max_iters:
             raise ValueError("need 0 < min_iters <= max_iters")
         if self.patience < 1:
@@ -266,6 +275,22 @@ def seeded_rng(seed, *spawn_key):
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _state_shapes(cfg, dims):
+    """``(name, shape, sizes)`` of every array of a state for cfg and dims
+    (n, m, S): W_0..W_L, G_1..G_L, R and c_1..c_L, in that order, with the
+    sizes that give each shape."""
+    n, m, S = dims
+    ranks, L = cfg.ranks, cfg.n_layers
+    sizes = (m, *ranks, n)
+    rk = f"ranks {ranks}"
+    given = [f"{rk} and m = {m}", *[rk] * (L - 1), f"{rk} and n = {n}"]
+    return ([(f"W_{l}", (sizes[l + 1], sizes[l]), given[l]) for l in range(L + 1)]
+            + [(f"G_{l}", (S, r), f"{rk} and S = {S}") for l, r in enumerate(ranks, 1)]
+            + [("R", (S, ranks[-1]), f"{rk} and S = {S}")]
+            + [(f"c_{l}", (r, d + 1), f"{rk} and degrees {cfg.degrees}")
+               for l, (r, d) in enumerate(zip(ranks, cfg.degrees), 1)])
+
+
 def init_state(cfg, dims):
     """Random starting state for problem dims (n, m, S).
 
@@ -278,19 +303,24 @@ def init_state(cfg, dims):
     if n < 1 or m < 1 or S < 1:
         raise ValueError(f"invalid dims {dims}")
     rng = seeded_rng(cfg.rng_seed)
-    lo, hi = 0.1, 10.0
-    ranks = cfg.ranks
+    a = [rng.uniform(0.1, 10.0, size=shape) for _, shape, _ in _state_shapes(cfg, dims)]
     L = cfg.n_layers
-    shapes = [(ranks[0], m)]
-    shapes += [(ranks[i + 1], ranks[i]) for i in range(L - 1)]
-    shapes += [(n, ranks[-1])]
-    weights = [rng.uniform(lo, hi, size=s) for s in shapes]
-    G = [rng.uniform(lo, hi, size=(S, r)) for r in ranks]
-    R = rng.uniform(lo, hi, size=(S, ranks[-1]))
-    coeffs = [
-        rng.uniform(lo, hi, size=(r, d + 1)) for r, d in zip(ranks, cfg.degrees)
-    ]
-    return SolverState(weights=weights, G=G, R=R, coeffs=coeffs)
+    return SolverState(weights=a[: L + 1], G=a[L + 1 : 2 * L + 1], R=a[2 * L + 1],
+                       coeffs=a[2 * L + 2 :])
+
+
+def _check_start(state, cfg, dims):
+    """ValueError naming the first array of the state whose shape cfg and
+    dims (n, m, S) do not give, or its layer count."""
+    L = cfg.n_layers
+    if (len(state.weights), len(state.G), len(state.coeffs)) != (L + 1, L, L):
+        raise ValueError(f"initial_state has {len(state.G)} layers where ranks "
+                         f"{cfg.ranks} give {L}")
+    arrays = [*state.weights, *state.G, state.R, *state.coeffs]
+    for a, (name, shape, given) in zip(arrays, _state_shapes(cfg, dims)):
+        if np.shape(a) != shape:
+            raise ValueError(f"initial_state's {name} is {np.shape(a)} where {given} "
+                             f"give {shape}")
 
 
 def build_MW(state, layer):
@@ -875,7 +905,10 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
 
     The data is J, F and the points, or one :class:`FitData` in place of
     all three (``fit(cfg, data, initial_state=...)``), which is then used
-    as it is validated.
+    as it is validated.  An ``initial_state`` must have the layers and the
+    array shapes that cfg's ranks and degrees and the data's n, m and S
+    give; ValueError, naming the first array that does not, before any
+    sweep.
 
     One iteration is a full sweep in the fixed update order; the run stops
     once the objective has not improved (relative decrease above 1e-12
@@ -902,7 +935,11 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     """
     data = j_tensor if isinstance(j_tensor, FitData) else FitData(j_tensor, f_matrix, points)
     j_tensor, f_matrix, points = data.j_tensor, data.f_matrix, data.points
-    state = initial_state.copy() if initial_state is not None else init_state(cfg, data.shape)
+    if initial_state is None:
+        state = init_state(cfg, data.shape)
+    else:
+        _check_start(initial_state, cfg, data.shape)
+        state = initial_state.copy()
     update_c = update_c_proj if cfg.strategy == "proj" else update_c_constr
     L, lam = cfg.n_layers, cfg.lam
 

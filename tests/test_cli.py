@@ -50,6 +50,18 @@ def test_generate_missing_ranks_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2", "--seed", "-1"],
+    ["experiment", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2", "--seed", "-1"],
+    ["generate", "-m", "2", "-n", "2", "--ranks", "2,2", "--degrees", "3,2", "--seed", "-3"],
+])
+def test_negative_seed_is_config_error_naming_the_key(tmp_path, capsys, argv):
+    # numpy's SeedSequence refused it inside the run, naming no key
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_decouple_builtin(tmp_path):
     out = str(tmp_path)
     code = main([

@@ -89,7 +89,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("field, value", [
         ("n_inputs", 2.0), ("n_outputs", True), ("ranks", (2, 2.5)), ("degrees", (3.0, 2)),
-        ("seed", 1.5),
+        ("seed", 1.5), ("seed", -1),
     ])
     def test_counts_must_be_integers(self, field, value):
         given = dict(n_inputs=2, n_outputs=2, ranks=(2, 2), degrees=(3, 2), seed=0)
@@ -172,7 +172,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field, value", [
         (field, value) for field in ("runs", "n_samples", "n_validation", "n_test", "seed", "jobs")
         for value in (1.5, True)
-    ] + [("n_test", 2.5)])
+    ] + [("n_test", 2.5), ("seed", -1)])
     def test_counts_must_be_integers(self, field, value):
         # a float seed ran as its integer part, a float count failed only
         # inside run_experiment; n_test's range check alone rejects 1.5 and

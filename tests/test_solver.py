@@ -127,6 +127,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("ranks", (2.7, 2)), ("ranks", (True, 2)), ("degrees", (5, 2.0)),
         ("min_iters", 1.0), ("max_iters", 2.5), ("patience", True), ("rng_seed", 3.0),
+        ("rng_seed", -1),
     ])
     def test_counts_must_be_integers(self, field, value):
         # a float or a bool where a count is meant is refused at construction,
@@ -822,6 +823,27 @@ class TestFit:
         assert rep.iterations == len(ends) - 1 == cfg.max_iters
         assert (rep.error_j, rep.error_f) == (ends[best][1][0] / fro_norm(J) ** 2,
                                               ends[best][1][1] / fro_norm(F) ** 2)
+
+    @pytest.mark.parametrize("ranks, degrees, dims, match", [
+        ((3, 2), (3, 2), (2, 2, 30), r"W_0 is \(3, 2\) where ranks \(2, 2\) and m = 2"),
+        ((2, 2), (5, 2), (2, 2, 20), r"G_1 is \(20, 2\) where ranks \(2, 2\) and S = 30"),
+        ((2, 2), (3, 2), (2, 2, 30), r"c_1 is \(2, 4\) where ranks \(2, 2\) and degrees"),
+        ((2, 2), (5, 2), (3, 2, 30), r"W_2 is \(3, 2\) where ranks \(2, 2\) and n = 2"),
+        ((2, 2, 2), (5, 2, 2), (2, 2, 30), "3 layers where ranks"),
+    ])
+    def test_a_start_that_does_not_match_is_refused(self, monkeypatch, ranks, degrees, dims,
+                                                    match):
+        # a state of other ranks once fitted silently under the config, and
+        # one of other S failed inside a solve; now no sweep runs
+        from ptdecouple.harness import builtin_system
+
+        model = builtin_system("f1")
+        pts = np.random.Generator(np.random.Philox(3)).uniform(-1, 1, (30, 2))
+        J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+        st = init_state(SolverConfig(ranks=ranks, degrees=degrees), dims)
+        monkeypatch.setattr(solver_mod, "rebalance", None)  # a sweep would call it
+        with pytest.raises(ValueError, match=match):
+            fit(SolverConfig(ranks=(2, 2), degrees=(5, 2)), J, F, pts, initial_state=st)
 
     def test_patience_stop(self):
         model, pts, J, F = problem(22, S=30)
