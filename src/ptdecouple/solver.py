@@ -58,12 +58,11 @@ the objective.
 This module owns the sweeps, :func:`fit` and :func:`state_to_model`, and
 the helpers that the other two parts of the method import from it:
 :class:`SolverState`, :class:`SolverDivergenceError`, :func:`seeded_rng`,
-the validated data value :class:`FitData` and the neuron-input
-normalization.  The sweeps descend
-from wherever they start; the Levenberg-Marquardt descent over the model
-parameters is :mod:`.descent`, and the seeded start search that runs it
-from several draws, and from which the tuner starts every stage's sweeps,
-is :mod:`.search`.
+the run's validated data value :class:`FitData` and the neuron-input
+normalization.  The sweeps descend from wherever they start; the
+Levenberg-Marquardt descent over the model parameters is :mod:`.descent`,
+and the seeded start search that runs it from several draws, and from
+which the tuner starts every stage's sweeps, is :mod:`.search`.
 
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.  Every
