@@ -946,7 +946,8 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     # from sweep 0, the start, taken in a copy whose G and R its parameters
     # give, so that the sweeps go on from the state as it is; a start whose
     # factors or objective overflow is no candidate
-    best, best_total, best_terms, start = None, np.inf, None, state.copy()
+    best, best_total, best_terms = None, np.inf, None
+    start = state.copy()
     try:
         with np.errstate(all="ignore"):
             j_term, f_term, total = objective(

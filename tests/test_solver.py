@@ -1200,6 +1200,38 @@ class TestLevenbergMarquardt:
         assert rep.error_j <= 1e-16
 
 
+# relative singular values of the LM Jacobian at a truth state: at or below
+# _GAUGE_RTOL lie the 2 * sum(ranks) directions that rescale a neuron's input
+# and output, above _IDENTIFIED_RTOL all others.  Measured at S = 60, seeds 0
+# and 1: the gauge values reach 1.9e-16 (margin x10.5 to _GAUGE_RTOL), and
+# the next value is 2.6e-11 / 1.2e-10 on f1, 8.1e-11 / 4.6e-10 on f2 and
+# 2.5e-13 / 2.6e-13 on f3, the narrowest gap (margin x10 to _IDENTIFIED_RTOL)
+_GAUGE_RTOL = 2e-15
+_IDENTIFIED_RTOL = 2.5e-14
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_truth_is_identified_up_to_the_scaling_gauge(name, seed):
+    # each neuron's input scale and output scale trade against each other
+    # exactly (rebalance), two null directions per neuron; the rest of the
+    # parameters are locally identifiable at the truth
+    from ptdecouple.descent import _consistent_state, _LMProblem, lm_pack
+    from ptdecouple.harness import builtin_system
+    from ptdecouple.solver import seeded_rng
+
+    model = builtin_system(name)
+    pts = seeded_rng(seed, 0).uniform(-1, 1, (60, model.n_inputs))
+    J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+    st = _consistent_state(model.weights, model.coeffs, pts)
+    prob = _LMProblem(st.weights, st.coeffs, FitData(J, F, pts), 1e-6)
+    sv = np.linalg.svd(prob.jacobian(lm_pack(st.weights, st.coeffs)), compute_uv=False)
+    rel = sv / sv[0]
+    gauge = 2 * sum(model.ranks)
+    assert np.count_nonzero(rel <= _GAUGE_RTOL) == gauge
+    assert rel[-gauge - 1] >= _IDENTIFIED_RTOL
+
+
 def _search_case(case, seed=0):
     """An f1 search that stops at its third start, which converges, or an L = 3
     search whose 8 descents all stall; S = 30 as in the protocols.  At seed 2
