@@ -68,7 +68,7 @@ def _start_state(cfg, dims, points, k):
 
 
 def _start_outcome(cfg, data, k, poll=None):
-    """LMResult of start k's descent on data, None if it diverged or was dropped, or the exception it raised."""
+    """LMResult of start k's descent, None if it diverged or was dropped, or the exception it raised."""
     n, m, _ = data.shape
     try:
         # the descent holds the only reference to its start: the draws, G

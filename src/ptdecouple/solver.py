@@ -137,7 +137,7 @@ def _as_int(name, value):
 
 
 def _as_seed(name, value):
-    """value as a non-negative int, a seed ``np.random.SeedSequence`` takes; ValueError otherwise."""
+    """value as a non-negative int, as ``np.random.SeedSequence`` takes; else ValueError."""
     seed = _as_int(name, value)
     if seed < 0:
         raise ValueError(f"{name} must be non-negative, got {seed}")
@@ -275,19 +275,13 @@ def seeded_rng(seed, *spawn_key):
 
 
 def _state_shapes(cfg, dims):
-    """``(name, shape, sizes)`` of every array of a state for cfg and dims
-    (n, m, S): W_0..W_L, G_1..G_L, R and c_1..c_L, in that order, with the
-    sizes that give each shape."""
+    """``(name, shape)`` of every array of a state for cfg and dims (n, m, S):
+    W_0..W_L, G_1..G_L, R and c_1..c_L, in that order."""
     n, m, S = dims
-    ranks, L = cfg.ranks, cfg.n_layers
-    sizes = (m, *ranks, n)
-    rk = f"ranks {ranks}"
-    given = [f"{rk} and m = {m}", *[rk] * (L - 1), f"{rk} and n = {n}"]
-    return ([(f"W_{l}", (sizes[l + 1], sizes[l]), given[l]) for l in range(L + 1)]
-            + [(f"G_{l}", (S, r), f"{rk} and S = {S}") for l, r in enumerate(ranks, 1)]
-            + [("R", (S, ranks[-1]), f"{rk} and S = {S}")]
-            + [(f"c_{l}", (r, d + 1), f"{rk} and degrees {cfg.degrees}")
-               for l, (r, d) in enumerate(zip(ranks, cfg.degrees), 1)])
+    ranks, sizes = cfg.ranks, (m, *cfg.ranks, n)
+    return ([(f"W_{l}", (sizes[l + 1], sizes[l])) for l in range(cfg.n_layers + 1)]
+            + [(f"G_{l}", (S, r)) for l, r in enumerate(ranks, 1)] + [("R", (S, ranks[-1]))]
+            + [(f"c_{l}", (r, d + 1)) for l, (r, d) in enumerate(zip(ranks, cfg.degrees), 1)])
 
 
 def init_state(cfg, dims):
@@ -302,7 +296,7 @@ def init_state(cfg, dims):
     if n < 1 or m < 1 or S < 1:
         raise ValueError(f"invalid dims {dims}")
     rng = seeded_rng(cfg.rng_seed)
-    a = [rng.uniform(0.1, 10.0, size=shape) for _, shape, _ in _state_shapes(cfg, dims)]
+    a = [rng.uniform(0.1, 10.0, size=shape) for _, shape in _state_shapes(cfg, dims)]
     L = cfg.n_layers
     return SolverState(weights=a[: L + 1], G=a[L + 1 : 2 * L + 1], R=a[2 * L + 1],
                        coeffs=a[2 * L + 2 :])
@@ -311,15 +305,13 @@ def init_state(cfg, dims):
 def _check_start(state, cfg, dims):
     """ValueError naming the first array of the state whose shape cfg and
     dims (n, m, S) do not give, or its layer count."""
-    L = cfg.n_layers
+    L, given = cfg.n_layers, f"ranks {cfg.ranks}, degrees {cfg.degrees} and (n, m, S) = {dims}"
     if (len(state.weights), len(state.G), len(state.coeffs)) != (L + 1, L, L):
-        raise ValueError(f"initial_state has {len(state.G)} layers where ranks "
-                         f"{cfg.ranks} give {L}")
+        raise ValueError(f"initial_state has {len(state.G)} layers where {given} give {L}")
     arrays = [*state.weights, *state.G, state.R, *state.coeffs]
-    for a, (name, shape, given) in zip(arrays, _state_shapes(cfg, dims)):
+    for a, (name, shape) in zip(arrays, _state_shapes(cfg, dims)):
         if np.shape(a) != shape:
-            raise ValueError(f"initial_state's {name} is {np.shape(a)} where {given} "
-                             f"give {shape}")
+            raise ValueError(f"initial_state's {name} is {np.shape(a)} where {given} give {shape}")
 
 
 def build_MW(state, layer):

@@ -825,10 +825,10 @@ class TestFit:
                                               ends[best][1][1] / fro_norm(F) ** 2)
 
     @pytest.mark.parametrize("ranks, degrees, dims, match", [
-        ((3, 2), (3, 2), (2, 2, 30), r"W_0 is \(3, 2\) where ranks \(2, 2\) and m = 2"),
-        ((2, 2), (5, 2), (2, 2, 20), r"G_1 is \(20, 2\) where ranks \(2, 2\) and S = 30"),
-        ((2, 2), (3, 2), (2, 2, 30), r"c_1 is \(2, 4\) where ranks \(2, 2\) and degrees"),
-        ((2, 2), (5, 2), (3, 2, 30), r"W_2 is \(3, 2\) where ranks \(2, 2\) and n = 2"),
+        ((3, 2), (3, 2), (2, 2, 30), r"W_0 is \(3, 2\) where ranks \(2, 2\), .* give \(2, 2\)"),
+        ((2, 2), (5, 2), (2, 2, 20), r"G_1 is \(20, 2\) where .* = \(2, 2, 30\) give \(30, 2\)"),
+        ((2, 2), (3, 2), (2, 2, 30), r"c_1 is \(2, 4\) where .* degrees \(5, 2\) .* \(2, 6\)"),
+        ((2, 2), (5, 2), (3, 2, 30), r"W_2 is \(3, 2\) where .* = \(2, 2, 30\) give \(2, 2\)"),
         ((2, 2, 2), (5, 2, 2), (2, 2, 30), "3 layers where ranks"),
     ])
     def test_a_start_that_does_not_match_is_refused(self, monkeypatch, ranks, degrees, dims,
@@ -893,6 +893,20 @@ class TestFit:
         st = seen[0]
         assert all(np.all(np.isfinite(a)) for a in [*st.weights, *st.G, st.R, *st.coeffs])
 
+    def test_the_data_value_holds_the_callers_arrays(self):
+        # validated once and neither copied nor changed; the sums keep the
+        # bits of the figures they replace
+        model, pts, J, F = problem(25)
+        J.flags.writeable = False
+        data = FitData(J, F, pts)
+        assert data.j_tensor is J and data.f_matrix is F and data.points is pts
+        assert not J.flags.writeable and F.flags.writeable and pts.flags.writeable
+        assert data.shape == J.shape and np.shares_memory(data.j_slices, J)
+        assert np.array_equal(data.j_slices, np.transpose(J, (2, 0, 1)))
+        assert np.sqrt(data.jj) ** 2 == fro_norm(J) ** 2
+        assert np.sqrt(data.ff) ** 2 == fro_norm(F) ** 2
+        assert data.jj + 0.3 * data.ff == float(np.sum(J * J) + 0.3 * np.sum(F * F))
+
     def test_input_validation(self):
         model, pts, J, F = problem(25)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2))
@@ -900,6 +914,10 @@ class TestFit:
             fit(cfg, J, F[:, :-1], pts)
         with pytest.raises(ValueError):
             fit(cfg, J, F, pts[:-1])
+        holed = pts.copy()
+        holed[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(cfg, J, F, holed)
 
     @pytest.mark.parametrize("strategy", ["constr", "proj"])
     def test_lambda_zero_ignores_f(self, strategy):

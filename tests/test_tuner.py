@@ -293,6 +293,31 @@ class TestTuneProperties:
             assert "trace" in stage["report"]
 
 
+def test_a_tuned_run_validates_its_data_once(monkeypatch):
+    # tune builds one FitData, and the search and every stage's fit read it
+    # as it is; no stage checks J, F and the points again
+    from ptdecouple.solver import FitData
+
+    cfg, J, F, pts, validation = tuned_case("f1")
+    built, init = [], FitData.__post_init__
+    seen, real_fit = [], tuner_mod.fit
+
+    def counted(data):
+        built.append(data)
+        init(data)
+
+    def fit(inner, data, **kwargs):
+        seen.append(data)
+        return real_fit(inner, data, **kwargs)
+
+    monkeypatch.setattr(FitData, "__post_init__", counted)
+    monkeypatch.setattr(tuner_mod, "fit", fit)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    report = tune(cfg, J, F, pts, validation)
+    assert len(built) == 1 and len(seen) == len(report.stages) == 3
+    assert all(data is built[0] for data in seen)
+
+
 def tuned_case(case):
     """A tuned run of 3 stages, on f1 or on a generated L = 3 system, S = 30."""
     from ptdecouple.harness import builtin_system
