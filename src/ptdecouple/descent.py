@@ -3,8 +3,9 @@
 This module owns the descent that the start search (:mod:`.search`) runs
 from each of its draws: the parameter vector (:func:`lm_pack`), the
 residual and its derivatives (``_LMProblem``), and :func:`lm_descent`,
-whose :class:`LMResult` holds a state the sweeps of :mod:`.solver` can
-start from.
+whose :class:`LMResult` holds the parameters the descent ended at.  An
+outcome holds no array that grows with S: the search evaluates G and R,
+the state the sweeps of :mod:`.solver` start from, for its pick alone.
 
 The objective is the sweeps' own, over the weights and coefficients, with
 the analytic Jacobian through the layer inputs.  Every value comes from
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _der, derivative_rows, layer_pass, right_chains
-from .solver import SolverDivergenceError, SolverState
+from .solver import SolverDivergenceError
 
 __all__ = ["LMResult", "lm_pack", "lm_descent"]
 
@@ -59,12 +60,15 @@ _LM_PASS_ROWS = 4 * _LM_CHUNK_ROWS
 class LMResult:
     """Outcome of one Levenberg-Marquardt descent.
 
-    ``state`` is consistent (G and R evaluated from the coefficients),
-    ``objective`` is its j_term + lam * f_term and ``stop_reason`` one of
-    "converged" (fit to round-off), "stalled" or "max_iters".
+    ``weights`` (W_0..W_L) and ``coeffs`` (c_1..c_L) are the parameters it
+    ended at, ``objective`` is the j_term + lam * f_term of the consistent
+    state they give (G and R evaluated from the coefficients) and
+    ``stop_reason`` one of "converged" (fit to round-off), "stalled" or
+    "max_iters".
     """
 
-    state: SolverState
+    weights: list
+    coeffs: list
     objective: float
     iterations: int
     stop_reason: str
@@ -279,17 +283,6 @@ class _LMProblem:
         return total
 
 
-def _consistent_state(weights, coeffs, points):
-    """Solver state whose G and R are evaluated from the coefficients."""
-    layers = layer_pass(weights, coeffs, points)[0]
-    return SolverState(
-        weights=[np.array(w, dtype=float) for w in weights],
-        G=[t.dg for t in layers],
-        R=layers[-1].g,
-        coeffs=[np.array(c, dtype=float) for c in coeffs],
-    )
-
-
 def lm_descent(state, data, lam, poll=None):
     """Levenberg-Marquardt descent of the objective over the model parameters.
 
@@ -315,9 +308,12 @@ def lm_descent(state, data, lam, poll=None):
     an accepted point is never evaluated again; a rejected one builds no
     tape, and neither does the point at which the descent stops.
 
-    Stops once the objective is at most 1e-20 of ||J||^2 + lam ||F||^2
-    ("converged"), once it fell by less than 10% over 15 iterations or the
-    damping ran away ("stalled"), or after 150 iterations ("max_iters").
+    Returns the :class:`LMResult` of the point it stops at (the last
+    accepted one, or the start): its weights and coefficients, whose G and
+    R it does not evaluate.  Stops once the objective is at most 1e-20 of
+    ||J||^2 + lam ||F||^2 ("converged"), once it fell by less than 10% over
+    15 iterations or the damping ran away ("stalled"), or after 150
+    iterations ("max_iters").
     A non-finite objective or Jacobian at an accepted point raises
     SolverDivergenceError.  ``poll``, if given, is called after each
     iteration that does not stop the descent; once it returns true the
@@ -392,9 +388,4 @@ def lm_descent(state, data, lam, poll=None):
             break
         if poll is not None and poll():
             return None
-    return LMResult(
-        state=_consistent_state(*prob.model(theta), data.points),
-        objective=f,
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
+    return LMResult(*prob.model(theta), f, iterations, stop_reason)

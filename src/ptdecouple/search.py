@@ -10,7 +10,9 @@ starts every stage's sweeps from its best descent.
 A search runs its descents on every usable core, in the calling process
 and forked helpers, and returns the same bits as on one core; the searches
 of a tuned run's stages run as one :class:`StartSearch`, whose helpers
-descend the next stage's starts while the caller sweeps.
+descend the next stage's starts while the caller sweeps.  A descent's
+outcome is the parameters it ended at, which is all a helper sends and a
+pick holds; a stage evaluates G and R once, for the state of its pick.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import threading
 
 import numpy as np
 
-from .descent import LMResult, _consistent_state, lm_descent
-from .solver import FitData, SolverDivergenceError, _normalize_inputs, seeded_rng
+from .descent import LMResult, lm_descent
+from .model import layer_pass
+from .solver import FitData, SolverDivergenceError, SolverState, _normalize_inputs, seeded_rng
 
 __all__ = ["StartSearch", "start_search"]
 
@@ -53,6 +56,17 @@ def _helper_cpus():
     if multiprocessing.parent_process() is not None:
         return []
     return cpus if "fork" in multiprocessing.get_all_start_methods() else []
+
+
+def _consistent_state(weights, coeffs, points):
+    """Solver state whose G and R are evaluated from the coefficients."""
+    layers = layer_pass(weights, coeffs, points)[0]
+    return SolverState(
+        weights=[np.array(w, dtype=float) for w in weights],
+        G=[t.dg for t in layers],
+        R=layers[-1].g,
+        coeffs=[np.array(c, dtype=float) for c in coeffs],
+    )
 
 
 def _start_state(cfg, dims, points, k):
@@ -150,21 +164,22 @@ class StartSearch:
     Every stage searches the one ``solver.FitData`` it is given, as validated.
 
     ``next()`` returns the next stage's start, the consistent state of its
-    best descent or None, and raises the exception its pick reaches.  The
-    descents run in the caller and in one forked helper on each further
-    usable core (:func:`_helper_cpus`), forked once, when the search
-    opens.  The caller descends starts of the stage it is on; the helpers
-    do too, and once that stage has no start left to claim they claim
-    starts of the next stage, which so descend while the caller sweeps,
-    and never of a stage beyond it.  Outcomes feed one
-    :class:`_Pick` per stage as they arrive, and a final pick is raised
-    only by the ``next()`` of its stage, so a stage never reached raises
-    nothing.  A descent is dropped between its LM iterations once an
-    earlier start of its stage has stopped (converged or raised), since it
-    cannot be picked then: the process whose descent stops marks that on a
-    board of shared memory, which every process reads between iterations
-    and before it claims a start.  So no descent of a stage goes on once
-    the stage's pick is final.
+    best descent's parameters (the one state the stage evaluates) or None,
+    and raises the exception its pick reaches.  The descents run in the
+    caller and in one forked helper on each further usable core
+    (:func:`_helper_cpus`), forked once, when the search opens.  The
+    caller descends starts of the stage it is on; the helpers do too, and
+    once that stage has no start left to claim they claim starts of the
+    next stage, which so descend while the caller sweeps, and never of a
+    stage beyond it.  Outcomes feed one :class:`_Pick` per stage as they
+    arrive, and a final pick is raised only by the ``next()`` of its
+    stage, so a stage never reached raises nothing.  A descent is dropped
+    between its LM iterations once an earlier start of its stage has
+    stopped (converged or raised), since it cannot be picked then: the
+    process whose descent stops marks that on a board of shared memory,
+    which every process reads between iterations and before it claims a
+    start.  So no descent of a stage goes on once the stage's pick is
+    final.
 
     Close it (or use it as a context manager) to terminate and join the
     helpers; a helper whose caller has gone exits at its next send or
@@ -330,9 +345,11 @@ class StartSearch:
                 self._collect(None)
             else:  # every start is claimed, so the pick is final without helpers
                 raise RuntimeError("a start search ran out of starts before its pick")
-        if isinstance(pick.best, Exception):
-            raise pick.best
-        return None if pick.best is None else pick.best.state
+        best = pick.best
+        if isinstance(best, Exception):
+            raise best
+        return None if best is None else _consistent_state(best.weights, best.coeffs,
+                                                           self._data.points)
 
 
 def start_search(cfg, j_tensor, f_matrix, points):

@@ -745,8 +745,17 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
     d = state.coeffs[layer - 1].shape[1] - 1
     q = r * d
     if last:
-        # the slice means that the constants fit, taken out of the F rows
-        Ybar = np.mean(power_rows(U.T, d)[:, :, 1:], axis=1)
+        # the slice means that the constants fit, taken out of the F rows:
+        # those of power_rows(U.T, d)[:, :, 1:], one power plane at a time,
+        # since the whole rows would be held only to be averaged.  Column-major,
+        # as np.mean left them: the panels' power rows are centred by them
+        # with no buffered copy
+        Ybar, plane = np.empty((r, d), order="F"), U.T.copy()
+        for t in range(d):
+            if t:
+                plane *= U.T
+            Ybar[:, t] = np.mean(plane, axis=1)
+        del plane
         fbar = np.mean(fb, axis=1)
         fb = fb - fbar[:, None]
     # held beside a panel's rows, per slice: its structure rows X and Y,

@@ -76,6 +76,41 @@ def test_decouple_builtin(tmp_path):
     assert "stages" in report and "selected" in report
 
 
+def test_no_parser_is_alive_when_the_run_starts(tmp_path, monkeypatch):
+    # argparse's actions refer to their containers: a parser left to the
+    # cycle collector would be held beside the fit, at its peak memory
+    import weakref
+    from dataclasses import fields
+
+    import ptdecouple.cli as cli_mod
+    from ptdecouple.harness import ExperimentConfig
+
+    refs, alive, configs = [], [], []
+    build, run = cli_mod.build_parser, cli_mod.tuned_run
+
+    def built():
+        parser = build()
+        refs.append(weakref.ref(parser))
+        return parser
+
+    def tuned(cfg, *args):
+        alive.append([ref() is not None for ref in refs])
+        configs.append(cfg)
+        return run(cfg, *args)
+
+    monkeypatch.setattr(cli_mod, "build_parser", built)
+    monkeypatch.setattr(cli_mod, "tuned_run", tuned)
+    assert main([
+        "decouple", "--target", "f1", "--ranks", "2,2", "--degrees", "5,2",
+        "--max-iters", "3", "--min-iters", "2", "--max-stages", "1", "--out", str(tmp_path),
+    ]) == 0
+    assert alive == [[False]]
+    # without --samples and --validation, the config's defaults
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert configs[0].n_samples == defaults["n_samples"]
+    assert configs[0].n_validation == defaults["n_validation"]
+
+
 def test_decouple_unknown_target(tmp_path):
     code = main([
         "decouple", "--target", "f9", "--ranks", "2,2", "--degrees", "5,2",

@@ -1001,7 +1001,7 @@ def test_fit_report_json():
 
 
 def _random_model_state(rng, ranks, degrees, m, n, S):
-    from ptdecouple.descent import _consistent_state
+    from ptdecouple.search import _consistent_state
 
     dims = [m, *ranks, n]
     weights = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(ranks) + 1)]
@@ -1081,7 +1081,8 @@ class TestLevenbergMarquardt:
         # that equals a fresh evaluation at the same point bit for bit, and
         # each chunk's rows of M from the adjoint kernel equal those of a
         # pass over its points alone
-        from ptdecouple.descent import _consistent_state, _LMProblem, lm_pack
+        from ptdecouple.descent import _LMProblem, lm_pack
+        from ptdecouple.search import _consistent_state
 
         rng = np.random.default_rng(30 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
@@ -1135,7 +1136,8 @@ class TestLevenbergMarquardt:
         assert prob.apply_t(tape, y).tobytes() == want.tobytes()
 
     def test_descent_recovers_truth_from_perturbed_start(self):
-        from ptdecouple.descent import _consistent_state, lm_descent
+        from ptdecouple.descent import lm_descent
+        from ptdecouple.search import _consistent_state
 
         model, pts, J, F = problem(32, S=30)
         start = _consistent_state(
@@ -1143,12 +1145,34 @@ class TestLevenbergMarquardt:
         )
         res = lm_descent(start, FitData(J, F, pts), 1e-2)
         assert res.stop_reason == "converged"
-        assert res.objective == pytest.approx(objective(res.state, J, F, 1e-2)[2],
+        end = _consistent_state(res.weights, res.coeffs, pts)
+        assert res.objective == pytest.approx(objective(end, J, F, 1e-2)[2],
                                               rel=1e-6, abs=1e-20 * fro_norm(J) ** 2)
         assert res.objective <= 1e-20 * (fro_norm(J) ** 2 + 1e-2 * fro_norm(F) ** 2)
 
+    def test_an_outcome_holds_no_array_that_grows_with_s(self):
+        # a helper sends its outcome and a pick holds it: the parameters
+        # alone, whose shapes the ranks and degrees set
+        from dataclasses import fields
+
+        from ptdecouple.descent import lm_descent
+        from ptdecouple.search import _consistent_state
+
+        shapes = []
+        for S in (30, 90):
+            model, pts, J, F = problem(32, S=S)
+            start = _consistent_state(
+                [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
+            )
+            res = lm_descent(start, FitData(J, F, pts), 1e-2)
+            values = [getattr(res, f.name) for f in fields(res)]
+            assert all(isinstance(v, (list, float, int, str)) for v in values)
+            shapes.append([a.shape for v in values if isinstance(v, list) for a in v])
+        assert shapes[0] == shapes[1] == [a.shape for a in (*model.weights, *model.coeffs)]
+
     def test_descent_does_not_linearize_its_stop_point(self, monkeypatch):
-        from ptdecouple.descent import _consistent_state, _LMProblem, lm_descent
+        from ptdecouple.descent import _LMProblem, lm_descent
+        from ptdecouple.search import _consistent_state
 
         model, pts, J, F = problem(32, S=30)
         start = _consistent_state(
@@ -1171,7 +1195,7 @@ class TestLevenbergMarquardt:
     def test_search_picks_best_finite_and_is_seeded(self, monkeypatch):
         import ptdecouple.search as search_mod
         from ptdecouple.descent import LMResult
-        from ptdecouple.search import start_search
+        from ptdecouple.search import _consistent_state, start_search
 
         model, pts, J, F = problem(33)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=7)
@@ -1180,7 +1204,7 @@ class TestLevenbergMarquardt:
 
         def fake_descent(state, *args, **kwargs):
             seen.append(state)
-            return LMResult(state=state, objective=next(scripted), iterations=1,
+            return LMResult(state.weights, state.coeffs, objective=next(scripted), iterations=1,
                             stop_reason="stalled")
 
         monkeypatch.setattr(search_mod, "lm_descent", fake_descent)
@@ -1188,7 +1212,9 @@ class TestLevenbergMarquardt:
         # in process: a forked helper would read its own copy of the script
         monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
         picked = start_search(cfg, J, F, pts)
-        assert picked is seen[3]
+        # the state of start 3's parameters, evaluated once, by the search
+        assert state_bytes(picked) == state_bytes(
+            _consistent_state(seen[3].weights, seen[3].coeffs, pts))
         # same seed, same draws; the frozen constants of inner layers are 0
         scripted = iter([np.nan, 5.0, np.inf, 2.0, 3.0])
         again = start_search(cfg, J, F, pts)
@@ -1234,7 +1260,8 @@ def test_truth_is_identified_up_to_the_scaling_gauge(name, seed):
     # each neuron's input scale and output scale trade against each other
     # exactly (rebalance), two null directions per neuron; the rest of the
     # parameters are locally identifiable at the truth
-    from ptdecouple.descent import _consistent_state, _LMProblem, lm_pack
+    from ptdecouple.descent import _LMProblem, lm_pack
+    from ptdecouple.search import _consistent_state
     from ptdecouple.harness import builtin_system
     from ptdecouple.solver import seeded_rng
 
@@ -1433,7 +1460,7 @@ class TestParallelSearch:
         from ptdecouple.search import _Pick
 
         def result(objective, stop_reason="stalled"):
-            return LMResult(state=None, objective=objective, iterations=1,
+            return LMResult([], [], objective=objective, iterations=1,
                             stop_reason=stop_reason)
 
         def in_order(script):
@@ -1494,7 +1521,8 @@ class TestParallelSearch:
                 raise TypeError("scripted helper error")
             if not select.select([read], [], [], 60)[0]:
                 raise AssertionError("no helper began a descent")
-            return LMResult(state=state, objective=1.0, iterations=1, stop_reason="stalled")
+            return LMResult(state.weights, state.coeffs, objective=1.0, iterations=1,
+                            stop_reason="stalled")
 
         monkeypatch.setattr(search_mod, "lm_descent", descent)
         cpu = max(os.sched_getaffinity(0))
@@ -2074,6 +2102,16 @@ def test_last_layer_proj_update_peak_memory():
     assert traced_peak(lambda: update_c_proj(st, 2, J, F, pts, 1e-6)) < 236_000
 
 
+def test_last_layer_constr_update_peak_memory():
+    # 231.0 KB (229.6 KB from seeds 2 and 3), set by the G-row planes'
+    # reduction, before the slice means are taken; the means, summed one
+    # power plane at a time, hold one 16 KB plane beside the update's 83 KB
+    # there, where the whole power rows held 64 KB
+    J, F, pts = f2_s1000()
+    st = init_state(SolverConfig(ranks=(2, 2), degrees=(3, 3), rng_seed=1), J.shape)
+    assert traced_peak(lambda: update_c_constr(st, 2, J, F, pts, 1e-6)) < 240_000
+
+
 def test_middle_w_update_peak_memory():
     # 245.5 KB with the Kronecker stack built and reduced three panels of
     # slices at a time; 0.40 MB built whole, with build_MW's columns written
@@ -2134,12 +2172,14 @@ def test_last_rows_keep_the_broadcast_products():
 
 
 def test_start_search_peak_memory(monkeypatch):
-    # 72.0-73.0 KB above the inputs for this f1 S = 30 search in process,
-    # after a first search has made numpy's one-time allocations; a
-    # descent's linearization sets it, with one 16-point chunk's rows of M
-    # from the adjoint kernel (21.5 KB) and the kernel's temporaries
-    # (about 17 KB) live.  76.5-77.5 KB with the normal matrix and the
-    # gradient summed from zeros, which sat beside the first chunk's rows.
+    # 71.3 KB above the inputs for this f1 S = 30 search in process (69.5-
+    # 72.1 KB at seeds 0-2), after a first search has made numpy's one-time
+    # allocations; a descent's linearization sets it, with one 16-point
+    # chunk's rows of M from the adjoint kernel (21.5 KB) and the kernel's
+    # temporaries (about 17 KB) live.  73.3 KB (71.4-74.3 KB) while every
+    # outcome carried its evaluated G and R, and 76.5-77.5 KB with the
+    # normal matrix and the gradient summed from zeros, which sat beside
+    # the first chunk's rows.
     # The forward-mode derivatives it replaced read
     # 77.2-78.3 KB; kernels that broadcast ufuncs or einsums across the
     # seeds read 84-105 KB, and a stored LM Jacobian 110-125 KB.
@@ -2150,9 +2190,11 @@ def test_start_search_peak_memory(monkeypatch):
 
 
 def test_deep_start_search_peak_memory(monkeypatch):
-    # 127.0-127.1 KB for this L = 3 search, whose 8 descents all stall,
-    # measured as the f1 search above; 136.4-138.7 KB with the normal matrix
-    # summed from zeros, 138.2-139.5 KB with the forward-mode derivatives.
+    # 125.5 KB for this L = 3 search, whose 8 descents all stall (124.1-
+    # 125.5 KB at seeds 0-2), measured as the f1 search above; 128.2 KB
+    # (126.9-128.3 KB) while every outcome carried its evaluated G and R,
+    # 136.4-138.7 KB with the normal matrix summed from zeros, 138.2-139.5
+    # KB with the forward-mode derivatives.
     # The bound leaves a margin of about 2 %, as the f1 test's.
     cfg, J, F, pts = _search_case("L3")
     monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])

@@ -407,8 +407,8 @@ class TestPipelinedSearches:
                 return real(state, *args)
             if os.getpid() != caller:
                 raise TypeError(f"scripted error in stage {stage}")
-            return descent_mod.LMResult(state=state, objective=1.0, iterations=1,
-                                       stop_reason="stalled")
+            return descent_mod.LMResult(state.weights, state.coeffs, objective=1.0,
+                                       iterations=1, stop_reason="stalled")
 
         picked, add = [], search_mod._Pick.add
 
