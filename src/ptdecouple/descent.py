@@ -3,9 +3,10 @@
 This module owns the descent that the start search (:mod:`.search`) runs
 from each of its draws: the parameter vector (:func:`lm_pack`), the
 residual and its derivatives (``_LMProblem``), and :func:`lm_descent`,
-whose :class:`LMResult` holds the parameters the descent ended at.  An
-outcome holds no array that grows with S: the search evaluates G and R,
-the state the sweeps of :mod:`.solver` start from, for its pick alone.
+which takes weights and coefficients and whose :class:`LMResult` holds
+those it ended at.  Neither holds an array that grows with S: the G and R
+of the state the sweeps of :mod:`.solver` start from are written by
+:mod:`.solver`, for the search's pick alone.
 
 The objective is the sweeps' own, over the weights and coefficients, with
 the analytic Jacobian through the layer inputs.  Every value comes from
@@ -61,8 +62,8 @@ class LMResult:
     """Outcome of one Levenberg-Marquardt descent.
 
     ``weights`` (W_0..W_L) and ``coeffs`` (c_1..c_L) are the parameters it
-    ended at, ``objective`` is the j_term + lam * f_term of the consistent
-    state they give (G and R evaluated from the coefficients) and
+    ended at, ``objective`` is the j_term + lam * f_term of the state
+    they give (G and R the structured factors of the coefficients) and
     ``stop_reason`` one of "converged" (fit to round-off), "stalled" or
     "max_iters".
     """
@@ -283,16 +284,16 @@ class _LMProblem:
         return total
 
 
-def lm_descent(state, data, lam, poll=None):
-    """Levenberg-Marquardt descent of the objective over the model parameters.
+def lm_descent(weights, coeffs, data, lam, poll=None):
+    """Levenberg-Marquardt descent of the objective from the weights and coefficients.
 
     The parameters are W_0..W_L and every coefficient except the frozen
     constants of the layers below the last (see :func:`lm_pack`); the
     residual is r = [vec(J - Jhat); sqrt(lam) vec(F - Fhat)] with Jhat and
-    Fhat evaluated from the weights and coefficients, so that on a
-    consistent state r @ r equals ``objective(...)[2]``; its Jacobian is
-    analytic.  ``data`` is the run's ``solver.FitData``, whose slice-first
-    J and sums of squares every descent of the run shares.
+    Fhat evaluated from the weights and coefficients, so that r @ r equals
+    ``objective(...)[2]`` of the state with the G and R they give; its
+    Jacobian is analytic.  ``data`` is the run's ``solver.FitData``, whose
+    slice-first J and sums of squares every descent of the run shares.
 
     Each step solves the damped Gauss-Newton system on the normal matrix
     scaled to unit diagonal, with Nielsen's damping update and geodesic
@@ -309,8 +310,8 @@ def lm_descent(state, data, lam, poll=None):
     tape, and neither does the point at which the descent stops.
 
     Returns the :class:`LMResult` of the point it stops at (the last
-    accepted one, or the start): its weights and coefficients, whose G and
-    R it does not evaluate.  Stops once the objective is at most 1e-20 of
+    accepted one, or the start): its weights and coefficients, and no G or
+    R.  Stops once the objective is at most 1e-20 of
     ||J||^2 + lam ||F||^2 ("converged"), once it fell by less than 10% over
     15 iterations or the damping ran away ("stalled"), or after 150
     iterations ("max_iters").
@@ -324,9 +325,8 @@ def lm_descent(state, data, lam, poll=None):
     a scale set by the data and lam alone, so below every start's that
     ends otherwise.
     """
-    prob = _LMProblem(state.weights, state.coeffs, data, lam)
-    theta = lm_pack(state.weights, state.coeffs)
-    del state  # its G and R are not read; a caller that drops the state frees them
+    prob = _LMProblem(weights, coeffs, data, lam)
+    theta = lm_pack(weights, coeffs)
     scale = data.jj + lam * data.ff
     with np.errstate(all="ignore"):
         r, trial = prob.residual(theta, keep=True)

@@ -10,9 +10,11 @@ starts every stage's sweeps from its best descent.
 A search runs its descents on every usable core, in the calling process
 and forked helpers, and returns the same bits as on one core; the searches
 of a tuned run's stages run as one :class:`StartSearch`, whose helpers
-descend the next stage's starts while the caller sweeps.  A descent's
-outcome is the parameters it ended at, which is all a helper sends and a
-pick holds; a stage evaluates G and R once, for the state of its pick.
+descend the next stage's starts while the caller sweeps.  A start's draw
+and a descent's outcome are parameters (weights and coefficients), which
+is all a descent reads, a helper sends and a pick holds; only a stage's
+pick becomes a state, built once by :mod:`.solver`, which writes the G
+and R of every state.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import threading
 import numpy as np
 
 from .descent import LMResult, lm_descent
-from .model import layer_pass
-from .solver import FitData, SolverDivergenceError, SolverState, _normalize_inputs, seeded_rng
+from .solver import (FitData, SolverDivergenceError, _normalize_inputs, _structured_state,
+                     seeded_rng)
 
 __all__ = ["StartSearch", "start_search"]
 
@@ -58,19 +60,8 @@ def _helper_cpus():
     return cpus if "fork" in multiprocessing.get_all_start_methods() else []
 
 
-def _consistent_state(weights, coeffs, points):
-    """Solver state whose G and R are evaluated from the coefficients."""
-    layers = layer_pass(weights, coeffs, points)[0]
-    return SolverState(
-        weights=[np.array(w, dtype=float) for w in weights],
-        G=[t.dg for t in layers],
-        R=layers[-1].g,
-        coeffs=[np.array(c, dtype=float) for c in coeffs],
-    )
-
-
 def _start_state(cfg, dims, points, k):
-    """Rebalanced consistent state of start k, the k-th draw of the search's stream."""
+    """Rebalanced ``(weights, coeffs)`` of start k, the k-th draw of the search's stream."""
     rng = seeded_rng(cfg.rng_seed)
     for _ in range(k + 1):
         weights = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(cfg.n_layers + 1)]
@@ -78,16 +69,15 @@ def _start_state(cfg, dims, points, k):
     for c in coeffs[:-1]:
         c[:, 0] = 0.0
     with np.errstate(all="ignore"):
-        return _normalize_inputs(_consistent_state(weights, coeffs, points), points)
+        _normalize_inputs(weights, coeffs, points)
+    return weights, coeffs
 
 
 def _start_outcome(cfg, data, k, poll=None):
     """LMResult of start k's descent, None if it diverged or was dropped, or the exception it raised."""
     n, m, _ = data.shape
     try:
-        # the descent holds the only reference to its start: the draws, G
-        # and R are freed before it linearizes
-        return lm_descent(_start_state(cfg, [m, *cfg.ranks, n], data.points, k),
+        return lm_descent(*_start_state(cfg, [m, *cfg.ranks, n], data.points, k),
                           data, cfg.lam, poll)
     except (SolverDivergenceError, np.linalg.LinAlgError):
         return None
@@ -163,23 +153,23 @@ class StartSearch:
 
     Every stage searches the one ``solver.FitData`` it is given, as validated.
 
-    ``next()`` returns the next stage's start, the consistent state of its
-    best descent's parameters (the one state the stage evaluates) or None,
-    and raises the exception its pick reaches.  The descents run in the
-    caller and in one forked helper on each further usable core
-    (:func:`_helper_cpus`), forked once, when the search opens.  The
-    caller descends starts of the stage it is on; the helpers do too, and
-    once that stage has no start left to claim they claim starts of the
-    next stage, which so descend while the caller sweeps, and never of a
-    stage beyond it.  Outcomes feed one :class:`_Pick` per stage as they
-    arrive, and a final pick is raised only by the ``next()`` of its
-    stage, so a stage never reached raises nothing.  A descent is dropped
-    between its LM iterations once an earlier start of its stage has
-    stopped (converged or raised), since it cannot be picked then: the
-    process whose descent stops marks that on a board of shared memory,
-    which every process reads between iterations and before it claims a
-    start.  So no descent of a stage goes on once the stage's pick is
-    final.
+    ``next()`` returns the next stage's start, the state of its best
+    descent's parameters (the one state of the stage, built by
+    ``solver._structured_state``) or None, and raises the exception its
+    pick reaches.  The descents run in the caller and in one forked helper
+    on each further usable core (:func:`_helper_cpus`), forked once, when
+    the search opens.  The caller descends starts of the stage it is on;
+    the helpers do too, and once that stage has no start left to claim they
+    claim starts of the next stage, which so descend while the caller
+    sweeps, and never of a stage beyond it.  Outcomes feed one
+    :class:`_Pick` per stage as they arrive, and a final pick is raised
+    only by the ``next()`` of its stage, so a stage never reached raises
+    nothing.  A descent is dropped between its LM iterations once an
+    earlier start of its stage has stopped (converged or raised), since it
+    cannot be picked then: the process whose descent stops marks that on a
+    board of shared memory, which every process reads between iterations
+    and before it claims a start.  So no descent of a stage goes on once
+    the stage's pick is final.
 
     Close it (or use it as a context manager) to terminate and join the
     helpers; a helper whose caller has gone exits at its next send or
@@ -348,7 +338,7 @@ class StartSearch:
         best = pick.best
         if isinstance(best, Exception):
             raise best
-        return None if best is None else _consistent_state(best.weights, best.coeffs,
+        return None if best is None else _structured_state(best.weights, best.coeffs,
                                                            self._data.points)
 
 
@@ -364,7 +354,8 @@ def start_search(cfg, j_tensor, f_matrix, points):
     stops early at a start that fits the data to round-off, since no other
     start can beat it by more than round-off.  Starts that diverge are
     dropped; returns None when no start gave a finite objective, and the
-    consistent state of the best descent otherwise.
+    state of the best descent's parameters otherwise, with the G and R
+    they give (``solver._structured_state``).
 
     This is the one-stage case of :class:`StartSearch`: the descents run
     in the calling process and in one forked helper on each further

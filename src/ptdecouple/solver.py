@@ -57,12 +57,15 @@ the objective.
 
 This module owns the sweeps, :func:`fit` and :func:`state_to_model`, and
 the helpers that the other two parts of the method import from it:
-:class:`SolverState`, :class:`SolverDivergenceError`, :func:`seeded_rng`,
-the run's validated data value :class:`FitData` and the neuron-input
-normalization.  The sweeps descend from wherever they start; the
+:class:`SolverDivergenceError`, :func:`seeded_rng`, the run's validated
+data value :class:`FitData`, the neuron-input normalization of parameters
+and ``_structured_state``, the state of given parameters.  It is the one
+writer of a state's structured factors (``_write_factors`` and
+``_write_all_factors``).  The sweeps descend from wherever they start; the
 Levenberg-Marquardt descent over the model parameters is :mod:`.descent`,
-and the seeded start search that runs it from several draws, and from
-which the tuner starts every stage's sweeps, is :mod:`.search`.
+and the seeded start search that runs it from several draws, on
+parameters alone, and from which the tuner starts every stage's sweeps,
+is :mod:`.search`.
 
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.  Every
@@ -805,10 +808,22 @@ def update_c_constr(state, layer, j_tensor, f_matrix, points, lam):
 
 def _write_all_factors(state, points):
     """The state, its G_1..G_L and R overwritten by the structured factors
-    of its weights and coefficients, layer by layer (:func:`_write_factors`)."""
-    for layer in range(1, state.n_layers + 1):
-        _write_factors(state, layer, _coeff_bases(state, layer, points))
+    of its weights and coefficients (:func:`_write_factors`), every layer's
+    from the inputs of one pass, which are the bits of :func:`_coeff_bases`.
+    This and :func:`_write_factors` are the only writers of a state's G and R."""
+    for layer, U in enumerate(internal_inputs_batch(state.weights, state.coeffs, points), 1):
+        _write_factors(state, layer, U)
     return state
+
+
+def _structured_state(weights, coeffs, points):
+    """A new state of the parameters: C-ordered copies of them, as
+    :meth:`SolverState.copy` makes, and new G_1..G_L and R, their structured
+    factors (:func:`_write_all_factors`)."""
+    S = len(points)
+    return _write_all_factors(SolverState(
+        weights=[w.copy() for w in weights], G=[np.empty((S, len(c))) for c in coeffs],
+        R=np.empty((S, len(coeffs[-1]))), coeffs=[c.copy() for c in coeffs]), points)
 
 
 def rebalance(state, points):
@@ -822,23 +837,28 @@ def rebalance(state, points):
     unnormalized iteration loses once layer inputs drift to extreme scales.
     Constant coefficients are untouched.
     """
-    return _normalize_inputs(state, points)
+    for G, a in zip(state.G, _normalize_inputs(state.weights, state.coeffs, points)):
+        G *= a
+    return state
 
 
-def _normalize_inputs(state, points):
-    # rebalance is the first step of every sweep, and per-sweep timers key
-    # on it; the start search normalizes its draws through this helper
-    us = internal_inputs_batch(state.weights, state.coeffs, points)
-    for l, U in enumerate(us):
+def _normalize_inputs(weights, coeffs, points):
+    """Rescale the parameters in place as :func:`rebalance` does; returns each layer's a.
+
+    rebalance is the first step of every sweep, and per-sweep timers key
+    on it; the start search normalizes its draws, which have no G, here.
+    """
+    scales = []
+    for l, U in enumerate(internal_inputs_batch(weights, coeffs, points)):
         # the RMS of each column; a contiguous copy sums each column in the
         # order a column slice would, which keeps the bits of per-neuron sums
         a = np.sqrt(np.mean(np.ascontiguousarray((U * U).T), axis=1))
         # a neuron without a finite, nonzero scale is left as it is
         a[~np.isfinite(a) | (a == 0.0)] = 1.0
-        state.weights[l] /= a[:, None]
-        state.coeffs[l] *= a[:, None] ** np.arange(state.coeffs[l].shape[1])
-        state.G[l] *= a
-    return state
+        weights[l] /= a[:, None]
+        coeffs[l] *= a[:, None] ** np.arange(coeffs[l].shape[1])
+        scales.append(a)
+    return scales
 
 
 def _j_term(state, j_tensor):
@@ -917,7 +937,7 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     the lowest recorded objective, which need not be the last one.
 
     The start is sweep 0: its weights and coefficients, with the objective
-    of the G_1..G_L and R that they give (:func:`_write_factors`), since
+    of the G_1..G_L and R that they give (:func:`_structured_state`), since
     those of a state from :func:`init_state` are random draws, not part of
     the model.  So a fit never returns a state whose objective is above
     its start's: where no sweep goes below the start, the report carries
@@ -928,10 +948,10 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     The best sweep is kept as parameters only: copies of W_0..W_L and the
     coefficients, and its ``n_truncated``.  Its G_1..G_L and R are the
     structured factors of those parameters, so when a later sweep ends the
-    fit they are written once, into the live state's arrays, by the calls
-    that wrote them in that sweep (:func:`_coeff_bases`,
-    :func:`_write_factors`), and the returned state holds the best sweep's
-    bytes.  The report's ``n_truncated`` counts every sweep's truncations.
+    fit they are written once, into the live state's arrays
+    (:func:`_write_all_factors`, whose products are those of the sweep's
+    own writes), and the returned state holds the best sweep's bytes.  The
+    report's ``n_truncated`` counts every sweep's truncations.
     """
     data = j_tensor if isinstance(j_tensor, FitData) else FitData(j_tensor, f_matrix, points)
     j_tensor, f_matrix, points = data.j_tensor, data.f_matrix, data.points
@@ -944,21 +964,20 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     L, lam = cfg.n_layers, cfg.lam
 
     # (sweep, weights, coefficients, n_truncated) of the best sweep so far,
-    # from sweep 0, the start, taken in a copy whose G and R its parameters
-    # give, so that the sweeps go on from the state as it is; a start whose
-    # factors or objective overflow is no candidate
+    # from sweep 0, the start, taken in a new state whose G and R its
+    # parameters give, so that the sweeps go on from the state as it is; a
+    # start whose factors or objective overflow is no candidate
     best, best_total, best_terms = None, np.inf, None
-    start = state.copy()
     try:
         with np.errstate(all="ignore"):
-            j_term, f_term, total = objective(
-                _write_all_factors(start, points), j_tensor, f_matrix, lam)
+            start = _structured_state(state.weights, state.coeffs, points)
+            j_term, f_term, total = objective(start, j_tensor, f_matrix, lam)
     except NonFiniteError:
         total = np.inf
     if np.isfinite(total):
-        best = (0, start.weights, start.coeffs, start.n_truncated)
+        best = (0, start.weights, start.coeffs, state.n_truncated)
         best_total, best_terms = total, (j_term, f_term)
-    del start
+    start = None  # its G and R go before the sweeps
     stall = 0
     stop_reason = "max_iters"
     iterations = 0
@@ -967,11 +986,9 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
         try:
             rebalance(state, points)
             update_W(state, 0, j_tensor, f_matrix, lam)
-            for l in range(1, L):
+            for l in range(1, L + 1):
                 update_c(state, l, j_tensor, f_matrix, points, lam)
                 update_W(state, l, j_tensor, f_matrix, lam)
-            update_c(state, L, j_tensor, f_matrix, points, lam)
-            update_W(state, L, j_tensor, f_matrix, lam)
         except (NonFiniteError, np.linalg.LinAlgError) as exc:
             # inputs were validated upfront, so a non-finite subproblem means
             # the factors overflowed; any other ValueError is a bug

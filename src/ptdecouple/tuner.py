@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DecoupledModel, eval_batch
+from .model import eval_batch
 from .search import StartSearch
 from .solver import FitData, SolverConfig, SolverDivergenceError, _as_int, fit, state_to_model
 
@@ -138,18 +138,11 @@ def rrmse(outputs_true, outputs_pred):
     return np.sqrt(num / _spread(t)) * 100.0
 
 
-def validation_metric(state_or_model, points, targets):
-    """Sum of the per-output :func:`rrmse` percentages at held-out points.
+def validation_metric(model, points, targets):
+    """Sum of the per-output :func:`rrmse` percentages of a decoupled model at held-out points.
 
-    ``targets`` is the n x S matrix of true outputs at the points; the
-    decoupled model is reconstructed from the solver state (fitted weights
-    and coefficients, frozen constants included) when a state is passed.
+    ``targets`` is the n x S matrix of true outputs at the points.
     """
-    model = (
-        state_or_model
-        if isinstance(state_or_model, DecoupledModel)
-        else state_to_model(state_or_model)
-    )
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least two validation points")
@@ -224,7 +217,7 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
                 raise SolverDivergenceError(
                     f"stage {t} (lam={inner.lam:g}): {exc}", exc.trace
                 ) from exc
-            metric = validation_metric(report.state, val_points, val_targets)
+            metric = validation_metric(state_to_model(report.state), val_points, val_targets)
             stages.append(StageResult(lam=inner.lam, report=report, metric=metric))
             if not np.isfinite(metric) or metric > prev_metric:
                 if t == 0:

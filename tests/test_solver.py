@@ -22,6 +22,7 @@ from ptdecouple.solver import (
     FitData,
     SolverConfig,
     SolverDivergenceError,
+    SolverState,
     build_MG,
     build_MW,
     fit,
@@ -34,7 +35,13 @@ from ptdecouple.solver import (
     update_W,
 )
 from ptdecouple.search import start_search
-from ptdecouple.solver import _coeff_bases, _coeff_problem, _structure, _write_all_factors
+from ptdecouple.solver import (
+    _coeff_bases,
+    _coeff_problem,
+    _structure,
+    _write_all_factors,
+    _write_factors,
+)
 from ptdecouple.tensor_ops import (
     _QR_MIN_STACK,
     NonFiniteError,
@@ -1001,13 +1008,13 @@ def test_fit_report_json():
 
 
 def _random_model_state(rng, ranks, degrees, m, n, S):
-    from ptdecouple.search import _consistent_state
+    from ptdecouple.solver import _structured_state
 
     dims = [m, *ranks, n]
     weights = [rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(ranks) + 1)]
     coeffs = [rng.standard_normal((r, d + 1)) for r, d in zip(ranks, degrees)]
     pts = rng.uniform(-1, 1, (S, m))
-    return _consistent_state(weights, coeffs, pts), pts
+    return _structured_state(weights, coeffs, pts), pts
 
 
 class TestLevenbergMarquardt:
@@ -1082,7 +1089,7 @@ class TestLevenbergMarquardt:
         # each chunk's rows of M from the adjoint kernel equal those of a
         # pass over its points alone
         from ptdecouple.descent import _LMProblem, lm_pack
-        from ptdecouple.search import _consistent_state
+        from ptdecouple.solver import _structured_state
 
         rng = np.random.default_rng(30 + len(ranks))
         st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
@@ -1093,7 +1100,7 @@ class TestLevenbergMarquardt:
         r_trial, kept = prob.residual(theta + step, keep=True)
         H, g = prob.linearize(prob.tape(kept), r_trial)
         fresh, fresh_theta = self._residual(
-            _consistent_state(*prob.model(theta + step), pts), J, F, pts, 0.3)
+            _structured_state(*prob.model(theta + step), pts), J, F, pts, 0.3)
         r, again = fresh.residual(fresh_theta, keep=True)
         H2, g2 = fresh.linearize(fresh.tape(again), r)
         assert np.array_equal(r, r_trial)
@@ -1137,15 +1144,13 @@ class TestLevenbergMarquardt:
 
     def test_descent_recovers_truth_from_perturbed_start(self):
         from ptdecouple.descent import lm_descent
-        from ptdecouple.search import _consistent_state
+        from ptdecouple.solver import _structured_state
 
         model, pts, J, F = problem(32, S=30)
-        start = _consistent_state(
-            [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
-        )
-        res = lm_descent(start, FitData(J, F, pts), 1e-2)
+        res = lm_descent([w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs],
+                         FitData(J, F, pts), 1e-2)
         assert res.stop_reason == "converged"
-        end = _consistent_state(res.weights, res.coeffs, pts)
+        end = _structured_state(res.weights, res.coeffs, pts)
         assert res.objective == pytest.approx(objective(end, J, F, 1e-2)[2],
                                               rel=1e-6, abs=1e-20 * fro_norm(J) ** 2)
         assert res.objective <= 1e-20 * (fro_norm(J) ** 2 + 1e-2 * fro_norm(F) ** 2)
@@ -1156,15 +1161,12 @@ class TestLevenbergMarquardt:
         from dataclasses import fields
 
         from ptdecouple.descent import lm_descent
-        from ptdecouple.search import _consistent_state
 
         shapes = []
         for S in (30, 90):
             model, pts, J, F = problem(32, S=S)
-            start = _consistent_state(
-                [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
-            )
-            res = lm_descent(start, FitData(J, F, pts), 1e-2)
+            res = lm_descent([w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs],
+                             FitData(J, F, pts), 1e-2)
             values = [getattr(res, f.name) for f in fields(res)]
             assert all(isinstance(v, (list, float, int, str)) for v in values)
             shapes.append([a.shape for v in values if isinstance(v, list) for a in v])
@@ -1172,12 +1174,8 @@ class TestLevenbergMarquardt:
 
     def test_descent_does_not_linearize_its_stop_point(self, monkeypatch):
         from ptdecouple.descent import _LMProblem, lm_descent
-        from ptdecouple.search import _consistent_state
 
         model, pts, J, F = problem(32, S=30)
-        start = _consistent_state(
-            [w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs], pts
-        )
         linearized, linearize = [], _LMProblem.linearize
 
         def counted(self, tape, r):
@@ -1185,7 +1183,8 @@ class TestLevenbergMarquardt:
             return linearize(self, tape, r)
 
         monkeypatch.setattr(_LMProblem, "linearize", counted)
-        res = lm_descent(start, FitData(J, F, pts), 1e-2)
+        res = lm_descent([w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs],
+                         FitData(J, F, pts), 1e-2)
         assert res.stop_reason == "converged"
         # the start and each accepted point the descent went on from, once
         # each; the converged point is the last accepted one and is not among them
@@ -1195,16 +1194,17 @@ class TestLevenbergMarquardt:
     def test_search_picks_best_finite_and_is_seeded(self, monkeypatch):
         import ptdecouple.search as search_mod
         from ptdecouple.descent import LMResult
-        from ptdecouple.search import _consistent_state, start_search
+        from ptdecouple.search import start_search
+        from ptdecouple.solver import _structured_state
 
         model, pts, J, F = problem(33)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=7)
         scripted = iter([np.nan, 5.0, np.inf, 2.0, 3.0])
         seen = []
 
-        def fake_descent(state, *args, **kwargs):
-            seen.append(state)
-            return LMResult(state.weights, state.coeffs, objective=next(scripted), iterations=1,
+        def fake_descent(weights, coeffs, *args, **kwargs):
+            seen.append((weights, coeffs))
+            return LMResult(weights, coeffs, objective=next(scripted), iterations=1,
                             stop_reason="stalled")
 
         monkeypatch.setattr(search_mod, "lm_descent", fake_descent)
@@ -1213,8 +1213,7 @@ class TestLevenbergMarquardt:
         monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
         picked = start_search(cfg, J, F, pts)
         # the state of start 3's parameters, evaluated once, by the search
-        assert state_bytes(picked) == state_bytes(
-            _consistent_state(seen[3].weights, seen[3].coeffs, pts))
+        assert state_bytes(picked) == state_bytes(_structured_state(*seen[3], pts))
         # same seed, same draws; the frozen constants of inner layers are 0
         scripted = iter([np.nan, 5.0, np.inf, 2.0, 3.0])
         again = start_search(cfg, J, F, pts)
@@ -1261,14 +1260,13 @@ def test_truth_is_identified_up_to_the_scaling_gauge(name, seed):
     # exactly (rebalance), two null directions per neuron; the rest of the
     # parameters are locally identifiable at the truth
     from ptdecouple.descent import _LMProblem, lm_pack
-    from ptdecouple.search import _consistent_state
     from ptdecouple.harness import builtin_system
-    from ptdecouple.solver import seeded_rng
+    from ptdecouple.solver import _structured_state, seeded_rng
 
     model = builtin_system(name)
     pts = seeded_rng(seed, 0).uniform(-1, 1, (60, model.n_inputs))
     J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
-    st = _consistent_state(model.weights, model.coeffs, pts)
+    st = _structured_state(model.weights, model.coeffs, pts)
     prob = _LMProblem(st.weights, st.coeffs, FitData(J, F, pts), 1e-6)
     sv = np.linalg.svd(prob.jacobian(lm_pack(st.weights, st.coeffs)), compute_uv=False)
     rel = sv / sv[0]
@@ -1315,6 +1313,34 @@ def test_a_fit_never_ends_above_its_search_start(monkeypatch, case, seed, strate
     assert (state_bytes(rep.state) == state_bytes(structured)) == (not beaten)
     if not beaten:  # every sweep, the first included, counts towards patience
         assert (rep.iterations, rep.stop_reason) == (cfg.patience, "patience")
+
+
+@pytest.mark.parametrize("case", ["f1", "L3"])
+def test_a_search_start_is_its_own_sweep_zero(monkeypatch, case):
+    # the pick's G and R are written by the writer of the fit's sweep 0, so
+    # the sweeps start from the bits of the state that sweep 0 scores
+    cfg, J, F, pts = _search_case(case)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    start = start_search(cfg, J, F, pts)
+    assert state_bytes(_write_all_factors(start.copy(), pts)) == state_bytes(start)
+
+
+@pytest.mark.parametrize("S", [30, 700])
+@pytest.mark.parametrize("ranks,degrees", [((2, 2), (5, 2)), ((3, 2, 2), (2, 3, 2))])
+def test_one_pass_factors_are_those_of_each_layer_alone(ranks, degrees, S):
+    # every layer's inputs from one pass give the bits of the layer's own
+    # prefix pass, which the coefficient updates write from
+    rng = np.random.default_rng(S + len(ranks))
+    dims = [3, *ranks, 2]
+    st = SolverState(
+        weights=[rng.standard_normal((dims[k + 1], dims[k])) for k in range(len(ranks) + 1)],
+        G=[np.zeros((S, r)) for r in ranks], R=np.zeros((S, ranks[-1])),
+        coeffs=[rng.standard_normal((r, d + 1)) for r, d in zip(ranks, degrees)])
+    pts = rng.uniform(-1, 1, (S, 3))
+    want = st.copy()
+    for layer in range(1, len(ranks) + 1):
+        _write_factors(want, layer, _coeff_bases(want, layer, pts))
+    assert state_bytes(_write_all_factors(st, pts)) == state_bytes(want)
 
 
 def _search_in_worker(case):
@@ -1515,14 +1541,13 @@ class TestParallelSearch:
         read, write = os.pipe()
         caller = os.getpid()
 
-        def descent(state, *args):
+        def descent(weights, coeffs, *args):
             if os.getpid() != caller:
                 os.write(write, b"!")
                 raise TypeError("scripted helper error")
             if not select.select([read], [], [], 60)[0]:
                 raise AssertionError("no helper began a descent")
-            return LMResult(state.weights, state.coeffs, objective=1.0, iterations=1,
-                            stop_reason="stalled")
+            return LMResult(weights, coeffs, objective=1.0, iterations=1, stop_reason="stalled")
 
         monkeypatch.setattr(search_mod, "lm_descent", descent)
         cpu = max(os.sched_getaffinity(0))

@@ -113,11 +113,6 @@ class TestValidationMetric:
         with pytest.raises(ValueError):
             validation_metric(model, val[:1], targets[:, :1])
 
-    def test_accepts_solver_state(self):
-        model, train, val, J, F, targets = small_problem(5)
-        st = truth_state(model, train)
-        assert validation_metric(st, val, targets) == pytest.approx(0.0, abs=1e-8)
-
 
 class TestTuneLoopSemantics:
     def test_improve_three_then_worsen(self, monkeypatch):
@@ -402,13 +397,13 @@ class TestPipelinedSearches:
         for _ in range(stage):  # by the tuner's products
             lam *= cfg.beta
 
-        def descent(state, *args):  # args: data, lam, poll
+        def descent(weights, coeffs, *args):  # args: data, lam, poll
             if args[1] != lam:
-                return real(state, *args)
+                return real(weights, coeffs, *args)
             if os.getpid() != caller:
                 raise TypeError(f"scripted error in stage {stage}")
-            return descent_mod.LMResult(state.weights, state.coeffs, objective=1.0,
-                                       iterations=1, stop_reason="stalled")
+            return descent_mod.LMResult(weights, coeffs, objective=1.0, iterations=1,
+                                       stop_reason="stalled")
 
         picked, add = [], search_mod._Pick.add
 
