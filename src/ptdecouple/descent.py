@@ -18,6 +18,13 @@ unit vectors, the rows of the residual's Jacobian chunk by chunk of
 sampling points, from which the normal matrix is summed; seeded with a
 residual, its product with the Jacobian's transpose.  Its cost is set by
 the n(m+1) fitted values per point, not by the parameter count.
+
+Each operand is built once over the span on which it is constant: the
+order of the parameter blocks is written by one function (``_lm_blocks``),
+which :func:`lm_pack` ravels and ``_lm_layout`` measures; the kernel's
+unit seeds are built once per descent; and the tape holds each layer's
+Z_l, the kernel's operand of W_l, built once per accepted point and
+sliced by the kernel chunk by chunk.
 """
 
 from __future__ import annotations
@@ -75,29 +82,29 @@ class LMResult:
     stop_reason: str
 
 
-def lm_pack(weights, coeffs):
-    """Free model parameters as one vector, in the order W_0, c_1, W_1, ..., c_L, W_L.
+def _lm_blocks(weights, coeffs):
+    """The free blocks of the model parameters, in the order W_0, c_1, W_1, ..., c_L, W_L.
 
-    Every block is flattened row-major; c_l drops its constant column for
-    l < L (those constants are frozen), the last layer keeps all of its
-    coefficients.  This is the order in which the blocks enter the model.
+    c_l drops its constant column for l < L (those constants are frozen),
+    the last layer keeps all of its coefficients.  This is the order in
+    which the blocks enter the model, and the one place that writes it:
+    :func:`lm_pack` ravels the blocks and :func:`_lm_layout` measures them.
     """
-    L = len(coeffs)
-    parts = [np.ravel(weights[0])]
-    for l in range(1, L + 1):
-        c = coeffs[l - 1]
-        parts.append(np.ravel(c if l == L else c[:, 1:]))
-        parts.append(np.ravel(weights[l]))
-    return np.concatenate(parts)
+    free = [c[:, 1:] for c in coeffs[:-1]] + [coeffs[-1]]
+    return [weights[0]] + [b for c, W in zip(free, weights[1:]) for b in (c, W)]
+
+
+def lm_pack(weights, coeffs):
+    """Free model parameters as one vector: the blocks of :func:`_lm_blocks`,
+    each flattened row-major, one after another."""
+    return np.concatenate([np.ravel(b) for b in _lm_blocks(weights, coeffs)])
 
 
 def _lm_layout(weights, coeffs):
     """(start, stop, shape) of every block of the :func:`lm_pack` vector, in order."""
-    shapes = [weights[0].shape]
-    for l, (c, W) in enumerate(zip(coeffs, weights[1:]), 1):
-        shapes += [(c.shape[0], c.shape[1] - (l < len(coeffs))), W.shape]
-    stops = np.cumsum([a * b for a, b in shapes]).tolist()
-    return [(stop - a * b, stop, (a, b)) for stop, (a, b) in zip(stops, shapes)]
+    blocks = _lm_blocks(weights, coeffs)
+    stops = np.cumsum([b.size for b in blocks]).tolist()
+    return [(stop - b.size, stop, b.shape) for stop, b in zip(stops, blocks)]
 
 
 def _lm_unpack(theta, layout, coeffs):
@@ -116,6 +123,8 @@ class _LMProblem:
     with parameters theta (see :func:`lm_pack`), entries in slice-major order, and
     products with M = -dr/dθ, the derivative of the fitted values.
 
+    One problem serves one descent: its layout of theta, its chunks and
+    its unit seeds (``unit_seeds``, see ``_unit_seeds``) are built once.
     A point theta is evaluated once: ``residual(theta, keep=True)`` keeps
     its pass and ``tape`` turns that pass into the tape.  One adjoint
     kernel over the tape, ``_rows``, serves every derivative: seeded with
@@ -137,6 +146,8 @@ class _LMProblem:
         S = data.shape[2]
         self.chunks = [slice(i, i + _LM_CHUNK_ROWS) for i in range(0, S, _LM_CHUNK_ROWS)]
         self.passes = [slice(i, i + _LM_PASS_ROWS) for i in range(0, S, _LM_PASS_ROWS)]
+        # the same for every point of the descent
+        self.unit_seeds = self._unit_seeds()
 
     def model(self, theta):
         return _lm_unpack(theta, self.layout, self.coeffs)
@@ -153,12 +164,18 @@ class _LMProblem:
 
     @staticmethod
     def tape(kept):
-        """The tape of a kept pass: per layer the power rows, g_l, g_l',
-        g_l'', V_l, the derivative rows and g_l' V_l at every point."""
+        """The tape of a kept pass: per layer the power rows, Z_l^T, g_l',
+        g_l'', V_l and the derivative rows at every point.
+
+        Z_l = [g_l | g_l' V_l] (see ``_rows``) is held as the kernel's operand
+        of W_l, its transpose, (1 + m) x r per point, built once per point of
+        the descent; the tape keeps g_l and g_l' V_l in no other form.
+        """
         weights, coeffs, layers, chain = kept
         return weights, [
-            (t.powers, t.g, t.dg, np.einsum("sji,ji->sj", t.powers[..., :-2], _der(_der(c))),
-             V, derivative_rows(t.powers), t.dg[:, :, None] * V)
+            (t.powers, np.concatenate([t.g[:, None], np.swapaxes(t.dg[:, :, None] * V, 1, 2)], 1),
+             t.dg, np.einsum("sji,ji->sj", t.powers[..., :-2], _der(_der(c))), V,
+             derivative_rows(t.powers))
             for t, c, V in zip(layers, coeffs, chain)
         ]
 
@@ -172,7 +189,8 @@ class _LMProblem:
         is the gradient of <seed, X_{L+1}[s]> over theta, by one adjoint
         pass of the tape's rows.  Every step is a stacked matmul of one
         point's matrices, over all K seeds at once, which allocates no
-        iteration buffers; no point's rows depend on another point.
+        iteration buffers; no point's rows depend on another point.  The
+        operand of W_l, Z_l^T, is read from the tape.
         """
         weights, steps = tape
         x = self.points[sl]
@@ -183,14 +201,12 @@ class _LMProblem:
         for l in range(L, 0, -1):
             # V_1 = W_0 is one matrix for all points; every other array has
             # a row per point
-            powers, g, g1, ddg, V, dpw, Vd = (a if len(a) == 1 else a[sl] for a in steps[l - 1])
+            powers, Zt, g1, ddg, V, dpw = (a if len(a) == 1 else a[sl] for a in steps[l - 1])
             W = weights[l]
             r = W.shape[1]
             i0 = 0 if l == L else 1
             w = powers.shape[2] - i0
-            Z_t = np.concatenate([g[:, None], np.swapaxes(Vd, 1, 2)], axis=1)
-            np.matmul(Y, Z_t[:, None], out=self._block(out, 2 * l))
-            del Z_t
+            np.matmul(Y, Zt[:, None], out=self._block(out, 2 * l))
             # then the adjoint of Z_l.  Its row j, [g_j | g_j' V_j], is linear
             # in the power rows p_j and the derivative rows d_j of u_j, with
             # weights c_j, so T_j = [[g_j', 0, p_j], [g_j'' V_j^T, g_j' I, V_j^T d_j]]
@@ -227,8 +243,8 @@ class _LMProblem:
 
     def linearize(self, tape, r):
         """(H, g): the normal matrix M.T M and the gradient M.T r at the tape's point,
-        summed over chunks of the kernel's rows of M."""
-        seeds = self._unit_seeds()
+        summed over chunks of the kernel's rows of M, seeded with the
+        descent's ``unit_seeds``."""
         nj = self.j_slices.size
         # r's entries at each point, in the order of its rows of M
         r_pts = np.concatenate([r[:nj].reshape(len(self.points), -1),
@@ -236,7 +252,7 @@ class _LMProblem:
         P = self.layout[-1][1]
         H = g = None
         for sl in self.chunks:
-            M = self._rows(tape, sl, seeds).reshape(-1, P)
+            M = self._rows(tape, sl, self.unit_seeds).reshape(-1, P)
             if H is None:
                 # the first chunk's products are the sums so far, so no
                 # P x P zeros sit beside the first kernel pass
@@ -250,8 +266,8 @@ class _LMProblem:
 
     def jacobian(self, theta):
         """M = -dr/dθ as a dense (S*n*m + S*n) x P matrix: the kernel's rows, stacked."""
-        tape, seeds = self.tape(self.residual(theta, keep=True)[1]), self._unit_seeds()
-        rows = np.concatenate([self._rows(tape, sl, seeds) for sl in self.chunks])
+        tape = self.tape(self.residual(theta, keep=True)[1])
+        rows = np.concatenate([self._rows(tape, sl, self.unit_seeds) for sl in self.chunks])
         nm = self.j_slices[0].size
         return np.concatenate([rows[:, :nm].reshape(-1, theta.size),
                                rows[:, nm:].reshape(-1, theta.size)])

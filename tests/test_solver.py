@@ -1115,6 +1115,56 @@ class TestLevenbergMarquardt:
                 alone.tape(alone.residual(lm_pack(weights, coeffs), keep=True)[1]), whole, seeds)
             assert np.array_equal(prob._rows(tape, sl, seeds), rows)
 
+    @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
+    def test_the_tape_holds_each_layers_z_of_its_kept_pass(self, ranks, degrees, m, n):
+        # the kernel's operand of W_l, Z_l^T = [g_l | g_l' V_l]^T per point,
+        # is built once per tape, with the bits of building it from the pass
+        rng = np.random.default_rng(30 + len(ranks))
+        st, pts = _random_model_state(rng, ranks, degrees, m, n, S=40)
+        J = rng.standard_normal((n, m, 40))
+        F = rng.standard_normal((n, 40))
+        prob, theta = self._residual(st, J, F, pts, 0.3)
+        kept = prob.residual(theta, keep=True)[1]
+        _, steps = prob.tape(kept)
+        _, _, layers, chain = kept
+        assert len(steps) == len(layers) == len(ranks)
+        for step, t, V in zip(steps, layers, chain):
+            want = np.concatenate([t.g[:, None], np.swapaxes(t.dg[:, :, None] * V, 1, 2)], axis=1)
+            assert step[1].shape == want.shape == (40, 1 + m, t.g.shape[1])
+            assert step[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
+    def test_pack_layout_and_unpack_follow_one_block_list(self, ranks, degrees, m, n):
+        # theta's block order W_0, c_1, W_1, ..., c_L, W_L is written once,
+        # by _lm_blocks: each _lm_layout entry slices lm_pack's vector into
+        # its block, and _lm_unpack gives the parameters back, the frozen
+        # constants of the inner layers taken from the coeffs it is handed
+        from ptdecouple.descent import _lm_blocks, _lm_layout, _lm_unpack, lm_pack
+
+        rng = np.random.default_rng(60 + len(ranks))
+        st, _ = _random_model_state(rng, ranks, degrees, m, n, S=5)
+        L = len(ranks)
+        blocks = _lm_blocks(st.weights, st.coeffs)
+        assert len(blocks) == 2 * L + 1
+        assert all(blocks[2 * l] is st.weights[l] for l in range(L + 1))
+        for l in range(1, L):
+            assert blocks[2 * l - 1].tobytes() == st.coeffs[l - 1][:, 1:].tobytes()
+        assert blocks[2 * L - 1] is st.coeffs[-1]
+        theta = lm_pack(st.weights, st.coeffs)
+        layout = _lm_layout(st.weights, st.coeffs)
+        assert len(layout) == len(blocks) and layout[-1][1] == theta.size
+        for (a, b, shape), block in zip(layout, blocks):
+            assert theta[a:b].reshape(shape).tobytes() == np.ascontiguousarray(block).tobytes()
+        frozen = [c.copy() for c in st.coeffs]
+        for c in frozen[:-1]:
+            c[:, 0] = rng.standard_normal(len(c))
+        weights, coeffs = _lm_unpack(theta, layout, frozen)
+        assert [w.tobytes() for w in weights] == [w.tobytes() for w in st.weights]
+        for c, fit, con in zip(coeffs[:-1], st.coeffs[:-1], frozen[:-1]):
+            assert c[:, :1].tobytes() == con[:, :1].tobytes()
+            assert c[:, 1:].tobytes() == fit[:, 1:].tobytes()
+        assert coeffs[-1].tobytes() == st.coeffs[-1].tobytes()
+
     # one pass (S = 30) and two passes of the kernel, the second a part one
     @pytest.mark.parametrize("S", [30, 100])
     @pytest.mark.parametrize("ranks,degrees,m,n", CASES)
@@ -1190,6 +1240,30 @@ class TestLevenbergMarquardt:
         # each; the converged point is the last accepted one and is not among them
         assert len(linearized) == len(set(linearized)) >= 2
         assert min(linearized) > res.objective
+
+    def test_a_descent_builds_its_unit_seeds_once(self, monkeypatch):
+        # the kernel's unit seeds are the same at every point of a descent
+        from ptdecouple.descent import _LMProblem, lm_descent
+
+        model, pts, J, F = problem(32, S=30)
+        built, linearized = [], []
+        unit_seeds, linearize = _LMProblem._unit_seeds, _LMProblem.linearize
+
+        def counted_seeds(self):
+            built.append(1)
+            return unit_seeds(self)
+
+        def counted_linearize(self, tape, r):
+            linearized.append(1)
+            return linearize(self, tape, r)
+
+        monkeypatch.setattr(_LMProblem, "_unit_seeds", counted_seeds)
+        monkeypatch.setattr(_LMProblem, "linearize", counted_linearize)
+        res = lm_descent([w * 1.05 for w in model.weights], [c * 0.95 for c in model.coeffs],
+                         FitData(J, F, pts), 1e-2)
+        assert res.stop_reason == "converged"
+        assert len(linearized) >= 3
+        assert len(built) == 1
 
     def test_search_picks_best_finite_and_is_seeded(self, monkeypatch):
         import ptdecouple.search as search_mod
@@ -2197,8 +2271,8 @@ def test_last_rows_keep_the_broadcast_products():
 
 
 def test_start_search_peak_memory(monkeypatch):
-    # 71.3 KB above the inputs for this f1 S = 30 search in process (69.5-
-    # 72.1 KB at seeds 0-2), after a first search has made numpy's one-time
+    # 70.7 KB above the inputs for this f1 S = 30 search in process (69.6-
+    # 72.0 KB at seeds 0-2), after a first search has made numpy's one-time
     # allocations; a descent's linearization sets it, with one 16-point
     # chunk's rows of M from the adjoint kernel (21.5 KB) and the kernel's
     # temporaries (about 17 KB) live.  73.3 KB (71.4-74.3 KB) while every
@@ -2215,12 +2289,12 @@ def test_start_search_peak_memory(monkeypatch):
 
 
 def test_deep_start_search_peak_memory(monkeypatch):
-    # 125.5 KB for this L = 3 search, whose 8 descents all stall (124.1-
-    # 125.5 KB at seeds 0-2), measured as the f1 search above; 128.2 KB
+    # 125.8 KB for this L = 3 search, whose 8 descents all stall (124.3-
+    # 125.8 KB at seeds 0-2), measured as the f1 search above; 128.2 KB
     # (126.9-128.3 KB) while every outcome carried its evaluated G and R,
     # 136.4-138.7 KB with the normal matrix summed from zeros, 138.2-139.5
     # KB with the forward-mode derivatives.
-    # The bound leaves a margin of about 2 %, as the f1 test's.
+    # The bound leaves a margin of about 3 %, as the f1 test's.
     cfg, J, F, pts = _search_case("L3")
     monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
     start_search(cfg, J, F, pts)
