@@ -34,12 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _der, derivative_rows, layer_pass, right_chains
-from .solver import SolverDivergenceError
+from .solver import _FLOOR_RTOL, SolverDivergenceError
 
 __all__ = ["LMResult", "lm_pack", "lm_descent"]
 
-# relative objective at which a descent has fit the data to round-off
-_LM_TOL = 1e-20
 # iteration cap of one descent inside the start search
 _LM_MAX_ITERS = 150
 # a descent stops as stalled once its objective fell by less than this
@@ -328,9 +326,10 @@ def lm_descent(weights, coeffs, data, lam, poll=None):
     Returns the :class:`LMResult` of the point it stops at (the last
     accepted one, or the start): its weights and coefficients, and no G or
     R.  Stops once the objective is at most 1e-20 of
-    ||J||^2 + lam ||F||^2 ("converged"), once it fell by less than 10% over
-    15 iterations or the damping ran away ("stalled"), or after 150
-    iterations ("max_iters").
+    ||J||^2 + lam ||F||^2 ("converged"; ``solver._FLOOR_RTOL``, the floor
+    at which a fit from a given start stops too), once it fell by less than
+    10% over 15 iterations or the damping ran away ("stalled"), or after
+    150 iterations ("max_iters").
     A non-finite objective or Jacobian at an accepted point raises
     SolverDivergenceError.  ``poll``, if given, is called after each
     iteration that does not stop the descent; once it returns true the
@@ -394,7 +393,7 @@ def lm_descent(weights, coeffs, data, lam, poll=None):
             mu *= nu
             nu *= 2.0
         history.append(f)
-        if f <= _LM_TOL * scale:
+        if f <= _FLOOR_RTOL * scale:
             stop_reason = "converged"
             break
         if mu > _LM_MU_MAX or (

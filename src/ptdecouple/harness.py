@@ -477,9 +477,15 @@ def run_experiment(cfg):
     runs = range(cfg.runs)
     if cfg.jobs > 1:
         # imported here: it costs every import of the CLI 10-20 ms
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # workers fork where the platform can, as the start search's helpers
+        # do: forkserver (Python 3.14's default on Linux) leaves its server
+        # running after the pool has gone, and spawn its resource tracker
+        ctx = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=ctx) as pool:
             rows = list(pool.map(_single_run, [cfg] * cfg.runs, [target] * cfg.runs, runs))
     else:
         rows = [_single_run(cfg, target, r) for r in runs]

@@ -122,6 +122,12 @@ STRATEGIES = ("proj", "constr")
 
 # relative decrease below which an iteration does not count as an improvement
 _IMPROVE_RTOL = 1e-12
+# sweeps after which a fit from a given start stops where none has gone
+# below the start, or where its best is at the round-off floor
+_START_SWEEPS = 45
+# objective, relative to ||J||^2 + lam ||F||^2, at or below which a fit or a
+# Levenberg-Marquardt descent has fit the data to round-off
+_FLOOR_RTOL = 1e-20
 
 
 class SolverDivergenceError(RuntimeError):
@@ -236,7 +242,11 @@ class SolverState:
 
 @dataclass
 class FitReport:
-    """Outcome of one fit: best state seen plus summary diagnostics."""
+    """Outcome of one fit: best state seen plus summary diagnostics.
+
+    ``best_sweep`` is the index of the sweep whose state it holds, 0 for
+    the start.
+    """
 
     state: SolverState
     error_j: float
@@ -245,6 +255,7 @@ class FitReport:
     stop_reason: str
     config: SolverConfig
     n_truncated: int = 0
+    best_sweep: int = 0
 
     @property
     def frozen_constants(self):
@@ -259,6 +270,7 @@ class FitReport:
             "error_f": self.error_f,
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
+            "best_sweep": self.best_sweep,
             "truncated_singular_values": self.n_truncated,
             "frozen_constants": [c.tolist() for c in self.frozen_constants],
         }
@@ -933,8 +945,19 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     One iteration is a full sweep in the fixed update order; the run stops
     once the objective has not improved (relative decrease above 1e-12
     against the best value so far) for ``patience`` consecutive sweeps after
-    ``min_iters``, or at ``max_iters``.  The report carries the state with
-    the lowest recorded objective, which need not be the last one.
+    ``min_iters`` (``"patience"``), or at ``max_iters``.  The report carries
+    the state with the lowest recorded objective, which need not be the
+    last one, and its sweep index, ``best_sweep``.
+
+    A fit given an ``initial_state``, which is every tuned stage's search
+    pick, has two more stops, checked once ``max(min_iters, 45)`` sweeps
+    have run (``_START_SWEEPS``), before patience: ``"floor"`` where its
+    best total is at or below the round-off floor
+    ``1e-20 * (||J||^2 + lam ||F||^2)`` (``_FLOOR_RTOL``, the scale at which
+    a descent converges), a start already there included; otherwise
+    ``"start"`` where no sweep has gone below the start, which it then
+    returns.  A bare fit, from :func:`init_state`, stops on patience and
+    ``max_iters`` alone.
 
     The start is sweep 0: its weights and coefficients, with the objective
     of the G_1..G_L and R that they give (:func:`_structured_state`), since
@@ -978,6 +1001,10 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
         best = (0, start.weights, start.coeffs, state.n_truncated)
         best_total, best_terms = total, (j_term, f_term)
     start = None  # its G and R go before the sweeps
+    # sweeps after which a fit from a given start may stop on the floor or
+    # on its unbeaten start; a bare fit never does
+    start_sweeps = math.inf if initial_state is None else max(cfg.min_iters, _START_SWEEPS)
+    floor = _FLOOR_RTOL * (data.jj + lam * data.ff)
     stall = 0
     stop_reason = "max_iters"
     iterations = 0
@@ -1015,6 +1042,9 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
         else:
             improved = False
         stall = 0 if improved else stall + 1
+        if it >= start_sweeps and (best_total <= floor or best[0] == 0):
+            stop_reason = "floor" if best_total <= floor else "start"
+            break
         if it >= cfg.min_iters and stall >= cfg.patience:
             stop_reason = "patience"
             break
@@ -1040,6 +1070,7 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
         stop_reason=stop_reason,
         config=cfg,
         n_truncated=n_truncated,
+        best_sweep=it,
     )
 
 

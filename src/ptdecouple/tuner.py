@@ -12,8 +12,12 @@ Each stage starts from its own seeded start search with seed
 8 Levenberg-Marquardt descents over the model parameters from
 standard-normal draws (``search.start_search``).  The alternating solver
 then runs from that state; only where every descent diverged does it start
-from ``solver.init_state``, as a bare ``fit`` does.  A non-finite validation
-metric counts as a worsening, so it is never selected.
+from ``solver.init_state``, as a bare ``fit`` does.  Since the stage's fit
+is given its start, it stops after 45 sweeps where none has gone below the
+start, and returns the start (``"start"``), or where its best is at the
+round-off floor (``"floor"``); its report's ``best_sweep`` is 0 where it
+returns the start (see ``solver.fit``).  A non-finite validation metric
+counts as a worsening, so it is never selected.
 
 A stage's search needs only the data, its lam and its seed, not the fit of
 the stage before.  So a tuned run's searches run as one pipelined

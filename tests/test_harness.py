@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,6 +336,30 @@ class TestRunExperiment:
             assert ra.run_id == rb.run_id
             assert ra.error_j == rb.error_j
             assert ra.output_errors == rb.output_errors
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="counts children in /proc")
+    def test_jobs_leave_no_process_under_a_forkserver_default(self):
+        # Python 3.14 makes forkserver the default start method on Linux; a
+        # parallel run in such a process leaves no child, forkserver included
+        script = "\n".join([
+            "import multiprocessing, os",
+            "multiprocessing.set_start_method('forkserver')",
+            "from ptdecouple.harness import ExperimentConfig, run_experiment",
+            "from ptdecouple.solver import SolverConfig",
+            "run_experiment(ExperimentConfig(solver=SolverConfig(ranks=(2, 2),",
+            "    degrees=(5, 2), min_iters=2, max_iters=2), builtin='f1', n_samples=15,",
+            "    n_validation=10, runs=2, seed=5, max_stages=1, jobs=2))",
+            "def ppid(pid):",
+            "    try:",
+            "        with open(f'/proc/{pid}/stat') as fh:",
+            "            return int(fh.read().rsplit(')', 1)[1].split()[1])",
+            "    except (OSError, IndexError, ValueError):",
+            "        return None",
+            "print(sum(ppid(p) == os.getpid() for p in os.listdir('/proc') if p.isdigit()))",
+        ])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.split() == ["0"]
 
     def test_test_set_metrics(self):
         cfg = quick_config(builtin="f1", runs=1, n_test=8, solver=SolverConfig(

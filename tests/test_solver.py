@@ -36,6 +36,8 @@ from ptdecouple.solver import (
 )
 from ptdecouple.search import start_search
 from ptdecouple.solver import (
+    _FLOOR_RTOL,
+    _START_SWEEPS,
     _coeff_bases,
     _coeff_problem,
     _structure,
@@ -1366,27 +1368,118 @@ def _search_case(case, seed=0):
     return cfg, build_jacobian_tensor(model, pts), build_f_matrix(model, pts), pts
 
 
-@pytest.mark.parametrize("case, seed, strategy, beaten", [
+# the search picks of _search_case and whether a sweep goes below them: the
+# f1 pick of seed 2 is at the round-off floor, the L = 3 pick of seed 0 is not
+_SEARCH_FITS = [
     ("f1", 2, "constr", True), ("f1", 2, "proj", False),
     ("L3", 0, "constr", False), ("L3", 0, "proj", False),
-])
+]
+
+
+def _fit_from_search(monkeypatch, case, seed, strategy, **changes):
+    """The config, data and search pick of a _search_case, and the fit from
+    the pick; the config takes the strategy and the changes given."""
+    from dataclasses import replace
+
+    cfg, J, F, pts = _search_case(case, seed)
+    cfg = replace(cfg, strategy=strategy, **changes)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    start = start_search(cfg, J, F, pts)
+    return cfg, (J, F, pts), start, fit(cfg, J, F, pts, initial_state=start)
+
+
+def _floor(cfg, J, F):
+    return _FLOOR_RTOL * float(np.sum(J * J) + cfg.lam * np.sum(F * F))
+
+
+@pytest.mark.parametrize("case, seed, strategy, beaten", _SEARCH_FITS)
 def test_a_fit_never_ends_above_its_search_start(monkeypatch, case, seed, strategy, beaten):
     # the start is sweep 0 of the best: a fit from a search's pick returns a
     # state whose objective is at most that of the pick's parameters with
     # the G and R they give, and where no sweep goes below it, that state
-    from dataclasses import replace
-
-    cfg, J, F, pts = _search_case(case, seed)
-    cfg = replace(cfg, strategy=strategy, max_iters=60)
-    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
-    start = start_search(cfg, J, F, pts)
+    cfg, (J, F, pts), start, rep = _fit_from_search(monkeypatch, case, seed, strategy,
+                                                    max_iters=60)
     structured = _write_all_factors(start.copy(), pts)
-    rep = fit(cfg, J, F, pts, initial_state=start)
     got, want = (objective(st, J, F, cfg.lam)[2] for st in (rep.state, structured))
     assert got <= want and (got < want) == beaten
     assert (state_bytes(rep.state) == state_bytes(structured)) == (not beaten)
-    if not beaten:  # every sweep, the first included, counts towards patience
-        assert (rep.iterations, rep.stop_reason) == (cfg.patience, "patience")
+    if not beaten:  # the unbeaten start stops it, or the floor where the pick is at it
+        assert (rep.iterations, rep.stop_reason) == (45, "floor" if case == "f1" else "start")
+
+
+@pytest.mark.parametrize("case, seed, strategy, beaten", _SEARCH_FITS)
+def test_the_best_sweep_is_zero_exactly_where_no_sweep_beats_the_start(
+        monkeypatch, case, seed, strategy, beaten):
+    cfg, (J, F, pts), start, rep = _fit_from_search(monkeypatch, case, seed, strategy,
+                                                    max_iters=60)
+    assert (rep.best_sweep == 0) == (not beaten)
+    assert rep.to_dict()["best_sweep"] == rep.best_sweep
+    if beaten:  # the sweep whose objective the report's state has
+        assert rep.state.trace[rep.best_sweep - 1][3] == objective(rep.state, J, F, cfg.lam)[2]
+
+
+def test_a_search_pick_at_the_floor_stops_there_after_45_sweeps(monkeypatch):
+    # the f1 pick of seed 2 converged; a constr sweep beats it at round-off,
+    # so the fit does not stop on its unbeaten start but on the floor
+    cfg, (J, F, pts), start, rep = _fit_from_search(monkeypatch, "f1", 2, "constr",
+                                                    max_iters=60)
+    floor = _floor(cfg, J, F)
+    assert objective(_write_all_factors(start.copy(), pts), J, F, cfg.lam)[2] <= floor
+    assert (rep.iterations, rep.stop_reason) == (45, "floor")
+    assert rep.best_sweep > 0 and objective(rep.state, J, F, cfg.lam)[2] <= floor
+
+
+@pytest.mark.parametrize("case, seed, strategy, iterations, best_sweep", [
+    ("f1", 2, "constr", 115, 65), ("f1", 2, "proj", 102, 52),
+    ("L3", 0, "constr", 88, 38), ("L3", 0, "proj", 125, 75),
+])
+def test_a_bare_fit_stops_on_patience_alone(monkeypatch, case, seed, strategy, iterations,
+                                            best_sweep):
+    # without an initial_state neither the floor nor the start stops a fit:
+    # it gives the bits of a fit whose two stops are out of reach
+    from dataclasses import replace
+
+    cfg, J, F, pts = _search_case(case, seed)
+    cfg = replace(cfg, strategy=strategy)
+    rep = fit(cfg, J, F, pts)
+    assert (rep.iterations, rep.stop_reason, rep.best_sweep) == (iterations, "patience",
+                                                                best_sweep)
+    monkeypatch.setattr(solver_mod, "_START_SWEEPS", cfg.max_iters + 1)
+    assert state_bytes(fit(cfg, J, F, pts).state) == state_bytes(rep.state)
+
+
+def test_a_start_off_the_floor_that_a_sweep_beats_runs_on(monkeypatch):
+    # stage 0 of run 2 of criterion 2's f1 constr protocol: its pick is off
+    # the floor and sweep 10 is the first below it, so neither new stop
+    # fires and the fit ends at max_iters, with the bits of a fit whose two
+    # stops are out of reach
+    from ptdecouple.harness import _solver_seed, builtin_system
+    from ptdecouple.solver import seeded_rng
+
+    model = builtin_system("f1")
+    pts = seeded_rng(0, 2, 0).uniform(-1, 1, (30, model.n_inputs))
+    J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
+    cfg = SolverConfig(ranks=(2, 2), degrees=(5, 2), lam=1e-6, rng_seed=_solver_seed(0, 2),
+                       max_iters=60)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    start = start_search(cfg, J, F, pts)
+    rep = fit(cfg, J, F, pts, initial_state=start)
+    sweep0 = objective(_write_all_factors(start.copy(), pts), J, F, cfg.lam)[2]
+    assert sweep0 > _floor(cfg, J, F)
+    assert [rec[3] < sweep0 for rec in rep.state.trace].index(True) + 1 == 10
+    assert (rep.iterations, rep.stop_reason, rep.best_sweep) == (60, "max_iters", 60)
+    monkeypatch.setattr(solver_mod, "_START_SWEEPS", cfg.max_iters + 1)
+    assert state_bytes(fit(cfg, J, F, pts, initial_state=start).state) == state_bytes(rep.state)
+
+
+@pytest.mark.parametrize("case, seed, reason", [("f1", 2, "floor"), ("L3", 0, "start")])
+def test_the_new_stops_wait_for_min_iters(monkeypatch, case, seed, reason):
+    # with min_iters above 45 the floor and the unbeaten start stop a fit
+    # from a search pick at min_iters, not before; patience, also met
+    # there, gives way to them
+    cfg, _, _, rep = _fit_from_search(monkeypatch, case, seed, "constr", min_iters=60,
+                                      max_iters=100)
+    assert (rep.iterations, rep.stop_reason) == (60, reason)
 
 
 @pytest.mark.parametrize("case", ["f1", "L3"])
@@ -1430,11 +1523,11 @@ def test_descent_converges_exactly_below_the_search_scale(case):
     # the pick ranks every converged start below every other descent; that
     # holds because "converged" means an objective at or below one scale,
     # common to all starts of a search, and every other stop ends above it
-    from ptdecouple.descent import _LM_TOL, LMResult
+    from ptdecouple.descent import LMResult
     from ptdecouple.search import _start_outcome
 
     cfg, J, F, pts = _search_case(case)
-    bound = _LM_TOL * float(np.sum(J * J) + cfg.lam * np.sum(F * F))
+    bound = _FLOOR_RTOL * float(np.sum(J * J) + cfg.lam * np.sum(F * F))
     outcomes = [_start_outcome(cfg, FitData(J, F, pts), k) for k in range(8)]
     assert all(isinstance(out, LMResult) for out in outcomes)
     assert [out.stop_reason == "converged" for out in outcomes] == [
@@ -1650,14 +1743,17 @@ class TestParallelSearch:
 
     def test_search_in_a_pool_worker_forks_nothing(self, monkeypatch):
         # a harness run with jobs > 1 already has its cores; its results do
-        # not depend on jobs
+        # not depend on jobs.  Its workers fork, whatever the default start
+        # method (forkserver on Linux from Python 3.14)
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         case = _search_case("f1")
         with monkeypatch.context() as m:
             m.setattr(search_mod, "_helper_cpus", lambda: [])
             expected = start_search(*case)
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
             forks, got = pool.submit(_search_in_worker, case).result(timeout=120)
         assert forks == 0
         assert state_bytes(got) == state_bytes(expected)
