@@ -12,9 +12,9 @@ and forked helpers, and returns the same bits as on one core; the searches
 of a tuned run's stages run as one :class:`StartSearch`, whose helpers
 descend the next stage's starts while the caller sweeps.  A start's draw
 and a descent's outcome are parameters (weights and coefficients), which
-is all a descent reads, a helper sends and a pick holds; only a stage's
-pick becomes a state, built once by :mod:`.solver`, which writes the G
-and R of every state.
+is all a descent reads, a helper sends and a pick holds; the pick goes to
+its stage as it is, a :class:`.descent.LMResult`, and the stage's
+:func:`.solver.fit` builds from its parameters the one state of the stage.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import threading
 import numpy as np
 
 from .descent import LMResult, lm_descent
-from .solver import (FitData, SolverDivergenceError, _normalize_inputs, _structured_state,
-                     seeded_rng)
+from .solver import FitData, SolverDivergenceError, _normalize_inputs, seeded_rng
 
 __all__ = ["StartSearch", "start_search"]
 
@@ -153,12 +152,12 @@ class StartSearch:
 
     Every stage searches the one ``solver.FitData`` it is given, as validated.
 
-    ``next()`` returns the next stage's start, the state of its best
-    descent's parameters (the one state of the stage, built by
-    ``solver._structured_state``) or None, and raises the exception its
-    pick reaches.  The descents run in the caller and in one forked helper
-    on each further usable core (:func:`_helper_cpus`), forked once, when
-    the search opens.  The caller descends starts of the stage it is on;
+    ``next()`` returns the next stage's start, its best descent's
+    :class:`.descent.LMResult`, whose parameters the stage's fit builds
+    its state from, or None, and raises the exception its pick reaches.
+    The descents run in the caller and in one forked helper on each
+    further usable core (:func:`_helper_cpus`), forked once, when the
+    search opens.  The caller descends starts of the stage it is on;
     the helpers do too, and once that stage has no start left to claim they
     claim starts of the next stage, which so descend while the caller
     sweeps, and never of a stage beyond it.  Outcomes feed one
@@ -338,8 +337,7 @@ class StartSearch:
         best = pick.best
         if isinstance(best, Exception):
             raise best
-        return None if best is None else _structured_state(best.weights, best.coeffs,
-                                                           self._data.points)
+        return best
 
 
 def start_search(cfg, j_tensor, f_matrix, points):
@@ -354,8 +352,8 @@ def start_search(cfg, j_tensor, f_matrix, points):
     stops early at a start that fits the data to round-off, since no other
     start can beat it by more than round-off.  Starts that diverge are
     dropped; returns None when no start gave a finite objective, and the
-    state of the best descent's parameters otherwise, with the G and R
-    they give (``solver._structured_state``).
+    best descent's :class:`.descent.LMResult` otherwise, whose weights and
+    coefficients are all that :func:`.solver.fit` reads of a start.
 
     This is the one-stage case of :class:`StartSearch`: the descents run
     in the calling process and in one forked helper on each further

@@ -58,14 +58,15 @@ the objective.
 This module owns the sweeps, :func:`fit` and :func:`state_to_model`, and
 the helpers that the other two parts of the method import from it:
 :class:`SolverDivergenceError`, :func:`seeded_rng`, the run's validated
-data value :class:`FitData`, the neuron-input normalization of parameters
-and ``_structured_state``, the state of given parameters.  It is the one
-writer of a state's structured factors (``_write_factors`` and
-``_write_all_factors``).  The sweeps descend from wherever they start; the
-Levenberg-Marquardt descent over the model parameters is :mod:`.descent`,
-and the seeded start search that runs it from several draws, on
-parameters alone, and from which the tuner starts every stage's sweeps,
-is :mod:`.search`.
+data value :class:`FitData` and the neuron-input normalization of
+parameters.  It is the one writer of a state's structured factors
+(``_write_factors`` and ``_write_all_factors``), and ``_structured_state``
+builds the state of given parameters, once per fit: a start is its
+weights and coefficients.  The sweeps descend from wherever they start;
+the Levenberg-Marquardt descent over the model parameters is
+:mod:`.descent`, and the seeded start search that runs it from several
+draws, on parameters alone, and whose pick, a ``descent.LMResult``, the
+tuner hands every stage's fit as its start, is :mod:`.search`.
 
 A fit is single-threaded and deterministic given its configuration;
 separate fits share no mutable state and may run concurrently.  Every
@@ -317,14 +318,14 @@ def init_state(cfg, dims):
                        coeffs=a[2 * L + 2 :])
 
 
-def _check_start(state, cfg, dims):
-    """ValueError naming the first array of the state whose shape cfg and
-    dims (n, m, S) do not give, or its layer count."""
+def _check_start(start, cfg, dims):
+    """ValueError naming the first of the start's weights and coefficients
+    whose shape cfg and dims (n, m, S) do not give, or its layer count."""
     L, given = cfg.n_layers, f"ranks {cfg.ranks}, degrees {cfg.degrees} and (n, m, S) = {dims}"
-    if (len(state.weights), len(state.G), len(state.coeffs)) != (L + 1, L, L):
-        raise ValueError(f"initial_state has {len(state.G)} layers where {given} give {L}")
-    arrays = [*state.weights, *state.G, state.R, *state.coeffs]
-    for a, (name, shape) in zip(arrays, _state_shapes(cfg, dims)):
+    if (len(start.weights), len(start.coeffs)) != (L + 1, L):
+        raise ValueError(f"initial_state has {len(start.coeffs)} layers where {given} give {L}")
+    shapes = [(name, shape) for name, shape in _state_shapes(cfg, dims) if name[0] in "Wc"]
+    for a, (name, shape) in zip([*start.weights, *start.coeffs], shapes):
         if np.shape(a) != shape:
             raise ValueError(f"initial_state's {name} is {np.shape(a)} where {given} give {shape}")
 
@@ -603,6 +604,9 @@ def _row_panels(S, first, second=None, held=0):
     ``held`` what the update holds beside them per slice, and each part is
     split on its own, the first part's panels first, a panel's QR holding
     its rows twice.  A part that fits one panel is reduced by its QR too.
+    These bytes are traced (tracemalloc) bytes: LAPACK's own work copies
+    are not traced, so a whole system's ``np.linalg.lstsq`` solve may hold
+    about twice its rows in process memory.
     """
     if S < 2 * _QR_MIN_STACK:
         return [None]
@@ -937,8 +941,10 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
 
     The data is J, F and the points, or one :class:`FitData` in place of
     all three (``fit(cfg, data, initial_state=...)``), which is then used
-    as it is validated.  An ``initial_state`` must have the layers and the
-    array shapes that cfg's ranks and degrees and the data's n, m and S
+    as it is validated.  A given start, ``initial_state``, is its weights
+    and coefficients, all that is read of it: a :class:`SolverState` or a
+    start search's pick, a ``descent.LMResult``.  Their count and shapes
+    must be those that cfg's ranks and degrees and the data's n, m and S
     give; ValueError, naming the first array that does not, before any
     sweep.
 
@@ -959,55 +965,58 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
     returns.  A bare fit, from :func:`init_state`, stops on patience and
     ``max_iters`` alone.
 
-    The start is sweep 0: its weights and coefficients, with the objective
-    of the G_1..G_L and R that they give (:func:`_structured_state`), since
-    those of a state from :func:`init_state` are random draws, not part of
-    the model.  So a fit never returns a state whose objective is above
-    its start's: where no sweep goes below the start, the report carries
-    the start's parameters and structured factors, and a sweep that does
-    not improve on the start counts towards ``patience``.  Only the sweeps
-    are in the trace and in ``iterations``.
+    The start is sweep 0: the state of its weights and coefficients, with
+    the G_1..G_L and R that they give (:func:`_structured_state`).  A given
+    start's sweeps run from that state, built once, and one whose factors
+    overflow raises :class:`SolverDivergenceError` before any sweep; a bare
+    fit's sweeps run from the random G and R of :func:`init_state`, which
+    are no part of the model, so its sweep 0 is freed before them and is
+    no candidate where it overflows.  So a fit never returns a state whose
+    objective is above its start's: where no sweep goes below the start,
+    the report carries the start's parameters and structured factors, and
+    a sweep that does not improve on the start counts towards
+    ``patience``.  Only the sweeps are in the trace, in ``iterations`` and
+    in ``n_truncated``.
 
     The best sweep is kept as parameters only: copies of W_0..W_L and the
-    coefficients, and its ``n_truncated``.  Its G_1..G_L and R are the
-    structured factors of those parameters, so when a later sweep ends the
-    fit they are written once, into the live state's arrays
-    (:func:`_write_all_factors`, whose products are those of the sweep's
-    own writes), and the returned state holds the best sweep's bytes.  The
-    report's ``n_truncated`` counts every sweep's truncations.
+    coefficients.  Its G_1..G_L and R are the structured factors of those
+    parameters, so when a later sweep ends the fit they are written once,
+    into the live state's arrays (:func:`_write_all_factors`, whose
+    products are those of the sweep's own writes), and the returned state
+    holds the best sweep's bytes, with every sweep's trace and truncation
+    count, which the report's ``n_truncated`` repeats.
     """
     data = j_tensor if isinstance(j_tensor, FitData) else FitData(j_tensor, f_matrix, points)
     j_tensor, f_matrix, points = data.j_tensor, data.f_matrix, data.points
-    if initial_state is None:
-        state = init_state(cfg, data.shape)
-    else:
+    given = initial_state is not None
+    if given:
         _check_start(initial_state, cfg, data.shape)
-        state = initial_state.copy()
+    else:  # a bare fit's start is the parameters of init_state's random state
+        state = initial_state = init_state(cfg, data.shape)
     update_c = update_c_proj if cfg.strategy == "proj" else update_c_constr
     L, lam = cfg.n_layers, cfg.lam
 
-    # (sweep, weights, coefficients, n_truncated) of the best sweep so far,
-    # from sweep 0, the start, taken in a new state whose G and R its
-    # parameters give, so that the sweeps go on from the state as it is; a
-    # start whose factors or objective overflow is no candidate
+    # (sweep, weights, coefficients) of the best sweep so far, from sweep 0
     best, best_total, best_terms = None, np.inf, None
     try:
         with np.errstate(all="ignore"):
-            start = _structured_state(state.weights, state.coeffs, points)
+            start = _structured_state(initial_state.weights, initial_state.coeffs, points)
             j_term, f_term, total = objective(start, j_tensor, f_matrix, lam)
-    except NonFiniteError:
+    except NonFiniteError as exc:
+        if given:
+            raise SolverDivergenceError(f"the start's factors are non-finite: {exc}", []) from exc
         total = np.inf
     if np.isfinite(total):
-        best = (0, start.weights, start.coeffs, state.n_truncated)
+        best = (0, [w.copy() for w in start.weights], [c.copy() for c in start.coeffs])
         best_total, best_terms = total, (j_term, f_term)
-    start = None  # its G and R go before the sweeps
+    if given:  # its sweeps run from sweep 0
+        state = start
+    start = None  # a bare fit's G and R of sweep 0 go before its sweeps
     # sweeps after which a fit from a given start may stop on the floor or
     # on its unbeaten start; a bare fit never does
-    start_sweeps = math.inf if initial_state is None else max(cfg.min_iters, _START_SWEEPS)
+    start_sweeps = max(cfg.min_iters, _START_SWEEPS) if given else math.inf
     floor = _FLOOR_RTOL * (data.jj + lam * data.ff)
-    stall = 0
-    stop_reason = "max_iters"
-    iterations = 0
+    stall, stop_reason, iterations = 0, "max_iters", 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         try:
@@ -1036,9 +1045,8 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
             )
             # in their own layouts, which the passes that rebuild G and R read
             best = (it, [w.copy(order="K") for w in state.weights],
-                    [c.copy(order="K") for c in state.coeffs], state.n_truncated)
-            best_total = total
-            best_terms = j_term, f_term
+                    [c.copy(order="K") for c in state.coeffs])
+            best_total, best_terms = total, (j_term, f_term)
         else:
             improved = False
         stall = 0 if improved else stall + 1
@@ -1049,14 +1057,12 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
             stop_reason = "patience"
             break
 
-    n_truncated = state.n_truncated
-    it, weights, coeffs, best_truncated = best
+    it, weights, coeffs = best
     if it < iterations:
         # the live arrays take the best sweep's factors: each G_l (and R) is
         # a function of the weights below layer l and the coefficients
-        state = _write_all_factors(SolverState(
-            weights=weights, G=state.G, R=state.R, coeffs=coeffs, trace=state.trace,
-            n_truncated=best_truncated), points)
+        state.weights, state.coeffs = weights, coeffs
+        _write_all_factors(state, points)
     # C-ordered, as a copy of the state is: the solves leave W_1..W_L, and R
     # in proj, in Fortran order, and the model's passes read the layout
     for arrays in (state.weights, state.G, state.coeffs):
@@ -1069,7 +1075,7 @@ def fit(cfg, j_tensor, f_matrix=None, points=None, initial_state=None):
         iterations=iterations,
         stop_reason=stop_reason,
         config=cfg,
-        n_truncated=n_truncated,
+        n_truncated=state.n_truncated,
         best_sweep=it,
     )
 

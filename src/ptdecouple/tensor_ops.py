@@ -27,11 +27,11 @@ Conventions used throughout the package:
   planes, slices last (q x p x K), is reduced in place by Householder QR
   across the stack (``reduce_planes``) and its triangles solved by
   ``lstsq_reduced``.  ``slice_panels`` splits slices into panels from a
-  byte budget, and ``lstsq_panels`` builds and reduces one panel of rows
-  at a time (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-  Comput. 2012), so that memory follows the panel, not the slice count;
-  a single panel is reduced by its QR too, and only a system given as
-  ``[None]`` is built and solved whole.
+  budget of traced (tracemalloc) bytes, and ``lstsq_panels`` builds and
+  reduces one panel of rows at a time (TSQR: Demmel, Grigori, Hoemmen &
+  Langou, SIAM J. Sci. Comput. 2012), so that memory follows the panel,
+  not the slice count; a single panel is reduced by its QR too, and only
+  a system given as ``[None]`` is built and solved whole.
 
 Apart from ``reduce_planes`` every function here is pure and never mutates
 its inputs, so concurrent use needs no synchronization.
@@ -320,21 +320,23 @@ def lstsq_reduced(R, y):
     return x, trunc
 
 
-# What one panel of a system built per slice may take, in bytes.  Each
-# panel costs a fixed number of numpy calls: at f2 S = 1000 a second panel
-# of G-row planes cost 0.1-0.3 ms per coefficient update.  With 320 KiB an
-# f2 S = 1000 sweep splits the middle W system in three, the last W and
-# layer-1 constr systems in two, and the last layer's constr and proj
-# systems in four and two.
+# What one panel of a system built per slice may take, in traced
+# (tracemalloc) bytes; LAPACK's own work copies are not traced, and a
+# whole system's np.linalg.lstsq solve may hold about twice its rows in
+# process memory.  Each panel costs a fixed number of numpy calls: at f2
+# S = 1000 a second panel of G-row planes cost 0.1-0.3 ms per coefficient
+# update.  With 320 KiB an f2 S = 1000 sweep splits the middle W system in
+# three, the last W and layer-1 constr systems in two, and the last
+# layer's constr and proj systems in four and two.
 _PANEL_BYTES = 5 << 16
 
 
 def slice_panels(n, slice_bytes):
     """Consecutive slice ranges that split n slices into panels built one at a time.
 
-    ``slice_bytes`` is what one slice takes while its panel is built and
-    solved.  The panels are of near-equal length, as few as keep each
-    within ``_PANEL_BYTES``, but never shorter than ``_QR_MIN_STACK``
+    ``slice_bytes`` is what one slice takes, in traced bytes, while its
+    panel is built and solved.  The panels are of near-equal length, as
+    few as keep each within ``_PANEL_BYTES``, but never shorter than ``_QR_MIN_STACK``
     slices, so that a system of fewer than 2 * ``_QR_MIN_STACK`` = 200
     slices is never split and is built and solved whole: its fits keep
     the bits of whole solves.

@@ -10,14 +10,18 @@ validation set: the loop continues while the metric is non-increasing
 Each stage starts from its own seeded start search with seed
 ``base_seed XOR stage``: the best, by that stage's training objective, of
 8 Levenberg-Marquardt descents over the model parameters from
-standard-normal draws (``search.start_search``).  The alternating solver
-then runs from that state; only where every descent diverged does it start
-from ``solver.init_state``, as a bare ``fit`` does.  Since the stage's fit
-is given its start, it stops after 45 sweeps where none has gone below the
-start, and returns the start (``"start"``), or where its best is at the
-round-off floor (``"floor"``); its report's ``best_sweep`` is 0 where it
-returns the start (see ``solver.fit``).  A non-finite validation metric
-counts as a worsening, so it is never selected.
+standard-normal draws (``search.start_search``).  The search hands the
+stage's ``fit`` that descent's outcome, a ``descent.LMResult``, as its
+start: its weights and coefficients are all a fit reads of a start, and
+the fit builds from them, once, the state whose G and R they give, from
+which the alternating solver runs.  Only where every descent diverged
+does it start from ``solver.init_state``, as a bare ``fit`` does.  Since
+the stage's fit is given its start, it stops after 45 sweeps where none
+has gone below the start, and returns the start (``"start"``), or where
+its best is at the round-off floor (``"floor"``); its report's
+``best_sweep`` is 0 where it returns the start (see ``solver.fit``).  A
+non-finite validation metric counts as a worsening, so it is never
+selected.
 
 A stage's search needs only the data, its lam and its seed, not the fit of
 the stage before.  So a tuned run's searches run as one pipelined
@@ -172,11 +176,12 @@ def tune(cfg, j_tensor, f_matrix, points, validation):
         worsening (the last stage if none worsened within ``max_stages``).
         A non-finite metric counts as a worsening.
 
-    Each stage runs ``fit`` at its lam and seed from the state that
-    ``start_search`` picks for that lam and seed.  The stages' searches run
-    as one ``StartSearch``, opened here and closed before this returns or
-    raises: the helpers it forks once descend the next stage's starts while
-    this stage's sweeps run (see the module notes).
+    Each stage runs ``fit`` at its lam and seed from the descent that
+    ``start_search`` picks for that lam and seed, its weights and
+    coefficients.  The stages' searches run as one ``StartSearch``, opened
+    here and closed before this returns or raises: the helpers it forks
+    once descend the next stage's starts while this stage's sweeps run
+    (see the module notes).
 
     Raises
     ------

@@ -52,6 +52,12 @@ def state_bytes(st):
     return [a.tobytes() for a in (*st.weights, *st.G, st.R, *st.coeffs)]
 
 
+def param_bytes(start):
+    """The bytes of a start's weights and coefficients, all a fit reads of it:
+    a state's or a start search's pick's (``descent.LMResult``)."""
+    return [a.tobytes() for a in (*start.weights, *start.coeffs)]
+
+
 def wait_readable(fd, what):
     """Wait up to 60 s for fd to be readable; fail with what otherwise."""
     if not select.select([fd], [], [], 60)[0]:

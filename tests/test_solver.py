@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     make_system,
+    param_bytes,
     planes_stack,
     state_bytes,
     structured_rows,
@@ -41,6 +42,7 @@ from ptdecouple.solver import (
     _coeff_bases,
     _coeff_problem,
     _structure,
+    _structured_state,
     _write_all_factors,
     _write_factors,
 )
@@ -748,6 +750,19 @@ class TestFit:
         j_term, f_term, total = objective(rep.state, J, F, 0.3)
         assert min(r[3] for r in rep.state.trace) == pytest.approx(total, rel=1e-10)
 
+    def test_a_fit_from_an_earlier_fits_state_traces_its_own_sweeps(self):
+        # a given state is its weights and coefficients: its trace and its
+        # truncation count are not carried into the fit that starts from it
+        model, pts, J, F = problem(19)
+        cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=0.3, rng_seed=11,
+                           min_iters=5, max_iters=12, patience=50)
+        rep = fit(cfg, J, F, pts, initial_state=fit(cfg, J, F, pts).state)
+        assert [rec[0] for rec in rep.state.trace] == list(range(1, rep.iterations + 1))
+        assert rep.iterations == 12 and rep.best_sweep > 0
+        best = rep.state.trace[rep.best_sweep - 1]
+        assert best[0] == rep.best_sweep and best[3] == objective(rep.state, J, F, 0.3)[2]
+        assert rep.state.n_truncated == rep.n_truncated
+
     def test_bitwise_reproducibility(self):
         model, pts, J, F = problem(20)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=13,
@@ -826,8 +841,7 @@ class TestFit:
         assert state_bytes(rep.state) == state_bytes(want)
         arrays = [*rep.state.weights, *rep.state.G, rep.state.R, *rep.state.coeffs]
         assert all(a.flags.c_contiguous for a in arrays)
-        assert rep.state.n_truncated == want.n_truncated
-        assert rep.n_truncated == ends[-1][0].n_truncated
+        assert rep.state.n_truncated == rep.n_truncated == ends[-1][0].n_truncated
         assert rep.state.trace == [(it, *terms) for it, (_, terms) in enumerate(ends)][1:]
         assert rep.iterations == len(ends) - 1 == cfg.max_iters
         assert (rep.error_j, rep.error_f) == (ends[best][1][0] / fro_norm(J) ** 2,
@@ -835,7 +849,6 @@ class TestFit:
 
     @pytest.mark.parametrize("ranks, degrees, dims, match", [
         ((3, 2), (3, 2), (2, 2, 30), r"W_0 is \(3, 2\) where ranks \(2, 2\), .* give \(2, 2\)"),
-        ((2, 2), (5, 2), (2, 2, 20), r"G_1 is \(20, 2\) where .* = \(2, 2, 30\) give \(30, 2\)"),
         ((2, 2), (3, 2), (2, 2, 30), r"c_1 is \(2, 4\) where .* degrees \(5, 2\) .* \(2, 6\)"),
         ((2, 2), (5, 2), (3, 2, 30), r"W_2 is \(3, 2\) where .* = \(2, 2, 30\) give \(2, 2\)"),
         ((2, 2, 2), (5, 2, 2), (2, 2, 30), "3 layers where ranks"),
@@ -879,9 +892,28 @@ class TestFit:
         st = init_state(cfg, J.shape)
         for a in st.weights + st.G + st.coeffs + [st.R]:
             a *= 1e150
-        with pytest.raises(SolverDivergenceError) as err:
+        with pytest.raises(SolverDivergenceError, match="start's factors are non-finite") as err:
             fit(cfg, J, F, pts, initial_state=st)
-        assert isinstance(err.value.trace, list)
+        assert err.value.trace == []
+
+    def test_a_non_finite_sweep_raises_with_the_sweeps_before_it(self, monkeypatch):
+        # a start that overflows raises before any sweep (above); a sweep
+        # whose subproblem is non-finite raises with the trace of the
+        # sweeps before it.  L = 2: three W updates per sweep
+        model, pts, J, F = problem(24)
+        cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), rng_seed=0, min_iters=5, max_iters=5)
+        calls, real = [], solver_mod.update_W
+
+        def failing(state, *args):
+            calls.append(1)
+            if len(calls) > 3:
+                raise NonFiniteError("scripted")
+            return real(state, *args)
+
+        monkeypatch.setattr(solver_mod, "update_W", failing)
+        with pytest.raises(SolverDivergenceError, match="at iteration 2: scripted") as err:
+            fit(cfg, J, F, pts)
+        assert [rec[0] for rec in err.value.trace] == [1]
 
     def test_value_error_with_finite_factors_propagates(self, monkeypatch):
         # only a non-finite subproblem or a LinAlgError is a divergence; any
@@ -1271,7 +1303,6 @@ class TestLevenbergMarquardt:
         import ptdecouple.search as search_mod
         from ptdecouple.descent import LMResult
         from ptdecouple.search import start_search
-        from ptdecouple.solver import _structured_state
 
         model, pts, J, F = problem(33)
         cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=7)
@@ -1288,8 +1319,9 @@ class TestLevenbergMarquardt:
         # in process: a forked helper would read its own copy of the script
         monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
         picked = start_search(cfg, J, F, pts)
-        # the state of start 3's parameters, evaluated once, by the search
-        assert state_bytes(picked) == state_bytes(_structured_state(*seen[3], pts))
+        # start 3's outcome, as its descent returned it
+        assert picked.weights is seen[3][0] and picked.coeffs is seen[3][1]
+        assert picked.objective == 2.0
         # same seed, same draws; the frozen constants of inner layers are 0
         scripted = iter([np.nan, 5.0, np.inf, 2.0, 3.0])
         again = start_search(cfg, J, F, pts)
@@ -1311,7 +1343,8 @@ class TestLevenbergMarquardt:
             cfg = SolverConfig(ranks=(2, 2), degrees=(3, 2), lam=1e-2, rng_seed=3,
                                min_iters=10, max_iters=100, patience=50)
             start = start_search(cfg, J, F, pts)
-            if objective(start, J, F, 1e-2)[0] <= 1e-16 * fro_norm(J) ** 2:
+            st = _structured_state(start.weights, start.coeffs, pts)
+            if objective(st, J, F, 1e-2)[0] <= 1e-16 * fro_norm(J) ** 2:
                 exact.append((cfg, J, F, pts, start))
         assert len(exact) >= 8
         cfg, J, F, pts, start = exact[0]
@@ -1399,7 +1432,7 @@ def test_a_fit_never_ends_above_its_search_start(monkeypatch, case, seed, strate
     # the G and R they give, and where no sweep goes below it, that state
     cfg, (J, F, pts), start, rep = _fit_from_search(monkeypatch, case, seed, strategy,
                                                     max_iters=60)
-    structured = _write_all_factors(start.copy(), pts)
+    structured = _structured_state(start.weights, start.coeffs, pts)
     got, want = (objective(st, J, F, cfg.lam)[2] for st in (rep.state, structured))
     assert got <= want and (got < want) == beaten
     assert (state_bytes(rep.state) == state_bytes(structured)) == (not beaten)
@@ -1424,7 +1457,8 @@ def test_a_search_pick_at_the_floor_stops_there_after_45_sweeps(monkeypatch):
     cfg, (J, F, pts), start, rep = _fit_from_search(monkeypatch, "f1", 2, "constr",
                                                     max_iters=60)
     floor = _floor(cfg, J, F)
-    assert objective(_write_all_factors(start.copy(), pts), J, F, cfg.lam)[2] <= floor
+    assert objective(_structured_state(start.weights, start.coeffs, pts), J, F,
+                     cfg.lam)[2] <= floor
     assert (rep.iterations, rep.stop_reason) == (45, "floor")
     assert rep.best_sweep > 0 and objective(rep.state, J, F, cfg.lam)[2] <= floor
 
@@ -1464,7 +1498,7 @@ def test_a_start_off_the_floor_that_a_sweep_beats_runs_on(monkeypatch):
     monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
     start = start_search(cfg, J, F, pts)
     rep = fit(cfg, J, F, pts, initial_state=start)
-    sweep0 = objective(_write_all_factors(start.copy(), pts), J, F, cfg.lam)[2]
+    sweep0 = objective(_structured_state(start.weights, start.coeffs, pts), J, F, cfg.lam)[2]
     assert sweep0 > _floor(cfg, J, F)
     assert [rec[3] < sweep0 for rec in rep.state.trace].index(True) + 1 == 10
     assert (rep.iterations, rep.stop_reason, rep.best_sweep) == (60, "max_iters", 60)
@@ -1484,12 +1518,38 @@ def test_the_new_stops_wait_for_min_iters(monkeypatch, case, seed, reason):
 
 @pytest.mark.parametrize("case", ["f1", "L3"])
 def test_a_search_start_is_its_own_sweep_zero(monkeypatch, case):
-    # the pick's G and R are written by the writer of the fit's sweep 0, so
-    # the sweeps start from the bits of the state that sweep 0 scores
+    # a fit builds the state of the pick's parameters once, and its sweeps
+    # start from the bits of the state that sweep 0 scores
+    from dataclasses import replace
+
     cfg, J, F, pts = _search_case(case)
     monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
     start = start_search(cfg, J, F, pts)
-    assert state_bytes(_write_all_factors(start.copy(), pts)) == state_bytes(start)
+    received = []
+
+    def recorded(state, points):
+        received.append(state_bytes(state))
+        return rebalance(state, points)
+
+    monkeypatch.setattr(solver_mod, "rebalance", recorded)
+    fit(replace(cfg, min_iters=1, max_iters=1), J, F, pts, initial_state=start)
+    assert received == [state_bytes(_structured_state(start.weights, start.coeffs, pts))]
+
+
+@pytest.mark.parametrize("case", ["f1", "L3"])
+def test_a_start_is_its_weights_and_coefficients(monkeypatch, case):
+    # a fit reads a given state's weights and coefficients alone: with its
+    # G and R set to NaN, the state of a search's pick fits as the pick does
+    cfg, J, F, pts = _search_case(case)
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    start = start_search(cfg, J, F, pts)
+    st = _structured_state(start.weights, start.coeffs, pts)
+    for a in (*st.G, st.R):
+        a.fill(np.nan)
+    want, got = (fit(cfg, J, F, pts, initial_state=s) for s in (start, st))
+    assert state_bytes(got.state) == state_bytes(want.state)
+    assert (got.iterations, got.stop_reason, got.state.trace) == (
+        want.iterations, want.stop_reason, want.state.trace)
 
 
 @pytest.mark.parametrize("S", [30, 700])
@@ -1590,7 +1650,7 @@ class TestParallelSearch:
             os.close(read)
             os.close(write)
         assert ran and 0 not in ran  # the caller takes start 0
-        assert state_bytes(got) == state_bytes(expected)
+        assert param_bytes(got) == param_bytes(expected)
 
     def test_a_descent_that_cannot_be_picked_is_dropped(self, monkeypatch):
         # the f1 search of seed 2 stops at start 1, which converges in the
@@ -1643,7 +1703,7 @@ class TestParallelSearch:
                 os.close(fd)
         assert ran == {1}
         assert dropped == [True] and 0 < len(polls) < alone.iterations
-        assert state_bytes(got) == state_bytes(expected)
+        assert param_bytes(got) == param_bytes(expected)
 
     def test_outcomes_are_picked_in_start_order(self):
         # whatever order the outcomes arrive in, the pick is that of one
@@ -1756,7 +1816,7 @@ class TestParallelSearch:
         with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
             forks, got = pool.submit(_search_in_worker, case).result(timeout=120)
         assert forks == 0
-        assert state_bytes(got) == state_bytes(expected)
+        assert param_bytes(got) == param_bytes(expected)
 
 
 class TestInPlaceReduction:

@@ -8,6 +8,7 @@ from conftest import make_system, state_bytes, truth_state, wait_readable
 
 import ptdecouple.descent as descent_mod
 import ptdecouple.search as search_mod
+import ptdecouple.solver as solver_mod
 import ptdecouple.tuner as tuner_mod
 from ptdecouple.model import build_f_matrix, build_jacobian_tensor, eval_batch
 from ptdecouple.solver import SolverConfig, SolverDivergenceError
@@ -330,6 +331,25 @@ def tuned_case(case):
                                           max_iters=20, patience=20), max_stages=3)
     J, F = build_jacobian_tensor(model, pts), build_f_matrix(model, pts)
     return cfg, J, F, pts, (val, eval_batch(model, val))
+
+
+@pytest.mark.parametrize("case", ["f1", "L3"])
+def test_a_tuned_stage_builds_one_state(monkeypatch, case):
+    # a search hands its stage the pick's parameters, and the stage's fit
+    # builds their state, which its sweeps start from, once
+    cfg, J, F, pts, validation = tuned_case(case)
+    built, real = [], solver_mod._structured_state
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(search_mod, "_helper_cpus", lambda: [])
+    monkeypatch.setattr(solver_mod, "_structured_state", counted)
+    # a search that built states itself would call its own import of it
+    monkeypatch.setattr(search_mod, "_structured_state", counted, raising=False)
+    got = tune(cfg, J, F, pts, validation)
+    assert len(got.stages) == 3 and len(built) == 3
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="searches run in process")
